@@ -8,23 +8,9 @@ Usage: python3 scripts/fiber_sweep.py [--samples N] [--seed S] [--max-height H]
 import argparse
 import random
 import sys
-from fractions import Fraction
 
-from kleinprym.errors import DomainError
-from kleinprym.family import check_domain
+from kleinprym.acceptance import random_params
 from kleinprym.moduli import phi_params, prym_fiber_invariants
-
-
-def random_params(rng, height):
-    while True:
-        a = Fraction(rng.randint(-height, height), rng.randint(1, height))
-        b = Fraction(rng.randint(-height, height), rng.randint(1, height))
-        try:
-            p = check_domain(a, b)
-        except DomainError:
-            continue
-        if p.phi_defined:
-            return p
 
 
 def main():
@@ -37,7 +23,7 @@ def main():
     rng = random.Random(args.seed)
     mismatches = 0
     for _ in range(args.samples):
-        p = random_params(rng, args.max_height)
+        p = random_params(rng, args.max_height, require_phi=True)
         q = phi_params(p)
         match = prym_fiber_invariants(p) == prym_fiber_invariants(q)
         mismatches += not match

@@ -306,16 +306,6 @@ class ComplexApprox:
     def __neg__(self):
         return ComplexApprox(-self.real, -self.imag, self.precision_bits)
 
-    def conjugate(self) -> "ComplexApprox":
-        return ComplexApprox(self.real, -self.imag, self.precision_bits)
-
-    def abs(self) -> mpmath.mpf:
-        with mpmath.workprec(self.precision_bits):
-            return mpmath.fabs(self.to_mpc())
-
-    def distance(self, other) -> mpmath.mpf:
-        return (self - other).abs()
-
     def __complex__(self):
         return complex(float(self.real), float(self.imag))
 

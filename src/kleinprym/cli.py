@@ -29,7 +29,7 @@ from .family import (
 )
 from .projline import MarkedTuple, MarkingConvention, normalize_tuple
 from .moduli import moduli_report, phi_consistency_report
-from .torsion import duality_chain, example_surj_report
+from .torsion import MAX_CHAIN_LEVEL, duality_chain, example_surj_report
 from .isogeny import KernelPoint, WeierstrassCurve, dual_nonisomorphism_check
 from .periods import periods_report
 from . import acceptance
@@ -73,12 +73,18 @@ _convention_option = click.option(
     help="Which parts of the marking carry an ordering.")
 
 
+def _echo(text: str) -> None:
+    # Name the stream: without `file`, click caches a wrapper per sys.stdout
+    # object, and that cache keeps every redirected stdout and its text alive.
+    click.echo(text, file=sys.stdout)
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(report, sort_keys=True, indent=2))
+        _echo(json.dumps(report, sort_keys=True, indent=2))
         return
     for line in _text_lines(report, 0):
-        click.echo(line)
+        _echo(line)
 
 
 def _text_lines(value, depth):
@@ -185,7 +191,7 @@ def periods(a, b, bits, fmt):
 
 
 @cli.command()
-@click.option("--d", "d", type=click.IntRange(2, 8), required=True)
+@click.option("--d", "d", type=click.IntRange(2, MAX_CHAIN_LEVEL), required=True)
 @_format_option
 def torsion(d, fmt):
     """Factor intersections and the duality chain for the (1,d) quotient."""
@@ -221,10 +227,10 @@ def selftest():
     """Run the full acceptance suite; one line per criterion."""
     results = acceptance.run_all()
     for r in results:
-        click.echo(r.line())
+        _echo(r.line())
     if not all(r.passed for r in results):
-        raise KleinPrymError("acceptance suite failed")
-    click.echo(f"all {len(results)} criteria passed")
+        raise InternalInvariantError("acceptance suite failed")
+    _echo(f"all {len(results)} criteria passed")
 
 
 def main(argv=None) -> int:

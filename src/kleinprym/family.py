@@ -37,11 +37,6 @@ class FamilyParams:
         """The deck involution on parameters needs a + b != 0."""
         return self.a + self.b != 0
 
-    @property
-    def e_tau_iso_e_st(self) -> bool:
-        """b = -a makes E_tau and E_sigma_tau isomorphic."""
-        return self.a + self.b == 0
-
     def swapped(self) -> "FamilyParams":
         return FamilyParams(self.b, self.a)
 

@@ -80,16 +80,6 @@ class PeriodPair:
     omega2: ComplexApprox
     tau: ComplexApprox
 
-    def lattice_coordinates(self, z):
-        """Real coordinates of z in the basis (omega1, omega2)."""
-        w1 = self.omega1.to_mpc()
-        w2 = self.omega2.to_mpc()
-        z = _as_mpc(z)
-        det = w1.real * w2.imag - w1.imag * w2.real
-        s = (z.real * w2.imag - z.imag * w2.real) / det
-        t = (w1.real * z.imag - w1.imag * z.real) / det
-        return s, t
-
 
 def _roots_of(rhs, precision_bits: int):
     coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(rhs.coeffs)]
@@ -215,6 +205,10 @@ def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexAppr
 POLARIZATION_TYPE = (1, 2)
 
 
+def _cell(e: ComplexApprox) -> dict:
+    return {"re": mpmath.nstr(e.real, 17), "im": mpmath.nstr(e.imag, 17)}
+
+
 @dataclass(frozen=True)
 class PrymPeriodMatrix:
     """2x4 matrix ((z1, z1, 1, 0), (z1, z1 + z2, 0, 2)) with the alternating
@@ -231,11 +225,8 @@ class PrymPeriodMatrix:
         return [[e.to_mpc() for e in row] for row in self.entries]
 
     def to_report(self) -> dict:
-        def cell(e):
-            return {"re": mpmath.nstr(e.real, 17), "im": mpmath.nstr(e.imag, 17)}
-
         return {
-            "entries": [[cell(e) for e in row] for row in self.entries],
+            "entries": [[_cell(e) for e in row] for row in self.entries],
             "polarization": list(self.polarization),
             "precision_bits": self.precision_bits,
         }
@@ -386,9 +377,6 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
     all six elliptic quotients."""
     from .family import ELLIPTIC_LABELS, CurveLabel, curve_equation, j_invariant
 
-    def cell(e):
-        return {"re": mpmath.nstr(e.real, 17), "im": mpmath.nstr(e.imag, 17)}
-
     tol = tolerance(precision_bits // 4)
     deltas = {}
     taus = {}
@@ -397,8 +385,8 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
         model = curve_equation(label, params)
         pair = elliptic_periods_agm(model, precision_bits)
         taus[label.value] = pair.tau
-        pairs[label.value] = {"omega1": cell(pair.omega1), "omega2": cell(pair.omega2),
-                              "tau": cell(pair.tau)}
+        pairs[label.value] = {"omega1": _cell(pair.omega1), "omega2": _cell(pair.omega2),
+                              "tau": _cell(pair.tau)}
         exact = j_invariant(model)
         approx = analytic_j(pair.tau, precision_bits)
         with mpmath.workprec(precision_bits):

@@ -1,48 +1,51 @@
 """Finite symplectic calculus on torsion of a product of two elliptic curves.
 
 Torsion is modelled inside Q^4/Z^4 at a fixed level N, coordinates ordered
-(e_E, f_E, e_F, f_F).  The Weil pairing surrogate is the standard symplectic
-form scaled to take values in (1/N)Z/Z:
+(e_E, f_E, e_F, f_F).  A point x is held as the residues N*x mod N, four
+ints in range(N); rationals appear only where points enter (`make`), where
+they are printed (`to_strings`) and in the value of the Weil pairing
+surrogate, the standard symplectic form scaled to take values in (1/N)Z/Z:
 
     <x, y> = N * (x1 y2 - x2 y1 + x3 y4 - x4 y3)  mod 1.
 
-Orders, complements and intersections are decided by plain enumeration;
-levels stay <= 12 so brute force is its own oracle.
+Since c -> c/N is monotone on range(N), residues order exactly as the
+rationals they stand for.  Orders, complements and intersections are decided
+by plain enumeration; levels stay <= 12 so brute force is its own oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, LevelError, NotIsotropic
 
 MAX_LEVEL = 12
-
-
-def _mod1(v: Fraction) -> Fraction:
-    return v - (v.numerator // v.denominator)
+MAX_CHAIN_LEVEL = 8  # largest d that duality_chain enumerates and verifies
 
 
 @dataclass(frozen=True, order=True)
 class TorsionPoint:
-    """An element of Q^4/Z^4 with denominators dividing the level."""
+    """An element of Q^4/Z^4 with denominators dividing the level, held as
+    the residues level * x mod level."""
 
     coords: tuple
     level: int
 
     @classmethod
     def make(cls, coords, level: int) -> "TorsionPoint":
+        """The point with rational coordinates `coords`, reduced mod 1."""
         if not 2 <= level <= MAX_LEVEL:
             raise ArgumentError(f"level must be in 2..{MAX_LEVEL}")
-        cs = tuple(_mod1(Fraction(c)) for c in coords)
+        cs = tuple(Fraction(c) for c in coords)
         if len(cs) != 4:
             raise ArgumentError("torsion points have four coordinates")
         for c in cs:
             if level % c.denominator != 0:
-                raise LevelError(f"denominator of {c} does not divide level {level}")
-        return cls(cs, level)
+                raise LevelError(f"denominator of {c % 1} does not divide level {level}")
+        return cls(tuple(int(c * level) % level for c in cs), level)
 
     @classmethod
     def zero(cls, level: int) -> "TorsionPoint":
@@ -51,32 +54,29 @@ class TorsionPoint:
     def __add__(self, other: "TorsionPoint") -> "TorsionPoint":
         if self.level != other.level:
             raise LevelError("level mismatch")
-        return TorsionPoint(tuple(_mod1(a + b) for a, b in zip(self.coords, other.coords)),
-                            self.level)
+        n = self.level
+        return TorsionPoint(tuple((a + b) % n for a, b in zip(self.coords, other.coords)), n)
 
     def __neg__(self) -> "TorsionPoint":
-        return TorsionPoint(tuple(_mod1(-a) for a in self.coords), self.level)
+        return TorsionPoint(tuple(-a % self.level for a in self.coords), self.level)
 
     def __sub__(self, other: "TorsionPoint") -> "TorsionPoint":
         return self + (-other)
 
     def scale(self, k: int) -> "TorsionPoint":
-        return TorsionPoint(tuple(_mod1(k * a) for a in self.coords), self.level)
+        return TorsionPoint(tuple(k * a % self.level for a in self.coords), self.level)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
     def order(self) -> int:
-        for k in range(1, self.level + 1):
-            if self.scale(k).is_zero():
-                return k
-        raise LevelError("order does not divide the level")  # unreachable
+        return self.level // math.gcd(self.level, *self.coords)
 
     def to_strings(self):
-        return [str(c) for c in self.coords]
+        return [str(Fraction(c, self.level)) for c in self.coords]
 
     def __repr__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + f")@{self.level}"
+        return "(" + ", ".join(self.to_strings()) + f")@{self.level}"
 
 
 def weil_pairing(x: TorsionPoint, y: TorsionPoint) -> Fraction:
@@ -86,13 +86,12 @@ def weil_pairing(x: TorsionPoint, y: TorsionPoint) -> Fraction:
         raise LevelError("level mismatch")
     a, b = x.coords, y.coords
     raw = a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
-    return _mod1(x.level * raw)
+    return Fraction(raw % x.level, x.level)
 
 
 def full_group(level: int):
     """All level-N points of Q^4/Z^4 (N^4 of them), lexicographically ordered."""
-    vals = [Fraction(i, level) for i in range(level)]
-    return [TorsionPoint(c, level) for c in itertools.product(vals, repeat=4)]
+    return [TorsionPoint(c, level) for c in itertools.product(range(level), repeat=4)]
 
 
 @dataclass(frozen=True)
@@ -105,14 +104,8 @@ class TorsionSubgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, p: TorsionPoint) -> bool:
-        return p in self.elements
-
-    def sorted_elements(self):
-        return sorted(self.elements)
-
     def to_report(self):
-        return [p.to_strings() for p in self.sorted_elements()]
+        return [p.to_strings() for p in sorted(self.elements)]
 
 
 def span(gens) -> TorsionSubgroup:
@@ -162,9 +155,6 @@ class QuotientSubgroup:
     def project(self, p: TorsionPoint) -> TorsionPoint:
         return min(p + k for k in self.kernel.elements)
 
-    def contains(self, p: TorsionPoint) -> bool:
-        return self.project(p) in set(self.representatives)
-
     def to_report(self):
         return [p.to_strings() for p in sorted(self.representatives)]
 
@@ -187,17 +177,15 @@ def factor_intersection(kernel_mu: TorsionSubgroup, quotient_group: QuotientSubg
     """Intersection of the image of one elliptic factor with a subgroup of the
     quotient.  factor is "E" (first two coordinates) or "F" (last two)."""
     level = kernel_mu.level
-    vals = [Fraction(i, level) for i in range(level)]
+    pairs = itertools.product(range(level), repeat=2)
     if factor == "E":
-        pts = [TorsionPoint((u, v, Fraction(0), Fraction(0)), level)
-               for u, v in itertools.product(vals, repeat=2)]
+        pts = [TorsionPoint((u, v, 0, 0), level) for u, v in pairs]
     elif factor == "F":
-        pts = [TorsionPoint((Fraction(0), Fraction(0), u, v), level)
-               for u, v in itertools.product(vals, repeat=2)]
+        pts = [TorsionPoint((0, 0, u, v), level) for u, v in pairs]
     else:
         raise ArgumentError("factor must be 'E' or 'F'")
-    reps = [quotient_group.project(p) for p in pts]
-    hits = sorted({r for r in reps if r in set(quotient_group.representatives)})
+    members = set(quotient_group.representatives)
+    hits = sorted({r for r in map(quotient_group.project, pts) if r in members})
     return QuotientSubgroup(kernel_mu, tuple(hits))
 
 
@@ -219,8 +207,8 @@ def duality_chain(d: int) -> dict:
     * for d = 2 the generator is 2-torsion with primitive components in
       both factors (the quotient shape is preserved under duality).
     """
-    if not 2 <= d <= 8:
-        raise ArgumentError("d must be in 2..8")
+    if not 2 <= d <= MAX_CHAIN_LEVEL:
+        raise ArgumentError(f"d must be in 2..{MAX_CHAIN_LEVEL}")
     P = TorsionPoint.make((Fraction(1, d), 0, 0, 0), d)
     Q = TorsionPoint.make((0, 0, Fraction(1, d), 0), d)
     PQ = P + Q
@@ -257,7 +245,7 @@ def duality_chain(d: int) -> dict:
         comps = p_prime_minus_q_prime.coords
         checks["dual_back_in_two_torsion_shape"] = (
             gen_class.scale(2).is_zero()
-            and comps[1].denominator == 2 and comps[3].denominator == 2
+            and comps[1] == 1 and comps[3] == 1
         )
     return {
         "d": d,
@@ -282,7 +270,7 @@ def _alpha(p2):
     """The order-4 automorphism ((0, -1), (1, 0)) on a 2-coordinate torsion
     element of one factor."""
     u, v = p2
-    return (_mod1(-v), _mod1(u))
+    return (-v % 1, u % 1)
 
 
 def example_surj_report() -> dict:
@@ -296,7 +284,7 @@ def example_surj_report() -> dict:
     half = Fraction(1, 2)
     e2 = (half, half)
     f2 = (half, Fraction(0))
-    ef2 = (_mod1(e2[0] + f2[0]), _mod1(e2[1] + f2[1]))
+    ef2 = ((e2[0] + f2[0]) % 1, (e2[1] + f2[1]) % 1)
 
     alpha_checks = {
         "alpha_fixes_e": _alpha(e2) == e2,
@@ -330,9 +318,9 @@ def example_surj_report() -> dict:
         return project_to_quotient(kernel4, pts)
 
     g_diag = graph_image(lambda s: s)
-    g_anti = graph_image(lambda s: (_mod1(-s[0]), _mod1(-s[1])))
+    g_anti = graph_image(lambda s: (-s[0] % 1, -s[1] % 1))
     g_alpha = graph_image(_alpha)
-    g_malpha = graph_image(lambda s: tuple(_mod1(-c) for c in _alpha(s)))
+    g_malpha = graph_image(lambda s: tuple(-c % 1 for c in _alpha(s)))
 
     def intersect(g1, g2):
         reps = sorted(set(g1.representatives) & set(g2.representatives))

@@ -1,7 +1,13 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 from click.testing import CliRunner
 
+from kleinprym import acceptance
+from kleinprym.acceptance import CriterionResult
 from kleinprym.cli import cli, main
 
 
@@ -94,3 +100,19 @@ def test_periods_rejects_tiny_bits():
 
 def test_torsion_range_is_validated():
     assert main(["torsion", "--d", "9"]) == 1
+
+
+def test_failed_selftest_exits_2(monkeypatch):
+    failing = CriterionResult(1, "stub", False, "forced failure", 0.0, 1.0)
+    monkeypatch.setattr(acceptance, "run_all", lambda: [failing])
+    assert main(["selftest"]) == 2
+
+
+def test_redirected_stdout_is_not_kept_alive():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["torsion", "--d", "2"]) == 0
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
