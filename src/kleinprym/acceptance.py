@@ -245,12 +245,25 @@ def criterion_7() -> CriterionResult:
     return _run(7, "Velu / duality certificate", 1.0, body)
 
 
+NEAR_LOCUS = Fraction(1, 10**10)
+
+
+def near_locus_params(a: Fraction):
+    """One point at NEAR_LOCUS from each discriminant locus a = b, a = +-2
+    and b = +-2, built around the generic value a."""
+    d = NEAR_LOCUS
+    return [check_domain(x, y) for x, y in ((a, a + d), (2 + d, a), (-2 - d, a),
+                                            (a, 2 - d), (a, -2 + d))]
+
+
 def criterion_8() -> CriterionResult:
     def body():
         bits = 256
         rng = random.Random(108)
-        for i in range(20):
-            params = random_params(rng)
+        samples = [random_params(rng) for _ in range(20)]
+        samples += [random_params(rng, height=10**6) for _ in range(5)]
+        samples += near_locus_params(random_params(rng).a)
+        for params in samples:
             for label in ELLIPTIC_LABELS:
                 model = curve_equation(label, params)
                 pair = elliptic_periods_agm(model, bits)
@@ -264,32 +277,35 @@ def criterion_8() -> CriterionResult:
                     return False, (f"|analytic_j - exact_j| = {mpmath.nstr(delta, 5)} "
                                    f"for {label.value} at {params}")
 
-        params = check_domain(0, 1)
-        z1 = elliptic_periods_agm(curve_equation(CurveLabel.E_t, params), bits).tau
-        z2 = elliptic_periods_agm(curve_equation(CurveLabel.E_st, params), bits).tau
-        matrix = prym_period_matrix(z1, z2)
-        residual, min_eig = riemann_check(matrix)
-        if residual >= mpmath.ldexp(1, -bits + 16):
-            return False, f"Riemann symmetry residual {mpmath.nstr(residual, 5)}"
-        if min_eig <= 0:
-            return False, f"Riemann form not positive definite: {mpmath.nstr(min_eig, 5)}"
+        # the CM anchor, where tau is exact, and a generic point
+        for params in (check_domain(0, 1), check_domain(Fraction(7, 5), Fraction(-13, 4))):
+            z1 = elliptic_periods_agm(curve_equation(CurveLabel.E_t, params), bits).tau
+            z2 = elliptic_periods_agm(curve_equation(CurveLabel.E_st, params), bits).tau
+            matrix = prym_period_matrix(z1, z2)
+            residual, min_eig = riemann_check(matrix)
+            if residual >= mpmath.ldexp(1, -bits + 16):
+                return False, f"Riemann symmetry residual {mpmath.nstr(residual, 5)} at {params}"
+            if min_eig <= 0:
+                return False, (f"Riemann form not positive definite at {params}: "
+                               f"{mpmath.nstr(min_eig, 5)}")
 
-        trace = product_to_prym_reduction(z1, z2)
-        w1, w2 = z1.to_mpc(), z2.to_mpc()
-        expected_mid = ((w1, w1, 1, 0), (0, w2, -1, 2))
-        tol = mpmath.ldexp(1, -bits + 16)
-        for r in range(2):
-            for c in range(4):
-                mid = trace.after_quotient[r][c].to_mpc()
-                fin = trace.final[r][c].to_mpc()
-                if mpmath.fabs(mid - expected_mid[r][c]) >= tol:
-                    return False, f"intermediate matrix mismatch at ({r},{c})"
-                if mpmath.fabs(fin - matrix.entries[r][c].to_mpc()) >= tol:
-                    return False, f"final matrix mismatch at ({r},{c})"
-        if not trace.basis_change_symplectic:
-            return False, "basis change is not symplectic for the (2,2) form"
-        return True, ("six quotients x 20 points within 1e-8 at 256 bits; Riemann "
-                      "relations and reduction trace verified")
+            trace = product_to_prym_reduction(z1, z2)
+            w1, w2 = z1.to_mpc(), z2.to_mpc()
+            expected_mid = ((w1, w1, 1, 0), (0, w2, -1, 2))
+            tol = mpmath.ldexp(1, -bits + 16)
+            for r in range(2):
+                for c in range(4):
+                    mid = trace.after_quotient[r][c].to_mpc()
+                    fin = trace.final[r][c].to_mpc()
+                    if mpmath.fabs(mid - expected_mid[r][c]) >= tol:
+                        return False, f"intermediate matrix mismatch at ({r},{c}) at {params}"
+                    if mpmath.fabs(fin - matrix.entries[r][c].to_mpc()) >= tol:
+                        return False, f"final matrix mismatch at ({r},{c}) at {params}"
+            if not trace.basis_change_symplectic:
+                return False, "basis change is not symplectic for the (2,2) form"
+        return True, ("six quotients x 30 points (heights 50 and 1e6, 1e-10 from each "
+                      "discriminant locus) within 1e-8 at 256 bits; Riemann "
+                      "relations and reduction trace verified at (0,1) and (7/5,-13/4)")
 
     return _run(8, "periods", 60.0, body)
 

@@ -271,7 +271,9 @@ class ComplexApprox:
             return cls(x, mpmath.mpf(0), precision_bits)
 
     def to_mpc(self) -> mpmath.mpc:
-        return mpmath.mpc(self.real, self.imag)
+        """The value at its labelled precision, whatever the ambient one."""
+        with mpmath.workprec(self.precision_bits):
+            return mpmath.mpc(self.real, self.imag)
 
     def _binary(self, other, op) -> "ComplexApprox":
         if not isinstance(other, ComplexApprox):

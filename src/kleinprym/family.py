@@ -12,7 +12,9 @@ with iota the hyperelliptic sheet exchange (x, y) -> (x, -y).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -91,10 +93,16 @@ class InvolutionLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class HyperellipticModel:
-    """y^2 = rhs(x) with rhs squarefree; genus = ceil(deg/2) - 1."""
+    """y^2 = rhs(x) with rhs squarefree; genus = ceil(deg/2) - 1.
+
+    `factors`, when known, are rational polynomials whose product is rhs;
+    the analytic layer solves them in closed form.  Models of the family's
+    quotients carry them, models built from a bare rhs do not.
+    """
 
     rhs: Polynomial
     genus: int
+    factors: tuple[Polynomial, ...] | None = field(default=None, compare=False)
 
     @classmethod
     def from_rhs(cls, rhs: Polynomial) -> "HyperellipticModel":
@@ -104,6 +112,11 @@ class HyperellipticModel:
             raise InternalInvariantError("right-hand side is not squarefree")
         genus = -(-rhs.degree // 2) - 1
         return cls(rhs, genus)
+
+    @classmethod
+    def from_factors(cls, *factors: Polynomial) -> "HyperellipticModel":
+        model = cls.from_rhs(functools.reduce(operator.mul, factors))
+        return cls(model.rhs, model.genus, factors)
 
     def to_report(self) -> dict:
         report = {
@@ -115,10 +128,6 @@ class HyperellipticModel:
         return report
 
 
-def _x_shift(c) -> Polynomial:
-    return Polynomial((Fraction(c), 1))
-
-
 def curve_equation(label: CurveLabel, params: FamilyParams) -> HyperellipticModel:
     """The exact defining polynomial of y^2 = rhs(x) for the given quotient.
 
@@ -127,28 +136,28 @@ def curve_equation(label: CurveLabel, params: FamilyParams) -> HyperellipticMode
     quotient_map / verify_quotient_identity).
     """
     a, b = params.a, params.b
-    x = Polynomial.x()
-    x2 = x * x
-    factor_a = x2 + Polynomial.constant(a) * x + Polynomial.one()   # x^2 + a x + 1
-    factor_b = x2 + Polynomial.constant(b) * x + Polynomial.one()
+
+    def shift(c) -> Polynomial:   # x + c
+        return Polynomial((c, 1))
+
+    def square_shift(c) -> Polynomial:   # x^2 + c
+        return Polynomial((c, 0, 1))
+
+    factor_a = Polynomial((1, a, 1))   # x^2 + a x + 1
+    factor_b = Polynomial((1, b, 1))
     table = {
-        CurveLabel.Ctilde: (x2 * x2 + a * x2 + Polynomial.one())
-                           * (x2 * x2 + b * x2 + Polynomial.one()),
-        CurveLabel.C_it: (x2 - Polynomial.constant(4))
-                         * (x2 + Polynomial.constant(a - 2))
-                         * (x2 + Polynomial.constant(b - 2)),
-        CurveLabel.C_is: x * factor_a * factor_b,
-        CurveLabel.C_ist: (x2 + Polynomial.constant(4))
-                          * (x2 + Polynomial.constant(a + 2))
-                          * (x2 + Polynomial.constant(b + 2)),
-        CurveLabel.E_t: (x2 + Polynomial.constant(a - 2)) * (x2 + Polynomial.constant(b - 2)),
-        CurveLabel.E_s: factor_a * factor_b,
-        CurveLabel.E_st: (x2 + Polynomial.constant(a + 2)) * (x2 + Polynomial.constant(b + 2)),
-        CurveLabel.E_is_it: _x_shift(a) * _x_shift(b) * _x_shift(-2),
-        CurveLabel.E_s_it: _x_shift(a) * _x_shift(b) * _x_shift(-2) * _x_shift(2),
-        CurveLabel.E_is_t: _x_shift(a) * _x_shift(b) * _x_shift(2),
+        CurveLabel.Ctilde: (Polynomial((1, 0, a, 0, 1)), Polynomial((1, 0, b, 0, 1))),
+        CurveLabel.C_it: (square_shift(-4), square_shift(a - 2), square_shift(b - 2)),
+        CurveLabel.C_is: (Polynomial.x(), factor_a, factor_b),
+        CurveLabel.C_ist: (square_shift(4), square_shift(a + 2), square_shift(b + 2)),
+        CurveLabel.E_t: (square_shift(a - 2), square_shift(b - 2)),
+        CurveLabel.E_s: (factor_a, factor_b),
+        CurveLabel.E_st: (square_shift(a + 2), square_shift(b + 2)),
+        CurveLabel.E_is_it: (shift(a), shift(b), shift(-2)),
+        CurveLabel.E_s_it: (shift(a), shift(b), shift(-2), shift(2)),
+        CurveLabel.E_is_t: (shift(a), shift(b), shift(2)),
     }
-    return HyperellipticModel.from_rhs(table[label])
+    return HyperellipticModel.from_factors(*table[label])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """High-precision analytic layer: elliptic periods through the optimal
-complex AGM, the modular j-value from the q-expansion, the explicit 2x4
+complex AGM, the modular j-value from theta constants, the explicit 2x4
 Prym period matrix with polarisation type (1,2), and Riemann-relation checks.
 
 Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
 
+* the branch points are the roots of f at the working precision.  Models
+  of the family carry the rational factors of f, all of degree <= 2, and
+  each is solved in closed form; mpmath.polyroots runs only for models
+  built from a bare f;
 * a quartic is converted to a cubic with the *same* period lattice by
   x = r + 1/u, w = y u^2 for a root r of f (dx/y = -du/w);
 * the cubic c (u - e1)(u - e2)(u - e3) is sent to the three-root normal
@@ -11,9 +15,15 @@ Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
   lattice by (c (e2 - e1))^(-1/2);
 * the normal form has lattice basis (2 K(lambda), 2 i K(1 - lambda)) with
   K(m) = pi / (2 M(1, sqrt(1 - m))) computed by the optimal AGM; the root
-  ordering is chosen so that lambda stays away from the two real cuts
-  (-inf, 0] and [1, +inf), where that basis is the analytic continuation
-  of the real-root case and hence remains a genuine lattice basis.
+  ordering is chosen, by scores at the working precision, so that lambda
+  stays away from the two real cuts (-inf, 0] and [1, +inf), where that
+  basis is the analytic continuation of the real-root case and hence
+  remains a genuine lattice basis.
+
+The j-value of tau is 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 in the theta
+constants at the nome q = e^(i pi tau), with tau first moved to the
+fundamental domain, where |q| <= e^(-pi sqrt(3)/2) and the terms q^(n^2)
+fall fast: about 33 of them reach 4096 bits.
 
 All tolerances are powers of two relative to the requested precision.
 """
@@ -81,18 +91,64 @@ class PeriodPair:
     tau: ComplexApprox
 
 
-def _roots_of(rhs, precision_bits: int):
-    coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(rhs.coeffs)]
+def _roots_of(f, precision_bits: int):
+    coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(f.coeffs)]
     roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision_bits)
     return [mpmath.mpc(r) for r in roots]
 
 
-def _cut_distance(lam: complex) -> float:
-    """Distance of lambda from the union of the rays (-inf, 0] and [1, +inf)."""
+def _factor_roots(f, precision_bits: int):
+    """Roots of a rational polynomial at the working precision: closed forms
+    up to degree 2, polyroots above."""
+    if f.degree > 2:
+        return _roots_of(f, precision_bits)
+    c = [mpmath.mpf(k.numerator) / k.denominator for k in f.coeffs]
+    if f.degree == 1:
+        return [mpmath.mpc(-c[0] / c[1])]
+    c0, c1, c2 = c
+    s = mpmath.sqrt(c1 * c1 - 4 * c2 * c0)
+    if c1 < 0:
+        s = -s
+    q = -(c1 + s) / 2  # c1 and s do not cancel; the roots are q/c2 and c0/q
+    return [mpmath.mpc(q / c2), mpmath.mpc(c0 / q)]
+
+
+def _branch_points(model: HyperellipticModel, precision_bits: int):
+    return [r for f in model.factors or (model.rhs,)
+            for r in _factor_roots(f, precision_bits)]
+
+
+def _cut_distance(e1, e2, e3):
+    """Distance of lambda = (e3 - e1)/(e2 - e1) from the union of the rays
+    (-inf, 0] and [1, +inf); 0 where e1 = e2."""
+    if e1 == e2:
+        return 0
+    lam = (e3 - e1) / (e2 - e1)
     x, y = lam.real, lam.imag
     d1 = abs(y) if x <= 0 else abs(lam)
     d2 = abs(y) if x >= 1 else abs(lam - 1)
     return min(d1, d2)
+
+
+def _legendre_order(roots, precision_bits: int):
+    """The ordering (e1, e2, e3) of a cubic's roots whose cross-ratio
+    lambda = (e3 - e1)/(e2 - e1) lies farthest from the cuts, scored at the
+    working precision.
+
+    Orderings whose scores tie within 2^(-bits/2) go to the first maximum of
+    their float64 scores.  lambda and 1 - lambda always tie and give the bases
+    tau and -1/tau; the float64 scores pick between them as they did when
+    they were the whole rule, so reported bases stay put wherever the roots
+    are apart in float64.
+    """
+    orders = list(itertools.permutations(roots))
+    scores = [_cut_distance(*order) for order in orders]
+    best = max(scores)
+    tie = mpmath.ldexp(1, -precision_bits // 2)
+    if best < tie:
+        raise PrecisionError("branch-point cross-ratio too close to the cuts")
+    tied = [o for o, score in zip(orders, scores) if score > best - tie]
+    return max(tied, key=lambda order: _cut_distance(*map(complex, order)))
 
 
 def elliptic_periods_agm(model: HyperellipticModel,
@@ -104,9 +160,12 @@ def elliptic_periods_agm(model: HyperellipticModel,
         raise ArgumentError("periods are computed for genus-1 models only")
     rhs = model.rhs
     with mpmath.workprec(precision_bits + _GUARD_BITS):
-        roots = _roots_of(rhs, precision_bits)
-        # all selection logic runs in float64 so the chosen ordering is
-        # identical at every working precision
+        roots = _branch_points(model, precision_bits)
+        if len(set(roots)) < len(roots):
+            raise PrecisionError("two branch points agree at the working precision")
+        # the sort and the quartic's pivot root use float64 copies; the
+        # Legendre order below is scored at the working precision, and only
+        # its ties fall back to float64 scores
         roots.sort(key=lambda r: (float(r.real), float(r.imag)))
         lead = mpmath.mpf(rhs.leading.numerator) / rhs.leading.denominator
 
@@ -129,18 +188,8 @@ def elliptic_periods_agm(model: HyperellipticModel,
             cubic_roots = roots
             cubic_lead = lead
 
-        approx3 = [complex(e) for e in cubic_roots]
-        best = None
-        for perm in itertools.permutations(range(3)):
-            e1a, e2a, e3a = (approx3[i] for i in perm)
-            score = _cut_distance((e3a - e1a) / (e2a - e1a))
-            if best is None or score > best[0]:
-                best = (score, perm)
-        score, perm = best
-        e1, e2, e3 = (cubic_roots[i] for i in perm)
+        e1, e2, e3 = _legendre_order(cubic_roots, precision_bits)
         lam = (e3 - e1) / (e2 - e1)
-        if score < mpmath.ldexp(1, -precision_bits // 2):
-            raise PrecisionError("branch-point cross-ratio too close to the cuts")
 
         scale = 1 / mpmath.sqrt(cubic_lead * (e2 - e1))
         K = _complete_K(lam, precision_bits)
@@ -172,29 +221,38 @@ def _reduce_to_fundamental_domain(tau):
 
 
 def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexApprox:
-    """j(tau) from the Eisenstein q-expansions, terms added until the tail
-    drops below 2^(-precision_bits)."""
+    """j(tau) = 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 from the theta
+    constants t2, t3, t4 at the nome q = e^(i pi tau), terms q^(n^2) added
+    until they drop below 2^(-precision_bits - 16)."""
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         tau = _as_mpc(tau)
         if tau.imag <= 0:
             raise DomainError("tau must lie in the upper half-plane")
         tau = _reduce_to_fundamental_domain(tau)
-        q = mpmath.exp(2 * mpmath.pi * mpmath.mpc(0, 1) * tau)
-        e4 = mpmath.mpc(1)
-        e6 = mpmath.mpc(1)
-        qn = mpmath.mpc(1)
+        q4 = mpmath.expjpi(tau / 4)  # q^(1/4)
+        q = q4 ** 4
+        # t2 = 2 q^(1/4) sum_{n>=0} q^(n^2+n), t3 and t4 = 1 + 2 sum_{n>=1} (+-1)^n q^(n^2)
+        qn = square = oblong = sum2 = mpmath.mpc(1)  # q^n, q^(n^2), q^(n^2+n) at n = 0
+        even = odd = mpmath.mpc(0)
         cutoff = mpmath.ldexp(1, -precision_bits - 16)
-        for n in range(1, 64 * precision_bits):
+        for n in range(1, precision_bits):
             qn *= q
-            term = qn / (1 - qn)
-            e4 += 240 * n ** 3 * term
-            e6 -= 504 * n ** 5 * term
-            if n ** 5 * mpmath.fabs(qn) < cutoff:
+            square = oblong * qn
+            oblong = square * qn
+            sum2 += oblong
+            if n % 2:
+                odd += square
+            else:
+                even += square
+            if mpmath.fabs(square) < cutoff:
                 break
         else:
             raise PrecisionError("q-expansion did not reach the tail bound")
-        e4_cubed = e4 ** 3
-        j = 1728 * e4_cubed / (e4_cubed - e6 ** 2)
+        t2 = 2 * q4 * sum2
+        t3 = 1 + 2 * (even + odd)
+        t4 = 1 + 2 * (even - odd)
+        t2, t3, t4 = t2 ** 8, t3 ** 8, t4 ** 8
+        j = 32 * (t2 + t3 + t4) ** 3 / (t2 * t3 * t4)
         return _cap(j, precision_bits)
 
 
@@ -242,13 +300,14 @@ def prym_period_matrix(z1, z2) -> PrymPeriodMatrix:
     _require_upper(z2, "z2")
     bits = max(getattr(z1, "precision_bits", DEFAULT_PRECISION_BITS),
                getattr(z2, "precision_bits", DEFAULT_PRECISION_BITS))
-    w1 = _as_mpc(z1)
-    w2 = _as_mpc(z2)
-    rows = (
-        (w1, w1, mpmath.mpc(1), mpmath.mpc(0)),
-        (w1, w1 + w2, mpmath.mpc(0), mpmath.mpc(2)),
-    )
-    return PrymPeriodMatrix(tuple(tuple(_cap(e, bits) for e in row) for row in rows))
+    with mpmath.workprec(bits + _GUARD_BITS):
+        w1 = _as_mpc(z1)
+        w2 = _as_mpc(z2)
+        rows = (
+            (w1, w1, mpmath.mpc(1), mpmath.mpc(0)),
+            (w1, w1 + w2, mpmath.mpc(0), mpmath.mpc(2)),
+        )
+        return PrymPeriodMatrix(tuple(tuple(_cap(e, bits) for e in row) for row in rows))
 
 
 @dataclass(frozen=True)

@@ -79,14 +79,18 @@ class TorsionPoint:
         return "(" + ", ".join(self.to_strings()) + f")@{self.level}"
 
 
+def _pairing_residue(x: TorsionPoint, y: TorsionPoint) -> int:
+    """N <x, y> mod N for two points of the same level N."""
+    a, b = x.coords, y.coords
+    return (a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]) % x.level
+
+
 def weil_pairing(x: TorsionPoint, y: TorsionPoint) -> Fraction:
     """Value in (1/N)Z/Z; bilinear, alternating, nondegenerate on the full
     level-N torsion."""
     if x.level != y.level:
         raise LevelError("level mismatch")
-    a, b = x.coords, y.coords
-    raw = a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
-    return Fraction(raw % x.level, x.level)
+    return Fraction(_pairing_residue(x, y), x.level)
 
 
 def full_group(level: int):
@@ -131,13 +135,13 @@ def perp(s: TorsionSubgroup) -> TorsionSubgroup:
     """Symplectic complement inside the full level-N torsion."""
     gens = [g for g in s.generators if not g.is_zero()] or [TorsionPoint.zero(s.level)]
     members = [p for p in full_group(s.level)
-               if all(weil_pairing(p, g) == 0 for g in gens)]
+               if all(_pairing_residue(p, g) == 0 for g in gens)]
     return TorsionSubgroup(tuple(members), s.level, frozenset(members))
 
 
 def is_isotropic(s: TorsionSubgroup) -> bool:
     gens = list(s.generators)
-    return all(weil_pairing(g, h) == 0 for g in gens for h in gens)
+    return all(_pairing_residue(g, h) == 0 for g in gens for h in gens)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,17 @@ import gc
 import io
 import json
 import weakref
+from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 from kleinprym import acceptance
 from kleinprym.acceptance import CriterionResult
 from kleinprym.cli import cli, main
+from kleinprym.errors import PrecisionError
+from kleinprym.family import check_domain
+from kleinprym.periods import periods_report
 
 
 def run(*args):
@@ -96,6 +101,22 @@ def test_periods_respects_env_default(monkeypatch):
 
 def test_periods_rejects_tiny_bits():
     assert main(["periods", "--a", "0", "--b", "1", "--bits", "16"]) == 1
+
+
+@pytest.mark.parametrize("a,b", [
+    # -a and -2 agree in float64
+    ("200000000000000000001/100000000000000000000", "1/3"),
+    # -a, -2 and -b, 2 agree at the working precision
+    (str(2 + Fraction(1, 10**100)), str(-2 + Fraction(1, 10**100))),
+], ids=["float64", "working-precision"])
+def test_periods_with_coincident_roots_does_not_crash(a, b):
+    try:
+        periods_report(check_domain(Fraction(a), Fraction(b)), 256)
+    except PrecisionError:
+        expected = 1
+    else:
+        expected = 0
+    assert main(["periods", "--a", a, "--b", b]) == expected
 
 
 def test_torsion_range_is_validated():

@@ -9,6 +9,7 @@ from kleinprym.family import (
     CurveLabel,
     ELLIPTIC_LABELS,
     GENUS2_LABELS,
+    HyperellipticModel,
     InvolutionLabel,
     QUOTIENT_LABELS,
     check_domain,
@@ -31,6 +32,19 @@ domain_params = st.tuples(
 def test_domain_rejections(a, b):
     with pytest.raises(DomainError):
         check_domain(a, b)
+
+
+@given(domain_params)
+def test_stored_factors_multiply_to_rhs(params):
+    for label in CurveLabel:
+        model = curve_equation(label, params)
+        product = model.factors[0]
+        for f in model.factors[1:]:
+            product = product * f
+        assert product == model.rhs
+        if model.genus == 1:
+            assert all(f.degree <= 2 for f in model.factors)
+        assert model == HyperellipticModel.from_rhs(model.rhs)  # factors do not compare
 
 
 def test_genera():

@@ -1,11 +1,26 @@
+import dataclasses
+import random
+from fractions import Fraction
+
 import mpmath
 import pytest
 
+from kleinprym.acceptance import near_locus_params, random_params
 from kleinprym.algebra import ComplexApprox, Polynomial
 from kleinprym.errors import ArgumentError, DomainError
-from kleinprym.family import CurveLabel, check_domain, curve_equation, j_invariant
+from kleinprym.family import (
+    ELLIPTIC_LABELS,
+    CurveLabel,
+    check_domain,
+    curve_equation,
+    j_invariant,
+)
 from kleinprym.periods import (
+    _GUARD_BITS,
     PrymPeriodMatrix,
+    _branch_points,
+    _reduce_to_fundamental_domain,
+    _roots_of,
     analytic_j,
     elliptic_periods_agm,
     optimal_agm,
@@ -161,3 +176,109 @@ def test_report_shape():
     assert all(v < 1e-8 for v in report["analytic_vs_exact_j"].values())
     assert report["riemann_min_eigenvalue"] > 0
     assert report["reduction_symplectic"]
+
+
+def test_to_mpc_keeps_the_labelled_precision():
+    with mpmath.workprec(512):
+        third = mpmath.mpf(1) / 3
+    z = ComplexApprox(third, third, 256)
+    value = z.to_mpc()  # ambient precision is 53 bits here
+    with mpmath.workprec(512):
+        assert mpmath.fabs(value.real - third) < mpmath.ldexp(1, -250)
+
+
+def test_prym_matrix_keeps_the_labelled_precision_at_a_generic_point():
+    bits = 256
+    params = check_domain(Fraction(7, 5), Fraction(-13, 4))
+    z1 = elliptic_periods_agm(curve_equation(CurveLabel.E_t, params), bits).tau
+    z2 = elliptic_periods_agm(curve_equation(CurveLabel.E_st, params), bits).tau
+    entry = prym_period_matrix(z1, z2).entries[0][0].to_mpc()
+    final = product_to_prym_reduction(z1, z2).final[0][0].to_mpc()
+    with mpmath.workprec(bits + _GUARD_BITS):
+        assert mpmath.fabs(entry - z1.to_mpc()) < mpmath.ldexp(1, -240)
+        assert mpmath.fabs(entry - final) < mpmath.ldexp(1, -240)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the fast paths: polyroots for the closed-form roots of the stored
+# factors, the Eisenstein q-expansion for the theta-constant j
+# ---------------------------------------------------------------------------
+
+
+def _oracle_points():
+    rng = random.Random(9)
+    points = [random_params(rng) for _ in range(3)]
+    points += [random_params(rng, height=10**6) for _ in range(3)]
+    return points + near_locus_params(points[0].a)
+
+
+ORACLE_POINTS = _oracle_points()
+
+
+@pytest.mark.parametrize("params", ORACLE_POINTS, ids=repr)
+def test_factor_roots_match_polyroots(params):
+    for label in ELLIPTIC_LABELS:
+        model = curve_equation(label, params)
+        with mpmath.workprec(BITS + _GUARD_BITS):
+            split = _branch_points(model, BITS)
+            oracle = _roots_of(model.rhs, BITS)
+            assert len(split) == len(oracle) == model.rhs.degree
+            for r in split:
+                nearest = min(oracle, key=lambda s: mpmath.fabs(s - r))
+                assert (mpmath.fabs(nearest - r)
+                        <= mpmath.ldexp(1, -BITS + 8) * max(1, mpmath.fabs(r))), label
+                oracle.remove(nearest)
+
+
+@pytest.mark.parametrize("params", ORACLE_POINTS, ids=repr)
+def test_stored_factors_leave_tau_unchanged(params):
+    for label in ELLIPTIC_LABELS:
+        model = curve_equation(label, params)
+        fast = elliptic_periods_agm(model, BITS).tau.to_mpc()
+        slow = elliptic_periods_agm(dataclasses.replace(model, factors=None), BITS).tau.to_mpc()
+        assert close(fast, slow), label
+
+
+def test_tied_orderings_keep_the_float64_choice():
+    # lambda and 1 - lambda tie and give tau and -1/tau = 1.7452...i; the
+    # float64 scores that alone chose the ordering before still pick tau
+    model = curve_equation(CurveLabel.E_s, check_domain(Fraction(23, 42), Fraction(-7, 15)))
+    tau = elliptic_periods_agm(model, BITS).tau.to_mpc()
+    with mpmath.workprec(BITS):
+        expected = mpmath.mpc(0, "0.572982155381649904429426256289812144")
+        assert mpmath.fabs(tau - expected) < 1e-30
+
+
+def _lambert_j(tau, bits):
+    """j(tau) = 1728 E4^3 / (E4^3 - E6^2) from the Lambert series of the
+    Eisenstein series, the analytic j before the theta constants."""
+    with mpmath.workprec(bits + _GUARD_BITS):
+        tau = _reduce_to_fundamental_domain(tau.to_mpc())
+        q = mpmath.exp(2 * mpmath.pi * mpmath.mpc(0, 1) * tau)
+        e4 = e6 = qn = mpmath.mpc(1)
+        cutoff = mpmath.ldexp(1, -bits - 16)
+        for n in range(1, 64 * bits):
+            qn *= q
+            term = qn / (1 - qn)
+            e4 += 240 * n ** 3 * term
+            e6 -= 504 * n ** 5 * term
+            if n ** 5 * mpmath.fabs(qn) < cutoff:
+                break
+        e4_cubed = e4 ** 3
+        return 1728 * e4_cubed / (e4_cubed - e6 ** 2)
+
+
+@pytest.mark.parametrize("bits", [128, 1024, 4096])
+def test_theta_j_matches_lambert_series(bits):
+    with mpmath.workprec(bits + _GUARD_BITS):
+        taus = [ComplexApprox.from_value(mpmath.mpc(0, 1), bits),
+                ComplexApprox.from_value(mpmath.mpc(1, mpmath.sqrt(3)) / 2, bits)]
+    params = check_domain(Fraction(7, 5), Fraction(-13, 4))
+    taus += [elliptic_periods_agm(curve_equation(label, params), bits).tau
+             for label in ELLIPTIC_LABELS]
+    for tau in taus:
+        got = analytic_j(tau, bits).to_mpc()
+        expected = _lambert_j(tau, bits)
+        with mpmath.workprec(bits + _GUARD_BITS):
+            assert (mpmath.fabs(got - expected)
+                    <= mpmath.ldexp(1, -bits + 8) * max(1, mpmath.fabs(expected)))
