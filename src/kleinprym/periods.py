@@ -191,7 +191,15 @@ def elliptic_periods_agm(model: HyperellipticModel,
         e1, e2, e3 = _legendre_order(cubic_roots, precision_bits)
         lam = (e3 - e1) / (e2 - e1)
 
-        scale = 1 / mpmath.sqrt(cubic_lead * (e2 - e1))
+        # c (e2 - e1) can be a negative real whose imaginary part is rounding
+        # noise; the principal root would then take its sign from the noise,
+        # so there the root in the upper half-plane is taken at every precision
+        c = cubic_lead * (e2 - e1)
+        root = mpmath.sqrt(c)
+        if (c.real < 0 and root.imag < 0
+                and mpmath.fabs(c.imag) < mpmath.ldexp(mpmath.fabs(c), -precision_bits // 2)):
+            root = -root
+        scale = 1 / root
         K = _complete_K(lam, precision_bits)
         Kprime = _complete_K(1 - lam, precision_bits)
         omega1 = scale * 2 * K

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import weakref
@@ -46,6 +47,25 @@ def test_json_output_is_deterministic():
     assert all(report["quotient_identities_verified"].values())
     assert report["fixed_points"]["sigma"]["count"] == 4
     assert report["fixed_points"]["iota_tau"]["count"] == 0
+
+
+# sha256 of the default JSON; the exact layer's output must stay byte-identical
+PINNED_DIGESTS = {
+    ("analyze", "7/5", "-13/4"):
+        "8877b8ba6bfac06d4dce4fece6dce95c8568a4b904cf77a90b74a9ec50c7ec30",
+    ("involution", "7/5", "-13/4"):
+        "b82f753998e01bbb6475e7abbf1fffcb9a5fd5c8755e4a56b9e2be4a6ecef79c",
+    ("analyze", "765431/999983", "-123457/1000000"):
+        "c0e0585a0a084b90b21cd7a9cbec505ef1b0ec20aa540de1251b6d3b64a45008",
+    ("involution", "765431/999983", "-123457/1000000"):
+        "e4021c61a5b847bbfc681e7f2ead9c21185e584249093fcdc12723423dc0b5ce",
+}
+
+
+@pytest.mark.parametrize("command,a,b", sorted(PINNED_DIGESTS))
+def test_exact_reports_match_pinned_digests(command, a, b):
+    output = run(command, "--a", a, "--b", b).output
+    assert hashlib.sha256(output.encode()).hexdigest() == PINNED_DIGESTS[command, a, b]
 
 
 def test_text_format_is_projection_of_json():

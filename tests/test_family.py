@@ -1,14 +1,17 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, strategies as st
 
-from kleinprym.algebra import discriminant
-from kleinprym.errors import ArgumentError, DomainError
+from kleinprym.acceptance import IDENTITY_GRID
+from kleinprym.algebra import Polynomial, discriminant, format_rational
+from kleinprym.errors import ArgumentError, DomainError, InternalInvariantError
 from kleinprym.family import (
     CurveLabel,
     ELLIPTIC_LABELS,
     GENUS2_LABELS,
+    FamilyParams,
     HyperellipticModel,
     InvolutionLabel,
     QUOTIENT_LABELS,
@@ -26,6 +29,54 @@ domain_params = st.tuples(
     st.fractions(min_value=-20, max_value=20, max_denominator=8),
 ).filter(lambda ab: ab[0] != ab[1] and ab[0] ** 2 != 4 and ab[1] ** 2 != 4
          ).map(lambda ab: check_domain(*ab))
+
+
+X, A, B = sympy.symbols("x a b")
+
+# the paper's equations y^2 = rhs(x), written independently of the library
+SYMBOLIC_RHS = {
+    CurveLabel.Ctilde: (X**4 + A * X**2 + 1) * (X**4 + B * X**2 + 1),
+    CurveLabel.C_is: X * (X**2 + A * X + 1) * (X**2 + B * X + 1),
+    CurveLabel.C_it: (X**2 - 4) * (X**2 + A - 2) * (X**2 + B - 2),
+    CurveLabel.C_ist: (X**2 + 4) * (X**2 + A + 2) * (X**2 + B + 2),
+    CurveLabel.E_s: (X**2 + A * X + 1) * (X**2 + B * X + 1),
+    CurveLabel.E_t: (X**2 + A - 2) * (X**2 + B - 2),
+    CurveLabel.E_st: (X**2 + A + 2) * (X**2 + B + 2),
+    CurveLabel.E_is_t: (X + A) * (X + B) * (X + 2),
+    CurveLabel.E_s_it: (X + A) * (X + B) * (X - 2) * (X + 2),
+    CurveLabel.E_is_it: (X + A) * (X + B) * (X - 2),
+}
+
+# disc(rhs) = c (a-b)^e1 (a-2)^e2 (a+2)^e3 (b-2)^e4 (b+2)^e5 as (c, exponents)
+DISCRIMINANTS = {
+    CurveLabel.Ctilde: (256, (8, 2, 2, 2, 2)),
+    CurveLabel.C_is: (1, (4, 1, 1, 1, 1)),
+    CurveLabel.C_it: (256, (4, 1, 4, 1, 4)),
+    CurveLabel.C_ist: (-256, (4, 4, 1, 4, 1)),
+    CurveLabel.E_s: (1, (4, 1, 1, 1, 1)),
+    CurveLabel.E_t: (16, (4, 1, 0, 1, 0)),
+    CurveLabel.E_st: (16, (4, 0, 1, 0, 1)),
+    CurveLabel.E_is_t: (1, (2, 2, 0, 2, 0)),
+    CurveLabel.E_s_it: (16, (2, 2, 2, 2, 2)),
+    CurveLabel.E_is_it: (1, (2, 0, 2, 0, 2)),
+}
+
+
+def pinned_discriminant(label, a, b):
+    c, exponents = DISCRIMINANTS[label]
+    for base, e in zip((a - b, a - 2, a + 2, b - 2, b + 2), exponents):
+        c *= base ** e
+    return c
+
+
+def polynomial_of(expr, a, b) -> Polynomial:
+    coeffs = sympy.Poly(expr.subs({A: a, B: b}), X).all_coeffs()[::-1]
+    return Polynomial(Fraction(int(c.p), int(c.q)) for c in coeffs)
+
+
+def sympy_polynomial(p: Polynomial):
+    return sum(sympy.Rational(c.numerator, c.denominator) * X**i
+               for i, c in enumerate(p.coeffs))
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 5), (5, -2)])
@@ -62,11 +113,81 @@ def test_family_rhs_is_squarefree_on_domain(params):
     assert discriminant(rhs) != 0
 
 
+@pytest.mark.parametrize("label", list(CurveLabel))
+def test_symbolic_models_are_the_library_models(label):
+    for a, b in ((0, 1), (Fraction(-7, 3), Fraction(9, 5)), (3, -5)):
+        params = check_domain(a, b)
+        assert curve_equation(label, params).rhs == polynomial_of(SYMBOLIC_RHS[label], a, b)
+
+
+@pytest.mark.parametrize("label", list(CurveLabel))
+def test_pinned_discriminant_is_the_sympy_factorisation(label):
+    disc = sympy.discriminant(sympy.expand(SYMBOLIC_RHS[label]), X)
+    pinned = pinned_discriminant(label, A, B)
+    assert sympy.expand(disc - pinned) == 0
+    _, (e_ab, e_am, e_ap, e_bm, e_bp) = DISCRIMINANTS[label]
+    assert sympy.degree(disc, A) == e_ab + e_am + e_ap
+    assert sympy.degree(disc, B) == e_ab + e_bm + e_bp
+
+
+@pytest.mark.parametrize("label", list(CurveLabel))
+def test_discriminant_factorisation_on_a_grid(label):
+    # disc(rhs) and the pinned product have degree deg_a in a and deg_b in b,
+    # so agreement on a (deg_a + 1) x (deg_b + 1) grid is equality in Q[a, b]:
+    # rhs is squarefree exactly where none of the pinned factors vanishes,
+    # which is the rule curve_equation applies in place of a gcd
+    _, (e_ab, e_am, e_ap, e_bm, e_bp) = DISCRIMINANTS[label]
+    deg_a, deg_b = e_ab + e_am + e_ap, e_ab + e_bm + e_bp
+    for a in range(3, 3 + deg_a + 1):
+        for b in range(-3, -3 - deg_b - 1, -1):
+            rhs = curve_equation(label, check_domain(a, b)).rhs
+            assert discriminant(rhs) == pinned_discriminant(label, a, b)
+
+
+@pytest.mark.parametrize("a,b", [
+    # at (2, 0) E_st and E_is_it stay squarefree, the other eight do not
+    (2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (2, 2), (-2, -2), (2, -2),
+    (Fraction(1, 3), Fraction(1, 3)), (Fraction(-2), Fraction(7, 5)),
+])
+def test_off_domain_verdict_matches_the_gcd(a, b):
+    params = FamilyParams(Fraction(a), Fraction(b))
+    for label in CurveLabel:
+        rhs = polynomial_of(SYMBOLIC_RHS[label], a, b)
+        try:
+            expected = HyperellipticModel.from_rhs(rhs)
+        except InternalInvariantError:
+            with pytest.raises(InternalInvariantError):
+                curve_equation(label, params)
+        else:
+            model = curve_equation(label, params)
+            assert model == expected
+
+
 @pytest.mark.parametrize("label", QUOTIENT_LABELS)
 def test_quotient_identities_at_reference_points(label):
     for a, b in ((0, 1), (1, 3), (Fraction(-7, 3), Fraction(9, 5))):
         params = check_domain(a, b)
         assert verify_quotient_identity(quotient_map(label, params), params)
+
+
+@pytest.mark.parametrize("label", QUOTIENT_LABELS)
+def test_identity_sides_have_the_degrees_the_grid_certificate_needs(label):
+    # criterion 2 checks each identity on IDENTITY_GRID; that proves it for
+    # all (a, b) because both sides have degree < the grid's size in a and b
+    q = quotient_map(label, check_domain(0, 1))
+    u_num, u_den = sympy_polynomial(q.U_num), sympy_polynomial(q.U_den)
+    w_num, w_den = sympy_polynomial(q.W_num), sympy_polynomial(q.W_den)
+    target = sympy.Poly(SYMBOLIC_RHS[label], X)
+    k = target.degree()
+    substituted = sum(c * u_num ** i * u_den ** (k - i)
+                      for (i,), c in target.terms())
+    lhs = sympy.expand(w_num**2 * SYMBOLIC_RHS[CurveLabel.Ctilde] * u_den**k)
+    rhs = sympy.expand(substituted * w_den**2)
+    a_values, b_values = IDENTITY_GRID
+    for side in (lhs, rhs):
+        assert sympy.degree(side, A) < len(a_values)
+        assert sympy.degree(side, B) < len(b_values)
+    assert sympy.expand(lhs - rhs) == 0
 
 
 def test_quotient_map_rejects_identity_label():
@@ -101,6 +222,22 @@ def test_fixed_point_profile(params):
         count, records = fixed_point_count(inv, params)
         assert count == n
         assert sum(r["points"] for r in records) == n
+
+
+def test_fixed_point_fibres_are_the_closed_forms():
+    # f(0) and f(+-1) have degree <= 1 in a and in b: a 2 x 2 grid proves
+    # f(0) = 1 and f(1) = f(-1) = (2 + a)(2 + b) for all (a, b)
+    for a in (0, 1):
+        for b in (3, 5):
+            params = check_domain(a, b)
+            f = curve_equation(CurveLabel.Ctilde, params).rhs
+            assert f.evaluate(Fraction(0)) == 1
+            assert f.evaluate(Fraction(1)) == f.evaluate(Fraction(-1)) == (2 + a) * (2 + b)
+            _, records = fixed_point_count(InvolutionLabel.sigma, params)
+            assert records[0]["y_squared"] == format_rational(f.evaluate(Fraction(0)))
+            _, records = fixed_point_count(InvolutionLabel.tau, params)
+            assert [r["y_squared"] for r in records] == \
+                [format_rational(f.evaluate(Fraction(x0))) for x0 in (1, -1)]
 
 
 def test_params_from_roots_gives_vanishing_rhs():

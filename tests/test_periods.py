@@ -78,6 +78,15 @@ def test_precision_stability():
     assert mpmath.fabs(lo.tau.to_mpc() - hi.tau.to_mpc()) < mpmath.ldexp(1, -120)
 
 
+def test_basis_sign_does_not_depend_on_precision():
+    # c (e2 - e1) is a negative real here, so its principal square root took
+    # its sign from rounding noise and omega1 flipped between these precisions
+    model = curve_equation(CurveLabel.E_s, check_domain(Fraction(-39, 32), Fraction(-16, 33)))
+    omegas = [elliptic_periods_agm(model, bits).omega1.to_mpc() for bits in (128, 256, 1024)]
+    assert all(w.imag < 0 for w in omegas)
+    assert all(mpmath.fabs(w - omegas[0]) < mpmath.ldexp(1, -120) for w in omegas)
+
+
 def test_periods_reject_wrong_genus():
     with pytest.raises(ArgumentError):
         elliptic_periods_agm(curve_equation(CurveLabel.Ctilde, check_domain(0, 1)), BITS)
