@@ -5,13 +5,12 @@ calculus, Velu isogenies, and Prym period matrices.
 """
 
 from .errors import KleinPrymError
-from .algebra import ComplexApprox, Polynomial, Rational
+from .algebra import Polynomial, Rational
 from .projline import MarkedTuple, MarkingConvention, MobiusMap, ProjectivePoint
 from .family import CurveLabel, FamilyParams, InvolutionLabel, check_domain
 from .moduli import phi_params, prym_fiber_invariants
 from .torsion import TorsionPoint, duality_chain, example_surj_report
 from .isogeny import KernelPoint, WeierstrassCurve, velu_quotient
-from .periods import PeriodPair, PrymPeriodMatrix, elliptic_periods_agm
 
 __version__ = "0.1.0"
 
@@ -26,3 +25,14 @@ __all__ = [
     "PeriodPair", "PrymPeriodMatrix", "elliptic_periods_agm",
     "__version__",
 ]
+
+# The analytic layer imports mpmath, so its names load on first use.
+_PERIODS_NAMES = ("ComplexApprox", "PeriodPair", "PrymPeriodMatrix", "elliptic_periods_agm")
+
+
+def __getattr__(name):
+    if name in _PERIODS_NAMES:
+        from . import periods
+
+        return getattr(periods, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

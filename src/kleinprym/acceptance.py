@@ -28,7 +28,7 @@ from .family import (
 )
 from .projline import FULLY_ORDERED, MobiusMap, normalize_tuple, tuple_of_params
 from .moduli import phi_consistency_report, phi_params, prym_fiber_invariants
-from .torsion import MAX_CHAIN_LEVEL, duality_chain, example_surj_report
+from .torsion import MAX_LEVEL, duality_chain, example_surj_report
 from .isogeny import (
     KernelPoint,
     WeierstrassCurve,
@@ -218,13 +218,13 @@ def criterion_6() -> CriterionResult:
         ]
         if surj["ker_phi_A"] != expected_kphi:
             return False, f"ker phi_A list mismatch: {surj['ker_phi_A']}"
-        for d in range(2, MAX_CHAIN_LEVEL + 1):
+        for d in range(2, MAX_LEVEL + 1):
             chain = duality_chain(d)
             if not chain["all_ok"]:
                 bad = [k for k, v in chain["checks"].items() if not v]
                 return False, f"duality chain failed at d={d}: {bad}"
         return True, ("square-lattice kernel list exact; duality chain (|ker phi_H| = d^2, "
-                      f"factor intersections, cyclic G) for d in 2..{MAX_CHAIN_LEVEL}")
+                      f"factor intersections, cyclic G) for d in 2..{MAX_LEVEL}")
 
     return _run(6, "torsion suite", 30.0, body)
 

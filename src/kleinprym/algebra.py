@@ -1,4 +1,5 @@
-"""Exact scalar and univariate polynomial arithmetic, plus fixed-precision complex numbers.
+"""Exact scalar and univariate polynomial arithmetic, plus the precision
+constants and tolerance of the analytic layer.
 
 Rationals are `fractions.Fraction` (always reduced, positive denominator).
 Polynomials are dense with Fraction coefficients; degrees in this project
@@ -8,12 +9,9 @@ never exceed 16, so nothing clever is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
-from .errors import DegreeError, DomainError
+from .errors import DegreeError
 
 Rational = Fraction
 
@@ -235,84 +233,11 @@ def substitute_rational_map(f: Polynomial, num: Polynomial, den: Polynomial):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-precision complex numbers (mpmath-backed)
+# Working precision of the analytic layer
 # ---------------------------------------------------------------------------
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
-
-
-@dataclass(frozen=True)
-class ComplexApprox:
-    """A complex value carrying the binary precision it was computed at.
-
-    Arithmetic works at the larger precision of the two operands, so
-    precision never silently degrades.
-    """
-
-    real: mpmath.mpf
-    imag: mpmath.mpf
-    precision_bits: int
-
-    @classmethod
-    def from_value(cls, value, precision_bits=DEFAULT_PRECISION_BITS) -> "ComplexApprox":
-        if precision_bits < MIN_PRECISION_BITS:
-            raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
-        with mpmath.workprec(precision_bits):
-            z = mpmath.mpc(value)
-            return cls(z.real, z.imag, precision_bits)
-
-    @classmethod
-    def from_rational(cls, value: Fraction, precision_bits=DEFAULT_PRECISION_BITS) -> "ComplexApprox":
-        if precision_bits < MIN_PRECISION_BITS:
-            raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
-        with mpmath.workprec(precision_bits):
-            x = mpmath.mpf(value.numerator) / value.denominator
-            return cls(x, mpmath.mpf(0), precision_bits)
-
-    def to_mpc(self) -> mpmath.mpc:
-        """The value at its labelled precision, whatever the ambient one."""
-        with mpmath.workprec(self.precision_bits):
-            return mpmath.mpc(self.real, self.imag)
-
-    def _binary(self, other, op) -> "ComplexApprox":
-        if not isinstance(other, ComplexApprox):
-            other = ComplexApprox.from_value(other, self.precision_bits)
-        bits = max(self.precision_bits, other.precision_bits)
-        with mpmath.workprec(bits):
-            z = op(self.to_mpc(), other.to_mpc())
-            return ComplexApprox(z.real, z.imag, bits)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return ComplexApprox(-self.real, -self.imag, self.precision_bits)
-
-    def __complex__(self):
-        return complex(float(self.real), float(self.imag))
-
-    def __repr__(self):
-        return f"ComplexApprox({mpmath.nstr(self.to_mpc(), 17)}, bits={self.precision_bits})"
 
 
 def tolerance(precision_bits: int, slack_bits: int = 4) -> float:

@@ -29,10 +29,8 @@ from .family import (
 )
 from .projline import MarkedTuple, MarkingConvention, normalize_tuple
 from .moduli import moduli_report, phi_consistency_report
-from .torsion import MAX_CHAIN_LEVEL, duality_chain, example_surj_report
+from .torsion import MAX_LEVEL, duality_chain, example_surj_report
 from .isogeny import KernelPoint, WeierstrassCurve, dual_nonisomorphism_check
-from .periods import periods_report
-from . import acceptance
 
 _DEFAULT_BITS_ENV = "KLEINPRYM_DEFAULT_BITS"
 
@@ -187,11 +185,13 @@ def periods(a, b, bits, fmt):
         bits = _default_bits()
     if bits < MIN_PRECISION_BITS:
         raise KleinPrymError(f"--bits must be >= {MIN_PRECISION_BITS}")
+    from .periods import periods_report  # mpmath loads only for the commands that use it
+
     _emit(periods_report(params, bits), fmt)
 
 
 @cli.command()
-@click.option("--d", "d", type=click.IntRange(2, MAX_CHAIN_LEVEL), required=True)
+@click.option("--d", "d", type=click.IntRange(2, MAX_LEVEL), required=True)
 @_format_option
 def torsion(d, fmt):
     """Factor intersections and the duality chain for the (1,d) quotient."""
@@ -225,6 +225,8 @@ def example_surj(fmt):
 @cli.command()
 def selftest():
     """Run the full acceptance suite; one line per criterion."""
+    from . import acceptance
+
     results = acceptance.run_all()
     for r in results:
         _echo(r.line())

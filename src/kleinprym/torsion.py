@@ -9,12 +9,15 @@ surrogate, the standard symplectic form scaled to take values in (1/N)Z/Z:
     <x, y> = N * (x1 y2 - x2 y1 + x3 y4 - x4 y3)  mod 1.
 
 Since c -> c/N is monotone on range(N), residues order exactly as the
-rationals they stand for.  Orders, complements and intersections are decided
-by plain enumeration; levels stay <= 12 so brute force is its own oracle.
+rationals they stand for.  A coset p + K is named by its lexicographically
+least element, which one echelon pass over K reaches directly (see
+`TorsionSubgroup.reduce`; H. Cohen, GTM 138, section 2.4).  Subgroups and
+symplectic complements are still listed by enumeration; levels stay <= 12.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +26,6 @@ from fractions import Fraction
 from .errors import ArgumentError, LevelError, NotIsotropic
 
 MAX_LEVEL = 12
-MAX_CHAIN_LEVEL = 8  # largest d that duality_chain enumerates and verifies
 
 
 @dataclass(frozen=True, order=True)
@@ -79,10 +81,9 @@ class TorsionPoint:
         return "(" + ", ".join(self.to_strings()) + f")@{self.level}"
 
 
-def _pairing_residue(x: TorsionPoint, y: TorsionPoint) -> int:
-    """N <x, y> mod N for two points of the same level N."""
-    a, b = x.coords, y.coords
-    return (a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]) % x.level
+def _pairing_residue(a: tuple, b: tuple, level: int) -> int:
+    """N <x, y> mod N for the residues a, b of two points of level N."""
+    return (a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]) % level
 
 
 def weil_pairing(x: TorsionPoint, y: TorsionPoint) -> Fraction:
@@ -90,7 +91,7 @@ def weil_pairing(x: TorsionPoint, y: TorsionPoint) -> Fraction:
     level-N torsion."""
     if x.level != y.level:
         raise LevelError("level mismatch")
-    return Fraction(_pairing_residue(x, y), x.level)
+    return Fraction(_pairing_residue(x.coords, y.coords, x.level), x.level)
 
 
 def full_group(level: int):
@@ -107,6 +108,35 @@ class TorsionSubgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def _echelon(self) -> tuple:
+        """(g_j, r_j) for j = 0..3: with K_j the elements whose first j
+        residues are 0, g_j is the least positive j-th residue in K_j (N if
+        there is none) and r_j an element of K_j with that residue."""
+        rows = []
+        members = [k.coords for k in self.elements]
+        for j in range(4):
+            least = min((c for c in members if c[j]), key=lambda c: c[j], default=None)
+            rows.append((least[j], least) if least is not None else (self.level, None))
+            members = [c for c in members if c[j] == 0]
+        return tuple(rows)
+
+    def reduce(self, p: TorsionPoint) -> tuple:
+        """The residues of the lexicographically least element of p + K.
+
+        The j-th residues of K_j form the subgroup g_j Z/N, so the least j-th
+        residue in the coset is p_j mod g_j, and the elements of the coset
+        that reach it form a coset of K_{j+1}."""
+        if p.level != self.level:
+            raise LevelError("level mismatch")
+        n = self.level
+        c = p.coords
+        for j, (g, r) in enumerate(self._echelon):
+            m = c[j] // g
+            if m:
+                c = tuple((a - m * b) % n for a, b in zip(c, r))
+        return c
 
     def to_report(self):
         return [p.to_strings() for p in sorted(self.elements)]
@@ -133,15 +163,18 @@ def span(gens) -> TorsionSubgroup:
 
 def perp(s: TorsionSubgroup) -> TorsionSubgroup:
     """Symplectic complement inside the full level-N torsion."""
-    gens = [g for g in s.generators if not g.is_zero()] or [TorsionPoint.zero(s.level)]
-    members = [p for p in full_group(s.level)
-               if all(_pairing_residue(p, g) == 0 for g in gens)]
-    return TorsionSubgroup(tuple(members), s.level, frozenset(members))
+    n = s.level
+    residues = itertools.product(range(n), repeat=4)
+    for g in s.generators:
+        if not g.is_zero():
+            residues = [c for c in residues if _pairing_residue(c, g.coords, n) == 0]
+    members = [TorsionPoint(c, n) for c in residues]
+    return TorsionSubgroup(tuple(members), n, frozenset(members))
 
 
 def is_isotropic(s: TorsionSubgroup) -> bool:
-    gens = list(s.generators)
-    return all(_pairing_residue(g, h) == 0 for g in gens for h in gens)
+    gens = [g.coords for g in s.generators]
+    return all(_pairing_residue(g, h, s.level) == 0 for g in gens for h in gens)
 
 
 @dataclass(frozen=True)
@@ -157,15 +190,15 @@ class QuotientSubgroup:
         return len(self.representatives)
 
     def project(self, p: TorsionPoint) -> TorsionPoint:
-        return min(p + k for k in self.kernel.elements)
+        return TorsionPoint(self.kernel.reduce(p), p.level)
 
     def to_report(self):
         return [p.to_strings() for p in sorted(self.representatives)]
 
 
 def project_to_quotient(kernel: TorsionSubgroup, points) -> QuotientSubgroup:
-    reps = sorted({min(p + k for k in kernel.elements) for p in points})
-    return QuotientSubgroup(kernel, tuple(reps))
+    reps = sorted({kernel.reduce(p) for p in points})
+    return QuotientSubgroup(kernel, tuple(TorsionPoint(c, kernel.level) for c in reps))
 
 
 def ker_phi_H(kernel_mu: TorsionSubgroup) -> QuotientSubgroup:
@@ -211,13 +244,14 @@ def duality_chain(d: int) -> dict:
     * for d = 2 the generator is 2-torsion with primitive components in
       both factors (the quotient shape is preserved under duality).
     """
-    if not 2 <= d <= MAX_CHAIN_LEVEL:
-        raise ArgumentError(f"d must be in 2..{MAX_CHAIN_LEVEL}")
+    if not 2 <= d <= MAX_LEVEL:
+        raise ArgumentError(f"d must be in 2..{MAX_LEVEL}")
     P = TorsionPoint.make((Fraction(1, d), 0, 0, 0), d)
     Q = TorsionPoint.make((0, 0, Fraction(1, d), 0), d)
     PQ = P + Q
     ker_mu = span([PQ])
-    kphi = ker_phi_H(ker_mu)
+    complement = perp(ker_mu).elements
+    kphi = project_to_quotient(ker_mu, complement)  # ker_phi_H; <PQ> is isotropic
 
     e_cap = factor_intersection(ker_mu, kphi, "E")
     f_cap = factor_intersection(ker_mu, kphi, "F")
@@ -230,7 +264,7 @@ def duality_chain(d: int) -> dict:
 
     # G = ker phi_H / <image of P>: work with cosets modulo span([P, PQ])
     big_kernel = span([P, PQ])
-    g_group = project_to_quotient(big_kernel, perp(ker_mu).elements)
+    g_group = project_to_quotient(big_kernel, complement)
     p_prime_minus_q_prime = TorsionPoint.make((0, Fraction(1, d), 0, Fraction(-1, d)), d)
     gen_class = g_group.project(p_prime_minus_q_prime)
     cyclic = project_to_quotient(big_kernel,

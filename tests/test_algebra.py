@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kleinprym.algebra import (
-    ComplexApprox,
     Polynomial,
     discriminant,
     format_rational,
@@ -17,6 +16,7 @@ from kleinprym.algebra import (
     tolerance,
 )
 from kleinprym.errors import DegreeError, DomainError
+from kleinprym.periods import ComplexApprox
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 small_polys = st.lists(rationals, min_size=1, max_size=6).map(Polynomial)

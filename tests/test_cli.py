@@ -3,12 +3,17 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import kleinprym
 from kleinprym import acceptance
 from kleinprym.acceptance import CriterionResult
 from kleinprym.cli import cli, main
@@ -140,7 +145,7 @@ def test_periods_with_coincident_roots_does_not_crash(a, b):
 
 
 def test_torsion_range_is_validated():
-    assert main(["torsion", "--d", "9"]) == 1
+    assert main(["torsion", "--d", "13"]) == 1
 
 
 def test_failed_selftest_exits_2(monkeypatch):
@@ -157,3 +162,21 @@ def test_redirected_stdout_is_not_kept_alive():
     del out
     gc.collect()
     assert ref() is None
+
+
+def test_exact_commands_do_not_import_mpmath():
+    script = """
+import contextlib, io, sys
+import kleinprym
+from kleinprym.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["torsion", "--d", "2"]) == 0
+assert "mpmath" not in sys.modules, "mpmath imported"
+from kleinprym import periods
+assert all(getattr(kleinprym, name) is getattr(periods, name)
+           for name in ("ComplexApprox", "PeriodPair", "PrymPeriodMatrix", "elliptic_periods_agm"))
+"""
+    src = str(Path(kleinprym.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

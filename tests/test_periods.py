@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from kleinprym.acceptance import near_locus_params, random_params
-from kleinprym.algebra import ComplexApprox, Polynomial
+from kleinprym.algebra import Polynomial
 from kleinprym.errors import ArgumentError, DomainError
 from kleinprym.family import (
     ELLIPTIC_LABELS,
@@ -17,6 +17,7 @@ from kleinprym.family import (
 )
 from kleinprym.periods import (
     _GUARD_BITS,
+    ComplexApprox,
     PrymPeriodMatrix,
     _branch_points,
     _reduce_to_fundamental_domain,

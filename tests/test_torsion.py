@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kleinprym.errors import ArgumentError, LevelError, NotIsotropic
 from kleinprym.torsion import (
-    MAX_CHAIN_LEVEL,
+    MAX_LEVEL,
     TorsionPoint,
     duality_chain,
     example_surj_report,
@@ -113,7 +114,60 @@ def test_quotient_projection_is_constant_on_cosets():
     assert q.order == 8  # 16 points / kernel of order 2
 
 
-@pytest.mark.parametrize("d", range(2, MAX_CHAIN_LEVEL + 1))
+def _coset_least(kernel, level):
+    """The enumeration oracle: each point's coset representative, taken as
+    min(p + k for k in kernel.elements) once per coset."""
+    least = {}
+    for p in full_group(level):
+        if p not in least:
+            coset = [p + k for k in kernel.elements]
+            least.update(dict.fromkeys(coset, min(coset)))
+    return least
+
+
+def _sample_kernels(level):
+    rng = random.Random(level)
+    points = rng.sample(full_group(level), 8)
+    yield from (span([p]) for p in points)
+    for p, q in zip(points[::2], points[1::2]):
+        yield span([p, q])
+    # a non-isotropic pair: the first factor's full level-N torsion
+    yield span([pt(Fraction(1, level), 0, 0, 0, level=level),
+                pt(0, Fraction(1, level), 0, 0, level=level)])
+
+
+@pytest.mark.parametrize("level", range(2, 9))
+def test_coset_reduction_matches_enumeration(level):
+    points = full_group(level)
+    kernels = list(_sample_kernels(level))
+    assert any(not is_isotropic(k) for k in kernels)
+    for kernel in kernels:
+        least = _coset_least(kernel, level)
+        q = project_to_quotient(kernel, points)
+        assert all(q.project(p) == least[p] for p in points)
+        assert list(q.representatives) == sorted(set(least.values()))
+        assert q.order * kernel.order == level ** 4
+
+
+@st.composite
+def kernels_and_points(draw):
+    n = draw(levels)
+    gens = draw(st.lists(torsion_points(level=n), min_size=1, max_size=3))
+    return span(gens), draw(torsion_points(level=n))
+
+
+@given(kernels_and_points())
+@settings(max_examples=60)
+def test_reduction_lies_in_the_coset_and_is_constant_on_it(case):
+    kernel, p = case
+    q = project_to_quotient(kernel, [p])
+    r = q.project(p)
+    assert r - p in kernel.elements
+    assert q.representatives == (r,)
+    assert all(q.project(p + k) == r for k in kernel.elements)
+
+
+@pytest.mark.parametrize("d", range(2, MAX_LEVEL + 1))
 def test_duality_chain_fully_verified(d):
     report = duality_chain(d)
     assert report["all_ok"], report["checks"]
