@@ -15,24 +15,27 @@ Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
   lattice by (c (e2 - e1))^(-1/2);
 * the normal form has lattice basis (2 K(lambda), 2 i K(1 - lambda)) with
   K(m) = pi / (2 M(1, sqrt(1 - m))) computed by the optimal AGM; the root
-  ordering is chosen, by scores at the working precision, so that lambda
-  stays away from the two real cuts (-inf, 0] and [1, +inf), where that
-  basis is the analytic continuation of the real-root case and hence
-  remains a genuine lattice basis.
+  e3 is chosen, by scores at the working precision, so that lambda stays
+  away from the two real cuts (-inf, 0] and [1, +inf), where that basis is
+  the analytic continuation of the real-root case and hence remains a
+  genuine lattice basis;
+* that basis is then reduced to one normal form, tau = omega2/omega1 in the
+  fundamental domain of SL2(Z) and omega1 in the right half-plane, so the
+  reported basis depends on the lattice alone, not on the root ordering,
+  the square-root branches or the precision (at tau = i and e^(2 pi i/3),
+  where the lattice has more units, the root ordering picks the basis).
 
 The j-value of tau is 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 in the theta
-constants at the nome q = e^(i pi tau), with tau first moved to the
-fundamental domain, where |q| <= e^(-pi sqrt(3)/2) and the terms q^(n^2)
-fall fast: about 33 of them reach 4096 bits.
+constants at the nome q = e^(i pi tau), with tau first moved to the same
+fundamental domain, where |q| <= e^(-pi sqrt(3)/2) and the terms q^(n^2) fall
+fast: about 33 of them reach 4096 bits.
 
 All tolerances are powers of two relative to the requested precision.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -45,11 +48,7 @@ _GUARD_BITS = 64
 
 @dataclass(frozen=True)
 class ComplexApprox:
-    """A complex value carrying the binary precision it was computed at.
-
-    Arithmetic works at the larger precision of the two operands, so
-    precision never silently degrades.
-    """
+    """A complex value carrying the binary precision it was computed at."""
 
     real: mpmath.mpf
     imag: mpmath.mpf
@@ -63,54 +62,10 @@ class ComplexApprox:
             z = mpmath.mpc(value)
             return cls(z.real, z.imag, precision_bits)
 
-    @classmethod
-    def from_rational(cls, value: Fraction, precision_bits=DEFAULT_PRECISION_BITS) -> "ComplexApprox":
-        if precision_bits < MIN_PRECISION_BITS:
-            raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
-        with mpmath.workprec(precision_bits):
-            x = mpmath.mpf(value.numerator) / value.denominator
-            return cls(x, mpmath.mpf(0), precision_bits)
-
     def to_mpc(self) -> mpmath.mpc:
         """The value at its labelled precision, whatever the ambient one."""
         with mpmath.workprec(self.precision_bits):
             return mpmath.mpc(self.real, self.imag)
-
-    def _binary(self, other, op) -> "ComplexApprox":
-        if not isinstance(other, ComplexApprox):
-            other = ComplexApprox.from_value(other, self.precision_bits)
-        bits = max(self.precision_bits, other.precision_bits)
-        with mpmath.workprec(bits):
-            z = op(self.to_mpc(), other.to_mpc())
-            return ComplexApprox(z.real, z.imag, bits)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return ComplexApprox(-self.real, -self.imag, self.precision_bits)
-
-    def __complex__(self):
-        return complex(float(self.real), float(self.imag))
 
     def __repr__(self):
         return f"ComplexApprox({mpmath.nstr(self.to_mpc(), 17)}, bits={self.precision_bits})"
@@ -129,20 +84,22 @@ def _as_mpc(z) -> mpmath.mpc:
 
 def optimal_agm(a, b, precision_bits: int) -> mpmath.mpc:
     """Arithmetic-geometric mean with the optimal square-root branch:
-    at each step pick the root with |a1 - b1| <= |a1 + b1| (ties broken by
-    Im(b1/a1) > 0)."""
+    at each step pick the root with |a1 - b1| <= |a1 + b1|, that is
+    Re(a1 conj(b1)) >= 0 (ties broken by Im(b1/a1) > 0).  The branch and
+    convergence tests compare squared norms, so a step takes one square
+    root."""
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         a = mpmath.mpc(a)
         b = mpmath.mpc(b)
-        eps = mpmath.ldexp(1, -precision_bits - _GUARD_BITS // 2)
+        eps2 = mpmath.ldexp(1, -2 * precision_bits - _GUARD_BITS)
         for _ in range(8 * precision_bits):
-            if mpmath.fabs(a - b) <= eps * mpmath.fabs(a):
+            d = a - b
+            if d.real ** 2 + d.imag ** 2 <= eps2 * (a.real ** 2 + a.imag ** 2):
                 return (a + b) / 2
             a1 = (a + b) / 2
             b1 = mpmath.sqrt(a * b)
-            if mpmath.fabs(a1 - b1) > mpmath.fabs(a1 + b1):
-                b1 = -b1
-            elif mpmath.fabs(a1 - b1) == mpmath.fabs(a1 + b1) and mpmath.im(b1 / a1) < 0:
+            dot = a1.real * b1.real + a1.imag * b1.imag
+            if dot < 0 or (dot == 0 and mpmath.im(b1 / a1) < 0):
                 b1 = -b1
             a, b = a1, b1
         raise PrecisionError("AGM did not converge within the iteration budget")
@@ -158,7 +115,7 @@ def _complete_K(m, precision_bits: int) -> mpmath.mpc:
 @dataclass(frozen=True)
 class PeriodPair:
     """A lattice basis (omega1, omega2) with tau = omega2/omega1 in the
-    upper half-plane."""
+    fundamental domain of SL2(Z)."""
 
     omega1: ComplexApprox
     omega2: ComplexApprox
@@ -194,9 +151,7 @@ def _branch_points(model: HyperellipticModel, precision_bits: int):
 
 def _cut_distance(e1, e2, e3):
     """Distance of lambda = (e3 - e1)/(e2 - e1) from the union of the rays
-    (-inf, 0] and [1, +inf); 0 where e1 = e2."""
-    if e1 == e2:
-        return 0
+    (-inf, 0] and [1, +inf)."""
     lam = (e3 - e1) / (e2 - e1)
     x, y = lam.real, lam.imag
     d1 = abs(y) if x <= 0 else abs(lam)
@@ -207,29 +162,53 @@ def _cut_distance(e1, e2, e3):
 def _legendre_order(roots, precision_bits: int):
     """The ordering (e1, e2, e3) of a cubic's roots whose cross-ratio
     lambda = (e3 - e1)/(e2 - e1) lies farthest from the cuts, scored at the
-    working precision.
-
-    Orderings whose scores tie within 2^(-bits/2) go to the first maximum of
-    their float64 scores.  lambda and 1 - lambda always tie and give the bases
-    tau and -1/tau; the float64 scores pick between them as they did when
-    they were the whole rule, so reported bases stay put wherever the roots
-    are apart in float64.
-    """
-    orders = list(itertools.permutations(roots))
+    working precision.  lambda and 1 - lambda score alike, so only the three
+    choices of e3 are scored, each with e1 before e2 in the given order.
+    Scores within 2^(-bits/2) of the best tie, and the first of them wins,
+    so rounding noise does not pick among exact ties (j = 0: all three)."""
+    orders = [(roots[i], roots[j], roots[k]) for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0))]
     scores = [_cut_distance(*order) for order in orders]
     best = max(scores)
-    tie = mpmath.ldexp(1, -precision_bits // 2)
-    if best < tie:
+    slack = mpmath.ldexp(1, -precision_bits // 2)
+    if best < slack:
         raise PrecisionError("branch-point cross-ratio too close to the cuts")
-    tied = [o for o, score in zip(orders, scores) if score > best - tie]
-    return max(tied, key=lambda order: _cut_distance(*map(complex, order)))
+    return next(o for o, s in zip(orders, scores) if s > best - slack)
+
+
+def _reduce_basis(w1, w2, precision_bits: int):
+    """The basis (w1, w2, tau = w2/w1) of the lattice Z w1 + Z w2 in normal
+    form: -1/2 <= Re tau < 1/2, |tau| >= 1 with Re tau <= 0 where |tau| = 1
+    (the fundamental domain of SL2(Z); Serre, A Course in Arithmetic, VII 1),
+    and Re w1 > 0, or Re w1 = 0 < Im w1.  Every boundary is taken up to
+    2^(-bits/2), so bases that differ by rounding reduce alike.  Im tau > 0
+    is assumed."""
+    eps = mpmath.ldexp(1, -precision_bits // 2)
+    half = mpmath.mpf(1) / 2
+    for _ in range(10_000):
+        tau = w2 / w1
+        shift = mpmath.floor(tau.real + half + eps)
+        w2 -= shift * w1
+        tau -= shift
+        norm = tau.real ** 2 + tau.imag ** 2
+        if norm < 1 - eps or (norm < 1 + eps and tau.real > eps):
+            w1, w2 = w2, -w1
+            continue
+        on_axis = w1.real ** 2 <= eps ** 2 * (w1.real ** 2 + w1.imag ** 2)
+        if (w1.imag if on_axis else w1.real) < 0:
+            w1, w2 = -w1, -w2
+        return w1, w2, tau
+    raise PrecisionError("fundamental-domain reduction did not terminate")
 
 
 def elliptic_periods_agm(model: HyperellipticModel,
                          precision_bits: int = DEFAULT_PRECISION_BITS) -> PeriodPair:
-    """A period lattice basis of y^2 = f(x) computed by the optimal AGM,
-    normalised so that tau has positive imaginary part.  Deterministic for
-    fixed precision."""
+    """The period lattice basis of y^2 = f(x) in normal form
+    (`_reduce_basis`): tau = omega2/omega1 in the fundamental domain and
+    omega1 in the right half-plane, from a first basis computed by the
+    optimal AGM.  The basis depends on the lattice alone, so it is the same
+    at every precision and for every root ordering, except where tau = i or
+    tau = e^(2 pi i/3): those lattices have more units than +-1, and the
+    root ordering picks one of their normal forms."""
     if model.genus != 1:
         raise ArgumentError("periods are computed for genus-1 models only")
     rhs = model.rhs
@@ -237,9 +216,8 @@ def elliptic_periods_agm(model: HyperellipticModel,
         roots = _branch_points(model, precision_bits)
         if len(set(roots)) < len(roots):
             raise PrecisionError("two branch points agree at the working precision")
-        # the sort and the quartic's pivot root use float64 copies; the
-        # Legendre order below is scored at the working precision, and only
-        # its ties fall back to float64 scores
+        # the sort and the quartic's pivot root use float64 copies; neither
+        # moves the lattice, which alone fixes the reduced basis
         roots.sort(key=lambda r: (float(r.real), float(r.imag)))
         lead = mpmath.mpf(rhs.leading.numerator) / rhs.leading.denominator
 
@@ -264,24 +242,12 @@ def elliptic_periods_agm(model: HyperellipticModel,
 
         e1, e2, e3 = _legendre_order(cubic_roots, precision_bits)
         lam = (e3 - e1) / (e2 - e1)
-
-        # c (e2 - e1) can be a negative real whose imaginary part is rounding
-        # noise; the principal root would then take its sign from the noise,
-        # so there the root in the upper half-plane is taken at every precision
-        c = cubic_lead * (e2 - e1)
-        root = mpmath.sqrt(c)
-        if (c.real < 0 and root.imag < 0
-                and mpmath.fabs(c.imag) < mpmath.ldexp(mpmath.fabs(c), -precision_bits // 2)):
-            root = -root
-        scale = 1 / root
-        K = _complete_K(lam, precision_bits)
-        Kprime = _complete_K(1 - lam, precision_bits)
-        omega1 = scale * 2 * K
-        omega2 = scale * 2 * mpmath.mpc(0, 1) * Kprime
-        tau = omega2 / omega1
-        if tau.imag < 0:  # defensive; the cut-plane construction keeps Im > 0
+        scale = 1 / mpmath.sqrt(cubic_lead * (e2 - e1))
+        omega1 = scale * 2 * _complete_K(lam, precision_bits)
+        omega2 = scale * 2 * mpmath.mpc(0, 1) * _complete_K(1 - lam, precision_bits)
+        if (omega2 / omega1).imag < 0:  # defensive; the cut-plane construction keeps Im > 0
             omega2 = -omega2
-            tau = -tau
+        omega1, omega2, tau = _reduce_basis(omega1, omega2, precision_bits)
         return PeriodPair(_cap(omega1, precision_bits),
                           _cap(omega2, precision_bits),
                           _cap(tau, precision_bits))
@@ -292,16 +258,6 @@ def elliptic_periods_agm(model: HyperellipticModel,
 # ---------------------------------------------------------------------------
 
 
-def _reduce_to_fundamental_domain(tau):
-    for _ in range(10_000):
-        tau = tau - mpmath.floor(tau.real + mpmath.mpf(1) / 2)
-        if mpmath.fabs(tau) < 1:
-            tau = -1 / tau
-        else:
-            return tau
-    raise PrecisionError("fundamental-domain reduction did not terminate")
-
-
 def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexApprox:
     """j(tau) = 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 from the theta
     constants t2, t3, t4 at the nome q = e^(i pi tau), terms q^(n^2) added
@@ -310,7 +266,7 @@ def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexAppr
         tau = _as_mpc(tau)
         if tau.imag <= 0:
             raise DomainError("tau must lie in the upper half-plane")
-        tau = _reduce_to_fundamental_domain(tau)
+        tau = _reduce_basis(mpmath.mpc(1), tau, precision_bits)[2]
         q4 = mpmath.expjpi(tau / 4)  # q^(1/4)
         q = q4 ** 4
         # t2 = 2 q^(1/4) sum_{n>=0} q^(n^2+n), t3 and t4 = 1 + 2 sum_{n>=1} (+-1)^n q^(n^2)
@@ -372,19 +328,21 @@ class PrymPeriodMatrix:
         }
 
 
-def _require_upper(z, name):
-    if _as_mpc(z).imag <= 0:
-        raise DomainError(f"{name} must lie in the upper half-plane")
+def _upper_pair(z1, z2):
+    """(w1, w2, bits): z1 and z2 as mpc values at bits, the larger of their
+    labelled precisions; DomainError unless both lie in the upper half-plane."""
+    bits = max(getattr(z, "precision_bits", DEFAULT_PRECISION_BITS) for z in (z1, z2))
+    with mpmath.workprec(bits + _GUARD_BITS):
+        w1, w2 = _as_mpc(z1), _as_mpc(z2)
+    for name, w in (("z1", w1), ("z2", w2)):
+        if w.imag <= 0:
+            raise DomainError(f"{name} must lie in the upper half-plane")
+    return w1, w2, bits
 
 
 def prym_period_matrix(z1, z2) -> PrymPeriodMatrix:
-    _require_upper(z1, "z1")
-    _require_upper(z2, "z2")
-    bits = max(getattr(z1, "precision_bits", DEFAULT_PRECISION_BITS),
-               getattr(z2, "precision_bits", DEFAULT_PRECISION_BITS))
+    w1, w2, bits = _upper_pair(z1, z2)
     with mpmath.workprec(bits + _GUARD_BITS):
-        w1 = _as_mpc(z1)
-        w2 = _as_mpc(z2)
         rows = (
             (w1, w1, mpmath.mpc(1), mpmath.mpc(0)),
             (w1, w1 + w2, mpmath.mpc(0), mpmath.mpc(2)),
@@ -421,13 +379,8 @@ def _sym_form_22():
 
 
 def product_to_prym_reduction(z1, z2) -> ReductionTrace:
-    _require_upper(z1, "z1")
-    _require_upper(z2, "z2")
-    bits = max(getattr(z1, "precision_bits", DEFAULT_PRECISION_BITS),
-               getattr(z2, "precision_bits", DEFAULT_PRECISION_BITS))
+    w1, w2, bits = _upper_pair(z1, z2)
     with mpmath.workprec(bits + _GUARD_BITS):
-        w1 = _as_mpc(z1)
-        w2 = _as_mpc(z2)
         zero = mpmath.mpc(0)
         one = mpmath.mpc(1)
         two = mpmath.mpc(2)

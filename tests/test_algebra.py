@@ -103,19 +103,9 @@ def test_gcd_is_monic_common_divisor():
     assert h.leading == 1
 
 
-def test_complex_approx_precision_propagation():
-    lo = ComplexApprox.from_value(1.5, 64)
-    hi = ComplexApprox.from_value(2.5, 192)
-    assert (lo + hi).precision_bits == 192
-    assert (lo * 2).precision_bits == 64
+def test_complex_approx_rejects_precision_below_the_minimum():
     with pytest.raises(DomainError):
         ComplexApprox.from_value(1, 32)
-
-
-def test_complex_approx_exact_rational_embedding():
-    z = ComplexApprox.from_rational(Fraction(1, 4), 128)
-    assert z.real == mpmath.mpf(1) / 4
-    assert z.imag == 0
 
 
 def test_tolerance_scales_with_precision():

@@ -7,7 +7,7 @@ import pytest
 
 from kleinprym.acceptance import near_locus_params, random_params
 from kleinprym.algebra import Polynomial
-from kleinprym.errors import ArgumentError, DomainError
+from kleinprym.errors import ArgumentError, DomainError, PrecisionError
 from kleinprym.family import (
     ELLIPTIC_LABELS,
     CurveLabel,
@@ -20,7 +20,7 @@ from kleinprym.periods import (
     ComplexApprox,
     PrymPeriodMatrix,
     _branch_points,
-    _reduce_to_fundamental_domain,
+    _reduce_basis,
     _roots_of,
     analytic_j,
     elliptic_periods_agm,
@@ -80,12 +80,44 @@ def test_precision_stability():
 
 
 def test_basis_sign_does_not_depend_on_precision():
-    # c (e2 - e1) is a negative real here, so its principal square root took
-    # its sign from rounding noise and omega1 flipped between these precisions
+    # c (e2 - e1) is a negative real here, so the principal square root of the
+    # basis scale takes its sign from rounding noise; the normal form does not
     model = curve_equation(CurveLabel.E_s, check_domain(Fraction(-39, 32), Fraction(-16, 33)))
     omegas = [elliptic_periods_agm(model, bits).omega1.to_mpc() for bits in (128, 256, 1024)]
-    assert all(w.imag < 0 for w in omegas)
+    with mpmath.workprec(128):
+        expected = mpmath.mpf("1.76752266882896")
+    for w in omegas:
+        assert mpmath.fabs(w.imag) < mpmath.ldexp(1, -120)
+        assert mpmath.fabs(w.real - expected) < 1e-14
     assert all(mpmath.fabs(w - omegas[0]) < mpmath.ldexp(1, -120) for w in omegas)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-1, 0, 0, 1), (1, 0, 0, 1), (-2, 0, 0, 3), (-1, 0, 0, 0, 1),
+    (0, -1, 0, 1), (0, 1, 0, 1), (1, 0, 0, 0, 1)], ids=repr)
+def test_cm_bases_do_not_depend_on_precision(coeffs):
+    # at j = 0 all three choices of e3 score exactly alike, and at tau = i or
+    # e^(2 pi i/3) the normal form is unique only up to the lattice's units,
+    # so rounding noise must not pick the ordering; 3x^3 - 2 flipped omega1
+    # between 128 and 256 bits when the exact maximum broke the tie
+    model = model_from_coeffs(*coeffs)
+    ref = elliptic_periods_agm(model, 1024)
+    for bits in (128, 256):
+        assert same_basis(elliptic_periods_agm(model, bits), ref, bits), bits
+
+
+def test_reduce_basis_normal_form():
+    bits = 128
+    with mpmath.workprec(bits + _GUARD_BITS):
+        i = mpmath.mpc(0, 1)
+        rho = mpmath.expjpi(mpmath.mpf(1) / 3)
+        cases = [(mpmath.mpc("0.5", 1), mpmath.mpc("-0.5", 1)),
+                 (rho, rho ** 2), (i, i), (rho ** 2, rho ** 2)]
+        for tau, expected in cases:
+            w1, w2, got = _reduce_basis(mpmath.mpc(1), tau, bits)
+            assert close(got, expected, bits) and close(w2 / w1, expected, bits)
+        w1 = mpmath.mpc(2, 1)
+        assert _reduce_basis(-w1, -3 * w1 * i, bits)[:2] == (w1, 3 * w1 * i)
 
 
 def test_periods_reject_wrong_genus():
@@ -240,30 +272,75 @@ def test_factor_roots_match_polyroots(params):
                 oracle.remove(nearest)
 
 
+def same_basis(p, q, bits):
+    """omega1, omega2 and tau of two PeriodPairs agree to about bits bits."""
+    with mpmath.workprec(bits + _GUARD_BITS):
+        return all(mpmath.fabs(x - y) <= mpmath.ldexp(1, -bits + 8) * mpmath.fabs(y)
+                   for x, y in ((getattr(p, f).to_mpc(), getattr(q, f).to_mpc())
+                                for f in ("omega1", "omega2", "tau")))
+
+
 @pytest.mark.parametrize("params", ORACLE_POINTS, ids=repr)
 def test_stored_factors_leave_tau_unchanged(params):
     for label in ELLIPTIC_LABELS:
         model = curve_equation(label, params)
-        fast = elliptic_periods_agm(model, BITS).tau.to_mpc()
-        slow = elliptic_periods_agm(dataclasses.replace(model, factors=None), BITS).tau.to_mpc()
-        assert close(fast, slow), label
+        fast = elliptic_periods_agm(model, BITS)
+        slow = elliptic_periods_agm(dataclasses.replace(model, factors=None), BITS)
+        assert same_basis(fast, slow, BITS), label
 
 
-def test_tied_orderings_keep_the_float64_choice():
-    # lambda and 1 - lambda tie and give tau and -1/tau = 1.7452...i; the
-    # float64 scores that alone chose the ordering before still pick tau
+def in_normal_form(pair, bits):
+    """tau in the closed fundamental domain and omega1 in the right
+    half-plane, each boundary up to 2^(-bits/2)."""
+    eps = mpmath.ldexp(1, -bits // 2)
+    with mpmath.workprec(bits + _GUARD_BITS):
+        tau, w1 = pair.tau.to_mpc(), pair.omega1.to_mpc()
+        norm = mpmath.fabs(tau) ** 2
+        return (-mpmath.mpf(1) / 2 - eps <= tau.real < mpmath.mpf(1) / 2 + eps
+                and norm >= 1 - eps and (norm >= 1 + eps or tau.real <= eps)
+                and (w1.real >= -eps * mpmath.fabs(w1))
+                and (w1.real >= eps * mpmath.fabs(w1) or w1.imag > 0))
+
+
+CANONICAL_POINTS = ORACLE_POINTS + [
+    check_domain(Fraction(a), Fraction(b)) for a, b in (
+        ("33/4", "-15/4"), ("7/2", "-29/11"), ("-4/13", "25"),
+        ("-299393/28297", "64913/139862"))]
+
+
+@pytest.mark.parametrize("params", CANONICAL_POINTS, ids=repr)
+def test_reduced_basis_is_canonical(params):
+    # the basis depends on the lattice alone: the same at every precision;
+    # 1e-10 from a = b the cross-ratio is too close to the cuts for 128 bits
+    for label in ELLIPTIC_LABELS:
+        model = curve_equation(label, params)
+        ref = elliptic_periods_agm(model, 1024)
+        assert in_normal_form(ref, 1024), label
+        for bits in (128, 256):
+            try:
+                pair = elliptic_periods_agm(model, bits)
+            except PrecisionError:
+                assert bits == 128 and params.b - params.a == Fraction(1, 10**10), label
+                continue
+            assert in_normal_form(pair, bits), (label, bits)
+            assert same_basis(pair, ref, bits), (label, bits)
+
+
+def test_tied_orderings_give_the_reduced_tau():
+    # lambda and 1 - lambda tie and give tau = 0.5729...i and -1/tau; the
+    # normal form takes -1/tau, whose modulus is at least 1
     model = curve_equation(CurveLabel.E_s, check_domain(Fraction(23, 42), Fraction(-7, 15)))
     tau = elliptic_periods_agm(model, BITS).tau.to_mpc()
     with mpmath.workprec(BITS):
-        expected = mpmath.mpc(0, "0.572982155381649904429426256289812144")
-        assert mpmath.fabs(tau - expected) < 1e-30
+        expected = mpmath.mpc(0, "1.7452550495816463553")
+        assert mpmath.fabs(tau - expected) < 1e-18
 
 
 def _lambert_j(tau, bits):
     """j(tau) = 1728 E4^3 / (E4^3 - E6^2) from the Lambert series of the
     Eisenstein series, the analytic j before the theta constants."""
     with mpmath.workprec(bits + _GUARD_BITS):
-        tau = _reduce_to_fundamental_domain(tau.to_mpc())
+        tau = _reduce_basis(mpmath.mpc(1), tau.to_mpc(), bits)[2]
         q = mpmath.exp(2 * mpmath.pi * mpmath.mpc(0, 1) * tau)
         e4 = e6 = qn = mpmath.mpc(1)
         cutoff = mpmath.ldexp(1, -bits - 16)
