@@ -20,15 +20,22 @@ Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
   the analytic continuation of the real-root case and hence remains a
   genuine lattice basis;
 * that basis is then reduced to one normal form, tau = omega2/omega1 in the
-  fundamental domain of SL2(Z) and omega1 in the right half-plane, so the
-  reported basis depends on the lattice alone, not on the root ordering,
-  the square-root branches or the precision (at tau = i and e^(2 pi i/3),
-  where the lattice has more units, the root ordering picks the basis).
+  fundamental domain of SL2(Z) and omega1 in the right half-plane, turned
+  at tau = i and e^(2 pi i/3) by a unit of the lattice into the sector
+  |arg omega1| <= pi/4 or pi/6, so the reported basis depends on the
+  lattice alone, not on the root ordering, the square-root branches or the
+  precision;
+* the optimal AGM stops one square root before full convergence: once
+  |a - b|^2 <= 2^(-bits-64) |a|^2, (a + b)/2 is within 2^(-bits-67) |a| of
+  M(a, b).
 
 The j-value of tau is 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 in the theta
 constants at the nome q = e^(i pi tau), with tau first moved to the same
 fundamental domain, where |q| <= e^(-pi sqrt(3)/2) and the terms q^(n^2) fall
-fast: about 33 of them reach 4096 bits.
+fast: about 33 of them reach 4096 bits.  Its powers are multiplied out, since
+mpmath raises a high-precision mpc to an integer power through a complex log
+and exp.  `periods_report` enforces the closure of this j against the exact
+j-invariant, relative to max(1, |j|), and raises PrecisionError where it fails.
 
 All tolerances are powers of two relative to the requested precision.
 """
@@ -87,11 +94,14 @@ def optimal_agm(a, b, precision_bits: int) -> mpmath.mpc:
     at each step pick the root with |a1 - b1| <= |a1 + b1|, that is
     Re(a1 conj(b1)) >= 0 (ties broken by Im(b1/a1) > 0).  The branch and
     convergence tests compare squared norms, so a step takes one square
-    root."""
+    root.  The loop stops once |a - b|^2 <= 2^(-bits-64) |a|^2 and returns
+    (a + b)/2: convergence is quadratic, so that differs from M(a, b) by
+    about |a - b|^2/(8 |a|) <= 2^(-bits-67) |a|, and one more step would
+    only buy bits below the guard."""
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         a = mpmath.mpc(a)
         b = mpmath.mpc(b)
-        eps2 = mpmath.ldexp(1, -2 * precision_bits - _GUARD_BITS)
+        eps2 = mpmath.ldexp(1, -precision_bits - _GUARD_BITS)
         for _ in range(8 * precision_bits):
             d = a - b
             if d.real ** 2 + d.imag ** 2 <= eps2 * (a.real ** 2 + a.imag ** 2):
@@ -179,9 +189,11 @@ def _reduce_basis(w1, w2, precision_bits: int):
     """The basis (w1, w2, tau = w2/w1) of the lattice Z w1 + Z w2 in normal
     form: -1/2 <= Re tau < 1/2, |tau| >= 1 with Re tau <= 0 where |tau| = 1
     (the fundamental domain of SL2(Z); Serre, A Course in Arithmetic, VII 1),
-    and Re w1 > 0, or Re w1 = 0 < Im w1.  Every boundary is taken up to
-    2^(-bits/2), so bases that differ by rounding reduce alike.  Im tau > 0
-    is assumed."""
+    and Re w1 > 0, or Re w1 = 0 < Im w1.  At tau = i and tau = e^(2 pi i/3)
+    the lattice also has the units i and e^(i pi/3), which fix tau, so there
+    w1 is turned by one of them into -pi/4 < arg w1 <= pi/4, or
+    -pi/6 < arg w1 <= pi/6.  Every boundary is taken up to 2^(-bits/2), so
+    bases that differ by rounding reduce alike.  Im tau > 0 is assumed."""
     eps = mpmath.ldexp(1, -precision_bits // 2)
     half = mpmath.mpf(1) / 2
     for _ in range(10_000):
@@ -193,9 +205,24 @@ def _reduce_basis(w1, w2, precision_bits: int):
         if norm < 1 - eps or (norm < 1 + eps and tau.real > eps):
             w1, w2 = w2, -w1
             continue
-        on_axis = w1.real ** 2 <= eps ** 2 * (w1.real ** 2 + w1.imag ** 2)
+        w1_norm = w1.real ** 2 + w1.imag ** 2
+        on_axis = w1.real ** 2 <= eps ** 2 * w1_norm
         if (w1.imag if on_axis else w1.real) < 0:
             w1, w2 = -w1, -w2
+        if norm < 1 + eps and (abs(tau.real) <= eps or tau.real < eps - half):
+            # tau = i or e^(2 pi i/3): the unit u = i or e^(i pi/3) maps the
+            # lattice onto itself and (w1, w2) to (u w1, u w2), keeping tau.
+            # Of w1, u w1 and w1/u take the one with -pi/k < arg <= pi/k,
+            # k = 4 or 6: the largest real part, a tie going to u w1
+            if abs(tau.real) <= eps:
+                up, down = (w2, -w1), (-w2, w1)
+            else:
+                up, down = (w1 + w2, -w1), (-w2, w1 + w2)
+            slack = eps * mpmath.sqrt(w1_norm)
+            if down[0].real > w1.real + slack:
+                w1, w2 = down
+            elif up[0].real >= w1.real - slack:
+                w1, w2 = up
         return w1, w2, tau
     raise PrecisionError("fundamental-domain reduction did not terminate")
 
@@ -206,9 +233,8 @@ def elliptic_periods_agm(model: HyperellipticModel,
     (`_reduce_basis`): tau = omega2/omega1 in the fundamental domain and
     omega1 in the right half-plane, from a first basis computed by the
     optimal AGM.  The basis depends on the lattice alone, so it is the same
-    at every precision and for every root ordering, except where tau = i or
-    tau = e^(2 pi i/3): those lattices have more units than +-1, and the
-    root ordering picks one of their normal forms."""
+    at every precision and for every root ordering, also at tau = i and
+    tau = e^(2 pi i/3), whose extra units the normal form accounts for."""
     if model.genus != 1:
         raise ArgumentError("periods are computed for genus-1 models only")
     rhs = model.rhs
@@ -261,14 +287,18 @@ def elliptic_periods_agm(model: HyperellipticModel,
 def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexApprox:
     """j(tau) = 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 from the theta
     constants t2, t3, t4 at the nome q = e^(i pi tau), terms q^(n^2) added
-    until they drop below 2^(-precision_bits - 16)."""
+    until they drop below 2^(-precision_bits - 16).  The powers
+    q = (q^(1/4))^4, t^8 and s^3 = (t2^8 + t3^8 + t4^8)^3 are multiplied out:
+    mpmath 1.3 raises an mpc z to the power n through exp(n log z) once n
+    times the mantissa size passes 10000 bits, as all three do at 4096 bits."""
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         tau = _as_mpc(tau)
         if tau.imag <= 0:
             raise DomainError("tau must lie in the upper half-plane")
         tau = _reduce_basis(mpmath.mpc(1), tau, precision_bits)[2]
         q4 = mpmath.expjpi(tau / 4)  # q^(1/4)
-        q = q4 ** 4
+        q = q4 * q4
+        q *= q
         # t2 = 2 q^(1/4) sum_{n>=0} q^(n^2+n), t3 and t4 = 1 + 2 sum_{n>=1} (+-1)^n q^(n^2)
         qn = square = oblong = sum2 = mpmath.mpc(1)  # q^n, q^(n^2), q^(n^2+n) at n = 0
         even = odd = mpmath.mpc(0)
@@ -289,8 +319,10 @@ def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexAppr
         t2 = 2 * q4 * sum2
         t3 = 1 + 2 * (even + odd)
         t4 = 1 + 2 * (even - odd)
-        t2, t3, t4 = t2 ** 8, t3 ** 8, t4 ** 8
-        j = 32 * (t2 + t3 + t4) ** 3 / (t2 * t3 * t4)
+        for _ in range(3):  # the eighth powers, by squaring
+            t2, t3, t4 = t2 * t2, t3 * t3, t4 * t4
+        s = t2 + t3 + t4
+        j = 32 * s * s * s / (t2 * t3 * t4)
         return _cap(j, precision_bits)
 
 
@@ -468,7 +500,8 @@ def riemann_check(matrix: PrymPeriodMatrix):
 def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
     """Periods of the complementary pair of elliptic quotients, the Prym
     matrix they span, Riemann residuals, and analytic-vs-exact j deltas for
-    all six elliptic quotients."""
+    all six elliptic quotients.  Each delta must be at most
+    j_delta_tolerance * max(1, |j|), or PrecisionError is raised."""
     from .family import ELLIPTIC_LABELS, CurveLabel, curve_equation, j_invariant
 
     tol = tolerance(precision_bits // 4)
@@ -485,7 +518,11 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
         approx = analytic_j(pair.tau, precision_bits)
         with mpmath.workprec(precision_bits):
             exact_c = mpmath.mpf(exact.numerator) / exact.denominator
-            deltas[label.value] = float(mpmath.fabs(approx.to_mpc() - exact_c))
+            delta = mpmath.fabs(approx.to_mpc() - exact_c)
+            if delta > tol * max(1, mpmath.fabs(exact_c)):
+                raise PrecisionError(f"analytic j of {label.value} misses the exact j by "
+                                     f"{mpmath.nstr(delta, 3)}, over {tol:.3g} max(1, |j|)")
+            deltas[label.value] = float(delta)
 
     z1 = taus[CurveLabel.E_t.value]
     z2 = taus[CurveLabel.E_st.value]

@@ -10,11 +10,12 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
 import kleinprym
-from kleinprym import acceptance
+from kleinprym import acceptance, periods
 from kleinprym.acceptance import CriterionResult
 from kleinprym.cli import cli, main
 from kleinprym.errors import PrecisionError
@@ -142,6 +143,27 @@ def test_periods_with_coincident_roots_does_not_crash(a, b):
     else:
         expected = 0
     assert main(["periods", "--a", a, "--b", b]) == expected
+
+
+def test_j_closure_is_relative_to_the_size_of_j():
+    # E_is_t has j about 1e200 here and misses it by 2.4e-25, far above the
+    # tolerance 2^(4 - 1024/4) but far below it relative to |j|
+    a = str(2 + Fraction(1, 10**100))
+    assert main(["periods", "--a", a, "--b", "1/3", "--bits", "1024"]) == 0
+
+
+def test_periods_refuses_a_j_that_misses_the_closure(monkeypatch):
+    point = ["periods", "--a", "7/5", "--b", "-13/4", "--bits", "128"]
+    assert main(point) == 0
+    true_j = periods.analytic_j
+
+    def off_j(tau, bits):
+        with mpmath.workprec(bits + periods._GUARD_BITS):
+            j = true_j(tau, bits).to_mpc() * (1 + mpmath.ldexp(1, -bits // 8))
+        return periods.ComplexApprox.from_value(j, bits)
+
+    monkeypatch.setattr(periods, "analytic_j", off_j)
+    assert main(point) == 1
 
 
 def test_torsion_range_is_validated():

@@ -15,6 +15,7 @@ from kleinprym.family import (
     curve_equation,
     j_invariant,
 )
+from kleinprym import periods
 from kleinprym.periods import (
     _GUARD_BITS,
     ComplexApprox,
@@ -96,14 +97,33 @@ def test_basis_sign_does_not_depend_on_precision():
     (-1, 0, 0, 1), (1, 0, 0, 1), (-2, 0, 0, 3), (-1, 0, 0, 0, 1),
     (0, -1, 0, 1), (0, 1, 0, 1), (1, 0, 0, 0, 1)], ids=repr)
 def test_cm_bases_do_not_depend_on_precision(coeffs):
-    # at j = 0 all three choices of e3 score exactly alike, and at tau = i or
-    # e^(2 pi i/3) the normal form is unique only up to the lattice's units,
-    # so rounding noise must not pick the ordering; 3x^3 - 2 flipped omega1
-    # between 128 and 256 bits when the exact maximum broke the tie
+    # at j = 0 all three choices of e3 score exactly alike, so rounding noise
+    # must not pick the ordering (3x^3 - 2 flipped omega1 between 128 and 256
+    # bits when the exact maximum broke the tie), and at tau = i or
+    # e^(2 pi i/3) omega1 may sit on a boundary of the units' sector, which
+    # rounding noise must not move it across either
     model = model_from_coeffs(*coeffs)
     ref = elliptic_periods_agm(model, 1024)
     for bits in (128, 256):
         assert same_basis(elliptic_periods_agm(model, bits), ref, bits), bits
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+def test_cm_models_of_one_lattice_report_one_basis(bits):
+    # y^2 = -x^3 + x has the lattice of y^2 = x^3 - x turned by i, the same
+    # square lattice; omega1 used to come out real for one, imaginary for the other
+    plus = elliptic_periods_agm(model_from_coeffs(0, -1, 0, 1), bits)
+    minus = elliptic_periods_agm(model_from_coeffs(0, 1, 0, -1), bits)
+    assert same_basis(plus, minus, bits)
+
+
+def test_equianharmonic_real_period():
+    # y^2 = x^3 - 1 has tau = e^(2 pi i/3) and a real period of minimal length
+    pair = elliptic_periods_agm(model_from_coeffs(-1, 0, 0, 1), BITS)
+    w1 = pair.omega1.to_mpc()
+    with mpmath.workprec(BITS + _GUARD_BITS):
+        assert w1.real > 0 and mpmath.fabs(w1.imag) <= mpmath.ldexp(1, -BITS + 8) * w1.real
+        assert close(pair.tau.to_mpc(), mpmath.expjpi(mpmath.mpf(2) / 3))
 
 
 def test_reduce_basis_normal_form():
@@ -118,6 +138,9 @@ def test_reduce_basis_normal_form():
             assert close(got, expected, bits) and close(w2 / w1, expected, bits)
         w1 = mpmath.mpc(2, 1)
         assert _reduce_basis(-w1, -3 * w1 * i, bits)[:2] == (w1, 3 * w1 * i)
+        # at tau = i the units turn w1 into -pi/4 < arg w1 <= pi/4
+        assert _reduce_basis(i, mpmath.mpc(-1), bits)[:2] == (1, i)
+        assert _reduce_basis(1 - i, 1 + i, bits)[:2] == (1 + i, i - 1)
 
 
 def test_periods_reject_wrong_genus():
@@ -369,3 +392,57 @@ def test_theta_j_matches_lambert_series(bits):
         with mpmath.workprec(bits + _GUARD_BITS):
             assert (mpmath.fabs(got - expected)
                     <= mpmath.ldexp(1, -bits + 8) * max(1, mpmath.fabs(expected)))
+
+
+def test_analytic_j_takes_no_complex_log(monkeypatch):
+    # mpmath raises an mpc to the power n through a complex log and exp once n
+    # times the mantissa size passes 10000 bits; analytic_j multiplies instead.
+    # At tau = i the theta constants are real; E_st's tau makes them complex
+    bits = 4096
+    params = check_domain(Fraction(7, 5), Fraction(-13, 4))
+    taus = [_i(bits), elliptic_periods_agm(curve_equation(CurveLabel.E_st, params), bits).tau]
+    expected = [_lambert_j(tau, bits) for tau in taus]
+
+    def no_log(*args):
+        raise AssertionError("mpc_log called")
+
+    monkeypatch.setattr(mpmath.libmp.libmpc, "mpc_log", no_log)
+    for tau, want in zip(taus, expected):
+        got = analytic_j(tau, bits).to_mpc()
+        with mpmath.workprec(bits + _GUARD_BITS):
+            assert mpmath.fabs(got - want) <= mpmath.ldexp(1, -bits + 8) * max(1, mpmath.fabs(want))
+
+
+def _full_agm(a, b, bits):
+    """M(a, b) by optimal_agm's steps, stopped only once
+    |a - b|^2 <= 2^(-2 bits - 64) |a|^2, one square root later than it."""
+    with mpmath.workprec(bits + _GUARD_BITS):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        eps2 = mpmath.ldexp(1, -2 * bits - _GUARD_BITS)
+        while mpmath.fabs(a - b) ** 2 > eps2 * mpmath.fabs(a) ** 2:
+            a, b = (a + b) / 2, mpmath.sqrt(a * b)
+            dot = a.real * b.real + a.imag * b.imag
+            if dot < 0 or (dot == 0 and mpmath.im(b / a) < 0):
+                b = -b
+        return (a + b) / 2
+
+
+@pytest.mark.parametrize("bits", [128, 1024, 4096])
+def test_agm_matches_the_full_stopping_rule(bits, monkeypatch):
+    # the inputs are (1, sqrt(1 - lambda)) and (1, sqrt(lambda)) of every quotient
+    calls = []
+
+    def record(a, b, precision_bits):
+        calls.append((a, b))
+        return optimal_agm(a, b, precision_bits)
+
+    monkeypatch.setattr(periods, "optimal_agm", record)
+    for params in (ORACLE_POINTS[0], ORACLE_POINTS[3], ORACLE_POINTS[7]):
+        for label in ELLIPTIC_LABELS:
+            elliptic_periods_agm(curve_equation(label, params), bits)
+    assert len(calls) == 36
+    for a, b in calls:
+        got = optimal_agm(a, b, bits)
+        expected = _full_agm(a, b, bits + 128)
+        with mpmath.workprec(bits + 128):
+            assert mpmath.fabs(got - expected) <= mpmath.ldexp(1, -bits) * mpmath.fabs(expected)
