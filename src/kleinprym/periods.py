@@ -519,9 +519,11 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
         with mpmath.workprec(precision_bits):
             exact_c = mpmath.mpf(exact.numerator) / exact.denominator
             delta = mpmath.fabs(approx.to_mpc() - exact_c)
-            if delta > tol * max(1, mpmath.fabs(exact_c)):
+            # the float tol underflows to 0 past 4300 bits; bound at working precision
+            bound = mpmath.ldexp(1, 4 - precision_bits // 4) * max(1, mpmath.fabs(exact_c))
+            if delta > bound:
                 raise PrecisionError(f"analytic j of {label.value} misses the exact j by "
-                                     f"{mpmath.nstr(delta, 3)}, over {tol:.3g} max(1, |j|)")
+                                     f"{mpmath.nstr(delta, 3)}, over {mpmath.nstr(bound, 3)}")
             deltas[label.value] = float(delta)
 
     z1 = taus[CurveLabel.E_t.value]

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 import kleinprym
 from kleinprym import acceptance, periods
 from kleinprym.acceptance import CriterionResult
+from kleinprym.algebra import tolerance
 from kleinprym.cli import cli, main
 from kleinprym.errors import PrecisionError
 from kleinprym.family import check_domain
@@ -150,6 +151,12 @@ def test_j_closure_is_relative_to_the_size_of_j():
     # tolerance 2^(4 - 1024/4) but far below it relative to |j|
     a = str(2 + Fraction(1, 10**100))
     assert main(["periods", "--a", a, "--b", "1/3", "--bits", "1024"]) == 0
+
+
+def test_j_closure_holds_where_a_float_tolerance_underflows():
+    # 2^(4 - bits/4) is below the smallest float64 once bits passes 4300
+    assert tolerance(4400 // 4) == 0.0
+    assert main(["periods", "--a", "7/5", "--b", "-13/4", "--bits", "4400"]) == 0
 
 
 def test_periods_refuses_a_j_that_misses_the_closure(monkeypatch):

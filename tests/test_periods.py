@@ -111,7 +111,7 @@ def test_cm_bases_do_not_depend_on_precision(coeffs):
 @pytest.mark.parametrize("bits", [128, 256, 1024])
 def test_cm_models_of_one_lattice_report_one_basis(bits):
     # y^2 = -x^3 + x has the lattice of y^2 = x^3 - x turned by i, the same
-    # square lattice; omega1 used to come out real for one, imaginary for the other
+    # square lattice
     plus = elliptic_periods_agm(model_from_coeffs(0, -1, 0, 1), bits)
     minus = elliptic_periods_agm(model_from_coeffs(0, 1, 0, -1), bits)
     assert same_basis(plus, minus, bits)
