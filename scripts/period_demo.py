@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Walk through the period computation at one parameter point: AGM periods of
-the two complementary elliptic quotients, the 2x4 Prym period matrix, the
+"""Walk through the period computation at one parameter point: the periods of
+the two complementary elliptic quotients, E_t's basis both from its partner
+E_is_t and from the AGM on its own model, the 2x4 Prym period matrix, the
 product-to-Prym reduction trace, and the Riemann-relation residuals.
 
 Usage: python3 scripts/period_demo.py [--a A --b B] [--bits N]
@@ -18,6 +19,7 @@ from kleinprym.periods import (
     elliptic_periods_agm,
     product_to_prym_reduction,
     prym_period_matrix,
+    quotient_periods,
     riemann_check,
 )
 
@@ -39,18 +41,28 @@ def main():
     params = check_domain(parse_rational(args.a), parse_rational(args.b))
     print(f"parameters (a, b) = ({params.a}, {params.b}), {args.bits} bits\n")
 
-    taus = {}
+    bases = quotient_periods(params, args.bits)
     for label in (CurveLabel.E_t, CurveLabel.E_st):
         model = curve_equation(label, params)
-        pair = elliptic_periods_agm(model, args.bits)
-        taus[label] = pair.tau
+        tau = bases[label].tau
         exact = j_invariant(model)
-        approx = analytic_j(pair.tau, args.bits)
-        print(f"{label.value}: tau = {mpmath.nstr(pair.tau.to_mpc(), 10)}")
+        approx = analytic_j(tau, args.bits)
+        print(f"{label.value}: tau = {mpmath.nstr(tau.to_mpc(), 10)}")
         print(f"  exact j    = {exact}")
         print(f"  analytic j = {mpmath.nstr(approx.to_mpc(), 12)}\n")
 
-    z1, z2 = taus[CurveLabel.E_t], taus[CurveLabel.E_st]
+    # E_t's lattice is L + Z t for E_is_t's lattice L and the half-period t of
+    # its 2-torsion point P(-2) - P(inf); the AGM on E_t's own model agrees
+    direct = elliptic_periods_agm(curve_equation(CurveLabel.E_t, params), args.bits)
+    for how, pair in (("E_is_t (AGM)       ", bases[CurveLabel.E_is_t]),
+                      ("E_t from E_is_t    ", bases[CurveLabel.E_t]),
+                      ("E_t by its own AGM ", direct)):
+        cells = ", ".join(f"{name} = {mpmath.nstr(getattr(pair, name).to_mpc(), 15)}"
+                          for name in ("omega1", "omega2"))
+        print(f"{how}: {cells}")
+    print()
+
+    z1, z2 = bases[CurveLabel.E_t].tau, bases[CurveLabel.E_st].tau
     trace = product_to_prym_reduction(z1, z2)
     show("product matrix (f1, f2, e1, e2):", trace.product_matrix)
     show("after basis change f2'=f1+f2, e1'=e1-e2:", trace.basis_changed)

@@ -29,6 +29,33 @@ Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
   |a - b|^2 <= 2^(-bits-64) |a|^2, (a + b)/2 is within 2^(-bits-67) |a| of
   M(a, b).
 
+A periods report runs the AGM for three of the six elliptic quotients only.
+The family's equations give three 2-isogenies onto them,
+
+    E_t  -> E_is_t:   (x, y) -> (x^2 - 2, x y),                 dX/Y = 2 dx/y
+    E_st -> E_is_it:  (x, y) -> (x^2 + 2, x y),                 dX/Y = 2 dx/y
+    E_s  -> E_s_it:   (x, y) -> (x + 1/x, y (x^2 - 1)/x^2),     dX/Y = dx/y
+
+so the lattices of E_t, E_st and E_s are scale (L + Z t), with scale
+2/c = 1, 1 and 2 for the factor c in dX/Y = c dx/y, L the lattice of the
+partner on the right and t the half-period of the partner's 2-torsion
+point P(-a) - P(-b), which is P(-2) - P(inf) on E_is_t, P(2) - P(inf) on
+E_is_it and P(2) - P(-2) on E_s_it.  The partners' branch points -a, -b
+and +-2 are rational, so their lambda is real.  The kernel point is found by
+root identity, not by a numeric comparison: with the roots numbered r0, r1,
+r2, r3 = -a, -b, then +-2 in factor order and infinity for a cubic, it is
+P(r_k) - P(r_p) for the root r_p sent to infinity (the pivot of
+x = r_p + 1/u) and k = p xor 1.
+With (e1, e2, e3) sent to (0, 1, lambda) the half-periods are
+
+    r_k = e1:  omega2/2,     basis of L + Z t: (omega1, omega2/2)
+    r_k = e2:  omega1/2,                       (omega1/2, omega2)
+    r_k = e3:  (omega1 + omega2)/2,            (omega1, (omega1 + omega2)/2)
+
+and the result goes through the same reduction to the normal form.  No j
+comparison could choose among the three lattices: at (a, b) = (0, 1) two of
+them have E_t's j = 287496 and differ by the unit i.
+
 The j-value of tau is 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 in the theta
 constants at the nome q = e^(i pi tau), with tau first moved to the same
 fundamental domain, where |q| <= e^(-pi sqrt(3)/2) and the terms q^(n^2) fall
@@ -48,7 +75,7 @@ import mpmath
 
 from .errors import ArgumentError, DomainError, PrecisionError
 from .algebra import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, tolerance
-from .family import HyperellipticModel
+from .family import ELLIPTIC_LABELS, CurveLabel, HyperellipticModel, curve_equation, j_invariant
 
 _GUARD_BITS = 64
 
@@ -170,14 +197,15 @@ def _cut_distance(e1, e2, e3):
 
 
 def _legendre_order(roots, precision_bits: int):
-    """The ordering (e1, e2, e3) of a cubic's roots whose cross-ratio
-    lambda = (e3 - e1)/(e2 - e1) lies farthest from the cuts, scored at the
-    working precision.  lambda and 1 - lambda score alike, so only the three
-    choices of e3 are scored, each with e1 before e2 in the given order.
-    Scores within 2^(-bits/2) of the best tie, and the first of them wins,
-    so rounding noise does not pick among exact ties (j = 0: all three)."""
-    orders = [(roots[i], roots[j], roots[k]) for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0))]
-    scores = [_cut_distance(*order) for order in orders]
+    """The positions (i, j, k) in `roots`, three roots of a cubic, of the
+    ordering (e1, e2, e3) whose cross-ratio lambda = (e3 - e1)/(e2 - e1) lies
+    farthest from the cuts, scored at the working precision.  lambda and
+    1 - lambda score alike, so only the three choices of e3 are scored, each
+    with e1 before e2 in the given order.  Scores within 2^(-bits/2) of the
+    best tie, and the first of them wins, so rounding noise does not pick
+    among exact ties (j = 0: all three)."""
+    orders = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+    scores = [_cut_distance(*(roots[i] for i in order)) for order in orders]
     best = max(scores)
     slack = mpmath.ldexp(1, -precision_bits // 2)
     if best < slack:
@@ -227,6 +255,60 @@ def _reduce_basis(w1, w2, precision_bits: int):
     raise PrecisionError("fundamental-domain reduction did not terminate")
 
 
+def _legendre_basis(model: HyperellipticModel, precision_bits: int):
+    """(omega1, omega2, order): a first basis of the period lattice of
+    y^2 = f(x), deg f in {3, 4}, from the optimal AGM, and the indices into
+    `_branch_points(model)` of the roots that go to infinity, 0, 1 and lambda
+    of the Legendre form s (s - 1)(s - lambda), with 3 standing for a cubic's
+    own point at infinity.  The half-period of the 2-torsion point
+    P(r_k) - P(r_order[0]) is omega2/2, omega1/2 or (omega1 + omega2)/2 for
+    k = order[1], order[2] or order[3].  Runs at the caller's precision."""
+    rhs = model.rhs
+    roots = _branch_points(model, precision_bits)
+    if len(set(roots)) < len(roots):
+        raise PrecisionError("two branch points agree at the working precision")
+
+    # the sorts and the quartic's pivot root use float64 copies; none of them
+    # moves the lattice, which alone fixes the reduced basis
+    def key(point):
+        return float(point[1].real), float(point[1].imag)
+
+    points = sorted(enumerate(roots), key=key)
+    lead = mpmath.mpf(rhs.leading.numerator) / rhs.leading.denominator
+    if rhs.degree == 4:
+        # x = r + 1/u turns the quartic into a cubic with the same lattice and
+        # sends the root r to the cubic's point at infinity
+        approx = [complex(r) for _, r in points]
+
+        def separation(i):
+            return min(abs(approx[i] - approx[j]) for j in range(4) if j != i)
+
+        pivot, r = points.pop(max(range(4), key=separation))
+        cubic_lead = lead
+        for _, rj in points:
+            cubic_lead *= (r - rj)
+        cubic = sorted(((j, 1 / (rj - r)) for j, rj in points), key=key)
+    else:
+        pivot, cubic, cubic_lead = 3, points, lead
+
+    slots = _legendre_order([e for _, e in cubic], precision_bits)
+    (i1, e1), (i2, e2), (i3, e3) = (cubic[i] for i in slots)
+    lam = (e3 - e1) / (e2 - e1)
+    scale = 1 / mpmath.sqrt(cubic_lead * (e2 - e1))
+    omega1 = scale * 2 * _complete_K(lam, precision_bits)
+    omega2 = scale * 2 * mpmath.mpc(0, 1) * _complete_K(1 - lam, precision_bits)
+    if (omega2 / omega1).imag < 0:  # defensive; the cut-plane construction keeps Im > 0
+        omega2 = -omega2
+    return omega1, omega2, (pivot, i1, i2, i3)
+
+
+def _normal_pair(omega1, omega2, precision_bits: int) -> PeriodPair:
+    omega1, omega2, tau = _reduce_basis(omega1, omega2, precision_bits)
+    return PeriodPair(_cap(omega1, precision_bits),
+                      _cap(omega2, precision_bits),
+                      _cap(tau, precision_bits))
+
+
 def elliptic_periods_agm(model: HyperellipticModel,
                          precision_bits: int = DEFAULT_PRECISION_BITS) -> PeriodPair:
     """The period lattice basis of y^2 = f(x) in normal form
@@ -237,46 +319,49 @@ def elliptic_periods_agm(model: HyperellipticModel,
     tau = e^(2 pi i/3), whose extra units the normal form accounts for."""
     if model.genus != 1:
         raise ArgumentError("periods are computed for genus-1 models only")
-    rhs = model.rhs
     with mpmath.workprec(precision_bits + _GUARD_BITS):
-        roots = _branch_points(model, precision_bits)
-        if len(set(roots)) < len(roots):
-            raise PrecisionError("two branch points agree at the working precision")
-        # the sort and the quartic's pivot root use float64 copies; neither
-        # moves the lattice, which alone fixes the reduced basis
-        roots.sort(key=lambda r: (float(r.real), float(r.imag)))
-        lead = mpmath.mpf(rhs.leading.numerator) / rhs.leading.denominator
+        omega1, omega2, _ = _legendre_basis(model, precision_bits)
+        return _normal_pair(omega1, omega2, precision_bits)
 
-        if rhs.degree == 4:
-            # x = r + 1/u turns the quartic into a cubic with the same lattice
-            approx = [complex(r) for r in roots]
 
-            def separation(i):
-                return min(abs(approx[i] - approx[j]) for j in range(4) if j != i)
+# (partner, quotient, scale): the quotient's lattice is scale (L + Z t) for
+# the partner's lattice L and the half-period t of the partner's 2-torsion
+# point P(r0) - P(r1) = P(r2) - P(r3) (module docstring)
+_PARTNERS = (
+    (CurveLabel.E_is_t, CurveLabel.E_t, 1),
+    (CurveLabel.E_is_it, CurveLabel.E_st, 1),
+    (CurveLabel.E_s_it, CurveLabel.E_s, 2),
+)
 
-            sel = max(range(4), key=separation)
-            r = roots[sel]
-            others = [roots[j] for j in range(4) if j != sel]
-            cubic_roots = [1 / (rj - r) for rj in others]
-            cubic_lead = lead
-            for rj in others:
-                cubic_lead *= (r - rj)
-            cubic_roots.sort(key=lambda e: (float(e.real), float(e.imag)))
-        else:
-            cubic_roots = roots
-            cubic_lead = lead
 
-        e1, e2, e3 = _legendre_order(cubic_roots, precision_bits)
-        lam = (e3 - e1) / (e2 - e1)
-        scale = 1 / mpmath.sqrt(cubic_lead * (e2 - e1))
-        omega1 = scale * 2 * _complete_K(lam, precision_bits)
-        omega2 = scale * 2 * mpmath.mpc(0, 1) * _complete_K(1 - lam, precision_bits)
-        if (omega2 / omega1).imag < 0:  # defensive; the cut-plane construction keeps Im > 0
-            omega2 = -omega2
-        omega1, omega2, tau = _reduce_basis(omega1, omega2, precision_bits)
-        return PeriodPair(_cap(omega1, precision_bits),
-                          _cap(omega2, precision_bits),
-                          _cap(tau, precision_bits))
+def _partner_basis(omega1, omega2, order, scale):
+    """A basis of scale (Z omega1 + Z omega2 + Z t) for the `_legendre_basis`
+    output (omega1, omega2, order), t the half-period of P(r_k) - P(r_order[0])
+    with k = order[0] xor 1, the class that pairs r0 with r1 and r2 with r3."""
+    slot = order.index(order[0] ^ 1)
+    if slot == 1:    # r_k at 0: t = omega2/2
+        w1, w2 = omega1, omega2 / 2
+    elif slot == 2:  # r_k at 1: t = omega1/2
+        w1, w2 = omega1 / 2, omega2
+    else:            # r_k at lambda: t = (omega1 + omega2)/2
+        w1, w2 = omega1, (omega1 + omega2) / 2
+    return scale * w1, scale * w2
+
+
+def quotient_periods(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
+    """The reduced period basis (`PeriodPair`) of each of the six elliptic
+    quotients, keyed by label: E_is_t, E_is_it and E_s_it by the optimal AGM,
+    as `elliptic_periods_agm` computes them, and E_t, E_st and E_s from those
+    lattices through the 2-isogenies of `_PARTNERS`, with no AGM."""
+    pairs = {}
+    with mpmath.workprec(precision_bits + _GUARD_BITS):
+        for partner, label, scale in _PARTNERS:
+            omega1, omega2, order = _legendre_basis(curve_equation(partner, params),
+                                                    precision_bits)
+            pairs[partner] = _normal_pair(omega1, omega2, precision_bits)
+            pairs[label] = _normal_pair(*_partner_basis(omega1, omega2, order, scale),
+                                        precision_bits)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -498,23 +583,19 @@ def riemann_check(matrix: PrymPeriodMatrix):
 
 
 def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
-    """Periods of the complementary pair of elliptic quotients, the Prym
-    matrix they span, Riemann residuals, and analytic-vs-exact j deltas for
-    all six elliptic quotients.  Each delta must be at most
+    """Periods of the six elliptic quotients (`quotient_periods`), the Prym
+    matrix spanned by E_t and E_st, Riemann residuals, and analytic-vs-exact
+    j deltas for all six.  Each delta must be at most
     j_delta_tolerance * max(1, |j|), or PrecisionError is raised."""
-    from .family import ELLIPTIC_LABELS, CurveLabel, curve_equation, j_invariant
-
     tol = tolerance(precision_bits // 4)
+    bases = quotient_periods(params, precision_bits)
     deltas = {}
-    taus = {}
     pairs = {}
     for label in ELLIPTIC_LABELS:
-        model = curve_equation(label, params)
-        pair = elliptic_periods_agm(model, precision_bits)
-        taus[label.value] = pair.tau
+        pair = bases[label]
         pairs[label.value] = {"omega1": _cell(pair.omega1), "omega2": _cell(pair.omega2),
                               "tau": _cell(pair.tau)}
-        exact = j_invariant(model)
+        exact = j_invariant(curve_equation(label, params))
         approx = analytic_j(pair.tau, precision_bits)
         with mpmath.workprec(precision_bits):
             exact_c = mpmath.mpf(exact.numerator) / exact.denominator
@@ -526,8 +607,8 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
                                      f"{mpmath.nstr(delta, 3)}, over {mpmath.nstr(bound, 3)}")
             deltas[label.value] = float(delta)
 
-    z1 = taus[CurveLabel.E_t.value]
-    z2 = taus[CurveLabel.E_st.value]
+    z1 = bases[CurveLabel.E_t].tau
+    z2 = bases[CurveLabel.E_st].tau
     matrix = prym_period_matrix(z1, z2)
     residual, min_eig = riemann_check(matrix)
     trace = product_to_prym_reduction(z1, z2)

@@ -173,6 +173,24 @@ def test_periods_refuses_a_j_that_misses_the_closure(monkeypatch):
     assert main(point) == 1
 
 
+def test_periods_answers_where_only_the_derived_quotients_are_near_the_cuts(capsys):
+    # 1e-10 from a = b the cross-ratios of the own roots of E_t, E_st and E_s
+    # are too close to the cuts for 128 bits; the report takes those three
+    # from E_is_t, E_is_it and E_s_it, whose real roots -a, -b, +-2 give
+    # cross-ratios that 128 bits can score
+    point = ["periods", "--a", "7/5", "--b", "14000000001/10000000000"]
+    reports = []
+    for bits in ("128", "1024"):
+        assert main(point + ["--bits", bits]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["periods"])
+    report, reference = reports
+    for label, cells in reference.items():
+        for name, cell in cells.items():
+            got, want = (complex(float(c["re"]), float(c["im"]))
+                         for c in (report[label][name], cell))
+            assert abs(got - want) <= 2 ** -50 * abs(want), (label, name)
+
+
 def test_torsion_range_is_validated():
     assert main(["torsion", "--d", "13"]) == 1
 

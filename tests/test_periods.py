@@ -28,6 +28,7 @@ from kleinprym.periods import (
     optimal_agm,
     product_to_prym_reduction,
     prym_period_matrix,
+    quotient_periods,
     riemann_check,
 )
 
@@ -446,3 +447,42 @@ def test_agm_matches_the_full_stopping_rule(bits, monkeypatch):
         expected = _full_agm(a, b, bits + 128)
         with mpmath.workprec(bits + 128):
             assert mpmath.fabs(got - expected) <= mpmath.ldexp(1, -bits) * mpmath.fabs(expected)
+
+
+def _near_a_locus(params):
+    a, b = params.a, params.b
+    return min(abs(a - b), abs(a * a - 4), abs(b * b - 4)) < Fraction(1, 10**9)
+
+
+PARTNER_POINTS = CANONICAL_POINTS + [check_domain(0, 1)] + near_locus_params(Fraction(7, 5))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
+    # periods_report takes E_t, E_st and E_s from the lattices of E_is_t,
+    # E_is_it and E_s_it; the AGM on their own models gives the same reduced
+    # basis, with the kernel's half-period in each of the three Legendre slots.
+    # At (0, 1) two of E_is_t's three 2-isogenous lattices have E_t's j and
+    # differ by the unit i, so only the right kernel gives E_t's omega1
+    slots = set()
+    partner_basis = periods._partner_basis
+
+    def record(omega1, omega2, order, scale):
+        slots.add(order.index(order[0] ^ 1))
+        return partner_basis(omega1, omega2, order, scale)
+
+    monkeypatch.setattr(periods, "_partner_basis", record)
+    for params in PARTNER_POINTS:
+        try:
+            bases = quotient_periods(params, bits)
+        except PrecisionError:
+            assert _near_a_locus(params), params
+            continue
+        for _, label, _ in periods._PARTNERS:
+            try:
+                direct = elliptic_periods_agm(curve_equation(label, params), bits)
+            except PrecisionError:
+                assert _near_a_locus(params), (params, label)
+                continue
+            assert same_basis(bases[label], direct, bits), (params, label)
+    assert slots == {1, 2, 3}
