@@ -41,7 +41,7 @@ def main():
     params = check_domain(parse_rational(args.a), parse_rational(args.b))
     print(f"parameters (a, b) = ({params.a}, {params.b}), {args.bits} bits\n")
 
-    bases = quotient_periods(params, args.bits)
+    bases, _ = quotient_periods(params, args.bits)
     for label in (CurveLabel.E_t, CurveLabel.E_st):
         model = curve_equation(label, params)
         tau = bases[label].tau

@@ -272,12 +272,14 @@ def criterion_8() -> CriterionResult:
         samples += [random_params(rng, height=10**6) for _ in range(5)]
         samples += near_locus_params(random_params(rng).a)
         for params in samples:
-            # the bases periods_report uses, three of them from 2-isogenous partners
-            bases = quotient_periods(params, bits)
+            # the bases and j values periods_report uses, three of each from
+            # 2-isogenous partners
+            bases, js = quotient_periods(params, bits)
             for label in ELLIPTIC_LABELS:
                 model = curve_equation(label, params)
                 pair = bases[label]
                 direct = elliptic_periods_agm(model, bits)
+                approx = analytic_j(pair.tau, bits)
                 with mpmath.workprec(bits + 64):
                     for name in ("omega1", "omega2", "tau"):
                         got = getattr(pair, name).to_mpc()
@@ -285,7 +287,12 @@ def criterion_8() -> CriterionResult:
                         if mpmath.fabs(got - want) > mpmath.ldexp(mpmath.fabs(want), 8 - bits):
                             return False, (f"{name} of {label.value} differs from the direct "
                                            f"AGM at {params}")
-                approx = analytic_j(pair.tau, bits)
+                    # the q-series at the printed tau is the oracle for the report's j
+                    want = approx.to_mpc()
+                    if (mpmath.fabs(js[label].to_mpc() - want)
+                            > mpmath.ldexp(max(1, mpmath.fabs(want)), 8 - bits)):
+                        return False, (f"the report's j of {label.value} differs from "
+                                       f"analytic_j of its tau at {params}")
                 exact = j_invariant(model)
                 with mpmath.workprec(bits):
                     delta = mpmath.fabs(
@@ -297,7 +304,7 @@ def criterion_8() -> CriterionResult:
 
         # the CM anchor, where tau is exact, and a generic point
         for params in (check_domain(0, 1), check_domain(Fraction(7, 5), Fraction(-13, 4))):
-            bases = quotient_periods(params, bits)
+            bases, _ = quotient_periods(params, bits)
             z1, z2 = bases[CurveLabel.E_t].tau, bases[CurveLabel.E_st].tau
             matrix = prym_period_matrix(z1, z2)
             residual, min_eig = riemann_check(matrix)
@@ -323,7 +330,8 @@ def criterion_8() -> CriterionResult:
                 return False, "basis change is not symplectic for the (2,2) form"
         return True, ("six quotients x 30 points (heights 50 and 1e6, 1e-10 from each "
                       "discriminant locus): report bases equal the direct AGM's to "
-                      "2^-248 and j within 1e-8 at 256 bits; Riemann "
+                      "2^-248, report j equals the q-series j of each tau to "
+                      "2^-248 max(1, |j|), and j within 1e-8 at 256 bits; Riemann "
                       "relations and reduction trace verified at (0,1) and (7/5,-13/4)")
 
     return _run(8, "periods", 60.0, body)

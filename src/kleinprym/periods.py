@@ -14,7 +14,9 @@ Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
   form s (s - 1)(s - lambda) by u = e1 + (e2 - e1) s, which scales the
   lattice by (c (e2 - e1))^(-1/2);
 * the normal form has lattice basis (2 K(lambda), 2 i K(1 - lambda)) with
-  K(m) = pi / (2 M(1, sqrt(1 - m))) computed by the optimal AGM; the root
+  K(m) = pi / (2 M(1, sqrt(1 - m))) computed by the optimal AGM from the
+  complement 1 - m, taken as (e2 - e3)/(e2 - e1) and lambda, so a tiny
+  lambda keeps its bits; the root
   e3 is chosen, by scores at the working precision, so that lambda stays
   away from the two real cuts (-inf, 0] and [1, +inf), where that basis is
   the analytic continuation of the real-root case and hence remains a
@@ -61,8 +63,25 @@ constants at the nome q = e^(i pi tau), with tau first moved to the same
 fundamental domain, where |q| <= e^(-pi sqrt(3)/2) and the terms q^(n^2) fall
 fast: about 33 of them reach 4096 bits.  Its powers are multiplied out, since
 mpmath raises a high-precision mpc to an integer power through a complex log
-and exp.  `periods_report` enforces the closure of this j against the exact
-j-invariant, relative to max(1, |j|), and raises PrecisionError where it fails.
+and exp.  A periods report runs three q-series, one at the tau of each
+partner.  The reduction carries the kernel's half-period along as a class
+(m, n) in (Z/2)^2, t = (m w1 + n w2)/2 in the current basis, starting from
+slot 1, 2, 3 = (0, 1), (1, 0), (1, 1) and updated exactly at every step: the
+shift w2 -= s w1 sends m to m + s n, the swap (w2, -w1) and the unit i send
+(m, n) to (n, m), -1 changes nothing, and the unit e^(i pi/3) and its inverse
+send (m, n) to (n, m + n) and (m + n, m).  In the partner's reduced basis the
+quotient's tau' is then tau/2, 2 tau or (tau + 1)/2, and with A, B, C = t2^2,
+t3^2, t4^2 at tau and odd, even the sums of q^(n^2) over odd and even n >= 1,
+the duplication formulas give the theta constants at tau':
+
+    (0, 1)  tau/2:        t2'^4 = 4 A B,              t3'^2 = B + A,      t4'^2 = B - A
+    (1, 0)  2 tau:        t2'^2 = 4 odd (1 + 2 even), t3'^2 = (B + C)/2,  t4'^4 = B C
+    (1, 1)  (tau + 1)/2:  t2'^4 = 4 i A C,            t3'^2 = C + i A,    t4'^2 = C - i A
+
+so the quotient's j costs a few products.  `periods_report` enforces the
+closure of every j against the exact j-invariant, relative to max(1, |j|),
+and raises PrecisionError where it fails, so each report checks these
+formulas too.
 
 All tolerances are powers of two relative to the requested precision.
 """
@@ -142,11 +161,12 @@ def optimal_agm(a, b, precision_bits: int) -> mpmath.mpc:
         raise PrecisionError("AGM did not converge within the iteration budget")
 
 
-def _complete_K(m, precision_bits: int) -> mpmath.mpc:
-    """K(m) = pi / (2 M(1, sqrt(1 - m))), principal square root."""
+def _complete_K(m_c, precision_bits: int) -> mpmath.mpc:
+    """K(m) = pi / (2 M(1, sqrt(m_c))) for the complement m_c = 1 - m,
+    principal square root.  Taking m_c, not m, keeps every bit of a tiny
+    m_c, which 1 - (1 - m_c) would round away."""
     with mpmath.workprec(precision_bits + _GUARD_BITS):
-        return mpmath.pi / (2 * optimal_agm(1, mpmath.sqrt(1 - mpmath.mpc(m)),
-                                            precision_bits))
+        return mpmath.pi / (2 * optimal_agm(1, mpmath.sqrt(mpmath.mpc(m_c)), precision_bits))
 
 
 @dataclass(frozen=True)
@@ -213,25 +233,30 @@ def _legendre_order(roots, precision_bits: int):
     return next(o for o, s in zip(orders, scores) if s > best - slack)
 
 
-def _reduce_basis(w1, w2, precision_bits: int):
-    """The basis (w1, w2, tau = w2/w1) of the lattice Z w1 + Z w2 in normal
-    form: -1/2 <= Re tau < 1/2, |tau| >= 1 with Re tau <= 0 where |tau| = 1
-    (the fundamental domain of SL2(Z); Serre, A Course in Arithmetic, VII 1),
-    and Re w1 > 0, or Re w1 = 0 < Im w1.  At tau = i and tau = e^(2 pi i/3)
-    the lattice also has the units i and e^(i pi/3), which fix tau, so there
-    w1 is turned by one of them into -pi/4 < arg w1 <= pi/4, or
-    -pi/6 < arg w1 <= pi/6.  Every boundary is taken up to 2^(-bits/2), so
-    bases that differ by rounding reduce alike.  Im tau > 0 is assumed."""
+def _reduce_basis(w1, w2, precision_bits: int, kernel=(0, 0)):
+    """(w1, w2, tau = w2/w1, kernel): the basis of the lattice Z w1 + Z w2 in
+    normal form: -1/2 <= Re tau < 1/2, |tau| >= 1 with Re tau <= 0 where
+    |tau| = 1 (the fundamental domain of SL2(Z); Serre, A Course in
+    Arithmetic, VII 1), and Re w1 > 0, or Re w1 = 0 < Im w1.  At tau = i and
+    tau = e^(2 pi i/3) the lattice also has the units i and e^(i pi/3), which
+    fix tau, so there w1 is turned by one of them into -pi/4 < arg w1 <= pi/4,
+    or -pi/6 < arg w1 <= pi/6.  Every boundary is taken up to 2^(-bits/2), so
+    bases that differ by rounding reduce alike.  Im tau > 0 is assumed.
+    kernel = (m, n) names the half-period (m w1 + n w2)/2 modulo the lattice,
+    m, n in {0, 1}; each step carries it to the new basis exactly."""
     eps = mpmath.ldexp(1, -precision_bits // 2)
     half = mpmath.mpf(1) / 2
+    m, n = kernel
     for _ in range(10_000):
         tau = w2 / w1
         shift = mpmath.floor(tau.real + half + eps)
         w2 -= shift * w1
         tau -= shift
+        m ^= int(shift) & n
         norm = tau.real ** 2 + tau.imag ** 2
         if norm < 1 - eps or (norm < 1 + eps and tau.real > eps):
             w1, w2 = w2, -w1
+            m, n = n, m
             continue
         w1_norm = w1.real ** 2 + w1.imag ** 2
         on_axis = w1.real ** 2 <= eps ** 2 * w1_norm
@@ -241,17 +266,21 @@ def _reduce_basis(w1, w2, precision_bits: int):
             # tau = i or e^(2 pi i/3): the unit u = i or e^(i pi/3) maps the
             # lattice onto itself and (w1, w2) to (u w1, u w2), keeping tau.
             # Of w1, u w1 and w1/u take the one with -pi/k < arg <= pi/k,
-            # k = 4 or 6: the largest real part, a tie going to u w1
+            # k = 4 or 6: the largest real part, a tie going to u w1.  The
+            # kernel's class goes along: to (n, m) for i, and to (n, m + n) or
+            # (m + n, m) for e^(i pi/3) or its inverse
             if abs(tau.real) <= eps:
                 up, down = (w2, -w1), (-w2, w1)
+                up_kernel = down_kernel = n, m
             else:
                 up, down = (w1 + w2, -w1), (-w2, w1 + w2)
+                up_kernel, down_kernel = (n, m ^ n), (m ^ n, m)
             slack = eps * mpmath.sqrt(w1_norm)
             if down[0].real > w1.real + slack:
-                w1, w2 = down
+                (w1, w2), (m, n) = down, down_kernel
             elif up[0].real >= w1.real - slack:
-                w1, w2 = up
-        return w1, w2, tau
+                (w1, w2), (m, n) = up, up_kernel
+        return w1, w2, tau, (m, n)
     raise PrecisionError("fundamental-domain reduction did not terminate")
 
 
@@ -293,20 +322,25 @@ def _legendre_basis(model: HyperellipticModel, precision_bits: int):
 
     slots = _legendre_order([e for _, e in cubic], precision_bits)
     (i1, e1), (i2, e2), (i3, e3) = (cubic[i] for i in slots)
+    # K(lambda) and K(1 - lambda) take the complements 1 - lambda and lambda,
+    # each from the root differences
     lam = (e3 - e1) / (e2 - e1)
     scale = 1 / mpmath.sqrt(cubic_lead * (e2 - e1))
-    omega1 = scale * 2 * _complete_K(lam, precision_bits)
-    omega2 = scale * 2 * mpmath.mpc(0, 1) * _complete_K(1 - lam, precision_bits)
+    omega1 = scale * 2 * _complete_K((e2 - e3) / (e2 - e1), precision_bits)
+    omega2 = scale * 2 * mpmath.mpc(0, 1) * _complete_K(lam, precision_bits)
     if (omega2 / omega1).imag < 0:  # defensive; the cut-plane construction keeps Im > 0
         omega2 = -omega2
     return omega1, omega2, (pivot, i1, i2, i3)
 
 
-def _normal_pair(omega1, omega2, precision_bits: int) -> PeriodPair:
-    omega1, omega2, tau = _reduce_basis(omega1, omega2, precision_bits)
+def _period_pair(omega1, omega2, tau, precision_bits: int) -> PeriodPair:
     return PeriodPair(_cap(omega1, precision_bits),
                       _cap(omega2, precision_bits),
                       _cap(tau, precision_bits))
+
+
+def _normal_pair(omega1, omega2, precision_bits: int) -> PeriodPair:
+    return _period_pair(*_reduce_basis(omega1, omega2, precision_bits)[:3], precision_bits)
 
 
 def elliptic_periods_agm(model: HyperellipticModel,
@@ -334,34 +368,52 @@ _PARTNERS = (
 )
 
 
-def _partner_basis(omega1, omega2, order, scale):
-    """A basis of scale (Z omega1 + Z omega2 + Z t) for the `_legendre_basis`
-    output (omega1, omega2, order), t the half-period of P(r_k) - P(r_order[0])
-    with k = order[0] xor 1, the class that pairs r0 with r1 and r2 with r3."""
+def _kernel_class(order):
+    """The class (m, n) of the half-period t = (m omega1 + n omega2)/2 of
+    P(r_k) - P(r_order[0]) for the `_legendre_basis` output (omega1, omega2,
+    order), with k = order[0] xor 1, the class that pairs r0 with r1 and r2
+    with r3.  r_k at 0, 1 or lambda (slot 1, 2 or 3) gives (0, 1), (1, 0) or
+    (1, 1): the slot's two bits."""
     slot = order.index(order[0] ^ 1)
-    if slot == 1:    # r_k at 0: t = omega2/2
+    return slot >> 1, slot & 1
+
+
+def _partner_basis(omega1, omega2, kernel, scale):
+    """A basis of scale (Z omega1 + Z omega2 + Z t), t the half-period
+    (m omega1 + n omega2)/2 of the class kernel = (m, n)."""
+    if kernel == (0, 1):    # t = omega2/2
         w1, w2 = omega1, omega2 / 2
-    elif slot == 2:  # r_k at 1: t = omega1/2
+    elif kernel == (1, 0):  # t = omega1/2
         w1, w2 = omega1 / 2, omega2
-    else:            # r_k at lambda: t = (omega1 + omega2)/2
+    else:                   # t = (omega1 + omega2)/2
         w1, w2 = omega1, (omega1 + omega2) / 2
     return scale * w1, scale * w2
 
 
-def quotient_periods(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
-    """The reduced period basis (`PeriodPair`) of each of the six elliptic
-    quotients, keyed by label: E_is_t, E_is_it and E_s_it by the optimal AGM,
-    as `elliptic_periods_agm` computes them, and E_t, E_st and E_s from those
-    lattices through the 2-isogenies of `_PARTNERS`, with no AGM."""
-    pairs = {}
+def quotient_periods(params, precision_bits: int = DEFAULT_PRECISION_BITS):
+    """(bases, js): the reduced period basis (`PeriodPair`) and the j-value
+    (`ComplexApprox`) of each of the six elliptic quotients, keyed by label.
+    E_is_t, E_is_it and E_s_it get their bases by the optimal AGM, as
+    `elliptic_periods_agm` computes them, and their j from the theta
+    constants at their tau; E_t, E_st and E_s get theirs from those lattices
+    through the 2-isogenies of `_PARTNERS`, with no AGM, and their j from the
+    same theta constants by the duplication formulas, with no q-series."""
+    bases, js = {}, {}
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         for partner, label, scale in _PARTNERS:
             omega1, omega2, order = _legendre_basis(curve_equation(partner, params),
                                                     precision_bits)
-            pairs[partner] = _normal_pair(omega1, omega2, precision_bits)
-            pairs[label] = _normal_pair(*_partner_basis(omega1, omega2, order, scale),
+            kernel = _kernel_class(order)
+            w1, w2, tau, reduced_kernel = _reduce_basis(omega1, omega2, precision_bits, kernel)
+            bases[partner] = pair = _period_pair(w1, w2, tau, precision_bits)
+            bases[label] = _normal_pair(*_partner_basis(omega1, omega2, kernel, scale),
                                         precision_bits)
-    return pairs
+            # the printed tau, so the partner's j is analytic_j(pair.tau) exactly
+            thetas = _theta_squares(pair.tau.to_mpc(), precision_bits)
+            js[partner] = _cap(_j_from_eighths(*map(_fourth, thetas[:3])), precision_bits)
+            js[label] = _cap(_j_from_eighths(*_isogenous_eighths(reduced_kernel, *thetas)),
+                             precision_bits)
+    return bases, js
 
 
 # ---------------------------------------------------------------------------
@@ -369,46 +421,85 @@ def quotient_periods(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> di
 # ---------------------------------------------------------------------------
 
 
+def _square(z):
+    return z * z
+
+
+def _fourth(z):
+    return _square(_square(z))
+
+
+def _theta_squares(tau, precision_bits: int):
+    """(A, B, C, odd, even): the squares A = t2^2, B = t3^2 and C = t4^2 of
+    the theta constants at the nome q = e^(i pi tau) of a tau in the
+    fundamental domain, and the sums odd and even of q^(n^2) over the odd and
+    the even n >= 1, terms added until they drop below 2^(-precision_bits - 16).
+    q = (q^(1/4))^4 is multiplied out: mpmath 1.3 raises an mpc z to the power
+    n through exp(n log z) once n times the mantissa size passes 10000 bits.
+    Runs at the caller's precision."""
+    q4 = mpmath.expjpi(tau / 4)  # q^(1/4)
+    q = _square(_square(q4))
+    # t2 = 2 q^(1/4) sum_{n>=0} q^(n^2+n), t3 and t4 = 1 + 2 sum_{n>=1} (+-1)^n q^(n^2)
+    qn = square = oblong = sum2 = mpmath.mpc(1)  # q^n, q^(n^2), q^(n^2+n) at n = 0
+    even = odd = mpmath.mpc(0)
+    cutoff = mpmath.ldexp(1, -precision_bits - 16)
+    for n in range(1, precision_bits):
+        qn *= q
+        square = oblong * qn
+        oblong = square * qn
+        sum2 += oblong
+        if n % 2:
+            odd += square
+        else:
+            even += square
+        if mpmath.fabs(square) < cutoff:
+            break
+    else:
+        raise PrecisionError("q-expansion did not reach the tail bound")
+    t2 = 2 * q4 * sum2
+    t3 = 1 + 2 * (even + odd)
+    t4 = 1 + 2 * (even - odd)
+    return t2 * t2, t3 * t3, t4 * t4, odd, even
+
+
+def _j_from_eighths(a, b, c):
+    """j = 32 (a + b + c)^3 / (a b c) for the eighth powers a, b, c of the
+    theta constants t2, t3, t4; s^3 is multiplied out like every power here."""
+    s = a + b + c
+    return 32 * s * s * s / (a * b * c)
+
+
+def _isogenous_eighths(kernel, A, B, C, odd, even):
+    """The eighth powers of t2, t3, t4 at the tau' of the lattice L + Z t,
+    from the `_theta_squares` output at the tau of the reduced basis
+    (w1, w2) of L, for the half-period t = (m w1 + n w2)/2 of kernel = (m, n),
+    by the duplication (Landen) formulas of the module docstring (Borwein &
+    Borwein, Pi and the AGM, ch. 2).  At 2 tau, t2'^2 = (B - C)/2 too, but B
+    and C agree ever closer as Im tau grows; 4 odd (1 + 2 even) is the same
+    value with nothing cancelled."""
+    if kernel == (0, 1):
+        t2_4, t3_2, t4_2 = 4 * A * B, B + A, B - A
+        return _square(t2_4), _fourth(t3_2), _fourth(t4_2)
+    if kernel == (1, 0):
+        t2_2, t3_2, t4_4 = 4 * odd * (1 + 2 * even), (B + C) / 2, B * C
+        return _fourth(t2_2), _fourth(t3_2), _square(t4_4)
+    iA = mpmath.mpc(0, 1) * A
+    t2_4, t3_2, t4_2 = 4 * iA * C, C + iA, C - iA
+    return _square(t2_4), _fourth(t3_2), _fourth(t4_2)
+
+
 def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexApprox:
     """j(tau) = 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 from the theta
-    constants t2, t3, t4 at the nome q = e^(i pi tau), terms q^(n^2) added
-    until they drop below 2^(-precision_bits - 16).  The powers
-    q = (q^(1/4))^4, t^8 and s^3 = (t2^8 + t3^8 + t4^8)^3 are multiplied out:
-    mpmath 1.3 raises an mpc z to the power n through exp(n log z) once n
-    times the mantissa size passes 10000 bits, as all three do at 4096 bits."""
+    constants (`_theta_squares`) at tau, first moved to the fundamental domain.
+    The powers are multiplied out: mpmath 1.3 raises an mpc z to the power n
+    through exp(n log z) once n times the mantissa size passes 10000 bits."""
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         tau = _as_mpc(tau)
         if tau.imag <= 0:
             raise DomainError("tau must lie in the upper half-plane")
         tau = _reduce_basis(mpmath.mpc(1), tau, precision_bits)[2]
-        q4 = mpmath.expjpi(tau / 4)  # q^(1/4)
-        q = q4 * q4
-        q *= q
-        # t2 = 2 q^(1/4) sum_{n>=0} q^(n^2+n), t3 and t4 = 1 + 2 sum_{n>=1} (+-1)^n q^(n^2)
-        qn = square = oblong = sum2 = mpmath.mpc(1)  # q^n, q^(n^2), q^(n^2+n) at n = 0
-        even = odd = mpmath.mpc(0)
-        cutoff = mpmath.ldexp(1, -precision_bits - 16)
-        for n in range(1, precision_bits):
-            qn *= q
-            square = oblong * qn
-            oblong = square * qn
-            sum2 += oblong
-            if n % 2:
-                odd += square
-            else:
-                even += square
-            if mpmath.fabs(square) < cutoff:
-                break
-        else:
-            raise PrecisionError("q-expansion did not reach the tail bound")
-        t2 = 2 * q4 * sum2
-        t3 = 1 + 2 * (even + odd)
-        t4 = 1 + 2 * (even - odd)
-        for _ in range(3):  # the eighth powers, by squaring
-            t2, t3, t4 = t2 * t2, t3 * t3, t4 * t4
-        s = t2 + t3 + t4
-        j = 32 * s * s * s / (t2 * t3 * t4)
-        return _cap(j, precision_bits)
+        return _cap(_j_from_eighths(*map(_fourth, _theta_squares(tau, precision_bits)[:3])),
+                    precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +675,12 @@ def riemann_check(matrix: PrymPeriodMatrix):
 
 def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
     """Periods of the six elliptic quotients (`quotient_periods`), the Prym
-    matrix spanned by E_t and E_st, Riemann residuals, and analytic-vs-exact
-    j deltas for all six.  Each delta must be at most
-    j_delta_tolerance * max(1, |j|), or PrecisionError is raised."""
+    matrix spanned by E_t and E_st, Riemann residuals, and the deltas of the
+    analytic j of `quotient_periods` from the exact j for all six.  Each delta
+    must be at most j_delta_tolerance * max(1, |j|), or PrecisionError is
+    raised."""
     tol = tolerance(precision_bits // 4)
-    bases = quotient_periods(params, precision_bits)
+    bases, js = quotient_periods(params, precision_bits)
     deltas = {}
     pairs = {}
     for label in ELLIPTIC_LABELS:
@@ -596,10 +688,9 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
         pairs[label.value] = {"omega1": _cell(pair.omega1), "omega2": _cell(pair.omega2),
                               "tau": _cell(pair.tau)}
         exact = j_invariant(curve_equation(label, params))
-        approx = analytic_j(pair.tau, precision_bits)
         with mpmath.workprec(precision_bits):
             exact_c = mpmath.mpf(exact.numerator) / exact.denominator
-            delta = mpmath.fabs(approx.to_mpc() - exact_c)
+            delta = mpmath.fabs(js[label].to_mpc() - exact_c)
             # the float tol underflows to 0 past 4300 bits; bound at working precision
             bound = mpmath.ldexp(1, 4 - precision_bits // 4) * max(1, mpmath.fabs(exact_c))
             if delta > bound:

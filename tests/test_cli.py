@@ -159,18 +159,34 @@ def test_j_closure_holds_where_a_float_tolerance_underflows():
     assert main(["periods", "--a", "7/5", "--b", "-13/4", "--bits", "4400"]) == 0
 
 
+CLOSURE_POINT = ["periods", "--a", "7/5", "--b", "-13/4", "--bits", "128"]
+
+
 def test_periods_refuses_a_j_that_misses_the_closure(monkeypatch):
-    point = ["periods", "--a", "7/5", "--b", "-13/4", "--bits", "128"]
-    assert main(point) == 0
-    true_j = periods.analytic_j
+    # the report's j values all come from the theta constants of the q-series
+    assert main(CLOSURE_POINT) == 0
+    true_thetas = periods._theta_squares
 
-    def off_j(tau, bits):
-        with mpmath.workprec(bits + periods._GUARD_BITS):
-            j = true_j(tau, bits).to_mpc() * (1 + mpmath.ldexp(1, -bits // 8))
-        return periods.ComplexApprox.from_value(j, bits)
+    def off_thetas(tau, bits):
+        A, *rest = true_thetas(tau, bits)
+        return A * (1 + mpmath.ldexp(1, -bits // 8)), *rest
 
-    monkeypatch.setattr(periods, "analytic_j", off_j)
-    assert main(point) == 1
+    monkeypatch.setattr(periods, "_theta_squares", off_thetas)
+    assert main(CLOSURE_POINT) == 1
+
+
+def test_periods_refuses_a_derived_j_that_misses_the_closure(monkeypatch):
+    # only the duplication formulas of E_t, E_st and E_s are off
+    assert main(CLOSURE_POINT) == 0
+    true_eighths = periods._isogenous_eighths
+    bits = 128
+
+    def off_eighths(kernel, *thetas):
+        a, b, c = true_eighths(kernel, *thetas)
+        return a * (1 + mpmath.ldexp(1, -bits // 8)), b, c
+
+    monkeypatch.setattr(periods, "_isogenous_eighths", off_eighths)
+    assert main(CLOSURE_POINT) == 1
 
 
 def test_periods_answers_where_only_the_derived_quotients_are_near_the_cuts(capsys):

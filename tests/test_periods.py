@@ -135,7 +135,7 @@ def test_reduce_basis_normal_form():
         cases = [(mpmath.mpc("0.5", 1), mpmath.mpc("-0.5", 1)),
                  (rho, rho ** 2), (i, i), (rho ** 2, rho ** 2)]
         for tau, expected in cases:
-            w1, w2, got = _reduce_basis(mpmath.mpc(1), tau, bits)
+            w1, w2, got, _ = _reduce_basis(mpmath.mpc(1), tau, bits)
             assert close(got, expected, bits) and close(w2 / w1, expected, bits)
         w1 = mpmath.mpc(2, 1)
         assert _reduce_basis(-w1, -3 * w1 * i, bits)[:2] == (w1, 3 * w1 * i)
@@ -464,17 +464,17 @@ def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
     # basis, with the kernel's half-period in each of the three Legendre slots.
     # At (0, 1) two of E_is_t's three 2-isogenous lattices have E_t's j and
     # differ by the unit i, so only the right kernel gives E_t's omega1
-    slots = set()
+    kernels = set()
     partner_basis = periods._partner_basis
 
-    def record(omega1, omega2, order, scale):
-        slots.add(order.index(order[0] ^ 1))
-        return partner_basis(omega1, omega2, order, scale)
+    def record(omega1, omega2, kernel, scale):
+        kernels.add(kernel)
+        return partner_basis(omega1, omega2, kernel, scale)
 
     monkeypatch.setattr(periods, "_partner_basis", record)
     for params in PARTNER_POINTS:
         try:
-            bases = quotient_periods(params, bits)
+            bases, _ = quotient_periods(params, bits)
         except PrecisionError:
             assert _near_a_locus(params), params
             continue
@@ -485,4 +485,101 @@ def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
                 assert _near_a_locus(params), (params, label)
                 continue
             assert same_basis(bases[label], direct, bits), (params, label)
-    assert slots == {1, 2, 3}
+    assert kernels == {(0, 1), (1, 0), (1, 1)}
+
+
+def _random_sl2(rng, steps=6):
+    """A random ((a, b), (c, d)) in SL2(Z), as a product of powers of
+    T = ((1, 1), (0, 1)) and of S = ((0, -1), (1, 0))."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(steps):
+        k = rng.randint(-3, 3)
+        a, b, c, d = a, a * k + b, c, c * k + d
+        a, b, c, d = b, -a, d, -c
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("bits", [128, 1024])
+def test_reduce_basis_carries_the_kernel_class(bits):
+    # the class (m, n) that _reduce_basis returns names the same half-period,
+    # modulo the lattice, as the class it was given names in the input basis;
+    # random bases of generic lattices and of the square and hexagonal ones,
+    # whose units the reduction also applies
+    rng = random.Random(31)
+    with mpmath.workprec(bits + _GUARD_BITS):
+        base_taus = [mpmath.mpc(0, 1), mpmath.expjpi(mpmath.mpf(2) / 3),
+                     mpmath.mpc("0.3", "1.7"), mpmath.mpc("-0.41", "0.93"),
+                     mpmath.mpc("0.07", "12.5")]
+        for _ in range(60):
+            a, b, c, d = _random_sl2(rng)
+            tau = rng.choice(base_taus)
+            scale = mpmath.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            v1, v2 = scale * (c * tau + d), scale * (a * tau + b)
+            for kernel in ((0, 1), (1, 0), (1, 1)):
+                w1, w2, _, (m, n) = _reduce_basis(v1, v2, bits, kernel)
+                assert (m, n) != (0, 0)
+                # the coordinates (x, y) in the reduced basis of the difference
+                # of the two half-periods are integers
+                z = ((kernel[0] * v1 + kernel[1] * v2) - (m * w1 + n * w2)) / 2 / w1
+                y = z.imag / (w2 / w1).imag
+                x = z.real - y * (w2 / w1).real
+                for coordinate in (x, y):
+                    assert (mpmath.fabs(coordinate - mpmath.nint(coordinate))
+                            < mpmath.ldexp(1, 16 - bits)), (tau, (a, b, c, d), kernel)
+
+
+J_POINTS = PARTNER_POINTS + [check_domain(2 + Fraction(1, 10**100), Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024, 4096])
+def test_report_j_matches_the_q_series_of_each_tau(bits, monkeypatch):
+    # quotient_periods runs the q-series at the taus of E_is_t, E_is_it and
+    # E_s_it only, and takes the j of E_t, E_st and E_s from those theta
+    # constants by the duplication formula of the kernel's class; analytic_j at
+    # each printed tau agrees, and each of the three formulas is used
+    kernels = set()
+    isogenous_eighths = periods._isogenous_eighths
+
+    def record(kernel, *thetas):
+        kernels.add(kernel)
+        return isogenous_eighths(kernel, *thetas)
+
+    monkeypatch.setattr(periods, "_isogenous_eighths", record)
+    for params in J_POINTS:
+        try:
+            bases, js = quotient_periods(params, bits)
+        except PrecisionError:
+            assert _near_a_locus(params), params
+            continue
+        for label in ELLIPTIC_LABELS:
+            want = analytic_j(bases[label].tau, bits).to_mpc()
+            got = js[label].to_mpc()
+            with mpmath.workprec(bits + _GUARD_BITS):
+                assert (mpmath.fabs(got - want)
+                        <= mpmath.ldexp(1, 8 - bits) * max(1, mpmath.fabs(want))), (params, label)
+    assert kernels == {(0, 1), (1, 0), (1, 1)}
+
+
+def test_doubled_tau_keeps_its_precision_far_up_the_axis():
+    # at 2 tau, t2'^2 is (B - C)/2 as well, but B and C share about 136 bits at
+    # tau = 30i, more than the guard bits; the factored 4 odd (1 + 2 even)
+    # cancels nothing
+    bits = 1024
+    with mpmath.workprec(bits + _GUARD_BITS):
+        tau = mpmath.mpc(0, 30)
+        thetas = periods._theta_squares(tau, bits)
+        got = periods._j_from_eighths(*periods._isogenous_eighths((1, 0), *thetas))
+        want = analytic_j(2 * tau, bits).to_mpc()
+        assert mpmath.fabs(got - want) <= mpmath.ldexp(1, 8 - bits) * mpmath.fabs(want)
+
+
+def test_periods_keep_the_bits_of_a_tiny_lambda():
+    # 1e-10 from a = b at a = -50 the own lambda of E_s is about 1e-25;
+    # K(1 - lambda) takes the complement lambda itself, not 1 - (1 - lambda)
+    params = check_domain(Fraction(-50), Fraction(-499999999999, 10**10))
+    for label in (CurveLabel.E_s, CurveLabel.E_t, CurveLabel.E_st):
+        model = curve_equation(label, params)
+        got = elliptic_periods_agm(model, 256).tau.to_mpc()
+        want = elliptic_periods_agm(model, 4096).tau.to_mpc()
+        with mpmath.workprec(4096):
+            assert mpmath.fabs(got - want) <= mpmath.ldexp(1, -248) * mpmath.fabs(want), label
