@@ -154,9 +154,6 @@ class Polynomial:
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
@@ -240,6 +237,9 @@ DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
 
 
-def tolerance(precision_bits: int, slack_bits: int = 4) -> float:
-    """2^(-precision_bits + slack_bits); every threshold derives from this."""
-    return math.ldexp(1.0, -precision_bits + slack_bits)
+def tolerance(precision_bits: int) -> float:
+    """2^(4 - precision_bits) as a float.  `periods_report` prints it as
+    `j_delta_tolerance`; the bounds the analytic layer enforces are mpmath
+    numbers at the working precision, since this float is 0.0 once
+    precision_bits passes 1078."""
+    return math.ldexp(1.0, 4 - precision_bits)

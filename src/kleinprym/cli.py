@@ -9,19 +9,19 @@ violation or unexpected failure.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 
 import click
 
 from .errors import InternalInvariantError, KleinPrymError
-from .algebra import MIN_PRECISION_BITS, parse_rational
+from .algebra import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, parse_rational
 from .family import (
     CurveLabel,
     InvolutionLabel,
     QUOTIENT_LABELS,
     check_domain,
+    curve_equation,
     curve_report,
     fixed_point_count,
     quotient_map,
@@ -31,22 +31,6 @@ from .projline import MarkedTuple, MarkingConvention, normalize_tuple
 from .moduli import moduli_report, phi_consistency_report
 from .torsion import MAX_LEVEL, duality_chain, example_surj_report
 from .isogeny import KernelPoint, WeierstrassCurve, dual_nonisomorphism_check
-
-_DEFAULT_BITS_ENV = "KLEINPRYM_DEFAULT_BITS"
-
-
-def _default_bits() -> int:
-    raw = os.environ.get(_DEFAULT_BITS_ENV)
-    if raw is None:
-        return 256
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise KleinPrymError(f"{_DEFAULT_BITS_ENV} must be an integer, got {raw!r}")
-    if bits < MIN_PRECISION_BITS:
-        raise KleinPrymError(f"{_DEFAULT_BITS_ENV} must be >= {MIN_PRECISION_BITS}")
-    return bits
-
 
 class RationalParam(click.ParamType):
     name = "rational"
@@ -119,12 +103,12 @@ def cli():
 def analyze(a, b, fmt):
     """All nine quotient curves, fixed-point profile, and identity checks."""
     params = check_domain(a, b)
-    curves = [curve_report(CurveLabel.Ctilde, params)]
-    verdicts = {}
-    for label in QUOTIENT_LABELS:
-        curves.append(curve_report(label, params))
-        verdicts[label.value] = verify_quotient_identity(quotient_map(label, params),
-                                                         params)
+    models = {label: curve_equation(label, params) for label in CurveLabel}
+    ctilde_rhs = models[CurveLabel.Ctilde].rhs
+    curves = [curve_report(label, model) for label, model in models.items()]
+    verdicts = {label.value: verify_quotient_identity(quotient_map(label), ctilde_rhs,
+                                                      models[label].rhs)
+                for label in QUOTIENT_LABELS}
     profile = {}
     for inv in InvolutionLabel:
         count, fibres = fixed_point_count(inv, params)
@@ -175,14 +159,12 @@ def involution(a, b, convention, fmt):
 @cli.command()
 @click.option("--a", "a", type=RATIONAL, required=True)
 @click.option("--b", "b", type=RATIONAL, required=True)
-@click.option("--bits", type=int, default=None,
-              help=f"Working precision in bits (default {_DEFAULT_BITS_ENV} or 256).")
+@click.option("--bits", type=int, default=DEFAULT_PRECISION_BITS, show_default=True,
+              help="Working precision in bits.")
 @_format_option
 def periods(a, b, bits, fmt):
     """Period lattices of the elliptic quotients and the 2x4 Prym matrix."""
     params = check_domain(a, b)
-    if bits is None:
-        bits = _default_bits()
     if bits < MIN_PRECISION_BITS:
         raise KleinPrymError(f"--bits must be >= {MIN_PRECISION_BITS}")
     from .periods import periods_report  # mpmath loads only for the commands that use it

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .algebra import (
     Polynomial,
-    discriminant,
     format_rational,
     is_squarefree,
     substitute_rational_map,
@@ -171,20 +170,16 @@ def curve_equation(label: CurveLabel, params: FamilyParams) -> HyperellipticMode
 
 @dataclass(frozen=True)
 class QuotientMapData:
-    """The map from the genus-3 curve: x-coordinate U = U_num/U_den and
-    y-coordinate factor W = W_num/W_den (image y = W(x) * y)."""
+    """The map from the genus-3 curve Ctilde onto one quotient: x-coordinate
+    U = U_num/U_den and y-coordinate factor W = W_num/W_den (image y = W(x) * y)."""
 
-    source: CurveLabel
-    target: CurveLabel
     U_num: Polynomial
     U_den: Polynomial
     W_num: Polynomial
     W_den: Polynomial
 
 
-def quotient_map(label: CurveLabel, params: FamilyParams) -> QuotientMapData:
-    if label == CurveLabel.Ctilde:
-        raise ArgumentError("the identity quotient has no map data")
+def _quotient_maps() -> dict:
     x = Polynomial.x()
     one = Polynomial.one()
     x2 = x * x
@@ -204,17 +199,26 @@ def quotient_map(label: CurveLabel, params: FamilyParams) -> QuotientMapData:
         CurveLabel.E_s_it: (quartic_sym, x2, x4 - one, x4),
         CurveLabel.E_is_it: (quartic_sym, x2, asym, x3),
     }
-    u_num, u_den, w_num, w_den = table[label]
-    return QuotientMapData(CurveLabel.Ctilde, label, u_num, u_den, w_num, w_den)
+    return {label: QuotientMapData(*maps) for label, maps in table.items()}
 
 
-def verify_quotient_identity(q: QuotientMapData, params: FamilyParams) -> bool:
-    """Exact check of W(x)^2 * f_source(x) = f_target(U(x)) after clearing
-    denominators."""
-    f_src = curve_equation(q.source, params).rhs
-    f_tgt = curve_equation(q.target, params).rhs
-    num, k = substitute_rational_map(f_tgt, q.U_num, q.U_den)
-    lhs = q.W_num * q.W_num * f_src * (q.U_den ** k)
+# the maps do not depend on (a, b)
+_QUOTIENT_MAPS = _quotient_maps()
+
+
+def quotient_map(label: CurveLabel) -> QuotientMapData:
+    if label == CurveLabel.Ctilde:
+        raise ArgumentError("the identity quotient has no map data")
+    return _QUOTIENT_MAPS[label]
+
+
+def verify_quotient_identity(q: QuotientMapData, ctilde_rhs: Polynomial,
+                             quotient_rhs: Polynomial) -> bool:
+    """Exact check of W(x)^2 * ctilde_rhs(x) = quotient_rhs(U(x)) after
+    clearing denominators, for the right-hand sides of Ctilde and of the
+    quotient that q maps onto."""
+    num, k = substitute_rational_map(quotient_rhs, q.U_num, q.U_den)
+    lhs = q.W_num * q.W_num * ctilde_rhs * (q.U_den ** k)
     rhs = num * q.W_den * q.W_den
     return lhs == rhs
 
@@ -323,8 +327,7 @@ def j_invariant(m: HyperellipticModel) -> Fraction:
     return _short_weierstrass_j(p, q)
 
 
-def curve_report(label: CurveLabel, params: FamilyParams) -> dict:
-    model = curve_equation(label, params)
+def curve_report(label: CurveLabel, model: HyperellipticModel) -> dict:
     report = {"label": label.value}
     report.update(model.to_report())
     return report

@@ -576,27 +576,26 @@ class ReductionTrace:
     basis_change_symplectic: bool
 
 
-def _sym_form_22():
-    z = [0] * 4
-    m = [list(z) for _ in range(4)]
-    m[0][2] = 2
-    m[1][3] = 2
-    m[2][0] = -2
-    m[3][1] = -2
-    return m
+# columns: f1' = f1, f2' = f1 + f2, e1' = e1 - e2, e2' = e2
+_BASIS_CHANGE = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1))
+# the (2,2) polarisation on the columns (f1, f2, e1, e2)
+_SYM_FORM_22 = ((0, 0, 2, 0), (0, 0, 0, 2), (-2, 0, 0, 0), (0, -2, 0, 0))
+# S^T J S == J for S = _BASIS_CHANGE and J = _SYM_FORM_22
+_BASIS_CHANGE_SYMPLECTIC = all(
+    sum(_BASIS_CHANGE[k][i] * _SYM_FORM_22[k][l] * _BASIS_CHANGE[l][j]
+        for k in range(4) for l in range(4)) == _SYM_FORM_22[i][j]
+    for i in range(4) for j in range(4))
 
 
 def product_to_prym_reduction(z1, z2) -> ReductionTrace:
     w1, w2, bits = _upper_pair(z1, z2)
     with mpmath.workprec(bits + _GUARD_BITS):
         zero = mpmath.mpc(0)
-        one = mpmath.mpc(1)
         two = mpmath.mpc(2)
 
         product = ((w1, zero, two, zero), (zero, w2, zero, two))
 
-        # columns: f1' = f1, f2' = f1 + f2, e1' = e1 - e2, e2' = e2
-        S = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1))
+        S = _BASIS_CHANGE
         basis_changed = tuple(
             tuple(sum(product[r][k] * S[k][c] for k in range(4)) for c in range(4))
             for r in range(2)
@@ -611,11 +610,6 @@ def product_to_prym_reduction(z1, z2) -> ReductionTrace:
             tuple(after_quotient[0][c] + after_quotient[1][c] for c in range(4)),
         )
 
-        J = _sym_form_22()
-        StJS = [[sum(S[k][i] * sum(J[k][l] * S[l][j] for l in range(4))
-                     for k in range(4)) for j in range(4)] for i in range(4)]
-        symplectic = StJS == J
-
         def freeze(rows):
             return tuple(tuple(_cap(e, bits) for e in row) for row in rows)
 
@@ -625,7 +619,7 @@ def product_to_prym_reduction(z1, z2) -> ReductionTrace:
             after_quotient=freeze(after_quotient),
             final=freeze(final),
             basis_change=S,
-            basis_change_symplectic=symplectic,
+            basis_change_symplectic=_BASIS_CHANGE_SYMPLECTIC,
         )
 
 
@@ -702,7 +696,6 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
     z2 = bases[CurveLabel.E_st].tau
     matrix = prym_period_matrix(z1, z2)
     residual, min_eig = riemann_check(matrix)
-    trace = product_to_prym_reduction(z1, z2)
     return {
         "precision_bits": precision_bits,
         "periods": {k: pairs[k] for k in sorted(pairs)},
@@ -711,5 +704,5 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
         "prym_period_matrix": matrix.to_report(),
         "riemann_residual_symmetry": float(residual),
         "riemann_min_eigenvalue": float(min_eig),
-        "reduction_symplectic": trace.basis_change_symplectic,
+        "reduction_symplectic": _BASIS_CHANGE_SYMPLECTIC,
     }

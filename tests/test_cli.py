@@ -20,7 +20,7 @@ from kleinprym.acceptance import CriterionResult
 from kleinprym.algebra import tolerance
 from kleinprym.cli import cli, main
 from kleinprym.errors import PrecisionError
-from kleinprym.family import check_domain
+from kleinprym.family import CurveLabel, check_domain, curve_equation
 from kleinprym.periods import periods_report
 
 
@@ -118,12 +118,22 @@ def test_example_surj_lists_kernel():
     assert report["all_ok"]
 
 
-def test_periods_respects_env_default(monkeypatch):
-    monkeypatch.setenv("KLEINPRYM_DEFAULT_BITS", "128")
+def test_periods_defaults_to_256_bits():
     report = json.loads(run("periods", "--a", "0", "--b", "1").output)
-    assert report["precision_bits"] == 128
-    monkeypatch.setenv("KLEINPRYM_DEFAULT_BITS", "not-a-number")
-    assert main(["periods", "--a", "0", "--b", "1"]) == 1
+    assert report["precision_bits"] == 256
+
+
+def test_analyze_builds_each_model_once(monkeypatch):
+    calls = []
+
+    def counted(label, params):
+        calls.append(label)
+        return curve_equation(label, params)
+
+    for where in ("kleinprym.cli", "kleinprym.family"):
+        monkeypatch.setattr(f"{where}.curve_equation", counted)
+    assert run("analyze", "--a", "7/5", "--b", "-13/4").exit_code == 0
+    assert len(calls) == 10 and set(calls) == set(CurveLabel)
 
 
 def test_periods_rejects_tiny_bits():

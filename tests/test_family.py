@@ -167,14 +167,16 @@ def test_off_domain_verdict_matches_the_gcd(a, b):
 def test_quotient_identities_at_reference_points(label):
     for a, b in ((0, 1), (1, 3), (Fraction(-7, 3), Fraction(9, 5))):
         params = check_domain(a, b)
-        assert verify_quotient_identity(quotient_map(label, params), params)
+        assert verify_quotient_identity(quotient_map(label),
+                                        curve_equation(CurveLabel.Ctilde, params).rhs,
+                                        curve_equation(label, params).rhs)
 
 
 @pytest.mark.parametrize("label", QUOTIENT_LABELS)
 def test_identity_sides_have_the_degrees_the_grid_certificate_needs(label):
     # criterion 2 checks each identity on IDENTITY_GRID; that proves it for
     # all (a, b) because both sides have degree < the grid's size in a and b
-    q = quotient_map(label, check_domain(0, 1))
+    q = quotient_map(label)
     u_num, u_den = sympy_polynomial(q.U_num), sympy_polynomial(q.U_den)
     w_num, w_den = sympy_polynomial(q.W_num), sympy_polynomial(q.W_den)
     target = sympy.Poly(SYMBOLIC_RHS[label], X)
@@ -192,19 +194,19 @@ def test_identity_sides_have_the_degrees_the_grid_certificate_needs(label):
 
 def test_quotient_map_rejects_identity_label():
     with pytest.raises(ArgumentError):
-        quotient_map(CurveLabel.Ctilde, check_domain(0, 1))
+        quotient_map(CurveLabel.Ctilde)
+
+
+def test_quotient_map_returns_one_constant_table_entry():
+    for label in QUOTIENT_LABELS:
+        assert quotient_map(label) is quotient_map(label)
 
 
 def test_e_is_it_sign_choice_is_forced():
     # replacing the (x - 2) factor by (x + 2) breaks the identity
-    from kleinprym.algebra import Polynomial, substitute_rational_map
-
-    params = check_domain(0, 1)
-    q = quotient_map(CurveLabel.E_is_it, params)
     wrong = Polynomial((2, 1)) * Polynomial((0, 1)) * Polynomial((1, 1))  # (x+2)x(x+1)
-    f_src = curve_equation(CurveLabel.Ctilde, params).rhs
-    num, k = substitute_rational_map(wrong, q.U_num, q.U_den)
-    assert q.W_num * q.W_num * f_src * (q.U_den ** k) != num * q.W_den * q.W_den
+    ctilde_rhs = curve_equation(CurveLabel.Ctilde, check_domain(0, 1)).rhs
+    assert not verify_quotient_identity(quotient_map(CurveLabel.E_is_it), ctilde_rhs, wrong)
 
 
 @given(domain_params)
