@@ -27,7 +27,7 @@ from .family import (
     verify_quotient_identity,
 )
 from .projline import FULLY_ORDERED, MobiusMap, normalize_tuple, tuple_of_params
-from .moduli import phi_consistency_report, phi_params, prym_fiber_invariants
+from .moduli import phi_consistency_report, phi_fiber, phi_params, prym_fiber_invariants
 from .torsion import MAX_LEVEL, duality_chain, example_surj_report
 from .isogeny import (
     KernelPoint,
@@ -276,9 +276,9 @@ def criterion_8() -> CriterionResult:
         for params in samples:
             # the bases and j values periods_report uses, three of each from
             # 2-isogenous partners
-            bases, js = quotient_periods(params, bits)
-            for label in ELLIPTIC_LABELS:
-                model = curve_equation(label, params)
+            models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
+            bases, js = quotient_periods(models, bits)
+            for label, model in models.items():
                 pair = bases[label]
                 direct = elliptic_periods_agm(model, bits)
                 approx = analytic_j(pair.tau, bits)
@@ -306,7 +306,8 @@ def criterion_8() -> CriterionResult:
 
         # the CM anchor, where tau is exact, and a generic point
         for params in (check_domain(0, 1), check_domain(Fraction(7, 5), Fraction(-13, 4))):
-            bases, _ = quotient_periods(params, bits)
+            bases, _ = quotient_periods(
+                {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}, bits)
             z1, z2 = bases[CurveLabel.E_t].tau, bases[CurveLabel.E_st].tau
             matrix = prym_period_matrix(z1, z2)
             residual, min_eig = riemann_check(matrix)
@@ -341,7 +342,7 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     def body():
-        report = phi_consistency_report(check_domain(1, 3))
+        report = phi_consistency_report(phi_fiber(check_domain(1, 3)))
         if report["raw_tuple_normalized_ordered"] != [["1", "3"]]:
             return False, ("raw tuple form did not normalise to (1,3): "
                            f"{report['raw_tuple_normalized_ordered']}")

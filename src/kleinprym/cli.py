@@ -28,7 +28,7 @@ from .family import (
     verify_quotient_identity,
 )
 from .projline import MarkedTuple, MarkingConvention, normalize_tuple
-from .moduli import moduli_report, phi_consistency_report
+from .moduli import moduli_report, phi_consistency_report, phi_fiber
 from .torsion import MAX_LEVEL, duality_chain, example_surj_report
 from .isogeny import KernelPoint, WeierstrassCurve, dual_nonisomorphism_check
 
@@ -151,8 +151,9 @@ def involution(a, b, convention, fmt):
     """The deck involution: image, fibre invariants, consistency report."""
     params = check_domain(a, b)
     conv = MarkingConvention.from_name(convention)
-    report = moduli_report(params)
-    report["consistency"] = phi_consistency_report(params, conv)
+    fiber = phi_fiber(params)
+    report = moduli_report(fiber)
+    report["consistency"] = phi_consistency_report(fiber, conv)
     _emit(report, fmt)
 
 

@@ -97,10 +97,28 @@ def prym_fiber_invariants(params: FamilyParams) -> PrymFiberInvariants:
     return PrymFiberInvariants(top, bottom)
 
 
+@dataclass(frozen=True)
+class PhiFiber:
+    """A parameter point, its image under phi, and the fibre invariants at
+    both, computed once for every report that reads them."""
+
+    params: FamilyParams
+    image: FamilyParams
+    invariants: PrymFiberInvariants
+    image_invariants: PrymFiberInvariants
+
+
+def phi_fiber(params: FamilyParams) -> PhiFiber:
+    """phi at params and the fibre invariants at both points; PhiUndefined
+    for a + b = 0."""
+    image = phi_params(params)
+    return PhiFiber(params, image, prym_fiber_invariants(params), prym_fiber_invariants(image))
+
+
 CONVENTION_NAMES = ("ordered", "pair-unordered", "all-unordered")
 
 
-def phi_consistency_report(params: FamilyParams,
+def phi_consistency_report(fiber: PhiFiber,
                            conv: MarkingConvention = MarkingConvention()) -> dict:
     """Structured comparison of the three presentations of phi.
 
@@ -108,11 +126,8 @@ def phi_consistency_report(params: FamilyParams,
     normalises back to the input parameters, and the printed matrix undoes
     the raw form instead of reproducing the parameter form.
     """
-    if not params.phi_defined:
-        raise PhiUndefined("phi undefined: a + b = 0")
-
+    params, image = fiber.params, fiber.image
     t = tuple_of_params(params)
-    image = phi_params(params)
     raw = phi_tuple_raw(t)
 
     ordered = MarkingConvention(pair_ordered=True, triple_tail_ordered=True)
@@ -140,8 +155,6 @@ def phi_consistency_report(params: FamilyParams,
     def fmt_params(p):
         return [format_rational(p.a), format_rational(p.b)]
 
-    inv_here = prym_fiber_invariants(params)
-    inv_image = prym_fiber_invariants(image)
     return {
         "params": fmt_params(params),
         "phi_params": fmt_params(image),
@@ -151,15 +164,14 @@ def phi_consistency_report(params: FamilyParams,
         "printed_matrix_image": fmt_params(matrix_image),
         "printed_matrix_returns_input": matrix_returns_input,
         "printed_matrix_matches_parameter_form": matrix_matches_eq2,
-        "fiber_invariants_match": inv_here == inv_image,
+        "fiber_invariants_match": fiber.invariants == fiber.image_invariants,
         "equivalence_verdicts": verdicts,
         "inconsistency_flags": flags,
     }
 
 
-def moduli_report(params: FamilyParams) -> dict:
-    image = phi_params(params)
-    inv = prym_fiber_invariants(params)
+def moduli_report(fiber: PhiFiber) -> dict:
+    params, image, inv = fiber.params, fiber.image, fiber.invariants
     return {
         "params": [format_rational(params.a), format_rational(params.b)],
         "phi_params": [format_rational(image.a), format_rational(image.b)],

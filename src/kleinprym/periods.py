@@ -1,35 +1,43 @@
-"""High-precision analytic layer: elliptic periods through the optimal
-complex AGM, the modular j-value from theta constants, the explicit 2x4
-Prym period matrix with polarisation type (1,2), and Riemann-relation checks.
+"""High-precision analytic layer: elliptic periods through the AGM, the
+modular j-value from theta constants, the explicit 2x4 Prym period matrix
+with polarisation type (1,2), and Riemann-relation checks.
 
 Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
 
-* the branch points are the roots of f at the working precision.  Models
-  of the family carry the rational factors of f, all of degree <= 2, and
-  each is solved in closed form; mpmath.polyroots runs only for models
-  built from a bare f;
 * a quartic is converted to a cubic with the *same* period lattice by
   x = r + 1/u, w = y u^2 for a root r of f (dx/y = -du/w);
 * the cubic c (u - e1)(u - e2)(u - e3) is sent to the three-root normal
   form s (s - 1)(s - lambda) by u = e1 + (e2 - e1) s, which scales the
   lattice by (c (e2 - e1))^(-1/2);
 * the normal form has lattice basis (2 K(lambda), 2 i K(1 - lambda)) with
-  K(m) = pi / (2 M(1, sqrt(1 - m))) computed by the optimal AGM from the
-  complement 1 - m, taken as (e2 - e3)/(e2 - e1) and lambda, so a tiny
-  lambda keeps its bits; the root
-  e3 is chosen, by scores at the working precision, so that lambda stays
-  away from the two real cuts (-inf, 0] and [1, +inf), where that basis is
-  the analytic continuation of the real-root case and hence remains a
-  genuine lattice basis;
+  K(m) = pi / (2 M(1, sqrt(1 - m))) computed from the complement 1 - m,
+  taken as (e2 - e3)/(e2 - e1) and lambda, so a tiny lambda keeps its bits;
+* the exact rational path, for models whose factors are all linear (the
+  AGM partners E_is_t, E_is_it and E_s_it of a report): the roots -c0/c1,
+  the pivot (a cubic's point at infinity, a quartic's root r3), the e's,
+  lambda, 1 - lambda and c (e2 - e1) are `Fraction`s, each rounded once.
+  e3 is the middle one of the three real e's and e1, e2 the outer two with
+  lambda <= 1/2, the smaller first at lambda = 1/2, so lambda lies in
+  (0, 1/2] and both AGMs are of positive reals: mpmath's fixed-point `agm`
+  on mpf.  The scale is 1/sqrt(c), or -i/sqrt(|c|) for c < 0;
+* the general path, for everything else (`elliptic_periods_agm`): the
+  branch points are the roots of f at the working precision.  Models of the
+  family carry the rational factors of f, all of degree <= 2, and each is
+  solved in closed form; mpmath.polyroots runs only for models built from a
+  bare f.  The quartic's pivot is its root farthest from the others in
+  float64, and the root e3 is chosen, by scores at the working precision,
+  so that lambda stays away from the two real cuts (-inf, 0] and [1, +inf),
+  where the basis above is the analytic continuation of the real-root case
+  and hence remains a genuine lattice basis.  Its AGM is the optimal
+  complex AGM, which stops one square root before full convergence: once
+  |a - b|^2 <= 2^(-bits-64) |a|^2, (a + b)/2 is within 2^(-bits-67) |a| of
+  M(a, b);
 * that basis is then reduced to one normal form, tau = omega2/omega1 in the
   fundamental domain of SL2(Z) and omega1 in the right half-plane, turned
   at tau = i and e^(2 pi i/3) by a unit of the lattice into the sector
   |arg omega1| <= pi/4 or pi/6, so the reported basis depends on the
-  lattice alone, not on the root ordering, the square-root branches or the
-  precision;
-* the optimal AGM stops one square root before full convergence: once
-  |a - b|^2 <= 2^(-bits-64) |a|^2, (a + b)/2 is within 2^(-bits-67) |a| of
-  M(a, b).
+  lattice alone, not on the root ordering, the square-root branches, the
+  path or the precision.
 
 A periods report runs the AGM for three of the six elliptic quotients only.
 The family's equations give three 2-isogenies onto them,
@@ -43,11 +51,11 @@ so the lattices of E_t, E_st and E_s are scale (L + Z t), with scale
 partner on the right and t the half-period of the partner's 2-torsion
 point P(-a) - P(-b), which is P(-2) - P(inf) on E_is_t, P(2) - P(inf) on
 E_is_it and P(2) - P(-2) on E_s_it.  The partners' branch points -a, -b
-and +-2 are rational, so their lambda is real.  The kernel point is found by
-root identity, not by a numeric comparison: with the roots numbered r0, r1,
-r2, r3 = -a, -b, then +-2 in factor order and infinity for a cubic, it is
-P(r_k) - P(r_p) for the root r_p sent to infinity (the pivot of
-x = r_p + 1/u) and k = p xor 1.
+and +-2 are rational, so they take the exact path.  The kernel point is
+found by root identity, not by a numeric comparison: with the roots
+numbered r0, r1, r2, r3 = -a, -b, then +-2 in factor order and infinity for
+a cubic, it is P(r_k) - P(r_p) for the root r_p sent to infinity (the pivot
+of x = r_p + 1/u; r3 on the exact path) and k = p xor 1.
 With (e1, e2, e3) sent to (0, 1, lambda) the half-periods are
 
     r_k = e1:  omega2/2,     basis of L + Z t: (omega1, omega2/2)
@@ -89,6 +97,7 @@ All tolerances are powers of two relative to the requested precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
@@ -230,7 +239,7 @@ def _legendre_order(roots, precision_bits: int):
     slack = mpmath.ldexp(1, -precision_bits // 2)
     if best < slack:
         raise PrecisionError("branch-point cross-ratio too close to the cuts")
-    return next(o for o, s in zip(orders, scores) if s > best - slack)
+    return next(o for o, s in zip(orders, scores) if s >= best - slack)
 
 
 def _reduce_basis(w1, w2, precision_bits: int, kernel=(0, 0)):
@@ -333,6 +342,46 @@ def _legendre_basis(model: HyperellipticModel, precision_bits: int):
     return omega1, omega2, (pivot, i1, i2, i3)
 
 
+def _rounded(x: Fraction) -> mpmath.mpf:
+    """x rounded once to the working precision."""
+    return mpmath.fdiv(x.numerator, x.denominator)
+
+
+def _rational_legendre_basis(model: HyperellipticModel):
+    """`_legendre_basis` for a model whose factors are all linear, on the
+    exact rational path of the module docstring: the roots -c0/c1, the
+    ordering, lambda, 1 - lambda and c (e2 - e1) are `Fraction`s, each
+    rounded once, and both AGMs are of positive reals.  The pivot is always
+    3, a cubic's point at infinity or a quartic's root r3.  Runs at the
+    caller's precision."""
+    e = [-f[0] / f[1] for f in model.factors]
+    lead = model.rhs.leading
+    if len(e) == 4:
+        # x = r3 + 1/u: e_j = 1/(r_j - r3), and the lead gains prod (r3 - r_j)
+        r3 = e.pop()
+        for r in e:
+            lead *= r3 - r
+        e = [1 / (r - r3) for r in e]
+    # e3 is the middle e; e1 and e2 the outer two, with lambda <= 1/2 and the
+    # smaller first at lambda = 1/2
+    i1, i3, i2 = sorted(range(3), key=e.__getitem__)
+    if 2 * (e[i3] - e[i1]) > e[i2] - e[i1]:
+        i1, i2 = i2, i1
+    d = e[i2] - e[i1]
+    lam = (e[i3] - e[i1]) / d
+    c = lead * d
+    # 2 K(lambda) and 2 K(1 - lambda), each from its complement
+    k = mpmath.pi / mpmath.agm(1, mpmath.sqrt(_rounded(1 - lam)))
+    k_c = mpmath.pi / mpmath.agm(1, mpmath.sqrt(_rounded(lam)))
+    # the scale 1/sqrt(c) on the principal branch: -i/sqrt(|c|) for c < 0
+    s = 1 / mpmath.sqrt(_rounded(abs(c)))
+    if c > 0:
+        omega1, omega2 = mpmath.mpc(s * k), mpmath.mpc(0, s * k_c)
+    else:
+        omega1, omega2 = mpmath.mpc(0, -s * k), mpmath.mpc(s * k_c)
+    return omega1, omega2, (3, i1, i2, i3)
+
+
 def _period_pair(omega1, omega2, tau, precision_bits: int) -> PeriodPair:
     return PeriodPair(_cap(omega1, precision_bits),
                       _cap(omega2, precision_bits),
@@ -390,19 +439,19 @@ def _partner_basis(omega1, omega2, kernel, scale):
     return scale * w1, scale * w2
 
 
-def quotient_periods(params, precision_bits: int = DEFAULT_PRECISION_BITS):
+def quotient_periods(models, precision_bits: int = DEFAULT_PRECISION_BITS):
     """(bases, js): the reduced period basis (`PeriodPair`) and the j-value
-    (`ComplexApprox`) of each of the six elliptic quotients, keyed by label.
-    E_is_t, E_is_it and E_s_it get their bases by the optimal AGM, as
-    `elliptic_periods_agm` computes them, and their j from the theta
-    constants at their tau; E_t, E_st and E_s get theirs from those lattices
-    through the 2-isogenies of `_PARTNERS`, with no AGM, and their j from the
-    same theta constants by the duplication formulas, with no q-series."""
+    (`ComplexApprox`) of each of the six elliptic quotients, keyed by label,
+    from `models`, their built models keyed by label.  E_is_t, E_is_it and
+    E_s_it get their bases by the real AGM of `_rational_legendre_basis` and
+    their j from the theta constants at their tau; E_t, E_st and E_s get
+    theirs from those lattices through the 2-isogenies of `_PARTNERS`, with no
+    AGM, and their j from the same theta constants by the duplication
+    formulas, with no q-series."""
     bases, js = {}, {}
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         for partner, label, scale in _PARTNERS:
-            omega1, omega2, order = _legendre_basis(curve_equation(partner, params),
-                                                    precision_bits)
+            omega1, omega2, order = _rational_legendre_basis(models[partner])
             kernel = _kernel_class(order)
             w1, w2, tau, reduced_kernel = _reduce_basis(omega1, omega2, precision_bits, kernel)
             bases[partner] = pair = _period_pair(w1, w2, tau, precision_bits)
@@ -674,14 +723,15 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
     must be at most j_delta_tolerance * max(1, |j|), or PrecisionError is
     raised."""
     tol = tolerance(precision_bits // 4)
-    bases, js = quotient_periods(params, precision_bits)
+    models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
+    bases, js = quotient_periods(models, precision_bits)
     deltas = {}
     pairs = {}
     for label in ELLIPTIC_LABELS:
         pair = bases[label]
         pairs[label.value] = {"omega1": _cell(pair.omega1), "omega2": _cell(pair.omega2),
                               "tau": _cell(pair.tau)}
-        exact = j_invariant(curve_equation(label, params))
+        exact = j_invariant(models[label])
         with mpmath.workprec(precision_bits):
             exact_c = mpmath.mpf(exact.numerator) / exact.denominator
             delta = mpmath.fabs(js[label].to_mpc() - exact_c)

@@ -21,6 +21,7 @@ from kleinprym.algebra import tolerance
 from kleinprym.cli import cli, main
 from kleinprym.errors import PrecisionError
 from kleinprym.family import CurveLabel, check_domain, curve_equation
+from kleinprym.moduli import phi_params
 from kleinprym.periods import periods_report
 
 
@@ -136,6 +137,25 @@ def test_analyze_builds_each_model_once(monkeypatch):
     assert len(calls) == 10 and set(calls) == set(CurveLabel)
 
 
+def test_involution_builds_each_model_once(monkeypatch):
+    # the four models of the fibre invariants at (a, b) and at phi(a, b)
+    models, phis = [], []
+
+    def counted_model(label, params):
+        models.append((label, params))
+        return curve_equation(label, params)
+
+    def counted_phi(params):
+        phis.append(params)
+        return phi_params(params)
+
+    monkeypatch.setattr("kleinprym.moduli.curve_equation", counted_model)
+    monkeypatch.setattr("kleinprym.moduli.phi_params", counted_phi)
+    assert run("involution", "--a", "7/5", "--b", "-13/4").exit_code == 0
+    assert len(models) == len(set(models)) == 8
+    assert phis == [check_domain(Fraction(7, 5), Fraction(-13, 4))]
+
+
 def test_periods_rejects_tiny_bits():
     assert main(["periods", "--a", "0", "--b", "1", "--bits", "16"]) == 1
 
@@ -202,8 +222,8 @@ def test_periods_refuses_a_derived_j_that_misses_the_closure(monkeypatch):
 def test_periods_answers_where_only_the_derived_quotients_are_near_the_cuts(capsys):
     # 1e-10 from a = b the cross-ratios of the own roots of E_t, E_st and E_s
     # are too close to the cuts for 128 bits; the report takes those three
-    # from E_is_t, E_is_it and E_s_it, whose real roots -a, -b, +-2 give
-    # cross-ratios that 128 bits can score
+    # from E_is_t, E_is_it and E_s_it, whose rational roots -a, -b, +-2 give
+    # an exact lambda
     point = ["periods", "--a", "7/5", "--b", "14000000001/10000000000"]
     reports = []
     for bits in ("128", "1024"):
@@ -215,6 +235,13 @@ def test_periods_answers_where_only_the_derived_quotients_are_near_the_cuts(caps
             got, want = (complex(float(c["re"]), float(c["im"]))
                          for c in (report[label][name], cell))
             assert abs(got - want) <= 2 ** -50 * abs(want), (label, name)
+
+
+def test_periods_answers_1e_minus_40_from_a_equals_b():
+    # the rounded roots -a and -b agreed too closely for 128 bits to rank the
+    # orderings; exact Legendre data need no ranking
+    b = str(Fraction(7, 5) + Fraction(1, 10**40))
+    assert main(["periods", "--a", "7/5", "--b", b, "--bits", "128"]) == 0
 
 
 def test_torsion_range_is_validated():

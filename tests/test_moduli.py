@@ -7,6 +7,7 @@ from kleinprym.errors import PhiUndefined
 from kleinprym.family import check_domain
 from kleinprym.moduli import (
     phi_consistency_report,
+    phi_fiber,
     phi_params,
     phi_tuple_raw,
     printed_matrix,
@@ -71,7 +72,7 @@ def test_printed_matrix_undoes_raw_tuple_form():
 
 
 def test_consistency_report_flags_exactly_two_issues():
-    report = phi_consistency_report(check_domain(1, 3))
+    report = phi_consistency_report(phi_fiber(check_domain(1, 3)))
     assert report["raw_tuple_normalized_ordered"] == [["1", "3"]]
     assert report["phi_params"] == ["-1", "-3"]
     assert report["printed_matrix_returns_input"]
@@ -85,4 +86,4 @@ def test_consistency_report_flags_exactly_two_issues():
 
 def test_consistency_report_requires_phi_defined():
     with pytest.raises(PhiUndefined):
-        phi_consistency_report(check_domain(1, -1))
+        phi_consistency_report(phi_fiber(check_domain(1, -1)))

@@ -457,10 +457,15 @@ def _near_a_locus(params):
 PARTNER_POINTS = CANONICAL_POINTS + [check_domain(0, 1)] + near_locus_params(Fraction(7, 5))
 
 
+def _models(params):
+    return {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
+
+
 @pytest.mark.parametrize("bits", [128, 256, 1024])
 def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
-    # periods_report takes E_t, E_st and E_s from the lattices of E_is_t,
-    # E_is_it and E_s_it; the AGM on their own models gives the same reduced
+    # periods_report takes E_is_t, E_is_it and E_s_it from their exact
+    # Legendre data and E_t, E_st and E_s from those lattices; the general
+    # path of elliptic_periods_agm on each own model gives the same reduced
     # basis, with the kernel's half-period in each of the three Legendre slots.
     # At (0, 1) two of E_is_t's three 2-isogenous lattices have E_t's j and
     # differ by the unit i, so only the right kernel gives E_t's omega1
@@ -473,19 +478,100 @@ def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
 
     monkeypatch.setattr(periods, "_partner_basis", record)
     for params in PARTNER_POINTS:
-        try:
-            bases, _ = quotient_periods(params, bits)
-        except PrecisionError:
-            assert _near_a_locus(params), params
-            continue
-        for _, label, _ in periods._PARTNERS:
+        models = _models(params)
+        bases, _ = quotient_periods(models, bits)
+        for label, model in models.items():
             try:
-                direct = elliptic_periods_agm(curve_equation(label, params), bits)
+                direct = elliptic_periods_agm(model, bits)
             except PrecisionError:
                 assert _near_a_locus(params), (params, label)
                 continue
             assert same_basis(bases[label], direct, bits), (params, label)
     assert kernels == {(0, 1), (1, 0), (1, 1)}
+
+
+def _exact_legendre_data(model, order):
+    """(lambda, c, e1 < e2) of the ordering (pivot, i1, i2, i3) that
+    `_rational_legendre_basis` reports, recomputed from the model's rational
+    roots: the pivot is a cubic's point at infinity (3) or a quartic's root."""
+    roots = [-f[0] / f[1] for f in model.factors]
+    lead = model.rhs.leading
+    pivot = order[0]
+    if len(roots) == 4:
+        r = roots[pivot]
+        e = {j: 1 / (rj - r) for j, rj in enumerate(roots) if j != pivot}
+        for j in e:
+            lead *= r - roots[j]
+    else:
+        assert pivot == 3
+        e = dict(enumerate(roots))
+    e1, e2, e3 = (e[i] for i in order[1:])
+    return (e3 - e1) / (e2 - e1), lead * (e2 - e1), e1 < e2
+
+
+@pytest.mark.parametrize("bits", [128, 1024])
+def test_exact_legendre_step_matches_the_general_formula(bits):
+    # the first basis of each AGM partner is (2 K(lambda), 2 i K(1 - lambda))
+    # / sqrt(c) on the principal branch, for the exact lambda in (0, 1/2] and
+    # c = lead (e2 - e1) of the reported ordering, the quartic's pivot r3;
+    # both signs of c occur
+    signs = set()
+    for params in PARTNER_POINTS:
+        for partner, _, _ in periods._PARTNERS:
+            model = curve_equation(partner, params)
+            with mpmath.workprec(bits + _GUARD_BITS):
+                omega1, omega2, order = periods._rational_legendre_basis(model)
+                assert order[0] == 3
+                lam, c, ascending = _exact_legendre_data(model, order)
+                assert 0 < lam < Fraction(1, 2) or (lam == Fraction(1, 2) and ascending)
+                signs.add(c > 0)
+                scale = 1 / mpmath.sqrt(mpmath.mpc(periods._rounded(c)))
+                want1 = scale * 2 * periods._complete_K(periods._rounded(1 - lam), bits)
+                want2 = scale * 2j * periods._complete_K(periods._rounded(lam), bits)
+                for got, want in ((omega1, want1), (omega2, want2)):
+                    assert (mpmath.fabs(got - want)
+                            <= mpmath.ldexp(1, 8 - bits) * mpmath.fabs(want)), (params, partner)
+    assert signs == {True, False}
+
+
+@pytest.mark.parametrize("a,b,order", [(3, 1, (3, 0, 1, 2)), (1, 3, (3, 1, 0, 2))])
+def test_a_lambda_tie_puts_the_smaller_root_first(a, b, order):
+    # E_is_t has the roots -a, -b, -2: -2 is the midpoint of -3 and -1, so
+    # both orderings of the outer roots give lambda = 1/2, and -3 comes first
+    model = curve_equation(CurveLabel.E_is_t, check_domain(a, b))
+    with mpmath.workprec(BITS + _GUARD_BITS):
+        assert periods._rational_legendre_basis(model)[2] == order
+    assert _exact_legendre_data(model, order)[0] == Fraction(1, 2)
+
+
+NEAR_A_LOCUS = [check_domain(2 + Fraction(1, 10**100), Fraction(1, 3)),
+                check_domain(Fraction(7, 5), Fraction(7, 5) + Fraction(1, 10**40))]
+
+
+@pytest.mark.parametrize("params", NEAR_A_LOCUS, ids=repr)
+def test_report_taus_keep_their_bits_near_a_locus(params):
+    # the general path rounds -a and -b before it subtracts them, and meets
+    # the 4096-bit tau only to about 2^-763 and 2^-958 at 1024 bits here;
+    # exact Legendre data keep every bit, and the derived quotients inherit them
+    models = _models(params)
+    reference, _ = quotient_periods(models, 4096)
+    for bits in (256, 1024):
+        bases, _ = quotient_periods(models, bits)
+        for label in ELLIPTIC_LABELS:
+            got, want = bases[label].tau.to_mpc(), reference[label].tau.to_mpc()
+            with mpmath.workprec(4096):
+                assert (mpmath.fabs(got - want)
+                        <= mpmath.ldexp(1, 8 - bits) * mpmath.fabs(want)), (label, bits)
+
+
+def test_legendre_order_keeps_the_best_score_when_the_slack_rounds_away():
+    # E_t's own lambda is about 3e49 here, so best - 2^(-64) rounds to best at
+    # 128 bits; the best score must still be chosen
+    model = curve_equation(CurveLabel.E_t, NEAR_A_LOCUS[0])
+    got = elliptic_periods_agm(model, 128).tau.to_mpc()
+    want = elliptic_periods_agm(model, 1024).tau.to_mpc()
+    with mpmath.workprec(1024):
+        assert mpmath.fabs(got - want) <= mpmath.ldexp(1, -120) * mpmath.fabs(want)
 
 
 def _random_sl2(rng, steps=6):
@@ -528,7 +614,7 @@ def test_reduce_basis_carries_the_kernel_class(bits):
                             < mpmath.ldexp(1, 16 - bits)), (tau, (a, b, c, d), kernel)
 
 
-J_POINTS = PARTNER_POINTS + [check_domain(2 + Fraction(1, 10**100), Fraction(1, 3))]
+J_POINTS = PARTNER_POINTS + NEAR_A_LOCUS
 
 
 @pytest.mark.parametrize("bits", [128, 256, 1024, 4096])
@@ -546,11 +632,7 @@ def test_report_j_matches_the_q_series_of_each_tau(bits, monkeypatch):
 
     monkeypatch.setattr(periods, "_isogenous_eighths", record)
     for params in J_POINTS:
-        try:
-            bases, js = quotient_periods(params, bits)
-        except PrecisionError:
-            assert _near_a_locus(params), params
-            continue
+        bases, js = quotient_periods(_models(params), bits)
         for label in ELLIPTIC_LABELS:
             want = analytic_j(bases[label].tau, bits).to_mpc()
             got = js[label].to_mpc()
