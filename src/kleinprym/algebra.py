@@ -11,14 +11,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DegreeError
+from .errors import ArgumentError, DegreeError
 
 Rational = Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p"."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p"; ArgumentError for any other text, "1/0" included."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ArgumentError(f"{text!r} is not a rational p/q") from None
 
 
 def format_rational(r: Fraction) -> str:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import click
 
-from .errors import InternalInvariantError, KleinPrymError
+from .errors import ArgumentError, InternalInvariantError, KleinPrymError
 from .algebra import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, parse_rational
 from .family import (
     CurveLabel,
@@ -27,7 +27,7 @@ from .family import (
     quotient_map,
     verify_quotient_identity,
 )
-from .projline import MarkedTuple, MarkingConvention, normalize_tuple
+from .projline import CONVENTIONS, MarkedTuple, MarkingConvention, normalize_tuple
 from .moduli import moduli_report, phi_consistency_report, phi_fiber
 from .torsion import MAX_LEVEL, duality_chain, example_surj_report
 from .isogeny import KernelPoint, WeierstrassCurve, dual_nonisomorphism_check
@@ -40,8 +40,8 @@ class RationalParam(click.ParamType):
             return value
         try:
             return parse_rational(value)
-        except ValueError:
-            self.fail(f"{value!r} is not a rational p/q", param, ctx)
+        except ArgumentError as exc:
+            self.fail(str(exc), param, ctx)
 
 
 RATIONAL = RationalParam()
@@ -50,7 +50,7 @@ _format_option = click.option("--format", "fmt", type=click.Choice(["json", "tex
                               default="json", show_default=True,
                               help="Output encoding; text is a projection of the JSON.")
 _convention_option = click.option(
-    "--convention", type=click.Choice(["ordered", "pair-unordered", "all-unordered"]),
+    "--convention", type=click.Choice(list(CONVENTIONS)),
     default="pair-unordered", show_default=True,
     help="Which parts of the marking carry an ordering.")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, OrderError, PointError, SingularError
-from .algebra import format_rational
+from .algebra import format_rational, parse_rational
 from .family import HyperellipticModel, short_weierstrass_coefficients
 
 MAX_KERNEL_ORDER = 12
@@ -39,7 +39,7 @@ class WeierstrassCurve:
         parts = text.split(",")
         if len(parts) != 2:
             raise ArgumentError(f"curve format is 'p,q', got {text!r}")
-        return cls.make(Fraction(parts[0]), Fraction(parts[1]))
+        return cls.make(parse_rational(parts[0]), parse_rational(parts[1]))
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
         return y * y == x ** 3 + self.p * x + self.q
@@ -127,7 +127,7 @@ class KernelPoint:
         parts = text.split(",")
         if len(parts) != 2:
             raise ArgumentError(f"point format is 'x,y', got {text!r}")
-        return cls.on_curve(curve, Fraction(parts[0]), Fraction(parts[1]))
+        return cls.on_curve(curve, parse_rational(parts[0]), parse_rational(parts[1]))
 
 
 def velu_quotient(curve: WeierstrassCurve, P: KernelPoint) -> WeierstrassCurve:

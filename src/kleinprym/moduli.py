@@ -20,6 +20,9 @@ from .errors import ArgumentError, DegenerateConfiguration, PhiUndefined
 from .algebra import format_rational
 from .family import CurveLabel, FamilyParams, check_domain, curve_equation, j_invariant
 from .projline import (
+    CANONICAL_TRIPLE,
+    CONVENTIONS,
+    FULLY_ORDERED,
     MarkedTuple,
     MarkingConvention,
     MobiusMap,
@@ -44,8 +47,6 @@ def phi_params(params: FamilyParams) -> FamilyParams:
 
 
 def _params_of_canonical(t: MarkedTuple) -> FamilyParams:
-    from .projline import CANONICAL_TRIPLE
-
     if t.triple != CANONICAL_TRIPLE or t.distinguished_index != 0:
         raise ArgumentError("tuple is not in the canonical frame")
     if any(p.is_infinity for p in t.pair):
@@ -115,9 +116,6 @@ def phi_fiber(params: FamilyParams) -> PhiFiber:
     return PhiFiber(params, image, prym_fiber_invariants(params), prym_fiber_invariants(image))
 
 
-CONVENTION_NAMES = ("ordered", "pair-unordered", "all-unordered")
-
-
 def phi_consistency_report(fiber: PhiFiber,
                            conv: MarkingConvention = MarkingConvention()) -> dict:
     """Structured comparison of the three presentations of phi.
@@ -130,8 +128,7 @@ def phi_consistency_report(fiber: PhiFiber,
     t = tuple_of_params(params)
     raw = phi_tuple_raw(t)
 
-    ordered = MarkingConvention(pair_ordered=True, triple_tail_ordered=True)
-    raw_normalized = [r.params for r in normalize_tuple(raw, ordered)]
+    raw_normalized = [r.params for r in normalize_tuple(raw, FULLY_ORDERED)]
     raw_normalized_conv = [r.params for r in normalize_tuple(raw, conv)]
 
     matrix = printed_matrix(params)
@@ -149,8 +146,8 @@ def phi_consistency_report(fiber: PhiFiber,
 
     verdicts = {}
     phi_t = tuple_of_params(image)
-    for name in CONVENTION_NAMES:
-        verdicts[name] = tuples_equivalent(t, phi_t, MarkingConvention.from_name(name))
+    for name, named in CONVENTIONS.items():
+        verdicts[name] = tuples_equivalent(t, phi_t, named)
 
     def fmt_params(p):
         return [format_rational(p.a), format_rational(p.b)]

@@ -54,13 +54,13 @@ E_is_it and P(2) - P(-2) on E_s_it.  The partners' branch points -a, -b
 and +-2 are rational, so they take the exact path.  The kernel point is
 found by root identity, not by a numeric comparison: with the roots
 numbered r0, r1, r2, r3 = -a, -b, then +-2 in factor order and infinity for
-a cubic, it is P(r_k) - P(r_p) for the root r_p sent to infinity (the pivot
-of x = r_p + 1/u; r3 on the exact path) and k = p xor 1.
-With (e1, e2, e3) sent to (0, 1, lambda) the half-periods are
+a cubic, the exact path always sends r3 to infinity (a quartic's pivot of
+x = r3 + 1/u, a cubic's own point at infinity), so the kernel point is
+P(r2) - P(r3).  With (e1, e2, e3) sent to (0, 1, lambda) the half-periods are
 
-    r_k = e1:  omega2/2,     basis of L + Z t: (omega1, omega2/2)
-    r_k = e2:  omega1/2,                       (omega1/2, omega2)
-    r_k = e3:  (omega1 + omega2)/2,            (omega1, (omega1 + omega2)/2)
+    r2 = e1:  omega2/2,     basis of L + Z t: (omega1, omega2/2)
+    r2 = e2:  omega1/2,                       (omega1/2, omega2)
+    r2 = e3:  (omega1 + omega2)/2,            (omega1, (omega1 + omega2)/2)
 
 and the result goes through the same reduction to the normal form.  No j
 comparison could choose among the three lattices: at (a, b) = (0, 1) two of
@@ -294,52 +294,37 @@ def _reduce_basis(w1, w2, precision_bits: int, kernel=(0, 0)):
 
 
 def _legendre_basis(model: HyperellipticModel, precision_bits: int):
-    """(omega1, omega2, order): a first basis of the period lattice of
-    y^2 = f(x), deg f in {3, 4}, from the optimal AGM, and the indices into
-    `_branch_points(model)` of the roots that go to infinity, 0, 1 and lambda
-    of the Legendre form s (s - 1)(s - lambda), with 3 standing for a cubic's
-    own point at infinity.  The half-period of the 2-torsion point
-    P(r_k) - P(r_order[0]) is omega2/2, omega1/2 or (omega1 + omega2)/2 for
-    k = order[1], order[2] or order[3].  Runs at the caller's precision."""
+    """(omega1, omega2): a first basis of the period lattice of y^2 = f(x),
+    deg f in {3, 4}, from the optimal AGM.  Runs at the caller's precision."""
     rhs = model.rhs
     roots = _branch_points(model, precision_bits)
     if len(set(roots)) < len(roots):
         raise PrecisionError("two branch points agree at the working precision")
-
-    # the sorts and the quartic's pivot root use float64 copies; none of them
-    # moves the lattice, which alone fixes the reduced basis
-    def key(point):
-        return float(point[1].real), float(point[1].imag)
-
-    points = sorted(enumerate(roots), key=key)
     lead = mpmath.mpf(rhs.leading.numerator) / rhs.leading.denominator
     if rhs.degree == 4:
         # x = r + 1/u turns the quartic into a cubic with the same lattice and
-        # sends the root r to the cubic's point at infinity
-        approx = [complex(r) for _, r in points]
+        # sends the root r, the one farthest from the others in float64, to the
+        # cubic's point at infinity
+        approx = [complex(r) for r in roots]
 
         def separation(i):
             return min(abs(approx[i] - approx[j]) for j in range(4) if j != i)
 
-        pivot, r = points.pop(max(range(4), key=separation))
-        cubic_lead = lead
-        for _, rj in points:
-            cubic_lead *= (r - rj)
-        cubic = sorted(((j, 1 / (rj - r)) for j, rj in points), key=key)
-    else:
-        pivot, cubic, cubic_lead = 3, points, lead
+        r = roots.pop(max(range(4), key=separation))
+        for rj in roots:
+            lead *= r - rj
+        roots = [1 / (rj - r) for rj in roots]
 
-    slots = _legendre_order([e for _, e in cubic], precision_bits)
-    (i1, e1), (i2, e2), (i3, e3) = (cubic[i] for i in slots)
+    e1, e2, e3 = (roots[i] for i in _legendre_order(roots, precision_bits))
     # K(lambda) and K(1 - lambda) take the complements 1 - lambda and lambda,
     # each from the root differences
     lam = (e3 - e1) / (e2 - e1)
-    scale = 1 / mpmath.sqrt(cubic_lead * (e2 - e1))
+    scale = 1 / mpmath.sqrt(lead * (e2 - e1))
     omega1 = scale * 2 * _complete_K((e2 - e3) / (e2 - e1), precision_bits)
     omega2 = scale * 2 * mpmath.mpc(0, 1) * _complete_K(lam, precision_bits)
     if (omega2 / omega1).imag < 0:  # defensive; the cut-plane construction keeps Im > 0
         omega2 = -omega2
-    return omega1, omega2, (pivot, i1, i2, i3)
+    return omega1, omega2
 
 
 def _rounded(x: Fraction) -> mpmath.mpf:
@@ -348,12 +333,13 @@ def _rounded(x: Fraction) -> mpmath.mpf:
 
 
 def _rational_legendre_basis(model: HyperellipticModel):
-    """`_legendre_basis` for a model whose factors are all linear, on the
-    exact rational path of the module docstring: the roots -c0/c1, the
-    ordering, lambda, 1 - lambda and c (e2 - e1) are `Fraction`s, each
-    rounded once, and both AGMs are of positive reals.  The pivot is always
-    3, a cubic's point at infinity or a quartic's root r3.  Runs at the
-    caller's precision."""
+    """(omega1, omega2, order): `_legendre_basis` for a model whose factors
+    are all linear, on the exact rational path of the module docstring: the
+    roots -c0/c1, the ordering, lambda, 1 - lambda and c (e2 - e1) are
+    `Fraction`s, each rounded once, and both AGMs are of positive reals.
+    order = (3, i1, i2, i3) numbers the roots sent to infinity, 0, 1 and
+    lambda, r0 to r3 in factor order and r3 a cubic's point at infinity: the
+    pivot is always r3.  Runs at the caller's precision."""
     e = [-f[0] / f[1] for f in model.factors]
     lead = model.rhs.leading
     if len(e) == 4:
@@ -403,8 +389,7 @@ def elliptic_periods_agm(model: HyperellipticModel,
     if model.genus != 1:
         raise ArgumentError("periods are computed for genus-1 models only")
     with mpmath.workprec(precision_bits + _GUARD_BITS):
-        omega1, omega2, _ = _legendre_basis(model, precision_bits)
-        return _normal_pair(omega1, omega2, precision_bits)
+        return _normal_pair(*_legendre_basis(model, precision_bits), precision_bits)
 
 
 # (partner, quotient, scale): the quotient's lattice is scale (L + Z t) for
@@ -419,11 +404,11 @@ _PARTNERS = (
 
 def _kernel_class(order):
     """The class (m, n) of the half-period t = (m omega1 + n omega2)/2 of
-    P(r_k) - P(r_order[0]) for the `_legendre_basis` output (omega1, omega2,
-    order), with k = order[0] xor 1, the class that pairs r0 with r1 and r2
-    with r3.  r_k at 0, 1 or lambda (slot 1, 2 or 3) gives (0, 1), (1, 0) or
-    (1, 1): the slot's two bits."""
-    slot = order.index(order[0] ^ 1)
+    P(r2) - P(r3) = P(r0) - P(r1) for the `_rational_legendre_basis` output
+    (omega1, omega2, order), whose pivot r3 goes to infinity.  r2 at 0, 1 or
+    lambda (slot 1, 2 or 3) gives (0, 1), (1, 0) or (1, 1): the slot's two
+    bits."""
+    slot = order.index(2)
     return slot >> 1, slot & 1
 
 
@@ -674,40 +659,24 @@ def product_to_prym_reduction(z1, z2) -> ReductionTrace:
 
 def riemann_check(matrix: PrymPeriodMatrix):
     """(residual_symmetry, min_eigenvalue) of the two Riemann relations for
-    the alternating form ((0, D), (-D, 0)), D = diag(1, 2):
-    Pi E^-1 Pi^T = 0 and i Pi E^-1 Pi^* > 0."""
+    the alternating form E = ((0, D), (-D, 0)), D = diag(1, 2):
+    Pi E^-1 Pi^T = 0 and i Pi E^-1 Pi^* > 0.  For Pi = (A | B) and a second
+    matrix Pi' = (A' | B'), Pi E^-1 Pi'^T = B D^-1 A'^T - A D^-1 B'^T."""
     bits = matrix.precision_bits
     with mpmath.workprec(bits + _GUARD_BITS):
         rows = matrix.to_mpc_rows()
-        d = matrix.polarization
-        dinv = [mpmath.mpf(1) / d[0], mpmath.mpf(1) / d[1]]
-        # E^-1 = ((0, -D^-1), (D^-1, 0)) for E = ((0, D), (-D, 0))
-        einv = [[0, 0, -dinv[0], 0],
-                [0, 0, 0, -dinv[1]],
-                [dinv[0], 0, 0, 0],
-                [0, dinv[1], 0, 0]]
+        dinv = [mpmath.mpf(1) / d for d in matrix.polarization]
 
-        def quad(conjugate_second):
-            out = [[mpmath.mpc(0)] * 2 for _ in range(2)]
-            for i in range(2):
-                for j in range(2):
-                    acc = mpmath.mpc(0)
-                    for k in range(4):
-                        for l in range(4):
-                            if einv[k][l] == 0:
-                                continue
-                            right = rows[j][l]
-                            if conjugate_second:
-                                right = mpmath.conj(right)
-                            acc += rows[i][k] * einv[k][l] * right
-                    out[i][j] = acc
-            return out
+        def form(right):
+            # entry (i, j) for the rows p = (A_i | B_i) of Pi and q of Pi'
+            return [[sum((p[k + 2] * q[k] - p[k] * q[k + 2]) * dinv[k] for k in range(2))
+                     for q in right] for p in rows]
 
-        sym = quad(conjugate_second=False)
-        residual = max(mpmath.fabs(sym[i][j]) for i in range(2) for j in range(2))
+        sym = form(rows)
+        residual = max(mpmath.fabs(x) for row in sym for x in row)
 
-        herm = quad(conjugate_second=True)
-        h = [[mpmath.mpc(0, 1) * herm[i][j] for j in range(2)] for i in range(2)]
+        herm = form([[mpmath.conj(e) for e in row] for row in rows])
+        h = [[mpmath.mpc(0, 1) * x for x in row] for row in herm]
         # 2x2 Hermitian closed-form eigenvalues
         tr = (h[0][0] + h[1][1]).real
         det = (h[0][0] * h[1][1] - h[0][1] * h[1][0]).real

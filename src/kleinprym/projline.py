@@ -185,17 +185,18 @@ class MarkingConvention:
 
     @classmethod
     def from_name(cls, name: str) -> "MarkingConvention":
-        table = {
-            "ordered": cls(pair_ordered=True, triple_tail_ordered=True),
-            "pair-unordered": cls(pair_ordered=False, triple_tail_ordered=True),
-            "all-unordered": cls(pair_ordered=False, triple_tail_ordered=False),
-        }
-        if name not in table:
+        if name not in CONVENTIONS:
             raise ArgumentError(f"unknown convention {name!r}")
-        return table[name]
+        return CONVENTIONS[name]
 
 
 FULLY_ORDERED = MarkingConvention(pair_ordered=True, triple_tail_ordered=True)
+# the named conventions, in the order the CLI lists them
+CONVENTIONS = {
+    "ordered": FULLY_ORDERED,
+    "pair-unordered": MarkingConvention(pair_ordered=False, triple_tail_ordered=True),
+    "all-unordered": MarkingConvention(pair_ordered=False, triple_tail_ordered=False),
+}
 
 
 @dataclass(frozen=True)

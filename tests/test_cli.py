@@ -76,6 +76,40 @@ def test_exact_reports_match_pinned_digests(command, a, b):
     assert hashlib.sha256(output.encode()).hexdigest() == PINNED_DIGESTS[command, a, b]
 
 
+# sha256 of the default periods JSON; a change to a printed period, tau, j
+# delta, tolerance or Riemann value must re-pin these on purpose
+PINNED_PERIODS_DIGESTS = {
+    ("7/5", "-13/4", "128"):
+        "1b4ac8a47b2bfce963b3ec1fffb9beb4b31f3fb27ccc16b797c002ae27349a80",
+    ("7/5", "-13/4", "256"):
+        "02add8afaf8d25756a5b07f29c76de758fb9076c77fd68f4d0b65d836a8e2c90",
+    ("0", "1", "256"):
+        "c6d22c7ebf1f44516364987cf078065c9ec86d28a30298851d9b319cdb53d47b",
+    ("7/5", "14000000001/10000000000", "1024"):
+        "eccf8d5c90361da2876cce056fd6c57c3a5672577356354b05fc4b832add07ed",
+}
+
+
+@pytest.mark.parametrize("a,b,bits", sorted(PINNED_PERIODS_DIGESTS))
+def test_periods_reports_match_pinned_digests(a, b, bits):
+    output = run("periods", "--a", a, "--b", b, "--bits", bits).output
+    assert hashlib.sha256(output.encode()).hexdigest() == PINNED_PERIODS_DIGESTS[a, b, bits]
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--a", "1/0", "--b", "2"],
+    ["periods", "--a", "1/0", "--b", "2"],
+    ["normalize", "--tuple", "1/0,3;inf,2,-2!0"],
+    ["duality", "--curveE", "1/0,2", "--pointP", "0,0", "--curveF", "1,0", "--pointQ", "0,0"],
+    ["duality", "--curveE", "x,2", "--pointP", "0,0", "--curveF", "1,0", "--pointQ", "0,0"],
+], ids=lambda args: " ".join(args[:3]))
+def test_a_malformed_rational_exits_1(args, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "is not a rational p/q" in err
+    assert "unexpected" not in err
+
+
 def test_text_format_is_projection_of_json():
     as_json = json.loads(run("torsion", "--d", "2").output)
     as_text = run("torsion", "--d", "2", "--format", "text").output

@@ -207,6 +207,32 @@ def test_riemann_check_flags_indefinite_matrix():
     assert min_eig < 0
 
 
+@pytest.mark.parametrize("rows,cancels", [
+    ((((0, 1), (0, 1), (1, 0), (0, 0)), ((0, 1), (0, 0), (0, 0), (2, 0))), True),
+    ((((".3", "1.7"), ("-1.1", ".4"), ("2.5", "-.6"), (".8", ".9")),
+      (("-.7", ".2"), ("1.3", "2.1"), (".4", "-1.9"), ("-1.6", ".5"))), False),
+], ids=["indefinite", "generic"])
+@pytest.mark.parametrize("bits", [BITS, 1024])
+def test_riemann_check_matches_the_matrix_products(rows, cancels, bits):
+    # both relations against Pi E^-1 Pi^T and i Pi E^-1 Pi^* from mpmath
+    # matrices, E = ((0, D), (-D, 0)) for D = diag(1, 2); the indefinite
+    # matrix's residual cancels exactly, the generic one's does not
+    matrix = PrymPeriodMatrix(tuple(
+        tuple(ComplexApprox.from_value(mpmath.mpc(*e), bits) for e in row) for row in rows))
+    residual, min_eig = riemann_check(matrix)
+    assert (residual == 0) is cancels
+    with mpmath.workprec(bits + _GUARD_BITS):
+        pi = mpmath.matrix(matrix.to_mpc_rows())
+        e = mpmath.matrix([[0, 0, 1, 0], [0, 0, 0, 2], [-1, 0, 0, 0], [0, -2, 0, 0]])
+        einv = mpmath.inverse(e)
+        sym = pi * einv * pi.T
+        herm = mpmath.mpc(0, 1) * (pi * einv * pi.H)
+        want_residual = max(mpmath.fabs(sym[i, j]) for i in range(2) for j in range(2))
+        want_min_eig = min(mpmath.eigh(herm, eigvals_only=True))
+        for got, want in ((residual, want_residual), (min_eig, want_min_eig)):
+            assert mpmath.fabs(got - want) <= mpmath.ldexp(1, 8 - bits) * max(1, mpmath.fabs(want))
+
+
 def test_embedding_columns_are_lattice_vectors():
     z1 = _i()
     z2 = ComplexApprox.from_value(mpmath.mpc(0, 2), BITS)
