@@ -96,6 +96,66 @@ def test_periods_reports_match_pinned_digests(a, b, bits):
     assert hashlib.sha256(output.encode()).hexdigest() == PINNED_PERIODS_DIGESTS[a, b, bits]
 
 
+# sha256 of the torsion reports, pinned while subgroups were still listed by
+# enumeration; a change to a printed torsion class must re-pin these on purpose
+PINNED_TORSION_DIGESTS = {
+    ("torsion --d 2", "json"):
+        "76830fd39fec45e2f2b0b2e083f11e5a2dcbf7066092ad032069943466e31461",
+    ("torsion --d 3", "json"):
+        "989633c72f3b2f376b29e79ad2fa8cde8a2d92d24c6bb69a6a2a3b39cd82fee0",
+    ("torsion --d 4", "json"):
+        "4f1878dc2de15cd5b7ec552cb6c81a133a8a41e166cdc848e94ba49864b55686",
+    ("torsion --d 5", "json"):
+        "1b977989076572ebe772e316a192586d07c266ff97208a229105b552a7d41176",
+    ("torsion --d 6", "json"):
+        "e43a4b6d11290ee135624e21403b7972095137cba9d2dc5d63a5b5227005fbc0",
+    ("torsion --d 7", "json"):
+        "9df37ac86f54cd103bd3630b63692d3e85676fbf05c61cb4aad9354c1b85d7a9",
+    ("torsion --d 8", "json"):
+        "5c58c28bfe4cb5c47f0304e3047d63e233e82cc30a6e0cb570509e392d5f2d2f",
+    ("torsion --d 9", "json"):
+        "5920c681dc9a471ec07b91abb4787e17d4a3b5e61a816e5a81e63a4b86e67e6f",
+    ("torsion --d 10", "json"):
+        "b2178476ceceb7a2b0e79651bf67ef0e8c5ab02a96df4d246430dbedb4e36ccd",
+    ("torsion --d 11", "json"):
+        "5cc2df9869d7978d8bb5a93bd4f55cc0924602d1f4817fa68b22fc202c378667",
+    ("torsion --d 12", "json"):
+        "d95b8be3cede1897a2fbd5ffb697661e92275c1c3deb00fbbf5b9ab2644711a5",
+    ("example-surj", "json"):
+        "3e0e392ecbcf81197407342c2e55cb0f43674f0495e5715ec3cff558446f1cc0",
+    ("torsion --d 2", "text"):
+        "8f46b406f807a329b190bf1ac65fdfa0c1739eb35dd31e8f4738c79e59977d31",
+    ("torsion --d 3", "text"):
+        "4926e5c85afeec30b8958e20330be1cea11ca6643994ea02e459d144d9fb9956",
+    ("torsion --d 4", "text"):
+        "f0e7ad302ac37d6ad2d437d27bf6b8d094c6dbee6730b0b7b40b6b0b938e72e0",
+    ("torsion --d 5", "text"):
+        "fc3eb4b9743a9738293a1f571c3f6d4020611d587f4234cbd9df0d9fc7655cf6",
+    ("torsion --d 6", "text"):
+        "ee466571b0bed53defb8a65c9add8fc1656e0497a5816786d06902a058889b60",
+    ("torsion --d 7", "text"):
+        "bfcdd2bd1c25689eccd3cae110f3d7d14be0151ead483ece1383278dc6c9ff62",
+    ("torsion --d 8", "text"):
+        "f22b4f8bfbe6fc1fb794f90c1deeb764c99faf210a46f6e5998a4410a061435f",
+    ("torsion --d 9", "text"):
+        "ae112101b6934466678c5f715ecbd639025427ec5f6e37be3f04b084a5da79cc",
+    ("torsion --d 10", "text"):
+        "7bb806885e4b78b9721272b9126092b719bc767d4f3869cfe4d5b91758f13605",
+    ("torsion --d 11", "text"):
+        "1bd4c21ecc88c61b5052b551c75b5b3ff98fe135ef4949d42b4f2ac3296bfc57",
+    ("torsion --d 12", "text"):
+        "dcb363a562ae413a4186b93263fcdd579f11cfaf987b58a6750884c94ae429d2",
+    ("example-surj", "text"):
+        "427c89ccdfdafe0dba64b1cfec4a818e36facee7fe4fd21f8de1ee18d0ecc55c",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(PINNED_TORSION_DIGESTS))
+def test_torsion_reports_match_pinned_digests(command, fmt):
+    output = run(*command.split(), "--format", fmt).output
+    assert hashlib.sha256(output.encode()).hexdigest() == PINNED_TORSION_DIGESTS[command, fmt]
+
+
 @pytest.mark.parametrize("args", [
     ["analyze", "--a", "1/0", "--b", "2"],
     ["periods", "--a", "1/0", "--b", "2"],

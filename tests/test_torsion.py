@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from kleinprym.torsion import (
     ker_phi_H,
     perp,
     project_to_quotient,
+    quotient_image,
     span,
     weil_pairing,
 )
@@ -114,26 +117,30 @@ def test_quotient_projection_is_constant_on_cosets():
     assert q.order == 8  # 16 points / kernel of order 2
 
 
-def _coset_least(kernel, level):
-    """The enumeration oracle: each point's coset representative, taken as
-    min(p + k for k in kernel.elements) once per coset."""
+def _coset_least(kernel, points):
+    """The enumeration oracle: the coset representative of each point of the
+    cosets that meet `points`, taken as min(p + k for k in kernel.elements)
+    once per coset."""
     least = {}
-    for p in full_group(level):
+    for p in points:
         if p not in least:
             coset = [p + k for k in kernel.elements]
             least.update(dict.fromkeys(coset, min(coset)))
     return least
 
 
-def _sample_kernels(level):
+def _sample_generators(level):
     rng = random.Random(level)
     points = rng.sample(full_group(level), 8)
-    yield from (span([p]) for p in points)
-    for p, q in zip(points[::2], points[1::2]):
-        yield span([p, q])
+    yield from ([p] for p in points)
+    yield from ([p, q] for p, q in zip(points[::2], points[1::2]))
     # a non-isotropic pair: the first factor's full level-N torsion
-    yield span([pt(Fraction(1, level), 0, 0, 0, level=level),
-                pt(0, Fraction(1, level), 0, 0, level=level)])
+    yield [pt(Fraction(1, level), 0, 0, 0, level=level),
+           pt(0, Fraction(1, level), 0, 0, level=level)]
+
+
+def _sample_kernels(level):
+    return (span(gens) for gens in _sample_generators(level))
 
 
 @pytest.mark.parametrize("level", range(2, 9))
@@ -142,11 +149,100 @@ def test_coset_reduction_matches_enumeration(level):
     kernels = list(_sample_kernels(level))
     assert any(not is_isotropic(k) for k in kernels)
     for kernel in kernels:
-        least = _coset_least(kernel, level)
+        least = _coset_least(kernel, points)
         q = project_to_quotient(kernel, points)
         assert all(q.project(p) == least[p] for p in points)
         assert list(q.representatives) == sorted(set(least.values()))
         assert q.order * kernel.order == level ** 4
+
+
+def _closure(gens):
+    """The enumeration oracle for span: the closure of the generators under
+    addition, breadth first."""
+    zero = TorsionPoint((0, 0, 0, 0), gens[0].level)
+    elements, frontier = {zero}, [zero]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            if p + g not in elements:
+                elements.add(p + g)
+                frontier.append(p + g)
+    return elements
+
+
+def _complement(gens, points):
+    """The enumeration oracle for perp: the points that pair to 0 with every
+    generator under N(x1 y2 - x2 y1 + x3 y4 - x4 y3) mod N."""
+    def pairs_to_zero(x, y):
+        (a, b, c, d), (e, f, g, h) = x.coords, y.coords
+        return (a * f - b * e + c * h - d * g) % x.level == 0
+    return {x for x in points if all(pairs_to_zero(x, g) for g in gens)}
+
+
+def _oracle_generators(level):
+    """The sampled generator sets, a three-generator set, an isotropic pair
+    found by enumeration, and the chain's kernel <(P, Q), (P, 0)>."""
+    sets = list(_sample_generators(level))
+    p = sets[0][0]
+    q = max(_complement([p], full_group(level)) - _closure([p]))
+    one = Fraction(1, level)
+    return sets + [[s[0] for s in sets[:3]], [p, q],
+                   [pt(one, 0, one, 0, level=level), pt(one, 0, 0, 0, level=level)]]
+
+
+ALL_LEVELS = range(2, MAX_LEVEL + 1)
+
+
+@pytest.mark.parametrize("level", ALL_LEVELS)
+def test_span_perp_and_ker_phi_H_match_enumeration(level):
+    points = full_group(level)
+    gen_sets = _oracle_generators(level)
+    kinds = collections.Counter()
+    for gens, others in zip(gen_sets, gen_sets[1:] + gen_sets[:1]):
+        kernel = span(gens)
+        elements = _closure(gens)
+        assert kernel.elements == elements and kernel.order == len(elements)
+        complement = _complement(gens, points)
+        assert perp(kernel).elements == complement
+        other = _closure(others)
+        least = _coset_least(kernel, other)
+        image = quotient_image(kernel, span(others))
+        assert list(image.representatives) == sorted({least[x] for x in other})
+        if elements <= complement:
+            kinds["isotropic", len(gens) > 1] += 1
+            assert is_isotropic(kernel)
+            least = _coset_least(kernel, complement)
+            assert list(ker_phi_H(kernel).representatives) == sorted(
+                {least[x] for x in complement})
+        else:
+            kinds["not isotropic"] += 1
+            assert not is_isotropic(kernel)
+            with pytest.raises(NotIsotropic):
+                ker_phi_H(kernel)
+    assert kinds.keys() == {("isotropic", False), ("isotropic", True), "not isotropic"}
+
+
+@pytest.mark.parametrize("level", ALL_LEVELS)
+def test_subgroups_are_equal_exactly_when_their_elements_agree(level):
+    gen_sets = _oracle_generators(level)
+    # other generators of the same subgroups: -p for p, p + q for p, and a repeat
+    gen_sets += [[-gens[0]] + gens[1:] for gens in gen_sets]
+    gen_sets += [[gens[0] + gens[-1]] + gens[1:] + gens[:1] for gens in gen_sets]
+    closures = [frozenset(_closure(gens)) for gens in gen_sets]
+    kernels = [span(gens) for gens in gen_sets]
+    equal = 0
+    for (a, ea), (b, eb) in itertools.product(zip(kernels, closures), repeat=2):
+        assert (a == b) == (ea == eb)
+        equal += a == b
+    assert equal > 3 * len(kernels)
+
+
+@pytest.mark.parametrize("level", ALL_LEVELS)
+def test_perp_is_an_involution_and_orders_multiply_to_level_4(level):
+    for gens in _oracle_generators(level):
+        kernel = span(gens)
+        assert perp(perp(kernel)) == kernel
+        assert kernel.order * perp(kernel).order == level ** 4
 
 
 @st.composite
