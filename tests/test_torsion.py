@@ -14,6 +14,7 @@ from kleinprym.torsion import (
     example_surj_report,
     factor_intersection,
     full_group,
+    intersection,
     is_isotropic,
     ker_phi_H,
     perp,
@@ -245,6 +246,26 @@ def test_perp_is_an_involution_and_orders_multiply_to_level_4(level):
         assert kernel.order * perp(kernel).order == level ** 4
 
 
+@pytest.mark.parametrize("level", ALL_LEVELS)
+def test_intersection_and_factor_intersection_match_enumeration(level):
+    points = full_group(level)
+    factors = {"E": [x for x in points if x.coords[2:] == (0, 0)],
+               "F": [x for x in points if x.coords[:2] == (0, 0)]}
+    gen_sets = _oracle_generators(level)
+    for gens, others in zip(gen_sets, gen_sets[1:] + gen_sets[:1]):
+        kernel = span(gens)
+        assert intersection(kernel, span(others)).elements == _closure(gens) & _closure(others)
+        quotients = [(quotient_image(kernel, span(others)), _closure(gens + others))]
+        if is_isotropic(kernel):
+            quotients.append((ker_phi_H(kernel), _complement(gens, points)))
+        for factor, factor_points in factors.items():
+            least = _coset_least(kernel, factor_points)
+            for q, preimage in quotients:
+                cap = factor_intersection(kernel, q, factor)
+                expected = sorted({least[x] for x in factor_points if x in preimage})
+                assert list(cap.representatives) == expected and cap.order == len(expected)
+
+
 @st.composite
 def kernels_and_points(draw):
     n = draw(levels)
@@ -259,7 +280,7 @@ def test_reduction_lies_in_the_coset_and_is_constant_on_it(case):
     q = project_to_quotient(kernel, [p])
     r = q.project(p)
     assert r - p in kernel.elements
-    assert q.representatives == (r,)
+    assert q.representatives == tuple(sorted({q.project(p.scale(k)) for k in range(p.level)}))
     assert all(q.project(p + k) == r for k in kernel.elements)
 
 
@@ -281,6 +302,11 @@ def test_factor_intersection_argument_validation():
     q = ker_phi_H(kernel)
     with pytest.raises(ArgumentError):
         factor_intersection(kernel, q, "G")
+    # a subgroup of another quotient: its E classes mod <(0, 1/4, 0, 1/4)>
+    # include (0, 0, 0, 1/4), which is not an E point
+    q = ker_phi_H(span([pt(0, Fraction(1, 4), 0, Fraction(1, 4), level=4)]))
+    with pytest.raises(ArgumentError):
+        factor_intersection(span([pt(0, 0, 0, Fraction(1, 4), level=4)]), q, "E")
 
 
 def test_example_surj_all_checks_pass():
