@@ -1,5 +1,5 @@
 """Exact scalar and univariate polynomial arithmetic, plus the precision
-constants and tolerance of the analytic layer.
+constants of the analytic layer.
 
 Rationals are `fractions.Fraction` (always reduced, positive denominator).
 Polynomials are dense with Fraction coefficients; degrees in this project
@@ -8,7 +8,6 @@ never exceed 16, so nothing clever is attempted.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import ArgumentError, DegreeError
@@ -238,11 +237,3 @@ def substitute_rational_map(f: Polynomial, num: Polynomial, den: Polynomial):
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
-
-
-def tolerance(precision_bits: int) -> float:
-    """2^(4 - precision_bits) as a float.  `periods_report` prints it as
-    `j_delta_tolerance`; the bounds the analytic layer enforces are mpmath
-    numbers at the working precision, since this float is 0.0 once
-    precision_bits passes 1078."""
-    return math.ldexp(1.0, 4 - precision_bits)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import click
 
 from .errors import ArgumentError, InternalInvariantError, KleinPrymError
-from .algebra import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, parse_rational
+from .algebra import DEFAULT_PRECISION_BITS, parse_rational
 from .family import (
     CurveLabel,
     InvolutionLabel,
@@ -166,8 +166,6 @@ def involution(a, b, convention, fmt):
 def periods(a, b, bits, fmt):
     """Period lattices of the elliptic quotients and the 2x4 Prym matrix."""
     params = check_domain(a, b)
-    if bits < MIN_PRECISION_BITS:
-        raise KleinPrymError(f"--bits must be >= {MIN_PRECISION_BITS}")
     from .periods import periods_report  # mpmath loads only for the commands that use it
 
     _emit(periods_report(params, bits), fmt)

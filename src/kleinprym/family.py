@@ -103,14 +103,14 @@ class HyperellipticModel:
     models directly: their discriminants factor into (a - b) and (a -+ 2),
     (b -+ 2), so squarefreeness is decided from (a, b) alone.
 
-    `factors`, when known, are rational polynomials whose product is rhs;
-    the analytic layer solves them in closed form.  Models of the family's
-    quotients carry them, models built from a bare rhs do not.
+    `factors` are rational polynomials whose product is rhs; the analytic
+    layer solves those of degree <= 2 in closed form.  `curve_equation`
+    stores the family's factors, `from_rhs` stores (rhs,).
     """
 
     rhs: Polynomial
     genus: int
-    factors: tuple[Polynomial, ...] | None = field(default=None, compare=False)
+    factors: tuple[Polynomial, ...] = field(compare=False)
 
     @classmethod
     def from_rhs(cls, rhs: Polynomial) -> "HyperellipticModel":
@@ -118,7 +118,7 @@ class HyperellipticModel:
             raise ArgumentError("constant right-hand side")
         if not is_squarefree(rhs):
             raise InternalInvariantError("right-hand side is not squarefree")
-        return cls(rhs, _genus(rhs))
+        return cls(rhs, _genus(rhs), (rhs,))
 
     def to_report(self) -> dict:
         report = {

@@ -24,9 +24,9 @@ Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
   branch points are the roots of f at the working precision.  Models of the
   family carry the rational factors of f, all of degree <= 2, and each is
   solved in closed form; mpmath.polyroots runs only for models built from a
-  bare f.  The quartic's pivot is its root farthest from the others in
-  float64, and the root e3 is chosen, by scores at the working precision,
-  so that lambda stays away from the two real cuts (-inf, 0] and [1, +inf),
+  bare f.  The quartic's pivot is its last root, as on the exact path, and
+  the root e3 is chosen, by scores at the working precision, so that lambda
+  stays away from the two real cuts (-inf, 0] and [1, +inf),
   where the basis above is the analytic continuation of the real-root case
   and hence remains a genuine lattice basis.  Its AGM is the optimal
   complex AGM, which stops one square root before full convergence: once
@@ -102,10 +102,15 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ArgumentError, DomainError, PrecisionError
-from .algebra import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, tolerance
+from .algebra import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .family import ELLIPTIC_LABELS, CurveLabel, HyperellipticModel, curve_equation, j_invariant
 
 _GUARD_BITS = 64
+
+
+def _check_precision(precision_bits: int) -> None:
+    if precision_bits < MIN_PRECISION_BITS:
+        raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
 
 
 @dataclass(frozen=True)
@@ -118,8 +123,7 @@ class ComplexApprox:
 
     @classmethod
     def from_value(cls, value, precision_bits=DEFAULT_PRECISION_BITS) -> "ComplexApprox":
-        if precision_bits < MIN_PRECISION_BITS:
-            raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
+        _check_precision(precision_bits)
         with mpmath.workprec(precision_bits):
             z = mpmath.mpc(value)
             return cls(z.real, z.imag, precision_bits)
@@ -211,8 +215,7 @@ def _factor_roots(f, precision_bits: int):
 
 
 def _branch_points(model: HyperellipticModel, precision_bits: int):
-    return [r for f in model.factors or (model.rhs,)
-            for r in _factor_roots(f, precision_bits)]
+    return [r for f in model.factors for r in _factor_roots(f, precision_bits)]
 
 
 def _cut_distance(e1, e2, e3):
@@ -230,16 +233,14 @@ def _legendre_order(roots, precision_bits: int):
     ordering (e1, e2, e3) whose cross-ratio lambda = (e3 - e1)/(e2 - e1) lies
     farthest from the cuts, scored at the working precision.  lambda and
     1 - lambda score alike, so only the three choices of e3 are scored, each
-    with e1 before e2 in the given order.  Scores within 2^(-bits/2) of the
-    best tie, and the first of them wins, so rounding noise does not pick
-    among exact ties (j = 0: all three)."""
+    with e1 before e2 in the given order.  Every ordering off the cuts gives
+    a basis of the same lattice, and `_reduce_basis` makes it canonical."""
     orders = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
     scores = [_cut_distance(*(roots[i] for i in order)) for order in orders]
     best = max(scores)
-    slack = mpmath.ldexp(1, -precision_bits // 2)
-    if best < slack:
+    if best < mpmath.ldexp(1, -precision_bits // 2):
         raise PrecisionError("branch-point cross-ratio too close to the cuts")
-    return next(o for o, s in zip(orders, scores) if s >= best - slack)
+    return orders[scores.index(best)]
 
 
 def _reduce_basis(w1, w2, precision_bits: int, kernel=(0, 0)):
@@ -303,14 +304,8 @@ def _legendre_basis(model: HyperellipticModel, precision_bits: int):
     lead = mpmath.mpf(rhs.leading.numerator) / rhs.leading.denominator
     if rhs.degree == 4:
         # x = r + 1/u turns the quartic into a cubic with the same lattice and
-        # sends the root r, the one farthest from the others in float64, to the
-        # cubic's point at infinity
-        approx = [complex(r) for r in roots]
-
-        def separation(i):
-            return min(abs(approx[i] - approx[j]) for j in range(4) if j != i)
-
-        r = roots.pop(max(range(4), key=separation))
+        # sends the last root r to the cubic's point at infinity
+        r = roots.pop()
         for rj in roots:
             lead *= r - rj
         roots = [1 / (rj - r) for rj in roots]
@@ -388,6 +383,7 @@ def elliptic_periods_agm(model: HyperellipticModel,
     tau = e^(2 pi i/3), whose extra units the normal form accounts for."""
     if model.genus != 1:
         raise ArgumentError("periods are computed for genus-1 models only")
+    _check_precision(precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         return _normal_pair(*_legendre_basis(model, precision_bits), precision_bits)
 
@@ -433,6 +429,7 @@ def quotient_periods(models, precision_bits: int = DEFAULT_PRECISION_BITS):
     theirs from those lattices through the 2-isogenies of `_PARTNERS`, with no
     AGM, and their j from the same theta constants by the duplication
     formulas, with no q-series."""
+    _check_precision(precision_bits)
     bases, js = {}, {}
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         for partner, label, scale in _PARTNERS:
@@ -527,6 +524,7 @@ def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexAppr
     constants (`_theta_squares`) at tau, first moved to the fundamental domain.
     The powers are multiplied out: mpmath 1.3 raises an mpc z to the power n
     through exp(n log z) once n times the mantissa size passes 10000 bits."""
+    _check_precision(precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         tau = _as_mpc(tau)
         if tau.imag <= 0:
@@ -540,9 +538,6 @@ def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexAppr
 # Prym period matrix, polarisation type (1, 2)
 # ---------------------------------------------------------------------------
 
-POLARIZATION_TYPE = (1, 2)
-
-
 def _cell(e: ComplexApprox) -> dict:
     return {"re": mpmath.nstr(e.real, 17), "im": mpmath.nstr(e.imag, 17)}
 
@@ -553,7 +548,7 @@ class PrymPeriodMatrix:
     form ((0, D), (-D, 0)), D = diag(1, 2)."""
 
     entries: tuple  # 2x4 of ComplexApprox
-    polarization: tuple = POLARIZATION_TYPE
+    polarization = (1, 2)
 
     @property
     def precision_bits(self) -> int:
@@ -691,11 +686,10 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
     analytic j of `quotient_periods` from the exact j for all six.  Each delta
     must be at most j_delta_tolerance * max(1, |j|), or PrecisionError is
     raised."""
-    tol = tolerance(precision_bits // 4)
+    tol = mpmath.ldexp(1, 4 - precision_bits // 4)
     models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
     bases, js = quotient_periods(models, precision_bits)
-    deltas = {}
-    pairs = {}
+    deltas, pairs = {}, {}
     for label in ELLIPTIC_LABELS:
         pair = bases[label]
         pairs[label.value] = {"omega1": _cell(pair.omega1), "omega2": _cell(pair.omega2),
@@ -704,22 +698,19 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
         with mpmath.workprec(precision_bits):
             exact_c = mpmath.mpf(exact.numerator) / exact.denominator
             delta = mpmath.fabs(js[label].to_mpc() - exact_c)
-            # the float tol underflows to 0 past 4300 bits; bound at working precision
-            bound = mpmath.ldexp(1, 4 - precision_bits // 4) * max(1, mpmath.fabs(exact_c))
+            bound = tol * max(1, mpmath.fabs(exact_c))
             if delta > bound:
                 raise PrecisionError(f"analytic j of {label.value} misses the exact j by "
                                      f"{mpmath.nstr(delta, 3)}, over {mpmath.nstr(bound, 3)}")
             deltas[label.value] = float(delta)
 
-    z1 = bases[CurveLabel.E_t].tau
-    z2 = bases[CurveLabel.E_st].tau
-    matrix = prym_period_matrix(z1, z2)
+    matrix = prym_period_matrix(bases[CurveLabel.E_t].tau, bases[CurveLabel.E_st].tau)
     residual, min_eig = riemann_check(matrix)
     return {
         "precision_bits": precision_bits,
         "periods": {k: pairs[k] for k in sorted(pairs)},
         "analytic_vs_exact_j": {k: v for k, v in sorted(deltas.items())},
-        "j_delta_tolerance": tol,
+        "j_delta_tolerance": float(tol),
         "prym_period_matrix": matrix.to_report(),
         "riemann_residual_symmetry": float(residual),
         "riemann_min_eigenvalue": float(min_eig),

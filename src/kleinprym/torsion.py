@@ -289,14 +289,16 @@ def ker_phi_H(kernel_mu: TorsionSubgroup) -> QuotientSubgroup:
 def factor_intersection(kernel_mu: TorsionSubgroup, quotient_group: QuotientSubgroup,
                         factor: str) -> QuotientSubgroup:
     """Intersection of the image of one elliptic factor with a subgroup of the
-    quotient by ker(mu).  factor is "E" (first two coordinates) or "F" (last two)."""
-    units = {"E": ((1, 0, 0, 0), (0, 1, 0, 0)), "F": ((0, 0, 1, 0), (0, 0, 0, 1))}.get(factor)
-    if units is None:
+    quotient by ker(mu).  factor is "E" (first two coordinates) or "F" (last two).
+    With K = ker(mu) inside the preimage G, G & (factor + K) = (G & factor) + K
+    (the modular law), and G & factor is where the other factor's residues vanish."""
+    other = {"E": slice(2, 4), "F": slice(0, 2)}.get(factor)
+    if other is None:
         raise ArgumentError("factor must be 'E' or 'F'")
     if quotient_group.kernel != kernel_mu:
         raise ArgumentError("the subgroup must lie in the quotient by kernel_mu")
-    image = quotient_image(kernel_mu, span([TorsionPoint(c, kernel_mu.level) for c in units]))
-    return QuotientSubgroup(kernel_mu, intersection(quotient_group.group, image.group))
+    rows = [r[other] + r for _, r in quotient_group.group.echelon]
+    return quotient_image(kernel_mu, _kernel_past(rows, 2, kernel_mu.level))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from kleinprym.algebra import (
     parse_rational,
     resultant,
     substitute_rational_map,
-    tolerance,
 )
 from kleinprym.errors import DegreeError, DomainError
 from kleinprym.periods import ComplexApprox
@@ -106,8 +105,3 @@ def test_gcd_is_monic_common_divisor():
 def test_complex_approx_rejects_precision_below_the_minimum():
     with pytest.raises(DomainError):
         ComplexApprox.from_value(1, 32)
-
-
-def test_tolerance_scales_with_precision():
-    assert tolerance(64) == 2.0 ** -60
-    assert tolerance(128) < tolerance(64)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -190,6 +191,18 @@ def test_prym_matrix_rejects_lower_half_plane():
         prym_period_matrix(_i(), ComplexApprox.from_value(mpmath.mpc(0, -1), BITS))
 
 
+@pytest.mark.parametrize("bits", [0, 8, 63])
+def test_the_library_enforces_the_precision_floor(bits):
+    params = check_domain(Fraction(7, 5), Fraction(-13, 4))
+    models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
+    for compute in (lambda: periods.periods_report(params, bits),
+                    lambda: quotient_periods(models, bits),
+                    lambda: elliptic_periods_agm(models[CurveLabel.E_t], bits),
+                    lambda: analytic_j(_i(), bits)):
+        with pytest.raises(DomainError):
+            compute()
+
+
 def test_riemann_check_square_lattice():
     residual, min_eig = riemann_check(prym_period_matrix(_i(), _i()))
     assert residual < mpmath.ldexp(1, -BITS + 16)
@@ -332,11 +345,15 @@ def same_basis(p, q, bits):
 
 @pytest.mark.parametrize("params", ORACLE_POINTS, ids=repr)
 def test_stored_factors_leave_tau_unchanged(params):
+    # the basis depends on the lattice alone: not on the order of the stored
+    # factors, which fixes the root sent to infinity and the scored orderings,
+    # nor on whether the roots come from the factors or from rhs by polyroots
     for label in ELLIPTIC_LABELS:
         model = curve_equation(label, params)
         fast = elliptic_periods_agm(model, BITS)
-        slow = elliptic_periods_agm(dataclasses.replace(model, factors=None), BITS)
-        assert same_basis(fast, slow, BITS), label
+        for factors in [*itertools.permutations(model.factors), (model.rhs,)]:
+            other = elliptic_periods_agm(dataclasses.replace(model, factors=factors), BITS)
+            assert same_basis(other, fast, BITS), (label, factors)
 
 
 def in_normal_form(pair, bits):
