@@ -2,12 +2,16 @@
 constants of the analytic layer.
 
 Rationals are `fractions.Fraction` (always reduced, positive denominator).
-Polynomials are dense with Fraction coefficients; degrees in this project
-never exceed 16, so nothing clever is attempted.
+A polynomial is dense and stores integer numerators over one common
+denominator, the content/primitive-part form of von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 6: a product is one integer convolution and
+one gcd pass, not one Fraction reduction per term.  Degrees in this project
+never exceed 16, so nothing cleverer is attempted.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ArgumentError, DegreeError
@@ -28,15 +32,36 @@ def format_rational(r: Fraction) -> str:
 
 
 class Polynomial:
-    """Univariate polynomial over the rationals, coefficients low-to-high."""
+    """Univariate polynomial over the rationals: sum(nums[i] x^i) / den.
 
-    __slots__ = ("coeffs",)
+    `nums` is a tuple of ints, low to high, with no trailing zero; `den` is
+    a positive int; gcd(den, *nums) = 1, and the zero polynomial is () over 1.
+    This form is canonical, so `==` and `hash` compare it directly.
+    `coeffs`, `[]` and `leading` return Fractions.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        # over the lcm of reduced denominators, gcd(den, *nums) is already 1
+        self.nums = tuple(nums)
+        self.den = den
+
+    @classmethod
+    def _lowest(cls, nums: list, den: int) -> "Polynomial":
+        """sum(nums[i] x^i) / den, den > 0, brought to the stored form."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        p = object.__new__(cls)
+        p.nums = tuple(n // g for n in nums) if g != 1 else tuple(nums)
+        p.den = den // g
+        return p
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -74,57 +99,71 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, low to high."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise DegreeError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i <= self.degree else Fraction(0)
+        return Fraction(self.nums[i], self.den) if 0 <= i <= self.degree else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"Polynomial({self.to_string()!r})"
 
     # -- arithmetic ---------------------------------------------------
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the least common denominator."""
+        g = math.gcd(self.den, other.den)
+        scale, other_scale = other.den // g, sign * (self.den // g)
+        out = [n * scale for n in self.nums]
+        out += [0] * (len(other.nums) - len(out))
+        for i, n in enumerate(other.nums):
+            out[i] += n * other_scale
+        return Polynomial._lowest(out, self.den * scale)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self[i] + other[i] for i in range(n))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self[i] - other[i] for i in range(n))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial._lowest([-n for n in self.nums], self.den)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
+            return Polynomial._lowest([n * other.numerator for n in self.nums],
+                                      self.den * other.denominator)
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums):
                     out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._lowest(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -148,7 +187,7 @@ class Polynomial:
         while not r.is_zero and r.degree >= d:
             shift = r.degree - d
             c = r.leading / lc
-            t = Polynomial([Fraction(0)] * shift + [c])
+            t = Polynomial([0] * shift + [c])
             q = q + t
             r = r - t * other
         return q, r
@@ -157,16 +196,16 @@ class Polynomial:
         return self.divmod(other)[1]
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+        return Polynomial._lowest([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
     def evaluate(self, x):
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        for n in reversed(self.nums):
+            acc = acc * x + n
+        return acc / Fraction(self.den)
 
     def monic(self) -> "Polynomial":
-        return self * (Fraction(1) / self.leading)
+        return self * (1 / self.leading)
 
 
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:

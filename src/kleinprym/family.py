@@ -265,18 +265,6 @@ def fixed_point_count(inv: InvolutionLabel, params: FamilyParams):
     return count, records
 
 
-def params_from_roots(t1, t2) -> FamilyParams:
-    """a = -t1^2 - 1/t1^2, b = -t2^2 - 1/t2^2; the Weierstrass roots of the
-    genus-3 curve are then +-t1, +-t2, +-1/t1, +-1/t2."""
-    t1 = Fraction(t1)
-    t2 = Fraction(t2)
-    if t1 == 0 or t2 == 0:
-        raise ArgumentError("roots must be nonzero")
-    a = -t1 * t1 - 1 / (t1 * t1)
-    b = -t2 * t2 - 1 / (t2 * t2)
-    return check_domain(a, b)
-
-
 # ---------------------------------------------------------------------------
 # j-invariants
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import ArgumentError, OrderError, PointError, SingularError
 from .algebra import format_rational, parse_rational
-from .family import HyperellipticModel, short_weierstrass_coefficients
 
 MAX_KERNEL_ORDER = 12
 
@@ -55,13 +54,6 @@ def j_weierstrass(curve: WeierstrassCurve) -> Fraction:
     return 1728 * 4 * curve.p ** 3 / delta
 
 
-def quartic_to_weierstrass(model: HyperellipticModel) -> WeierstrassCurve:
-    """A short Weierstrass curve with the same j-invariant as the genus-1
-    model (binary-quartic invariants for quartics, depression for cubics)."""
-    p, q = short_weierstrass_coefficients(model)
-    return WeierstrassCurve.make(p, q)
-
-
 # Affine points are (x, y) pairs; None is the point at infinity.
 
 
@@ -81,17 +73,6 @@ def add_points(curve: WeierstrassCurve, P, Q):
     x3 = lam * lam - x1 - x2
     y3 = lam * (x1 - x3) - y1
     return (x3, y3)
-
-
-def scalar_multiple(curve: WeierstrassCurve, k: int, P):
-    acc = None
-    add = P
-    while k:
-        if k & 1:
-            acc = add_points(curve, acc, add)
-        add = add_points(curve, add, add)
-        k >>= 1
-    return acc
 
 
 def point_order(curve: WeierstrassCurve, P, bound: int = MAX_KERNEL_ORDER) -> int:

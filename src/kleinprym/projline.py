@@ -1,5 +1,5 @@
-"""The projective line over the rationals: points, Moebius maps, cross-ratios,
-and the marked 5-tuple calculus (a pair, a triple, a distinguished triple point).
+"""The projective line over the rationals: points, Moebius maps, and the
+marked 5-tuple calculus (a pair, a triple, a distinguished triple point).
 
 The canonical frame for the distinguished triple is ([1:0], [2:1], [-2:1]);
 every equivalence decision routes through normalisation to that frame.
@@ -152,19 +152,6 @@ def mobius_through(src, dst) -> MobiusMap:
     _require_distinct(dst, "destination triple")
     m = _frame_matrix(*dst).inverse().compose(_frame_matrix(*src))
     return m.canonical()
-
-
-def cross_ratio(p1, p2, p3, p4) -> ProjectivePoint:
-    """Cross-ratio as a point of P^1: the image of p4 under the map
-    sending (p1, p2, p3) to (0, 1, infinity)."""
-    _require_distinct((p1, p2, p3, p4), "cross-ratio input")
-    return apply_mobius(_frame_matrix(p1, p2, p3), p4)
-
-
-def klein_h_map(p: ProjectivePoint) -> ProjectivePoint:
-    """The degree-4 map [x:y] -> [x^4 + y^4 : x^2 y^2], invariant under
-    x -> -x and x -> 1/x."""
-    return ProjectivePoint(p.x**4 + p.y**4, p.x**2 * p.y**2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Torsion is modelled inside Q^4/Z^4 at a fixed level N, coordinates ordered
 (e_E, f_E, e_F, f_F).  A point x is held as the residues N*x mod N, four
-ints in range(N); rationals appear only where points enter (`make`) and in
-the value of the Weil pairing surrogate, the standard symplectic form scaled
-to take values in (1/N)Z/Z:
+ints in range(N); rationals appear only where points enter (`make`).  The
+Weil pairing surrogate is the standard symplectic form scaled to take values
+in (1/N)Z/Z, held as the residue N <x, y> mod N (`_pairing_residue`):
 
     <x, y> = N * (x1 y2 - x2 y1 + x3 y4 - x4 y3)  mod 1.
 
@@ -88,14 +88,6 @@ class TorsionPoint:
 def _pairing_residue(a: tuple, b: tuple, level: int) -> int:
     """N <x, y> mod N for the residues a, b of two points of level N."""
     return (a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]) % level
-
-
-def weil_pairing(x: TorsionPoint, y: TorsionPoint) -> Fraction:
-    """Value in (1/N)Z/Z; bilinear, alternating, nondegenerate on the full
-    level-N torsion."""
-    if x.level != y.level:
-        raise LevelError("level mismatch")
-    return Fraction(_pairing_residue(x.coords, y.coords, x.level), x.level)
 
 
 def full_group(level: int):

@@ -1,3 +1,5 @@
+import functools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +21,119 @@ from kleinprym.periods import ComplexApprox
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 small_polys = st.lists(rationals, min_size=1, max_size=6).map(Polynomial)
+
+
+# coefficients of height up to 10^6, against a plain list-of-Fractions reference
+HEIGHT = 10**6
+tall_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT)),
+)
+tall_lists = st.lists(tall_rationals, max_size=6)
+scalars = st.one_of(st.integers(-HEIGHT, HEIGHT), tall_rationals)
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(f, g, sign=1):
+    n = max(len(f), len(g))
+    f, g = list(f) + [0] * (n - len(f)), list(g) + [0] * (n - len(g))
+    return trimmed(x + sign * y for x, y in zip(f, g))
+
+
+def ref_mul(f, g):
+    if not f or not g:
+        return ()
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def ref_divmod(f, g):
+    q, r = [Fraction(0)] * max(len(f) - len(g) + 1, 0), list(f)
+    while len(r) >= len(g):
+        c = r[-1] / g[-1]
+        shift = len(r) - len(g)
+        q[shift] = c
+        r = list(ref_add(r, [0] * shift + [c * y for y in g], -1))
+    return trimmed(q), tuple(r)
+
+
+def in_stored_form(p):
+    return (p.den > 0 and all(type(n) is int for n in p.nums) and type(p.den) is int
+            and (not p.nums or p.nums[-1] != 0)
+            and math.gcd(p.den, *p.nums) == 1)
+
+
+@given(tall_lists, tall_lists, scalars, st.integers(0, 3),
+       st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT)))
+@settings(max_examples=150)
+def test_arithmetic_matches_the_fraction_reference(fs, gs, c, k, x0):
+    f, g = Polynomial(fs), Polynomial(gs)
+    fs, gs = trimmed(fs), trimmed(gs)
+    assert f.coeffs == fs and all(type(v) is Fraction for v in f.coeffs)
+    assert f.degree == len(fs) - 1
+    assert [f[i] for i in range(-1, len(fs) + 2)] == [0, *fs, 0, 0]
+    results = (
+        (f + g, ref_add(fs, gs)),
+        (f - g, ref_add(fs, gs, -1)),
+        (-f, trimmed(-x for x in fs)),
+        (f * g, ref_mul(fs, gs)),
+        (f * c, trimmed(x * c for x in fs)),
+        (c * f, trimmed(x * c for x in fs)),
+        (f ** k, functools.reduce(ref_mul, [fs] * k, (Fraction(1),))),
+        (f.derivative(), trimmed(i * x for i, x in enumerate(fs))[1:]),
+    )
+    for p, expected in results:
+        assert p.coeffs == expected
+        assert in_stored_form(p)
+    assert f.evaluate(x0) == sum(x * x0 ** i for i, x in enumerate(fs))
+    if gs:
+        q, r = f.divmod(g)
+        assert (q.coeffs, r.coeffs) == ref_divmod(fs, gs)
+        assert in_stored_form(q) and in_stored_form(r)
+    if fs:
+        assert f.monic().coeffs == tuple(x / fs[-1] for x in fs)
+        assert f.leading == fs[-1]
+
+
+@given(tall_lists, st.integers(1, HEIGHT), st.integers(1, HEIGHT))
+def test_equal_values_are_equal_and_hash_alike(fs, m, k):
+    f = Polynomial(fs)
+    # the same value reached through differently scaled intermediate forms
+    others = (
+        (f * m) * Fraction(1, m),
+        Polynomial([x * k for x in fs]) * Fraction(1, k),
+        Polynomial([Fraction(x.numerator * m, x.denominator * m) for x in fs]),
+        f + Polynomial([Fraction(m, k)]) - Polynomial([Fraction(m, k)]),
+        (f * Polynomial([m, k])).divmod(Polynomial([m, k]))[0],
+    )
+    for other in others:
+        assert other == f and hash(other) == hash(f)
+        assert (other.nums, other.den) == (f.nums, f.den)
+    assert (f + Polynomial.one() == f) is False
+    if not f.is_zero:
+        assert f * Fraction(m + 1, m) != f  # may keep f's numerators
+    assert Polynomial([Fraction(1, 2)]) != Polynomial([Fraction(1, 3)])
+
+
+def test_the_zero_polynomial_has_degree_minus_one():
+    p = Polynomial([Fraction(3, 7), 5])
+    zeros = (Polynomial.zero(), Polynomial([0, Fraction(0), 0]), p - p,
+             p * 0, p * Polynomial.zero(), Polynomial([5]).derivative())
+    for z in zeros:
+        assert z.degree == -1 and z.is_zero
+        assert (z.nums, z.den) == ((), 1)
+        assert z == Polynomial.zero() and hash(z) == hash(Polynomial.zero())
+    with pytest.raises(DegreeError):
+        Polynomial.zero().leading
 
 
 def test_parse_format_round_trip():

@@ -67,6 +67,10 @@ PINNED_DIGESTS = {
         "c0e0585a0a084b90b21cd7a9cbec505ef1b0ec20aa540de1251b6d3b64a45008",
     ("involution", "765431/999983", "-123457/1000000"):
         "e4021c61a5b847bbfc681e7f2ead9c21185e584249093fcdc12723423dc0b5ce",
+    ("analyze", "-604837/999931", "918273/999961"):
+        "3800eb1617b1e6ae8930cc957f20601b27e5121bf2e476e4d37572a27940895c",
+    ("involution", "-604837/999931", "918273/999961"):
+        "236a880e686c2685abf4f8abfd186334e4bab314d91f13471ebdee272007360d",
 }
 
 

@@ -19,7 +19,6 @@ from kleinprym.family import (
     curve_equation,
     fixed_point_count,
     j_invariant,
-    params_from_roots,
     quotient_map,
     verify_quotient_identity,
 )
@@ -209,6 +208,25 @@ def test_e_is_it_sign_choice_is_forced():
     assert not verify_quotient_identity(quotient_map(CurveLabel.E_is_it), ctilde_rhs, wrong)
 
 
+# a generic point of height 10^6 and a shift far below any coefficient's size
+GENERIC_POINT = (Fraction(765431, 999983), Fraction(-123457, 1000000))
+TINY = Fraction(1, 10**12)
+
+
+@pytest.mark.parametrize("label", QUOTIENT_LABELS)
+def test_identity_fails_for_any_perturbed_coefficient(label):
+    params = check_domain(*GENERIC_POINT)
+    ctilde_rhs = curve_equation(CurveLabel.Ctilde, params).rhs
+    rhs = curve_equation(label, params).rhs
+    q = quotient_map(label)
+    assert verify_quotient_identity(q, ctilde_rhs, rhs)
+    for i in range(rhs.degree + 1):
+        shifted = rhs + Polynomial([0] * i + [TINY])
+        assert not verify_quotient_identity(q, ctilde_rhs, shifted)
+    # a rescaled rhs keeps its numerators and changes only the denominator
+    assert not verify_quotient_identity(q, ctilde_rhs, rhs * (1 + TINY))
+
+
 @given(domain_params)
 def test_fixed_point_profile(params):
     expected = {
@@ -243,8 +261,10 @@ def test_fixed_point_fibres_are_the_closed_forms():
 
 
 def test_params_from_roots_gives_vanishing_rhs():
+    # a = -t1^2 - 1/t1^2 and b = -t2^2 - 1/t2^2 put the Weierstrass roots of
+    # Ctilde at +-t1, +-t2, +-1/t1, +-1/t2
     t1, t2 = Fraction(3, 2), Fraction(5)
-    params = params_from_roots(t1, t2)
+    params = check_domain(-t1 * t1 - 1 / (t1 * t1), -t2 * t2 - 1 / (t2 * t2))
     rhs = curve_equation(CurveLabel.Ctilde, params).rhs
     for r in (t1, -t1, 1 / t1, t2, -t2, 1 / t2):
         assert rhs.evaluate(r) == 0

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from kleinprym.errors import ArgumentError, DegenerateConfiguration
 from kleinprym.family import check_domain
@@ -13,8 +13,6 @@ from kleinprym.projline import (
     MobiusMap,
     ProjectivePoint,
     apply_mobius,
-    cross_ratio,
-    klein_h_map,
     mobius_through,
     normalize_tuple,
     tuple_of_params,
@@ -64,28 +62,6 @@ def test_mobius_through_hits_targets(pts):
     src, dst = tuple(pts[:3]), tuple(pts[3:])
     m = mobius_through(src, dst)
     assert tuple(apply_mobius(m, p) for p in src) == dst
-
-
-@given(st.lists(points, min_size=4, max_size=4, unique=True), maps)
-def test_cross_ratio_is_mobius_invariant(pts, m):
-    moved = [apply_mobius(m, p) for p in pts]
-    assert cross_ratio(*pts) == cross_ratio(*moved)
-
-
-def test_cross_ratio_normalization():
-    zero = ProjectivePoint.affine(0)
-    one = ProjectivePoint.affine(1)
-    inf = ProjectivePoint.infinity()
-    assert cross_ratio(zero, one, inf, ProjectivePoint.affine(5)) \
-        == ProjectivePoint.affine(5)
-
-
-@given(points)
-def test_klein_h_map_invariance(p):
-    assume(not p.is_infinity and p.x != 0)
-    neg = ProjectivePoint.affine(-p.x)
-    inv = ProjectivePoint.affine(1 / p.x)
-    assert klein_h_map(p) == klein_h_map(neg) == klein_h_map(inv)
 
 
 def test_marked_tuple_string_round_trip():

@@ -10,6 +10,7 @@ from kleinprym.errors import ArgumentError, LevelError, NotIsotropic
 from kleinprym.torsion import (
     MAX_LEVEL,
     TorsionPoint,
+    _pairing_residue,
     duality_chain,
     example_surj_report,
     factor_intersection,
@@ -21,8 +22,12 @@ from kleinprym.torsion import (
     project_to_quotient,
     quotient_image,
     span,
-    weil_pairing,
 )
+
+
+def weil_pairing(x, y):
+    """<x, y> in (1/N)Z/Z, read off the library's residue N <x, y> mod N."""
+    return Fraction(_pairing_residue(x.coords, y.coords, x.level), x.level)
 
 
 def pt(*coords, level):
