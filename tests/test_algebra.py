@@ -111,7 +111,7 @@ def test_equal_values_are_equal_and_hash_alike(fs, m, k):
     others = (
         (f * m) * Fraction(1, m),
         Polynomial([x * k for x in fs]) * Fraction(1, k),
-        Polynomial([Fraction(x.numerator * m, x.denominator * m) for x in fs]),
+        Polynomial._lowest([n * m for n in f.nums], f.den * m),
         f + Polynomial([Fraction(m, k)]) - Polynomial([Fraction(m, k)]),
         (f * Polynomial([m, k])).divmod(Polynomial([m, k]))[0],
     )
