@@ -11,6 +11,7 @@ never exceed 16, so nothing cleverer is attempted.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -44,7 +45,7 @@ class Polynomial:
 
     def __init__(self, coeffs=()):
         cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
+        den = math.lcm(*[c.denominator for c in cs])
         nums = [c.numerator * (den // c.denominator) for c in cs]
         while nums and not nums[-1]:
             nums.pop()
@@ -57,9 +58,12 @@ class Polynomial:
         """sum(nums[i] x^i) / den, den > 0, brought to the stored form."""
         while nums and not nums[-1]:
             nums.pop()
-        g = math.gcd(den, *nums)
+        # tuples are built from lists and the gcd is a fold: `tuple(genexpr)`
+        # and `gcd(den, *nums)` move tuples between CPython's per-size free
+        # lists, which then hold up to 1 MB in a long-lived caller
+        g = functools.reduce(math.gcd, nums, den)
         p = object.__new__(cls)
-        p.nums = tuple(n // g for n in nums) if g != 1 else tuple(nums)
+        p.nums = tuple([n // g for n in nums] if g != 1 else nums)
         p.den = den // g
         return p
 
@@ -101,7 +105,7 @@ class Polynomial:
     @property
     def coeffs(self) -> tuple:
         """The coefficients as Fractions, low to high."""
-        return tuple(Fraction(n, self.den) for n in self.nums)
+        return tuple([Fraction(n, self.den) for n in self.nums])
 
     @property
     def is_zero(self) -> bool:
