@@ -27,7 +27,7 @@ from .family import (
     quotient_map,
     verify_quotient_identity,
 )
-from .projline import CONVENTIONS, MarkedTuple, MarkingConvention, normalize_tuple
+from .projline import CONVENTIONS, MarkedTuple, normalize_tuple
 from .moduli import moduli_report, phi_consistency_report, phi_fiber
 from .torsion import MAX_LEVEL, duality_chain, example_surj_report
 from .isogeny import KernelPoint, WeierstrassCurve, dual_nonisomorphism_check
@@ -129,14 +129,13 @@ def analyze(a, b, fmt):
 def normalize(tuple_text, convention, fmt):
     """Normalise a marked 5-tuple to the canonical frame."""
     t = MarkedTuple.from_string(tuple_text)
-    conv = MarkingConvention.from_name(convention)
+    conv = CONVENTIONS[convention]
     results = []
     for r in normalize_tuple(t, conv):
-        m = r.transform.canonical()
         results.append({
             "a": str(r.params.a),
             "b": str(r.params.b),
-            "witness_map": [str(e) for e in m.entries()],
+            "witness_map": [str(e) for e in r.transform.entries()],
         })
     _emit({"input": t.to_string(), "convention": convention,
            "normalizations": results}, fmt)
@@ -150,7 +149,7 @@ def normalize(tuple_text, convention, fmt):
 def involution(a, b, convention, fmt):
     """The deck involution: image, fibre invariants, consistency report."""
     params = check_domain(a, b)
-    conv = MarkingConvention.from_name(convention)
+    conv = CONVENTIONS[convention]
     fiber = phi_fiber(params)
     report = moduli_report(fiber)
     report["consistency"] = phi_consistency_report(fiber, conv)

@@ -2,17 +2,21 @@
 marked 5-tuple calculus (a pair, a triple, a distinguished triple point).
 
 The canonical frame for the distinguished triple is ([1:0], [2:1], [-2:1]);
-every equivalence decision routes through normalisation to that frame.
+every equivalence decision routes through normalisation to that frame, by
+the one cross-ratio map that sends a marked triple there.  A Moebius map is
+held as its primitive integer matrix.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
 
 from .errors import ArgumentError, DegenerateConfiguration
 from .algebra import format_rational, parse_rational
+from .family import FamilyParams, check_domain
 
 
 class ProjectivePoint:
@@ -70,62 +74,40 @@ class ProjectivePoint:
 
 
 class MobiusMap:
-    """A 2x2 rational matrix acting on P^1 by [x:y] -> [m11 x + m12 y : m21 x + m22 y]."""
+    """A Moebius map [x:y] -> [m11 x + m12 y : m21 x + m22 y] of P^1(Q).
+
+    The rational entries given to the constructor are scaled to the primitive
+    integer matrix whose first nonzero entry is positive, and only that is
+    stored.  This form is canonical, so `==` and `hash` compare it directly.
+    """
 
     __slots__ = ("m11", "m12", "m21", "m22")
 
     def __init__(self, m11, m12, m21, m22):
-        self.m11, self.m12, self.m21, self.m22 = (Fraction(v) for v in (m11, m12, m21, m22))
-        if self.determinant() == 0:
+        es = [Fraction(v) for v in (m11, m12, m21, m22)]
+        den = math.lcm(*[e.denominator for e in es])
+        ints = [e.numerator * (den // e.denominator) for e in es]
+        if ints[0] * ints[3] == ints[1] * ints[2]:
             raise DegenerateConfiguration("Moebius matrix is singular")
+        g = functools.reduce(math.gcd, ints)
+        # a nonsingular matrix has m11 or m12 nonzero
+        if ints[0] < 0 or (ints[0] == 0 and ints[1] < 0):
+            g = -g
+        self.m11, self.m12, self.m21, self.m22 = [v // g for v in ints]
 
-    @classmethod
-    def identity(cls) -> "MobiusMap":
-        return cls(1, 0, 0, 1)
-
-    def determinant(self) -> Fraction:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def entries(self):
+    def entries(self) -> tuple:
         return (self.m11, self.m12, self.m21, self.m22)
-
-    def canonical(self) -> "MobiusMap":
-        """Scale to primitive integer entries with positive first nonzero entry."""
-        es = self.entries()
-        denom_lcm = 1
-        for e in es:
-            denom_lcm = denom_lcm * e.denominator // int_gcd(denom_lcm, e.denominator)
-        ints = [int(e * denom_lcm) for e in es]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        for v in ints:
-            if v != 0:
-                if v < 0:
-                    ints = [-w for w in ints]
-                break
-        return MobiusMap(*ints)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other (matrix product self * other)."""
-        return MobiusMap(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.m22, -self.m12, -self.m21, self.m11)
 
     def __eq__(self, other):
         if isinstance(other, MobiusMap):
-            return self.canonical().entries() == other.canonical().entries()
+            return self.entries() == other.entries()
         return NotImplemented
 
+    def __hash__(self):
+        return hash(self.entries())
+
     def __repr__(self):
-        return f"MobiusMap({', '.join(format_rational(e) for e in self.entries())})"
+        return f"MobiusMap({', '.join(str(e) for e in self.entries())})"
 
 
 def apply_mobius(m: MobiusMap, p: ProjectivePoint) -> ProjectivePoint:
@@ -137,21 +119,18 @@ def _require_distinct(points, context: str):
         raise DegenerateConfiguration(f"repeated points in {context}")
 
 
-def _frame_matrix(p1: ProjectivePoint, p2: ProjectivePoint, p3: ProjectivePoint) -> MobiusMap:
-    """The map sending (p1, p2, p3) to ([0:1], [1:1], [1:0])."""
-    a = p2.x * p3.y - p3.x * p2.y
-    b = p2.x * p1.y - p1.x * p2.y
-    return MobiusMap(p1.y * a, -p1.x * a, p3.y * b, -p3.x * b)
+def _bracket(p: ProjectivePoint, q: ProjectivePoint) -> Fraction:
+    """[p, q] = p.x q.y - p.y q.x, zero exactly when p = q."""
+    return p.x * q.y - p.y * q.x
 
 
-def mobius_through(src, dst) -> MobiusMap:
-    """The unique Moebius map with src_i -> dst_i (i = 1..3), canonically scaled."""
-    src = tuple(src)
-    dst = tuple(dst)
-    _require_distinct(src, "source triple")
-    _require_distinct(dst, "destination triple")
-    m = _frame_matrix(*dst).inverse().compose(_frame_matrix(*src))
-    return m.canonical()
+def _to_frame(d: ProjectivePoint, t1: ProjectivePoint, t2: ProjectivePoint) -> MobiusMap:
+    """The map sending (d, t1, t2) to CANONICAL_TRIPLE = (inf, 2, -2): the
+    cross-ratio p -> 2 - 4 [p, t1][t2, d] / ([p, d][t2, t1])."""
+    u = _bracket(t2, t1)
+    v = _bracket(t2, d)
+    return MobiusMap(2 * u * d.y - 4 * v * t1.y, 4 * v * t1.x - 2 * u * d.x,
+                     u * d.y, -u * d.x)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +148,6 @@ class MarkingConvention:
 
     pair_ordered: bool = False
     triple_tail_ordered: bool = True
-
-    @classmethod
-    def from_name(cls, name: str) -> "MarkingConvention":
-        if name not in CONVENTIONS:
-            raise ArgumentError(f"unknown convention {name!r}")
-        return CONVENTIONS[name]
 
 
 FULLY_ORDERED = MarkingConvention(pair_ordered=True, triple_tail_ordered=True)
@@ -252,7 +225,7 @@ def tuple_of_params(params) -> MarkedTuple:
 
 @dataclass(frozen=True)
 class NormalizationResult:
-    params: "FamilyParams"  # noqa: F821 - forward ref to family
+    params: FamilyParams
     transform: MobiusMap
 
 
@@ -263,18 +236,13 @@ def normalize_tuple(t: MarkedTuple, conv: MarkingConvention = MarkingConvention(
     ordered, otherwise both tail assignments (parameters related by
     (a, b) -> (-a, -b)).
     """
-    from .family import check_domain
-
     tail = t.triple_tail
     assignments = [tail] if conv.triple_tail_ordered else [tail, (tail[1], tail[0])]
     results = []
     for tl in assignments:
-        m = mobius_through((t.distinguished, tl[0], tl[1]), CANONICAL_TRIPLE)
-        images = [apply_mobius(m, p) for p in t.pair]
-        if any(p.is_infinity for p in images):
-            raise DegenerateConfiguration("pair point collides with the distinguished point")
-        a = -images[0].affine_value()
-        b = -images[1].affine_value()
+        m = _to_frame(t.distinguished, *tl)
+        # the pair points differ from the distinguished one, so both images are affine
+        a, b = (-apply_mobius(m, p).affine_value() for p in t.pair)
         results.append(NormalizationResult(check_domain(a, b), m))
     return results
 

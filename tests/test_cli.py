@@ -160,6 +160,94 @@ def test_torsion_reports_match_pinned_digests(command, fmt):
     assert hashlib.sha256(output.encode()).hexdigest() == PINNED_TORSION_DIGESTS[command, fmt]
 
 
+# sha256 of `normalize` output, pinned before the frame map was written in
+# closed form: an affine distinguished point at each index, inf in the pair
+# and in the triple tail, and coordinates of height 10^6
+HEIGHT_1E6_TUPLE = "999983/1000000,-765431/999961;123457/999979,-1000000,654321/999999!1"
+PINNED_NORMALIZE_DIGESTS = {
+    ("3,-7/2;5,1/2,-4!0", "ordered", "json"):
+        "63793b5dd051b152402742db11bc916d6f769afd45f2f2cf7ca3edef9c5b189e",
+    ("3,-7/2;5,1/2,-4!0", "ordered", "text"):
+        "f9990712295a5d759fc785de460e69f55db4d4f4b1d18ff86e985b472ee19191",
+    ("3,-7/2;5,1/2,-4!0", "pair-unordered", "json"):
+        "db4a429f8536b5b05a3b1a7e2e4ade69daa25b61254304aaa4321db855895866",
+    ("3,-7/2;5,1/2,-4!0", "pair-unordered", "text"):
+        "7b117d3c5550b3906ab04d8df9f9b5d8576a7a2e365159870db8efa2320ad81e",
+    ("3,-7/2;5,1/2,-4!0", "all-unordered", "json"):
+        "54a001771343360a8b6d31daf75a1bc407489a810855c86d73909ef70434d3fb",
+    ("3,-7/2;5,1/2,-4!0", "all-unordered", "text"):
+        "0aab6df16358fbe47037fc669ee1ce4406fb4bc8fea7065d1c5445a0805b1029",
+    ("3,-7/2;1/2,5,-4!1", "ordered", "json"):
+        "d04bd4e50ddf75bf60bdf7676516d3eb1920e37a0406be84f52256e48aa315cc",
+    ("3,-7/2;1/2,5,-4!1", "ordered", "text"):
+        "2b3d44461e0b716eccd25f00817bf085548dc4ea87a0f1bd9e7d64c30b849e68",
+    ("3,-7/2;1/2,5,-4!1", "pair-unordered", "json"):
+        "f02dc38e7fc5e0a23dc2817602d04fcf0f85c1218be9c5e25cba6eca5047ffa8",
+    ("3,-7/2;1/2,5,-4!1", "pair-unordered", "text"):
+        "423872ef52485d689ef8b35b4d5839a55c425bf323102560f087a8b7b583c6ff",
+    ("3,-7/2;1/2,5,-4!1", "all-unordered", "json"):
+        "cf930367e1dd4449dd8ccfb5165fa63cbd0a09b5fe1ec7f68b50191d8e186a05",
+    ("3,-7/2;1/2,5,-4!1", "all-unordered", "text"):
+        "9cfd62b6bad96af7e30a25b19ef96164d463e9042457a9b4233557f89d6a1d35",
+    ("3,-7/2;1/2,-4,5!2", "ordered", "json"):
+        "40f9f185f1a859e8865b28511271b316b13e6ad46559e9f080623c94ebcdc62c",
+    ("3,-7/2;1/2,-4,5!2", "ordered", "text"):
+        "bb1ba82bb9cae67c2aed743048661c192db2af1ddb02326420f953d1418e314d",
+    ("3,-7/2;1/2,-4,5!2", "pair-unordered", "json"):
+        "05ea0b64d96823d51322c08e418cc8e867df5205033e35342de51da728a7c272",
+    ("3,-7/2;1/2,-4,5!2", "pair-unordered", "text"):
+        "768580264917c96b0a3e2830e86001a3d8332240b7ceddff7347ae7b62b399db",
+    ("3,-7/2;1/2,-4,5!2", "all-unordered", "json"):
+        "a5111c541b2d2efdd3ab05836924cac1392631a71bfb0594f8fbe713842da11c",
+    ("3,-7/2;1/2,-4,5!2", "all-unordered", "text"):
+        "01d099d4a9bf27ee0014bd807b838139f8e366b4f09131deae2a3ac44e3a9597",
+    ("inf,7;0,1,-1!1", "ordered", "json"):
+        "afab91aa31f07bde0e25ab63541b5e95eb2c03177efb5bf94c0f33f6814b0735",
+    ("inf,7;0,1,-1!1", "ordered", "text"):
+        "76dca31d2ee4a50395a22bad2d895580f064b1279708cfb64a86a1bbf793d9cd",
+    ("inf,7;0,1,-1!1", "pair-unordered", "json"):
+        "d779d997fc1d6471b8f372053730818d5a7e4d4db078fa87595c0f9dd7547410",
+    ("inf,7;0,1,-1!1", "pair-unordered", "text"):
+        "203b89e6fd7a8e60898bc582a350f01a0afa518313af4d64f83d60104658b43c",
+    ("inf,7;0,1,-1!1", "all-unordered", "json"):
+        "08f7923720d704ac682b5e0e6d0daaafebae5eb652f1b9e9072c77da31a69afa",
+    ("inf,7;0,1,-1!1", "all-unordered", "text"):
+        "8b73551a5f4e992f0466f32ad9f1fcdb8031e46cbc9e8321e09773e98a6ef36a",
+    ("4,-3/5;1,inf,9!0", "ordered", "json"):
+        "890aa82a0b8bbc9e97abc72fc12f0344bb45e7b689d1e6da37b1ff494d22db3a",
+    ("4,-3/5;1,inf,9!0", "ordered", "text"):
+        "725f8f5d5953605874b218e11d09dc0478a12e0ee930632fb5a8926bc66f04e4",
+    ("4,-3/5;1,inf,9!0", "pair-unordered", "json"):
+        "f230d9b2a4f4ac0047cbeb0bd1225c4630c6160316cb0fbc4b1e03890879874b",
+    ("4,-3/5;1,inf,9!0", "pair-unordered", "text"):
+        "928d2703c50b40883a4992cc555cb6bbdf030f71dd3011e5af217765a1d03c27",
+    ("4,-3/5;1,inf,9!0", "all-unordered", "json"):
+        "1d10b5b70a26e5f77d7ceab31e9b4e55d6d53efde186a8c3b4b382016b321cd2",
+    ("4,-3/5;1,inf,9!0", "all-unordered", "text"):
+        "4745866b2b79c8e00706e1351ce81686bf2c050066523cd6417e3fac7f605b2b",
+    (HEIGHT_1E6_TUPLE, "ordered", "json"):
+        "2ee14c51d4738b6ba8d5bb81e0e1127e922515495cce0d1c646da9d6616ce07d",
+    (HEIGHT_1E6_TUPLE, "ordered", "text"):
+        "1767480d04b74b4f2372469d1f3af152c39629a445adf05edada858c12e24897",
+    (HEIGHT_1E6_TUPLE, "pair-unordered", "json"):
+        "56f594579e8dedc41f55f421dec9e38a3f99f618c0d32b7c2ffb2d0ce1de24ed",
+    (HEIGHT_1E6_TUPLE, "pair-unordered", "text"):
+        "d353ca5c09e4af2a0cae68634e2c73ee04f53120b8c48e15f05bf8d401eb0ee0",
+    (HEIGHT_1E6_TUPLE, "all-unordered", "json"):
+        "fd7a6a3effee1354faf53695db50162cf8b7c70ed44996341bd3b58045103240",
+    (HEIGHT_1E6_TUPLE, "all-unordered", "text"):
+        "d388d7b9ae19ed67dc1b0d1004e9e7a6864d0b5d7ce11061bda10dd17ab1c2dc",
+}
+
+
+@pytest.mark.parametrize("tuple_text,convention,fmt", sorted(PINNED_NORMALIZE_DIGESTS))
+def test_normalize_reports_match_pinned_digests(tuple_text, convention, fmt):
+    output = run("normalize", "--tuple", tuple_text, "--convention", convention,
+                 "--format", fmt).output
+    digest = hashlib.sha256(output.encode()).hexdigest()
+    assert digest == PINNED_NORMALIZE_DIGESTS[tuple_text, convention, fmt]
+
+
 @pytest.mark.parametrize("args", [
     ["analyze", "--a", "1/0", "--b", "2"],
     ["periods", "--a", "1/0", "--b", "2"],

@@ -7,13 +7,13 @@ from kleinprym.errors import ArgumentError, DegenerateConfiguration
 from kleinprym.family import check_domain
 from kleinprym.projline import (
     CANONICAL_TRIPLE,
+    CONVENTIONS,
     FULLY_ORDERED,
     MarkedTuple,
     MarkingConvention,
     MobiusMap,
     ProjectivePoint,
     apply_mobius,
-    mobius_through,
     normalize_tuple,
     tuple_of_params,
     tuples_equivalent,
@@ -41,20 +41,73 @@ def test_point_string_round_trip():
         assert ProjectivePoint.from_string(text).to_string() == text
 
 
+# The general three-point solver, kept here as the oracle for the closed-form
+# map to the frame that `normalize_tuple` uses.
+
+
+def compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
+    """m1 after m2 (the matrix product m1 m2)."""
+    a11, a12, a21, a22 = m1.entries()
+    b11, b12, b21, b22 = m2.entries()
+    return MobiusMap(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                     a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+
+def inverse(m: MobiusMap) -> MobiusMap:
+    m11, m12, m21, m22 = m.entries()
+    return MobiusMap(m22, -m12, -m21, m11)
+
+
+def frame_matrix(p1, p2, p3) -> MobiusMap:
+    """The map sending (p1, p2, p3) to ([0:1], [1:1], [1:0])."""
+    a = p2.x * p3.y - p3.x * p2.y
+    b = p2.x * p1.y - p1.x * p2.y
+    return MobiusMap(p1.y * a, -p1.x * a, p3.y * b, -p3.x * b)
+
+
+def mobius_through(src, dst) -> MobiusMap:
+    """The unique Moebius map with src_i -> dst_i (i = 1..3)."""
+    return compose(inverse(frame_matrix(*dst)), frame_matrix(*src))
+
+
 def test_mobius_canonical_scaling():
     m = MobiusMap(Fraction(1, 2), 0, 0, Fraction(3, 2))
-    assert m.canonical().entries() == (1, 0, 0, 3)
+    assert m.entries() == (1, 0, 0, 3)
     assert MobiusMap(-2, 0, 0, -6) == m
+
+
+def test_scaled_rational_entries_give_one_map():
+    m = MobiusMap(Fraction(1, 3), Fraction(-2, 3), 1, Fraction(5, 7))
+    scaled = MobiusMap(Fraction(7, 2), -7, Fraction(21, 2), Fraction(15, 2))
+    assert m.entries() == scaled.entries() == (7, -14, 21, 15)
+    assert hash(m) == hash(scaled)
+    assert {m: "m"}[scaled] == "m"
+    assert len({m, scaled, MobiusMap(1, 0, 0, 1)}) == 2
+
+
+def test_negative_leading_entry_flips_the_sign():
+    assert MobiusMap(-3, 6, 1, 0).entries() == (3, -6, -1, 0)
+    assert MobiusMap(0, Fraction(-1, 2), 2, 5).entries() == (0, 1, -4, -10)
+
+
+@pytest.mark.parametrize("entries", [
+    (Fraction(1, 2), 1, Fraction(3, 2), 3),
+    (0, Fraction(2, 3), 0, 5),
+    (0, 0, 0, 0),
+])
+def test_singular_matrix_is_refused(entries):
+    with pytest.raises(DegenerateConfiguration):
+        MobiusMap(*entries)
 
 
 @given(maps, points)
 def test_inverse_undoes_apply(m, p):
-    assert apply_mobius(m.inverse(), apply_mobius(m, p)) == p
+    assert apply_mobius(inverse(m), apply_mobius(m, p)) == p
 
 
 @given(maps, maps, points)
 def test_compose_is_function_composition(m1, m2, p):
-    assert apply_mobius(m1.compose(m2), p) == apply_mobius(m1, apply_mobius(m2, p))
+    assert apply_mobius(compose(m1, m2), p) == apply_mobius(m1, apply_mobius(m2, p))
 
 
 @given(st.lists(points, min_size=6, max_size=6, unique=True))
@@ -62,6 +115,17 @@ def test_mobius_through_hits_targets(pts):
     src, dst = tuple(pts[:3]), tuple(pts[3:])
     m = mobius_through(src, dst)
     assert tuple(apply_mobius(m, p) for p in src) == dst
+
+
+@given(st.lists(points, min_size=5, max_size=5, unique=True), st.integers(0, 2))
+def test_normalize_transform_is_the_three_point_map(pts, k):
+    t = MarkedTuple(tuple(pts[:2]), tuple(pts[2:]), k)
+    t1, t2 = t.triple_tail
+    results = normalize_tuple(t, CONVENTIONS["all-unordered"])
+    assert len(results) == 2
+    for r, src in zip(results, [(t.distinguished, t1, t2), (t.distinguished, t2, t1)]):
+        assert r.transform == mobius_through(src, CANONICAL_TRIPLE)
+        assert tuple(apply_mobius(r.transform, p) for p in src) == CANONICAL_TRIPLE
 
 
 def test_marked_tuple_string_round_trip():
@@ -84,7 +148,7 @@ def test_canonical_tuple_normalizes_to_itself():
     results = normalize_tuple(tuple_of_params(params), FULLY_ORDERED)
     assert len(results) == 1
     assert results[0].params == params
-    assert results[0].transform == MobiusMap.identity()
+    assert results[0].transform == MobiusMap(1, 0, 0, 1)
 
 
 def test_unordered_tail_gives_negated_parameters():
