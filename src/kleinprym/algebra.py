@@ -5,8 +5,9 @@ Rationals are `fractions.Fraction` (always reduced, positive denominator).
 A polynomial is dense and stores integer numerators over one common
 denominator, the content/primitive-part form of von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 6: a product is one integer convolution and
-one gcd pass, not one Fraction reduction per term.  Degrees in this project
-never exceed 16, so nothing cleverer is attempted.
+one gcd pass, not one Fraction reduction per term, and a rational
+substitution is a sum of such convolutions over one denominator.  Degrees
+in this project never exceed 16, so nothing cleverer is attempted.
 """
 
 from __future__ import annotations
@@ -30,6 +31,18 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(r: Fraction) -> str:
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+
+
+def _convolve(xs, ys) -> list:
+    """The product of two integer coefficient sequences, low to high."""
+    if not xs or not ys:
+        return []
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        if a:
+            for j, b in enumerate(ys):
+                out[i + j] += a * b
+    return out
 
 
 class Polynomial:
@@ -160,14 +173,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return Polynomial._lowest([n * other.numerator for n in self.nums],
                                       self.den * other.denominator)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(other.nums):
-                    out[i + j] += a * b
-        return Polynomial._lowest(out, self.den * other.den)
+        return Polynomial._lowest(_convolve(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -255,23 +261,29 @@ def is_squarefree(f: Polynomial) -> bool:
 def substitute_rational_map(f: Polynomial, num: Polynomial, den: Polynomial):
     """Return (g, k) with g = den^k * f(num/den), k = deg f.
 
-    g is a genuine polynomial by construction.
+    g is a genuine polynomial by construction.  With f = F/fd, num = N/nd and
+    den = D/dd over integer numerators, g = sum F_i (N dd)^i (D nd)^(k-i) over
+    fd (nd dd)^k: integer convolutions and one reduction at the end.
     """
     if den.is_zero:
         raise DegreeError("zero denominator in rational substitution")
     k = max(f.degree, 0)
-    g = Polynomial.zero()
-    num_pow = Polynomial.one()
-    den_pows = [Polynomial.one()]
+    n = [c * den.den for c in num.nums]
+    d = [c * num.den for c in den.nums]
+    d_pows = [[1]]
     for _ in range(k):
-        den_pows.append(den_pows[-1] * den)
-    for i in range(k + 1):
-        c = f[i]
+        d_pows.append(_convolve(d_pows[-1], d))
+    out = []
+    n_pow = [1]
+    for i, c in enumerate(f.nums):
         if c:
-            g = g + c * num_pow * den_pows[k - i]
+            term = _convolve(n_pow, d_pows[k - i])
+            out += [0] * (len(term) - len(out))
+            for j, t in enumerate(term):
+                out[j] += c * t
         if i < k:
-            num_pow = num_pow * num
-    return g, k
+            n_pow = _convolve(n_pow, n)
+    return Polynomial._lowest(out, f.den * (num.den * den.den) ** k), k
 
 
 # ---------------------------------------------------------------------------

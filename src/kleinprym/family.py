@@ -2,6 +2,10 @@
 domain, the three extra involutions, all nine quotient curves with explicit
 quotient maps, fixed-point data, and exact j-invariants of the elliptic quotients.
 
+Quotient-map identities and j-invariants are computed on the integer
+numerators of the right-hand sides (`Polynomial.nums`), with one `Fraction`
+per j.
+
 Involution lifts are fixed once and for all as
     sigma:    (x, y) -> (-x, y)
     tau:      (x, y) -> (1/x, y/x^4)
@@ -270,49 +274,34 @@ def fixed_point_count(inv: InvolutionLabel, params: FamilyParams):
 # ---------------------------------------------------------------------------
 
 
-def binary_quartic_invariants(f: Polynomial):
-    """The classical I, J of a x^4 + b x^3 + c x^2 + d x + e."""
-    if f.degree != 4:
-        raise ArgumentError("binary quartic invariants need degree 4")
-    e, d, c, b, a = (f[i] for i in range(5))
-    I = 12 * a * e - 3 * b * d + c * c
-    J = (72 * a * c * e + 9 * b * c * d - 27 * a * d * d
-         - 27 * e * b * b - 2 * c ** 3)
-    return I, J
+def j_invariant(m: HyperellipticModel) -> Fraction:
+    """Exact j-invariant of a genus-1 model y^2 = f(x), deg f in {3, 4}.
 
-
-def _short_weierstrass_j(p: Fraction, q: Fraction) -> Fraction:
-    delta = 4 * p ** 3 + 27 * q * q
-    if delta == 0:
-        raise InternalInvariantError("singular Weierstrass model")
-    return 1728 * 4 * p ** 3 / delta
-
-
-def short_weierstrass_coefficients(m: HyperellipticModel):
-    """(p, q) of a short Weierstrass curve y^2 = x^3 + p x + q with the same
-    j-invariant as the genus-1 model m.
-
-    Quartics go through the binary-quartic invariants; cubics are scaled
-    monic and depressed.
+    A quartic e + d x + c x^2 + b x^3 + a x^4 has the classical invariants
+    I = 12ae - 3bd + c^2 and J = 72ace + 9bcd - 27ad^2 - 27eb^2 - 2c^3, and
+    j = 6912 I^3 / (4 I^3 - J^2).  A cubic c0 + c1 x + c2 x^2 + c3 x^3 has
+    P = 3 c1 c3 - c2^2 and Q = 27 c0 c3^2 - 9 c1 c2 c3 + 2 c2^3 (the depressed
+    monic model scaled by 3 and 27), and j = 6912 P^3 / (4 P^3 + Q^2).  Both
+    are homogeneous of degree 0 in the coefficients, so they are read from
+    the integer numerators and the common denominator drops out (Cremona,
+    *Algorithms for Modular Elliptic Curves*).
     """
     if m.genus != 1:
         raise ArgumentError("j-invariant is defined for genus-1 models only")
-    f = m.rhs
-    if f.degree == 4:
-        I, J = binary_quartic_invariants(f)
-        return -27 * I, -27 * J
-    # cubic: make it monic via (x, y) -> (c3 x, c3 y), then depress
-    c3 = f.leading
-    c2, c1, c0 = f[2], f[1] * c3, f[0] * c3 * c3
-    p = c1 - c2 * c2 / 3
-    q = c0 - c1 * c2 / 3 + 2 * c2 ** 3 / 27
-    return p, q
-
-
-def j_invariant(m: HyperellipticModel) -> Fraction:
-    """Exact j-invariant of a genus-1 model y^2 = f(x), deg f in {3, 4}."""
-    p, q = short_weierstrass_coefficients(m)
-    return _short_weierstrass_j(p, q)
+    # s, t are I, J for a quartic and P, Q for a cubic
+    if m.rhs.degree == 4:
+        e, d, c, b, a = m.rhs.nums
+        s = 12 * a * e - 3 * b * d + c * c
+        t = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c ** 3
+        denominator = 4 * s ** 3 - t * t
+    else:
+        c0, c1, c2, c3 = m.rhs.nums
+        s = 3 * c1 * c3 - c2 * c2
+        t = 27 * c0 * c3 * c3 - 9 * c1 * c2 * c3 + 2 * c2 ** 3
+        denominator = 4 * s ** 3 + t * t
+    if denominator == 0:
+        raise InternalInvariantError("singular Weierstrass model")
+    return Fraction(6912 * s ** 3, denominator)
 
 
 def curve_report(label: CurveLabel, model: HyperellipticModel) -> dict:

@@ -9,6 +9,10 @@ matrix that allegedly connects the two survive only inside the consistency
 report: under order-preserving normalisation the raw tuple form is the
 identity on parameters, and the matrix undoes it rather than producing the
 parameter form.
+
+The report normalises the raw tuple once.  Its equivalence verdicts need no
+normalisation: a canonical tuple `tuple_of_params(p)` normalises by
+construction to p, and to (-a, -b) as well when the triple tail is unordered.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ from .family import CurveLabel, FamilyParams, check_domain, curve_equation, j_in
 from .projline import (
     CANONICAL_TRIPLE,
     CONVENTIONS,
-    FULLY_ORDERED,
     MarkedTuple,
     MarkingConvention,
     MobiusMap,
     ProjectivePoint,
+    canonical_normal_forms,
+    normal_forms_match,
     normalize_tuple,
     tuple_of_params,
-    tuples_equivalent,
 )
 
 
@@ -128,8 +132,10 @@ def phi_consistency_report(fiber: PhiFiber,
     t = tuple_of_params(params)
     raw = phi_tuple_raw(t)
 
-    raw_normalized = [r.params for r in normalize_tuple(raw, FULLY_ORDERED)]
     raw_normalized_conv = [r.params for r in normalize_tuple(raw, conv)]
+    # the tail as given comes first, and the pair's ordering does not enter
+    # normalisation, so that entry is the fully ordered normalisation
+    raw_normalized = raw_normalized_conv[:1]
 
     matrix = printed_matrix(params)
     matrix_image = _params_of_canonical(raw.apply(matrix))
@@ -144,10 +150,9 @@ def phi_consistency_report(fiber: PhiFiber,
     if not matrix_matches_eq2:
         flags.append("printed-matrix-disagrees-with-parameter-form")
 
-    verdicts = {}
-    phi_t = tuple_of_params(image)
-    for name, named in CONVENTIONS.items():
-        verdicts[name] = tuples_equivalent(t, phi_t, named)
+    verdicts = {name: normal_forms_match(canonical_normal_forms(params, named),
+                                         canonical_normal_forms(image, named), named)
+                for name, named in CONVENTIONS.items()}
 
     def fmt_params(p):
         return [format_rational(p.a), format_rational(p.b)]

@@ -469,10 +469,12 @@ def _theta_squares(tau, precision_bits: int):
     n through exp(n log z) once n times the mantissa size passes 10000 bits.
     Runs at the caller's precision."""
     q4 = mpmath.expjpi(tau / 4)  # q^(1/4)
+    if not q4.imag:  # Re tau = 0: the series is real, and runs on mpf
+        q4 = q4.real
     q = _square(_square(q4))
     # t2 = 2 q^(1/4) sum_{n>=0} q^(n^2+n), t3 and t4 = 1 + 2 sum_{n>=1} (+-1)^n q^(n^2)
-    qn = square = oblong = sum2 = mpmath.mpc(1)  # q^n, q^(n^2), q^(n^2+n) at n = 0
-    even = odd = mpmath.mpc(0)
+    qn = square = oblong = sum2 = type(q)(1)  # q^n, q^(n^2), q^(n^2+n) at n = 0
+    even = odd = type(q)(0)
     cutoff = mpmath.ldexp(1, -precision_bits - 16)
     for n in range(1, precision_bits):
         qn *= q

@@ -2,8 +2,10 @@
 marked 5-tuple calculus (a pair, a triple, a distinguished triple point).
 
 The canonical frame for the distinguished triple is ([1:0], [2:1], [-2:1]);
-every equivalence decision routes through normalisation to that frame, by
-the one cross-ratio map that sends a marked triple there.  A Moebius map is
+every equivalence decision compares normal forms in that frame.  A tuple is
+normalised by the one cross-ratio map that sends its marked triple there; a
+canonical tuple `tuple_of_params` is already there, so its normal forms are
+written down (`canonical_normal_forms`).  A Moebius map is
 held as its primitive integer matrix.
 """
 
@@ -234,7 +236,9 @@ def normalize_tuple(t: MarkedTuple, conv: MarkingConvention = MarkingConvention(
 
     Returns a list of NormalizationResult: one entry when the triple tail is
     ordered, otherwise both tail assignments (parameters related by
-    (a, b) -> (-a, -b)).
+    (a, b) -> (-a, -b)), the tail as given first.  The pair's ordering does
+    not enter: the convention's `pair_ordered` matters only when results
+    are compared.
     """
     tail = t.triple_tail
     assignments = [tail] if conv.triple_tail_ordered else [tail, (tail[1], tail[0])]
@@ -247,6 +251,16 @@ def normalize_tuple(t: MarkedTuple, conv: MarkingConvention = MarkingConvention(
     return results
 
 
+def canonical_normal_forms(params, conv: MarkingConvention) -> list:
+    """The parameters that `normalize_tuple` reads off `tuple_of_params(params)`,
+    found without normalising: the frame map of a canonical tuple is the
+    identity, and the swapped tail (inf, -2, 2) goes to the frame by p -> -p.
+    (-a, -b) lies in the domain whenever (a, b) does."""
+    if conv.triple_tail_ordered:
+        return [params]
+    return [params, FamilyParams(-params.a, -params.b)]
+
+
 def _params_match(p1, p2, conv: MarkingConvention) -> bool:
     if (p1.a, p1.b) == (p2.a, p2.b):
         return True
@@ -255,9 +269,13 @@ def _params_match(p1, p2, conv: MarkingConvention) -> bool:
     return False
 
 
+def normal_forms_match(n1, n2, conv: MarkingConvention) -> bool:
+    """True iff a parameter pair of n1 matches one of n2 under the convention."""
+    return any(_params_match(p1, p2, conv) for p1 in n1 for p2 in n2)
+
+
 def tuples_equivalent(t1: MarkedTuple, t2: MarkedTuple,
                       conv: MarkingConvention = MarkingConvention()) -> bool:
     """True iff a Moebius map matches t1 to t2 respecting the convention."""
-    n1 = normalize_tuple(t1, conv)
-    n2 = normalize_tuple(t2, conv)
-    return any(_params_match(r1.params, r2.params, conv) for r1 in n1 for r2 in n2)
+    return normal_forms_match([r.params for r in normalize_tuple(t1, conv)],
+                              [r.params for r in normalize_tuple(t2, conv)], conv)

@@ -209,6 +209,40 @@ def test_substitute_rational_map_agrees_pointwise(f, x0):
     assert g.evaluate(x0) == d ** k * f.evaluate(num.evaluate(x0) / d)
 
 
+def ref_substitute(fs, ns, ds):
+    """den^k f(num/den), k = deg f, on lists of Fractions."""
+    k = max(len(fs) - 1, 0)
+    out = ()
+    for i, c in enumerate(fs):
+        term = functools.reduce(ref_mul, [ns] * i + [ds] * (k - i), (c,))
+        out = ref_add(out, term)
+    return out
+
+
+# degree 0 to 8 or the zero f; num and den with non-unit denominators
+substitution_inputs = st.tuples(
+    st.one_of(st.just([]), st.lists(tall_rationals, min_size=1, max_size=9)),
+    tall_lists,
+    tall_lists.filter(lambda ds: any(ds)),
+)
+
+
+@given(substitution_inputs)
+@settings(max_examples=150)
+def test_substitute_rational_map_matches_the_fraction_reference(inputs):
+    fs, ns, ds = inputs
+    f, num, den = Polynomial(fs), Polynomial(ns), Polynomial(ds)
+    g, k = substitute_rational_map(f, num, den)
+    assert k == max(f.degree, 0)
+    assert g.coeffs == ref_substitute(trimmed(fs), trimmed(ns), trimmed(ds))
+    assert in_stored_form(g)
+
+
+def test_substitute_rational_map_rejects_a_zero_denominator():
+    with pytest.raises(DegreeError):
+        substitute_rational_map(Polynomial([1, 2]), Polynomial.x(), Polynomial.zero())
+
+
 def test_gcd_is_monic_common_divisor():
     f = Polynomial.from_roots([1, 2, 3])
     g = Polynomial.from_roots([2, 3, 4], leading=7)

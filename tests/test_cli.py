@@ -23,6 +23,7 @@ from kleinprym.errors import PrecisionError
 from kleinprym.family import CurveLabel, check_domain, curve_equation
 from kleinprym.moduli import phi_params
 from kleinprym.periods import periods_report
+from kleinprym.projline import CONVENTIONS, normalize_tuple
 
 
 def run(*args):
@@ -78,6 +79,57 @@ PINNED_DIGESTS = {
 def test_exact_reports_match_pinned_digests(command, a, b):
     output = run(command, "--a", a, "--b", b).output
     assert hashlib.sha256(output.encode()).hexdigest() == PINNED_DIGESTS[command, a, b]
+
+
+# sha256 of `involution` under each convention and format, at the pinned
+# points above; "ordered" and "pair-unordered" agree, as normalisation does
+# not read the pair's ordering and the verdicts list every convention
+PINNED_INVOLUTION_DIGESTS = {
+    ("7/5", "-13/4", "ordered", "json"):
+        "b82f753998e01bbb6475e7abbf1fffcb9a5fd5c8755e4a56b9e2be4a6ecef79c",
+    ("7/5", "-13/4", "ordered", "text"):
+        "dc86c893064684ba3dfc2bb5d2543f80ea006361f1f040536d460fadd0b78405",
+    ("7/5", "-13/4", "pair-unordered", "json"):
+        "b82f753998e01bbb6475e7abbf1fffcb9a5fd5c8755e4a56b9e2be4a6ecef79c",
+    ("7/5", "-13/4", "pair-unordered", "text"):
+        "dc86c893064684ba3dfc2bb5d2543f80ea006361f1f040536d460fadd0b78405",
+    ("7/5", "-13/4", "all-unordered", "json"):
+        "b6341f67d6bf2987bbb570ac8fe4f7b0d9215bdc8ed7328c5f9a4d9862a87833",
+    ("7/5", "-13/4", "all-unordered", "text"):
+        "df968ea0a7737b6f9d614550edf3c69534ead226936dd149d938104b8c93baee",
+    ("765431/999983", "-123457/1000000", "ordered", "json"):
+        "e4021c61a5b847bbfc681e7f2ead9c21185e584249093fcdc12723423dc0b5ce",
+    ("765431/999983", "-123457/1000000", "ordered", "text"):
+        "47cdf1c37101a0cde84b3f7e3b53dce994c6442363893f553fc3b1d012344491",
+    ("765431/999983", "-123457/1000000", "pair-unordered", "json"):
+        "e4021c61a5b847bbfc681e7f2ead9c21185e584249093fcdc12723423dc0b5ce",
+    ("765431/999983", "-123457/1000000", "pair-unordered", "text"):
+        "47cdf1c37101a0cde84b3f7e3b53dce994c6442363893f553fc3b1d012344491",
+    ("765431/999983", "-123457/1000000", "all-unordered", "json"):
+        "6293c2629b7b541086c5fb2717f4012991e62517b387aac25c8c79800fc69b37",
+    ("765431/999983", "-123457/1000000", "all-unordered", "text"):
+        "80edee2e9d6a892d619cfcee3ac59e22a527bf25a5852030189795fc8a6982a1",
+    ("-604837/999931", "918273/999961", "ordered", "json"):
+        "236a880e686c2685abf4f8abfd186334e4bab314d91f13471ebdee272007360d",
+    ("-604837/999931", "918273/999961", "ordered", "text"):
+        "312bdf545d39dff45d778055c83e83f4d716c29eb75ce61deb89199b9e21e878",
+    ("-604837/999931", "918273/999961", "pair-unordered", "json"):
+        "236a880e686c2685abf4f8abfd186334e4bab314d91f13471ebdee272007360d",
+    ("-604837/999931", "918273/999961", "pair-unordered", "text"):
+        "312bdf545d39dff45d778055c83e83f4d716c29eb75ce61deb89199b9e21e878",
+    ("-604837/999931", "918273/999961", "all-unordered", "json"):
+        "efebfbea4a7a1f54584be852ad78d5bb9d07f5c2a8a729d811e9cc6b5da564fc",
+    ("-604837/999931", "918273/999961", "all-unordered", "text"):
+        "9bbf81458259e3259fd4cd48d02ae7c7bfbc99424dde2a5a98ad05c5884447b8",
+}
+
+
+@pytest.mark.parametrize("a,b,convention,fmt", sorted(PINNED_INVOLUTION_DIGESTS))
+def test_involution_reports_match_pinned_digests(a, b, convention, fmt):
+    output = run("involution", "--a", a, "--b", b, "--convention", convention,
+                 "--format", fmt).output
+    assert hashlib.sha256(output.encode()).hexdigest() == \
+        PINNED_INVOLUTION_DIGESTS[a, b, convention, fmt]
 
 
 # sha256 of the default periods JSON; a change to a printed period, tau, j
@@ -340,6 +392,22 @@ def test_involution_builds_each_model_once(monkeypatch):
     assert run("involution", "--a", "7/5", "--b", "-13/4").exit_code == 0
     assert len(models) == len(set(models)) == 8
     assert phis == [check_domain(Fraction(7, 5), Fraction(-13, 4))]
+
+
+@pytest.mark.parametrize("convention", ["ordered", "pair-unordered", "all-unordered"])
+def test_involution_normalizes_the_raw_tuple_once(monkeypatch, convention):
+    # the verdicts read the canonical tuples' normal forms without normalising
+    calls = []
+
+    def counted(t, conv):
+        calls.append(conv)
+        return normalize_tuple(t, conv)
+
+    monkeypatch.setattr("kleinprym.moduli.normalize_tuple", counted)
+    monkeypatch.setattr("kleinprym.projline.normalize_tuple", counted)
+    assert run("involution", "--a", "7/5", "--b", "-13/4",
+               "--convention", convention).exit_code == 0
+    assert calls == [CONVENTIONS[convention]]
 
 
 def test_periods_rejects_tiny_bits():

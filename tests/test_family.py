@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from j_oracle import oracle_j
 from kleinprym.acceptance import IDENTITY_GRID
-from kleinprym.algebra import Polynomial, discriminant, format_rational
+from kleinprym.algebra import Polynomial, discriminant, format_rational, is_squarefree
 from kleinprym.errors import ArgumentError, DomainError, InternalInvariantError
 from kleinprym.family import (
     CurveLabel,
@@ -297,3 +298,47 @@ def test_quartic_and_cubic_models_share_j_along_tau_quotients(params):
     for label in ELLIPTIC_LABELS:
         assert j_invariant(curve_equation(label, params)) == \
             j_invariant(curve_equation(label, swapped))
+
+
+# the integer formula of `j_invariant` against the Fraction-based
+# short-Weierstrass oracle of tests/j_oracle.py
+TALL = 10**6
+tall_fractions = st.builds(Fraction, st.integers(-TALL, TALL), st.integers(1, TALL))
+tall_params = st.tuples(tall_fractions, tall_fractions).filter(
+    lambda ab: ab[0] != ab[1] and ab[0] ** 2 != 4 and ab[1] ** 2 != 4
+).map(lambda ab: check_domain(*ab))
+
+
+@given(tall_params)
+@settings(max_examples=60)
+def test_integer_j_is_the_oracle_j_on_the_family(params):
+    for label in ELLIPTIC_LABELS:
+        model = curve_equation(label, params)
+        assert j_invariant(model) == oracle_j(model)
+
+
+# non-unit leading coefficients, and middle coefficients that are often zero
+leading_fractions = tall_fractions.filter(lambda c: c not in (0, 1, -1))
+middle_fractions = st.one_of(st.just(Fraction(0)), tall_fractions)
+
+
+@given(st.integers(3, 4).flatmap(lambda n: st.tuples(
+    st.lists(middle_fractions, min_size=n, max_size=n), leading_fractions)))
+@settings(max_examples=150)
+def test_integer_j_is_the_oracle_j_on_bare_models(coeffs):
+    lower, lead = coeffs
+    rhs = Polynomial([*lower, lead])
+    assume(is_squarefree(rhs))
+    model = HyperellipticModel.from_rhs(rhs)
+    assert model.genus == 1
+    assert j_invariant(model) == oracle_j(model)
+
+
+@pytest.mark.parametrize("roots", [(1, 1, -2), (Fraction(1, 3), Fraction(1, 3), 5, 7)],
+                         ids=["cubic", "quartic"])
+def test_j_of_a_singular_model_is_an_invariant_error(roots):
+    rhs = Polynomial.from_roots(roots, leading=Fraction(-3, 2))
+    model = HyperellipticModel(rhs, 1, (rhs,))
+    for j in (j_invariant, oracle_j):
+        with pytest.raises(InternalInvariantError):
+            j(model)

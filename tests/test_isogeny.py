@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from j_oracle import short_weierstrass_coefficients
 from kleinprym.errors import OrderError, PointError, SingularError
 from kleinprym.family import CurveLabel, ELLIPTIC_LABELS, check_domain, \
-    curve_equation, j_invariant, short_weierstrass_coefficients
+    curve_equation, j_invariant
 from kleinprym.isogeny import (
     KernelPoint,
     WeierstrassCurve,

@@ -13,7 +13,13 @@ from kleinprym.moduli import (
     printed_matrix,
     prym_fiber_invariants,
 )
-from kleinprym.projline import FULLY_ORDERED, normalize_tuple, tuple_of_params
+from kleinprym.projline import (
+    CONVENTIONS,
+    FULLY_ORDERED,
+    normalize_tuple,
+    tuple_of_params,
+    tuples_equivalent,
+)
 
 domain_params = st.tuples(
     st.fractions(min_value=-15, max_value=15, max_denominator=6),
@@ -82,6 +88,32 @@ def test_consistency_report_flags_exactly_two_issues():
         "raw-tuple-form-normalizes-to-input",
         "printed-matrix-disagrees-with-parameter-form",
     ]
+
+
+@given(domain_params)
+def test_report_verdicts_are_the_canonical_tuples_equivalence(params):
+    assume(params.phi_defined)
+    fiber = phi_fiber(params)
+    verdicts = phi_consistency_report(fiber)["equivalence_verdicts"]
+    t, phi_t = tuple_of_params(params), tuple_of_params(fiber.image)
+    assert verdicts == {name: tuples_equivalent(t, phi_t, conv)
+                        for name, conv in CONVENTIONS.items()}
+
+
+def test_verdicts_at_a_point_whose_image_is_its_negation():
+    # phi(1, 3) = (-1, -3), the other tail assignment of the same tuple
+    verdicts = phi_consistency_report(phi_fiber(check_domain(1, 3)))["equivalence_verdicts"]
+    assert verdicts == {"ordered": False, "pair-unordered": False, "all-unordered": True}
+
+
+@pytest.mark.parametrize("name", sorted(CONVENTIONS))
+def test_requested_normalization_extends_the_ordered_one(name):
+    report = phi_consistency_report(phi_fiber(check_domain(Fraction(7, 5), Fraction(-13, 4))),
+                                    CONVENTIONS[name])
+    ordered = report["raw_tuple_normalized_ordered"]
+    requested = report["raw_tuple_normalized_requested"]
+    assert len(ordered) == 1 and requested[:1] == ordered
+    assert len(requested) == (2 if name == "all-unordered" else 1)
 
 
 def test_consistency_report_requires_phi_defined():

@@ -14,6 +14,8 @@ from kleinprym.projline import (
     MobiusMap,
     ProjectivePoint,
     apply_mobius,
+    canonical_normal_forms,
+    normal_forms_match,
     normalize_tuple,
     tuple_of_params,
     tuples_equivalent,
@@ -178,3 +180,24 @@ def test_canonical_triple_is_the_expected_frame():
     assert CANONICAL_TRIPLE[0].is_infinity
     assert CANONICAL_TRIPLE[1] == ProjectivePoint.affine(2)
     assert CANONICAL_TRIPLE[2] == ProjectivePoint.affine(-2)
+
+
+domain_params = st.tuples(
+    st.fractions(min_value=-15, max_value=15, max_denominator=6),
+    st.fractions(min_value=-15, max_value=15, max_denominator=6),
+).filter(lambda ab: ab[0] != ab[1] and ab[0] ** 2 != 4 and ab[1] ** 2 != 4
+         ).map(lambda ab: check_domain(*ab))
+
+
+@given(domain_params, domain_params, st.sampled_from(["other", "same", "swapped",
+                                                      "negated", "negated-swapped"]))
+def test_canonical_normal_forms_decide_equivalence(p, other, relation):
+    # the second point is often related to the first, so both verdicts occur
+    q = {"other": other, "same": p, "swapped": p.swapped(),
+         "negated": check_domain(-p.a, -p.b),
+         "negated-swapped": check_domain(-p.b, -p.a)}[relation]
+    for conv in CONVENTIONS.values():
+        forms = canonical_normal_forms(p, conv)
+        assert forms == [r.params for r in normalize_tuple(tuple_of_params(p), conv)]
+        assert normal_forms_match(forms, canonical_normal_forms(q, conv), conv) == \
+            tuples_equivalent(tuple_of_params(p), tuple_of_params(q), conv)
