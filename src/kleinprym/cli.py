@@ -52,7 +52,10 @@ _format_option = click.option("--format", "fmt", type=click.Choice(["json", "tex
 _convention_option = click.option(
     "--convention", type=click.Choice(list(CONVENTIONS)),
     default="pair-unordered", show_default=True,
-    help="Which parts of the marking carry an ordering.")
+    help="Which parts of the marking carry an ordering. 'ordered' and "
+         "'pair-unordered' print the same results: a normal form keeps the pair "
+         "as given, and the involution report decides every convention's "
+         "equivalence whichever is chosen.")
 
 
 def _echo(text: str) -> None:

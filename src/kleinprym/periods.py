@@ -18,8 +18,9 @@ Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
   lambda, 1 - lambda and c (e2 - e1) are `Fraction`s, each rounded once.
   e3 is the middle one of the three real e's and e1, e2 the outer two with
   lambda <= 1/2, the smaller first at lambda = 1/2, so lambda lies in
-  (0, 1/2] and both AGMs are of positive reals: mpmath's fixed-point `agm`
-  on mpf.  The scale is 1/sqrt(c), or -i/sqrt(|c|) for c < 0;
+  (0, 1/2] and both AGMs are of positive reals, M(1, sqrt(x)) for a
+  rational x, run on Python integers at a fixed-point scale wide enough for
+  sqrt(x) (`_real_agm`).  The scale is 1/sqrt(c), or -i/sqrt(|c|) for c < 0;
 * the general path, for everything else (`elliptic_periods_agm`): the
   branch points are the roots of f at the working precision.  Models of the
   family carry the rational factors of f, all of degree <= 2, and each is
@@ -72,12 +73,16 @@ fundamental domain, where |q| <= e^(-pi sqrt(3)/2) and the terms q^(n^2) fall
 fast: about 33 of them reach 4096 bits.  Its powers are multiplied out, since
 mpmath raises a high-precision mpc to an integer power through a complex log
 and exp.  A periods report runs three q-series, one at the tau of each
-partner.  The reduction carries the kernel's half-period along as a class
-(m, n) in (Z/2)^2, t = (m w1 + n w2)/2 in the current basis, starting from
-slot 1, 2, 3 = (0, 1), (1, 0), (1, 1) and updated exactly at every step: the
-shift w2 -= s w1 sends m to m + s n, the swap (w2, -w1) and the unit i send
-(m, n) to (n, m), -1 changes nothing, and the unit e^(i pi/3) and its inverse
-send (m, n) to (n, m + n) and (m + n, m).  In the partner's reduced basis the
+partner.  Each of those taus has real part 0, so its nome is real, and the
+series runs on Python integers at a fixed-point scale, with q^n held only to
+the bits the remaining terms need (`_real_theta_squares`); the complex series
+serves `analytic_j` at a general tau.  The reduction carries the kernel's
+half-period along as a class (m, n) in (Z/2)^2, t = (m w1 + n w2)/2 in the
+current basis, starting from slot 1, 2, 3 = (0, 1), (1, 0), (1, 1) and
+updated exactly at every step: the shift w2 -= s w1 sends m to m + s n, the
+swap (w2, -w1) and the unit i send (m, n) to (n, m), -1 changes nothing, and
+the unit e^(i pi/3) and its inverse send (m, n) to (n, m + n) and
+(m + n, m).  In the partner's reduced basis the
 quotient's tau' is then tau/2, 2 tau or (tau + 1)/2, and with A, B, C = t2^2,
 t3^2, t4^2 at tau and odd, even the sums of q^(n^2) over odd and even n >= 1,
 the duplication formulas give the theta constants at tau':
@@ -98,6 +103,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 
@@ -106,6 +112,9 @@ from .algebra import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .family import ELLIPTIC_LABELS, CurveLabel, HyperellipticModel, curve_equation, j_invariant
 
 _GUARD_BITS = 64
+# the bits the fixed-point kernels carry beyond the working precision, as
+# mpmath's own fixed-point agm does
+_FIXED_GUARD_BITS = 20
 
 
 def _check_precision(precision_bits: int) -> None:
@@ -327,6 +336,31 @@ def _rounded(x: Fraction) -> mpmath.mpf:
     return mpmath.fdiv(x.numerator, x.denominator)
 
 
+def _from_fixed(v: int, wp: int) -> mpmath.mpf:
+    """v 2^-wp rounded once to the working precision."""
+    return mpmath.ldexp(mpmath.mpf(v), -wp)
+
+
+def _real_agm(x: Fraction) -> mpmath.mpf:
+    """M(1, sqrt(x)) for a rational 0 < x < 1 at the working precision, on
+    integers at the scale 2^wp: wp is the working precision plus
+    _FIXED_GUARD_BITS plus ceil(log2(1/x)/2), so sqrt(x), the smallest value
+    the AGM meets, keeps every bit, and sqrt(x) is the isqrt of x at the scale
+    2^(2 wp), taken straight from the fraction.  Every step takes one
+    `math.isqrt` of a product.  The loop stops, as mpmath's `agm_fixed` does,
+    once a and b are within 16 units of 2^-wp, and returns their mean; like
+    `optimal_agm` it gives up with PrecisionError after 8 wp steps."""
+    num, den = x.numerator, x.denominator
+    wp = (mpmath.mp.prec + _FIXED_GUARD_BITS
+          + (den.bit_length() - num.bit_length() + 2) // 2)
+    a, b = 1 << wp, isqrt((num << 2 * wp) // den)
+    for _ in range(8 * wp):
+        if abs(a - b) < 16:
+            return _from_fixed((a + b) >> 1, wp)
+        a, b = (a + b) >> 1, isqrt(a * b)
+    raise PrecisionError("real AGM did not converge within the iteration budget")
+
+
 def _rational_legendre_basis(model: HyperellipticModel):
     """(omega1, omega2, order): `_legendre_basis` for a model whose factors
     are all linear, on the exact rational path of the module docstring: the
@@ -352,8 +386,8 @@ def _rational_legendre_basis(model: HyperellipticModel):
     lam = (e[i3] - e[i1]) / d
     c = lead * d
     # 2 K(lambda) and 2 K(1 - lambda), each from its complement
-    k = mpmath.pi / mpmath.agm(1, mpmath.sqrt(_rounded(1 - lam)))
-    k_c = mpmath.pi / mpmath.agm(1, mpmath.sqrt(_rounded(lam)))
+    k = mpmath.pi / _real_agm(1 - lam)
+    k_c = mpmath.pi / _real_agm(lam)
     # the scale 1/sqrt(c) on the principal branch: -i/sqrt(|c|) for c < 0
     s = 1 / mpmath.sqrt(_rounded(abs(c)))
     if c > 0:
@@ -469,12 +503,12 @@ def _theta_squares(tau, precision_bits: int):
     n through exp(n log z) once n times the mantissa size passes 10000 bits.
     Runs at the caller's precision."""
     q4 = mpmath.expjpi(tau / 4)  # q^(1/4)
-    if not q4.imag:  # Re tau = 0: the series is real, and runs on mpf
-        q4 = q4.real
+    if not q4.imag:  # Re tau = 0: the series is real, and runs on integers
+        return _real_theta_squares(q4.real, precision_bits)
     q = _square(_square(q4))
     # t2 = 2 q^(1/4) sum_{n>=0} q^(n^2+n), t3 and t4 = 1 + 2 sum_{n>=1} (+-1)^n q^(n^2)
-    qn = square = oblong = sum2 = type(q)(1)  # q^n, q^(n^2), q^(n^2+n) at n = 0
-    even = odd = type(q)(0)
+    qn = square = oblong = sum2 = mpmath.mpc(1)  # q^n, q^(n^2), q^(n^2+n) at n = 0
+    even = odd = mpmath.mpc(0)
     cutoff = mpmath.ldexp(1, -precision_bits - 16)
     for n in range(1, precision_bits):
         qn *= q
@@ -493,6 +527,45 @@ def _theta_squares(tau, precision_bits: int):
     t3 = 1 + 2 * (even + odd)
     t4 = 1 + 2 * (even - odd)
     return t2 * t2, t3 * t3, t4 * t4, odd, even
+
+
+def _real_theta_squares(q4, precision_bits: int):
+    """`_theta_squares` for a real nome 0 < q < 1, given q^(1/4), on integers
+    at the scale 2^wp: wp is the working precision plus _FIXED_GUARD_BITS
+    plus the bits that q sits below 1, so that odd, about q, keeps its
+    relative precision for the (1, 0) duplication formula far up the axis.
+    With q < 2^-L, q^n is held only to the absolute precision
+    2^-(wp - L (n^2 - n)) that its products with q^(n^2 - n) and q^(n^2) need,
+    so the operands shrink term by term.  Same stopping rule as the complex
+    series."""
+    q = _square(_square(q4))
+    bits_below = -mpmath.mag(q)  # L: 2^-(L + 1) <= q < 2^-L
+    wp = mpmath.mp.prec + _FIXED_GUARD_BITS + bits_below + 1
+    q_fixed = int(mpmath.ldexp(q, wp))
+    qn, k = 1 << wp, wp  # q^n at the scale 2^k
+    oblong = sum2 = 1 << wp
+    even = odd = 0
+    cutoff = 1 << (wp - precision_bits - 16)
+    for n in range(1, precision_bits):
+        k_next = max(wp - bits_below * (n * n - n), 0)
+        qn = qn * (q_fixed >> (wp - k_next)) >> k
+        k = k_next
+        square = oblong * qn >> k
+        oblong = square * qn >> k
+        sum2 += oblong
+        if n % 2:
+            odd += square
+        else:
+            even += square
+        if square < cutoff:
+            break
+    else:
+        raise PrecisionError("q-expansion did not reach the tail bound")
+    t2 = 2 * q4 * _from_fixed(sum2, wp)
+    t3 = (1 << wp) + 2 * (even + odd)
+    t4 = (1 << wp) - 2 * (odd - even)
+    return (t2 * t2, _from_fixed(t3 * t3, 2 * wp), _from_fixed(t4 * t4, 2 * wp),
+            _from_fixed(odd, wp), _from_fixed(even, wp))
 
 
 def _j_from_eighths(a, b, c):

@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kleinprym.acceptance import near_locus_params, random_params
 from kleinprym.algebra import Polynomial
@@ -708,3 +711,90 @@ def test_periods_keep_the_bits_of_a_tiny_lambda():
         want = elliptic_periods_agm(model, 4096).tau.to_mpc()
         with mpmath.workprec(4096):
             assert mpmath.fabs(got - want) <= mpmath.ldexp(1, -248) * mpmath.fabs(want), label
+
+
+KERNEL_BITS = [128, 256, 1024, 4096]
+
+
+def _kernel_tolerance(bits):
+    return mpmath.ldexp(1, -bits - 32)
+
+
+# 0 < x < 1 from 1e-300 up to 1 - 1e-30: scaled decimals, their complements,
+# and fractions with large numerators and denominators, as lambda has
+_AGM_ARGUMENTS = st.one_of(
+    st.builds(lambda m, k: Fraction(m, 10**6 * 10**k),
+              st.integers(1, 10**6 - 1), st.integers(0, 294)),
+    st.builds(lambda m, k: 1 - Fraction(m, 10**6 * 10**k),
+              st.integers(1, 10**6 - 1), st.integers(0, 24)),
+    st.builds(lambda n, d: Fraction(min(n, d), max(n, d) + 1),
+              st.integers(1, 2**200), st.integers(1, 2**200)),
+)
+
+
+@pytest.mark.parametrize("bits", KERNEL_BITS)
+@settings(max_examples=100, deadline=None)
+@given(x=_AGM_ARGUMENTS)
+@example(x=Fraction(1, 10**300))
+@example(x=1 - Fraction(1, 10**30))
+@example(x=Fraction(1, 2))
+def test_real_agm_matches_mpmath_at_doubled_precision(bits, x):
+    # the fixed-point M(1, sqrt(x)) of the exact partner path, at the working
+    # precision of a report, against mpmath's agm at twice that precision;
+    # sqrt(x) of a tiny x must keep every bit
+    with mpmath.workprec(bits + _GUARD_BITS):
+        got = periods._real_agm(x)
+    with mpmath.workprec(2 * (bits + _GUARD_BITS)):
+        want = mpmath.agm(1, mpmath.sqrt(mpmath.fdiv(x.numerator, x.denominator)))
+        assert mpmath.fabs(got - want) <= _kernel_tolerance(bits) * want
+    assert got.man_exp[0].bit_length() <= bits + _GUARD_BITS  # rounded once
+
+
+def test_real_agm_gives_up_after_its_iteration_budget(monkeypatch):
+    # an isqrt that overshoots keeps b about twice a, so the loop never meets
+    # its stopping rule; the budget ends it as optimal_agm's ends its own loop
+    monkeypatch.setattr(periods, "isqrt", lambda n: 2 * math.isqrt(n))
+    with mpmath.workprec(128 + _GUARD_BITS):
+        with pytest.raises(PrecisionError, match="iteration budget"):
+            periods._real_agm(Fraction(1, 3))
+
+
+def _jtheta_squares(t, bits):
+    """(A, B, C, odd, even) of `_theta_squares` at tau = i t from mpmath's
+    jtheta at twice the precision: odd = t2(q^4)/2 and even = (t3(q^4) - 1)/2,
+    so that neither is a difference of nearby values."""
+    with mpmath.workprec(2 * (bits + _GUARD_BITS)):
+        q = mpmath.exp(-mpmath.pi * t)
+        q4 = q ** 4
+        return (mpmath.jtheta(2, 0, q) ** 2, mpmath.jtheta(3, 0, q) ** 2,
+                mpmath.jtheta(4, 0, q) ** 2, mpmath.jtheta(2, 0, q4) / 2,
+                (mpmath.jtheta(3, 0, q4) - 1) / 2)
+
+
+@pytest.mark.parametrize("bits", KERNEL_BITS)
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(min_value=math.sqrt(3) / 2, max_value=60))
+@example(t=math.sqrt(3) / 2)
+@example(t=60.0)
+def test_real_theta_squares_match_jtheta_at_doubled_precision(bits, t):
+    # the fixed-point real q-series: A, B, C and odd to a relative error, even
+    # to an absolute one, also where q is far below 1 and odd is about q
+    with mpmath.workprec(bits + _GUARD_BITS):
+        got = periods._theta_squares(mpmath.mpc(0, t), bits)
+    want = _jtheta_squares(t, bits)
+    tolerance = _kernel_tolerance(bits)
+    with mpmath.workprec(2 * (bits + _GUARD_BITS)):
+        for name, g, w in zip(("A", "B", "C", "odd"), got, want):
+            assert mpmath.fabs(g - w) <= tolerance * w, (name, t)
+        assert mpmath.fabs(got[4] - want[4]) <= tolerance, ("even", t)
+
+
+@pytest.mark.parametrize("bits", [128, 1024])
+def test_reports_do_not_depend_on_the_ambient_precision(bits):
+    from kleinprym.periods import periods_report
+    params = check_domain(Fraction(7, 5), Fraction(-13, 4))
+    outputs = set()
+    for ambient in (53, 300, 10000):
+        with mpmath.workprec(ambient):
+            outputs.add(json.dumps(periods_report(params, bits), sort_keys=True))
+    assert len(outputs) == 1
