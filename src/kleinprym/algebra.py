@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 from .errors import ArgumentError, DegreeError
@@ -21,12 +22,20 @@ from .errors import ArgumentError, DegreeError
 Rational = Fraction
 
 
+_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p"; ArgumentError for any other text, "1/0" included."""
+    """Parse "p/q" or "p": an optional sign, decimal digits and an optional
+    "/digits", surrounded by whitespace or not; ArgumentError for any other
+    text, "1/0", "1.5" and "1e3" included."""
+    match = _RATIONAL.fullmatch(text.strip())
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ArgumentError(f"{text!r} is not a rational p/q") from None
+        if match:
+            return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError):  # 1/0, or more digits than int() reads
+        pass
+    raise ArgumentError(f"{text!r} is not a rational p/q")
 
 
 def format_rational(r: Fraction) -> str:

@@ -18,7 +18,6 @@ construction to p, and to (-a, -b) as well when the triple tail is unordered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ArgumentError, DegenerateConfiguration, PhiUndefined
 from .algebra import format_rational

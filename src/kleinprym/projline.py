@@ -5,36 +5,43 @@ The canonical frame for the distinguished triple is ([1:0], [2:1], [-2:1]);
 every equivalence decision compares normal forms in that frame.  A tuple is
 normalised by the one cross-ratio map that sends its marked triple there; a
 canonical tuple `tuple_of_params` is already there, so its normal forms are
-written down (`canonical_normal_forms`).  A Moebius map is
-held as its primitive integer matrix.
+written down (`canonical_normal_forms`).  Points ([x:y] as (y, x)) and Moebius
+maps are held as the primitive integer vectors of `_primitive`, so the calculus
+runs on integers; `Fraction`s appear only in parsing and in `affine_value`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, DegenerateConfiguration
-from .algebra import format_rational, parse_rational
+from .algebra import parse_rational
 from .family import FamilyParams, check_domain
 
 
+def _primitive(values) -> list:
+    """The rationals `values` scaled to the primitive integer vector whose
+    first nonzero entry is positive; an all-zero vector stays zero."""
+    den = math.lcm(*[v.denominator for v in values])
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = math.gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return [v // g for v in ints]
+
+
 class ProjectivePoint:
-    """A point [x:y] of P^1(Q), stored canonically: y = 1, or [1:0] for infinity."""
+    """A point [x:y] of P^1(Q), stored as the primitive integer pair with
+    y > 0, or [1:0] for infinity; equal points have equal pairs."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y=1):
-        x = Fraction(x)
-        y = Fraction(y)
-        if x == 0 and y == 0:
+        self.y, self.x = _primitive((y, x))
+        if not self.y and not self.x:
             raise ArgumentError("[0:0] is not a projective point")
-        if y == 0:
-            self.x, self.y = Fraction(1), Fraction(0)
-        else:
-            self.x, self.y = x / y, Fraction(1)
 
     @classmethod
     def infinity(cls) -> "ProjectivePoint":
@@ -42,7 +49,7 @@ class ProjectivePoint:
 
     @classmethod
     def affine(cls, value) -> "ProjectivePoint":
-        return cls(Fraction(value), 1)
+        return cls(value)
 
     @property
     def is_infinity(self) -> bool:
@@ -51,7 +58,7 @@ class ProjectivePoint:
     def affine_value(self) -> Fraction:
         if self.is_infinity:
             raise ArgumentError("the point at infinity has no affine value")
-        return self.x
+        return Fraction(self.x, self.y)
 
     def __eq__(self, other):
         if isinstance(other, ProjectivePoint):
@@ -62,10 +69,12 @@ class ProjectivePoint:
         return hash((self.x, self.y))
 
     def __repr__(self):
-        return f"[{format_rational(self.x)}:{format_rational(self.y)}]"
+        return f"[{self.x}:{self.y}]"
 
     def to_string(self) -> str:
-        return "inf" if self.is_infinity else format_rational(self.x)
+        if self.is_infinity:
+            return "inf"
+        return str(self.x) if self.y == 1 else f"{self.x}/{self.y}"
 
     @classmethod
     def from_string(cls, text: str) -> "ProjectivePoint":
@@ -76,26 +85,15 @@ class ProjectivePoint:
 
 
 class MobiusMap:
-    """A Moebius map [x:y] -> [m11 x + m12 y : m21 x + m22 y] of P^1(Q).
-
-    The rational entries given to the constructor are scaled to the primitive
-    integer matrix whose first nonzero entry is positive, and only that is
-    stored.  This form is canonical, so `==` and `hash` compare it directly.
-    """
+    """A Moebius map [x:y] -> [m11 x + m12 y : m21 x + m22 y] of P^1(Q), held
+    as its `_primitive` matrix, so `==` and `hash` compare entries directly."""
 
     __slots__ = ("m11", "m12", "m21", "m22")
 
     def __init__(self, m11, m12, m21, m22):
-        es = [Fraction(v) for v in (m11, m12, m21, m22)]
-        den = math.lcm(*[e.denominator for e in es])
-        ints = [e.numerator * (den // e.denominator) for e in es]
-        if ints[0] * ints[3] == ints[1] * ints[2]:
+        self.m11, self.m12, self.m21, self.m22 = _primitive((m11, m12, m21, m22))
+        if self.m11 * self.m22 == self.m12 * self.m21:
             raise DegenerateConfiguration("Moebius matrix is singular")
-        g = functools.reduce(math.gcd, ints)
-        # a nonsingular matrix has m11 or m12 nonzero
-        if ints[0] < 0 or (ints[0] == 0 and ints[1] < 0):
-            g = -g
-        self.m11, self.m12, self.m21, self.m22 = [v // g for v in ints]
 
     def entries(self) -> tuple:
         return (self.m11, self.m12, self.m21, self.m22)
@@ -121,7 +119,7 @@ def _require_distinct(points, context: str):
         raise DegenerateConfiguration(f"repeated points in {context}")
 
 
-def _bracket(p: ProjectivePoint, q: ProjectivePoint) -> Fraction:
+def _bracket(p: ProjectivePoint, q: ProjectivePoint) -> int:
     """[p, q] = p.x q.y - p.y q.x, zero exactly when p = q."""
     return p.x * q.y - p.y * q.x
 

@@ -16,7 +16,7 @@ from kleinprym.algebra import (
     resultant,
     substitute_rational_map,
 )
-from kleinprym.errors import DegreeError, DomainError
+from kleinprym.errors import ArgumentError, DegreeError, DomainError
 from kleinprym.periods import ComplexApprox
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -139,6 +139,15 @@ def test_the_zero_polynomial_has_degree_minus_one():
 def test_parse_format_round_trip():
     for text in ("3", "-5/7", "0", "22/7"):
         assert format_rational(parse_rational(text)) == text
+    assert parse_rational(" +6/4 ") == Fraction(3, 2)
+    assert parse_rational("-007/14") == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1E3", ".5", "2e-3", "1_000", "3/-7",
+                                  "3 /7", "--1", "", "/2", "1/0", "inf", "nan"])
+def test_parse_rational_accepts_only_p_over_q(text):
+    with pytest.raises(ArgumentError, match="is not a rational p/q"):
+        parse_rational(text)
 
 
 def test_polynomial_basics():

@@ -14,6 +14,7 @@ from pathlib import Path
 import mpmath
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import kleinprym
 from kleinprym import acceptance, periods
@@ -306,12 +307,40 @@ def test_normalize_reports_match_pinned_digests(tuple_text, convention, fmt):
     ["normalize", "--tuple", "1/0,3;inf,2,-2!0"],
     ["duality", "--curveE", "1/0,2", "--pointP", "0,0", "--curveF", "1,0", "--pointQ", "0,0"],
     ["duality", "--curveE", "x,2", "--pointP", "0,0", "--curveF", "1,0", "--pointQ", "0,0"],
+    ["analyze", "--a", "1e3", "--b", "3"],
+    ["periods", "--a", "1.5", "--b", "3"],
+    ["normalize", "--tuple", "1e3,3;inf,2,-2!0"],
+    ["duality", "--curveE", "1,2", "--pointP", "1e3,0", "--curveF", "1,0", "--pointQ", "0,0"],
 ], ids=lambda args: " ".join(args[:3]))
 def test_a_malformed_rational_exits_1(args, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "is not a rational p/q" in err
     assert "unexpected" not in err
+
+
+GOOD_TOKENS = ["0", "-7/3", "inf", "oo", "5", "2", "-2", "1/2", " 3 ", "-1", "4/9", "11"]
+any_token = st.sampled_from(GOOD_TOKENS + ["1/0", "", "x", "1e3"])
+token_lists = st.integers(0, 4).flatmap(
+    lambda n: st.lists(any_token, min_size=n, max_size=n).map(",".join))
+# well-formed tuples reach the frame map; wild ones test every refusal
+any_tuple_text = st.one_of(
+    st.builds(lambda ts, k: f"{ts[0]},{ts[1]};{ts[2]},{ts[3]},{ts[4]}!{k}",
+              st.permutations(GOOD_TOKENS), st.integers(0, 2)),
+    st.builds(lambda pair, sep, triple, mark: pair + sep + triple + mark,
+              token_lists, st.sampled_from([";", ";;", ""]), token_lists,
+              st.sampled_from(["!0", "!2", "!3", "!-1", "!x", "!", "", "!0!1"])))
+
+
+@settings(max_examples=200)
+@given(any_tuple_text)
+def test_normalize_of_any_tuple_text_exits_0_or_1(text):
+    for convention in CONVENTIONS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["normalize", "--tuple", text, "--convention", convention])
+        assert code in (0, 1), (text, err.getvalue())
+        assert "unexpected error" not in err.getvalue()
 
 
 def test_text_format_is_projection_of_json():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from kleinprym.errors import ArgumentError, DegenerateConfiguration
 from kleinprym.family import check_domain
@@ -13,6 +13,7 @@ from kleinprym.projline import (
     MarkingConvention,
     MobiusMap,
     ProjectivePoint,
+    _to_frame,
     apply_mobius,
     canonical_normal_forms,
     normal_forms_match,
@@ -39,8 +40,79 @@ def test_point_canonical_representation():
 
 
 def test_point_string_round_trip():
-    for text in ("inf", "5", "-3/7"):
+    for text in ("inf", "5", "-3/7", "-1/2", "-22/7", "0", "12/5"):
         assert ProjectivePoint.from_string(text).to_string() == text
+    assert ProjectivePoint.from_string(" -6/14 ").to_string() == "-3/7"
+    assert ProjectivePoint.from_string("oo").to_string() == "inf"
+
+
+def test_point_is_held_as_a_primitive_integer_pair():
+    p = ProjectivePoint(Fraction(-6, 5), Fraction(14, 15))
+    assert (p.x, p.y) == (-9, 7) and type(p.x) is type(p.y) is int
+    assert repr(p) == "[-9:7]"
+    assert repr(ProjectivePoint(-5, 0)) == repr(ProjectivePoint.infinity()) == "[1:0]"
+    assert repr(ProjectivePoint.affine(3)) == "[3:1]"
+    assert p.affine_value() == Fraction(-9, 7)
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+nonzero = rationals.filter(bool)
+
+
+@given(rationals, rationals, nonzero)
+def test_scaled_coordinates_give_one_point(x, y, k):
+    assume(x or y)
+    p, scaled = ProjectivePoint(x, y), ProjectivePoint(k * x, k * y)
+    assert scaled == p and hash(scaled) == hash(p)
+    assert {p: "p"}[scaled] == "p"
+
+
+def fraction_image(entries, p: ProjectivePoint) -> ProjectivePoint:
+    """The map x -> (m11 x + m12)/(m21 x + m22) on `Fraction`s, infinity
+    handled: the oracle of the integer `apply_mobius`."""
+    m11, m12, m21, m22 = (Fraction(e) for e in entries)
+    if p.is_infinity:
+        return ProjectivePoint.infinity() if m21 == 0 else ProjectivePoint.affine(m11 / m21)
+    x = p.affine_value()
+    if m21 * x + m22 == 0:
+        return ProjectivePoint.infinity()
+    return ProjectivePoint.affine((m11 * x + m12) / (m21 * x + m22))
+
+
+rational_entries = st.tuples(*[rationals] * 4).filter(
+    lambda e: e[0] * e[3] != e[1] * e[2])
+
+
+@given(rational_entries, points)
+def test_apply_mobius_matches_the_fraction_map(entries, p):
+    assert apply_mobius(MobiusMap(*entries), p) == fraction_image(entries, p)
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """Counts `Fraction.__new__` calls, wrapped as perfbench's tracer wraps it."""
+    count = [0]
+    new = Fraction.__dict__["__new__"].__func__
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    return count
+
+
+def test_integer_points_make_no_fraction(fraction_count):
+    p = ProjectivePoint
+    d, t1, t2 = p(Fraction(1, 3)), p(-7), p.infinity()
+    pts = [p(Fraction(-5, 2)), p(4), p.infinity(), p(0)]
+    fraction_count[0] = 0
+    m = _to_frame(d, t1, t2)
+    images = [apply_mobius(m, q) for q in pts + [d, t1, t2]]
+    assert fraction_count[0] == 0
+    assert images[-3:] == list(CANONICAL_TRIPLE)
+    Fraction(1, 2)
+    assert fraction_count[0] == 1  # the counter does see a Fraction
 
 
 # The general three-point solver, kept here as the oracle for the closed-form
