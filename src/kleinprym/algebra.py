@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ArgumentError, DegreeError
@@ -25,17 +26,29 @@ Rational = Fraction
 _RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
+def brief(text: str, limit: int = 40) -> str:
+    """repr(text) for an error message; past `limit` characters, the repr of
+    the first `limit` and the length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p": an optional sign, decimal digits and an optional
     "/digits", surrounded by whitespace or not; ArgumentError for any other
-    text, "1/0", "1.5" and "1e3" included."""
+    text, "1/0", "1.5" and "1e3" included, and for p or q longer than the
+    interpreter's bound on int() digits (sys.get_int_max_str_digits())."""
     match = _RATIONAL.fullmatch(text.strip())
-    try:
-        if match:
-            return Fraction(int(match[1]), int(match[2] or 1))
-    except (ValueError, ZeroDivisionError):  # 1/0, or more digits than int() reads
-        pass
-    raise ArgumentError(f"{text!r} is not a rational p/q")
+    if match:
+        try:
+            p, q = int(match[1]), int(match[2] or 1)
+        except ValueError:  # more digits than int() reads
+            raise ArgumentError(f"{brief(text)} has an integer of more than "
+                                f"{sys.get_int_max_str_digits()} digits") from None
+        if q:
+            return Fraction(p, q)
+    raise ArgumentError(f"{brief(text)} is not a rational p/q")
 
 
 def format_rational(r: Fraction) -> str:
@@ -301,3 +314,5 @@ def substitute_rational_map(f: Polynomial, num: Polynomial, den: Polynomial):
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
+# a 32768-bit periods_report takes under a second (README)
+MAX_PRECISION_BITS = 32768

@@ -108,7 +108,7 @@ from math import isqrt
 import mpmath
 
 from .errors import ArgumentError, DomainError, PrecisionError
-from .algebra import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
+from .algebra import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
 from .family import ELLIPTIC_LABELS, CurveLabel, HyperellipticModel, curve_equation, j_invariant
 
 _GUARD_BITS = 64
@@ -118,8 +118,8 @@ _FIXED_GUARD_BITS = 20
 
 
 def _check_precision(precision_bits: int) -> None:
-    if precision_bits < MIN_PRECISION_BITS:
-        raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
+    if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
+        raise DomainError(f"precision_bits must be in {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}")
 
 
 @dataclass(frozen=True)
@@ -761,6 +761,7 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
     analytic j of `quotient_periods` from the exact j for all six.  Each delta
     must be at most j_delta_tolerance * max(1, |j|), or PrecisionError is
     raised."""
+    _check_precision(precision_bits)
     tol = mpmath.ldexp(1, 4 - precision_bits // 4)
     models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
     bases, js = quotient_periods(models, precision_bits)

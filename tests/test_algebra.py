@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -148,6 +149,15 @@ def test_parse_format_round_trip():
 def test_parse_rational_accepts_only_p_over_q(text):
     with pytest.raises(ArgumentError, match="is not a rational p/q"):
         parse_rational(text)
+
+
+def test_parse_rational_names_the_digit_bound_and_echoes_briefly():
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational("7" * limit + "/3") == Fraction(int("7" * limit), 3)
+    for text in ("7" * (limit + 1), "1/" + "3" * (limit + 1)):
+        with pytest.raises(ArgumentError, match=f"more than {limit} digits") as info:
+            parse_rational(text)
+        assert len(str(info.value)) < 120
 
 
 def test_polynomial_basics():

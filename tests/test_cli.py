@@ -10,25 +10,35 @@ import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import kleinprym
 from kleinprym import acceptance, periods
+from kleinprym.algebra import MAX_PRECISION_BITS
 from kleinprym.acceptance import CriterionResult
-from kleinprym.cli import cli, main
-from kleinprym.errors import PrecisionError
+from kleinprym.cli import COMMANDS, main
+from kleinprym.errors import DomainError, PrecisionError
 from kleinprym.family import CurveLabel, check_domain, curve_equation
 from kleinprym.moduli import phi_params
 from kleinprym.periods import periods_report
 from kleinprym.projline import CONVENTIONS, normalize_tuple
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str
+    stderr: str
+
+
 def run(*args):
-    return CliRunner().invoke(cli, args, catch_exceptions=False)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return Result(code, out.getvalue(), err.getvalue())
 
 
 def test_involution_report():
@@ -43,10 +53,6 @@ def test_involution_report():
 def test_phi_undefined_exits_1(capsys):
     assert main(["involution", "--a", "1", "--b", "-1"]) == 1
     assert "a + b = 0" in capsys.readouterr().err
-
-
-def test_unknown_flag_exits_1():
-    assert main(["involution", "--a", "1", "--b", "2", "--bogus", "3"]) == 1
 
 
 def test_json_output_is_deterministic():
@@ -527,10 +533,6 @@ def test_periods_answers_1e_minus_40_from_a_equals_b():
     assert main(["periods", "--a", "7/5", "--b", b, "--bits", "128"]) == 0
 
 
-def test_torsion_range_is_validated():
-    assert main(["torsion", "--d", "13"]) == 1
-
-
 def test_failed_selftest_exits_2(monkeypatch):
     failing = CriterionResult(1, "stub", False, "forced failure", 0.0, 1.0)
     monkeypatch.setattr(acceptance, "run_all", lambda: [failing])
@@ -552,6 +554,7 @@ def test_exact_commands_do_not_import_mpmath():
 import contextlib, io, sys
 import kleinprym
 from kleinprym.cli import main
+assert "click" not in sys.modules, "click imported"
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["torsion", "--d", "2"]) == 0
 assert "mpmath" not in sys.modules, "mpmath imported"
@@ -559,7 +562,147 @@ from kleinprym import periods
 assert all(getattr(kleinprym, name) is getattr(periods, name)
            for name in ("ComplexApprox", "PeriodPair", "PrymPeriodMatrix", "elliptic_periods_agm"))
 """
-    src = str(Path(kleinprym.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+    done = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(kleinprym.__file__).resolve().parent.parent))
+MODULE = [sys.executable, "-m", "kleinprym.cli"]
+
+
+def test_the_module_reads_sys_argv():
+    done = subprocess.run(MODULE + ["torsion", "--d", "2"], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == \
+        PINNED_TORSION_DIGESTS["torsion --d 2", "json"]
+    done = subprocess.run(MODULE + ["analyze", "--a", "1"], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and "'--b'" in done.stderr
+
+
+def test_a_closed_stdout_exits_1_quietly():
+    # as `kleinprym torsion --d 2 | head -0` would
+    proc = subprocess.Popen(MODULE + ["torsion", "--d", "2"], env=SRC_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and err == b""
+
+
+# ---------------------------------------------------------------------------
+# The parser
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", [
+    ["--a", "7/5", "--b", "-13/4"],
+    ["--a=7/5", "--b=-13/4"],
+    ["--b", "-13/4", "--a", "7/5"],
+    ["--format", "json", "--b", "-13/4", "--convention", "pair-unordered", "--a", "7/5"],
+    ["--a", "1", "--b", "2", "--a", "7/5", "--b=-13/4"],
+    ["--format", "text", "--a", "7/5", "--b", "-13/4", "--format=json"],
+], ids=" ".join)
+def test_every_spelling_of_one_call_prints_the_pinned_report(args):
+    result = run("involution", *args)
+    assert result.exit_code == 0 and result.stderr == ""
+    assert digest(result.output) == PINNED_DIGESTS["involution", "7/5", "-13/4"]
+
+
+def test_a_flag_takes_no_value_and_may_come_anywhere():
+    options = ["--curveE", "-7,-6", "--pointP", "3,0", "--curveF", "-19,-30", "--pointQ", "5,0"]
+    first = run("duality", "--assert-nonisogenous", *options)
+    last = run("duality", *options, "--assert-nonisogenous")
+    assert first == last and first.exit_code == 0
+    assert json.loads(first.output)["conclusion"] == "A is not isomorphic to its dual"
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_prints_its_help(command):
+    result = run(command, "--help")
+    assert result.exit_code == 0 and result.stderr == ""
+    assert result.output.startswith(f"Usage: kleinprym {command} [OPTIONS]\n")
+    _, options = COMMANDS[command]
+    assert all(flag in result.output for flag in list(options) + ["--help"])
+
+
+def test_help_comes_before_checking_the_values():
+    assert run("torsion", "--d", "13", "--help") == run("torsion", "--help")
+
+
+def test_the_program_prints_its_help():
+    result = run("--help")
+    assert result.exit_code == 0 and result.stderr == ""
+    assert result.output.startswith("Usage: kleinprym COMMAND [OPTIONS]\n")
+    assert all(f"\n  {command} " in result.output for command in COMMANDS)
+
+
+@pytest.mark.parametrize("args,named", [
+    pytest.param(["involution", "--a", "1", "--b", "2", "--bogus", "3"], "'--bogus'",
+                 id="unknown-option"),
+    pytest.param(["analyze", "--a", "1"], "'--b'", id="missing-option"),
+    pytest.param(["analyze", "--a", "1", "--b", "2", "extra"], "'extra'", id="extra-argument"),
+    pytest.param(["analyze", "--a"], "'--a'", id="missing-value"),
+    pytest.param(["analyze", "--a", "1", "--b", "2", "--format", "xml"], "'--format'",
+                 id="bad-choice"),
+    pytest.param(["involution", "--a", "1", "--b", "2", "--convention=none"], "'--convention'",
+                 id="bad-choice-after-equals"),
+    pytest.param(["torsion", "--d", "13"], "'--d'", id="level-above-range"),
+    pytest.param(["torsion", "--d", "1"], "'--d'", id="level-below-range"),
+    pytest.param(["periods", "--a", "1", "--b", "3", "--bits", "abc"], "'--bits'",
+                 id="bits-not-an-integer"),
+    pytest.param(["duality", "--assert-nonisogenous=yes"], "'--assert-nonisogenous'",
+                 id="flag-with-value"),
+    pytest.param(["nosuch"], "'nosuch'", id="unknown-command"),
+    pytest.param(["--format", "json"], "'--format'", id="option-before-command"),
+    pytest.param([], "no command", id="empty"),
+])
+def test_a_malformed_command_line_exits_1_with_a_usage_line(args, named):
+    result = run(*args)
+    assert result.exit_code == 1 and result.output == ""
+    usage, error = result.stderr.splitlines()
+    assert usage.startswith("usage: kleinprym ")
+    assert error.startswith("error: ") and named in error
+
+
+def test_a_rational_past_the_digit_bound_is_refused_briefly():
+    limit = sys.get_int_max_str_digits()
+    result = run("analyze", "--a", "7" * (limit + 1), "--b", "3")
+    assert result.exit_code == 1
+    assert f"more than {limit} digits" in result.stderr and len(result.stderr) < 200
+
+
+def test_periods_refuses_bits_past_the_ceiling_before_any_work(monkeypatch):
+    def no_model(label, params):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(periods, "curve_equation", no_model)
+    result = run("periods", "--a", "0", "--b", "1", "--bits", str(MAX_PRECISION_BITS + 1))
+    assert result.exit_code == 1
+    assert f"precision_bits must be in 64..{MAX_PRECISION_BITS}" in result.stderr
+    with pytest.raises(DomainError):
+        periods_report(check_domain(0, 1), MAX_PRECISION_BITS + 1)
+
+
+FUZZ_FLAGS = sorted({flag for _, options in COMMANDS.values() for flag in options})
+# no periods or selftest: the fuzz runs only commands that take milliseconds
+FUZZ_COMMANDS = ["analyze", "normalize", "involution", "torsion", "duality", "example-surj",
+                 "--help", "nosuch", ""]
+FUZZ_VALUES = ["0", "1", "2", "-2", "7/5", "-13/4", "1/0", "1e3", "13", "abc", "", "json",
+               "text", "ordered", "all-unordered", "-1,-5;inf,2,-2!0", "-7,-6", "3,0",
+               "-19,-30", "5,0", "--", "-", "--help", "--a=1", "--format=xml", "--bogus"]
+command_lines = st.builds(lambda head, tail: head + tail,
+                          st.lists(st.sampled_from(FUZZ_COMMANDS), max_size=1),
+                          st.lists(st.sampled_from(FUZZ_FLAGS + FUZZ_VALUES), max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines)
+def test_any_command_line_exits_0_or_1(argv):
+    result = run(*argv)
+    assert result.exit_code in (0, 1), (argv, result.stderr)
+    assert "unexpected error" not in result.stderr
