@@ -5,7 +5,7 @@ calculus, Velu isogenies, and Prym period matrices.
 """
 
 from .errors import KleinPrymError
-from .algebra import Polynomial, Rational
+from .algebra import Polynomial
 from .projline import MarkedTuple, MarkingConvention, MobiusMap, ProjectivePoint
 from .family import CurveLabel, FamilyParams, InvolutionLabel, check_domain
 from .moduli import phi_params, prym_fiber_invariants
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KleinPrymError",
-    "ComplexApprox", "Polynomial", "Rational",
+    "ComplexApprox", "Polynomial",
     "MarkedTuple", "MarkingConvention", "MobiusMap", "ProjectivePoint",
     "CurveLabel", "FamilyParams", "InvolutionLabel", "check_domain",
     "phi_params", "prym_fiber_invariants",

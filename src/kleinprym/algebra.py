@@ -20,8 +20,6 @@ from fractions import Fraction
 
 from .errors import ArgumentError, DegreeError
 
-Rational = Fraction
-
 
 _RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 

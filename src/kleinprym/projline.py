@@ -270,10 +270,3 @@ def _params_match(p1, p2, conv: MarkingConvention) -> bool:
 def normal_forms_match(n1, n2, conv: MarkingConvention) -> bool:
     """True iff a parameter pair of n1 matches one of n2 under the convention."""
     return any(_params_match(p1, p2, conv) for p1 in n1 for p2 in n2)
-
-
-def tuples_equivalent(t1: MarkedTuple, t2: MarkedTuple,
-                      conv: MarkingConvention = MarkingConvention()) -> bool:
-    """True iff a Moebius map matches t1 to t2 respecting the convention."""
-    return normal_forms_match([r.params for r in normalize_tuple(t1, conv)],
-                              [r.params for r in normalize_tuple(t2, conv)], conv)

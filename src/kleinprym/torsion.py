@@ -19,12 +19,20 @@ way.  A coset p + K is named by its lexicographically least element, which
 one pass over the basis of K reaches directly (`TorsionSubgroup.reduce`;
 H. Cohen, GTM 138, section 2.4).  Elements and coset names are listed only
 when a report asks for them; levels stay <= 12.
+
+The two fixed reports have a finite domain, so each is built once and
+memoised: `duality_chain(d)` for d in 2..12 and `example_surj_report()`.
+`duality_chain` checks d before the lookup, and both return a fresh copy
+that the caller may change.  Subgroup operations (`span`, `perp`,
+`quotient_image`, `ker_phi_H`) are not cached: their domain grows with the
+subgroups asked for.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import marshal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,11 +86,18 @@ class TorsionPoint:
 
     def to_strings(self):
         """The coordinates c/N in lowest terms, as `str(Fraction(c, N))` prints them."""
-        n = self.level
-        return [f"{c // math.gcd(c, n)}/{n // math.gcd(c, n)}" if c else "0" for c in self.coords]
+        texts = _residue_texts(self.level)
+        return [texts[c] for c in self.coords]
 
     def __repr__(self):
         return "(" + ", ".join(self.to_strings()) + f")@{self.level}"
+
+
+@functools.cache
+def _residue_texts(level: int) -> tuple:
+    """The texts of c/N in lowest terms for c in range(N), read by `to_strings`."""
+    return tuple([f"{c // math.gcd(c, level)}/{level // math.gcd(c, level)}" if c else "0"
+                  for c in range(level)])
 
 
 def _pairing_residue(a: tuple, b: tuple, level: int) -> int:
@@ -298,6 +313,13 @@ def factor_intersection(kernel_mu: TorsionSubgroup, quotient_group: QuotientSubg
 # ---------------------------------------------------------------------------
 
 
+def _fresh(report: dict) -> dict:
+    """A copy of a cached report that shares no container with it.  Reports
+    hold only dicts, lists, strs, ints and bools, which marshal round-trips
+    exactly and in order, in C."""
+    return marshal.loads(marshal.dumps(report))
+
+
 def duality_chain(d: int) -> dict:
     """Constructs A = (E x F)/<(P, Q)> with P = (1/d, 0, 0, 0),
     Q = (0, 0, 1/d, 0) and verifies, at level d:
@@ -310,9 +332,18 @@ def duality_chain(d: int) -> dict:
       image of (P', -Q') = (0, 1/d, 0, -1/d);
     * for d = 2 the generator is 2-torsion with primitive components in
       both factors (the quotient shape is preserved under duality).
+
+    The report is built once per d (`_duality_chain`); each call returns a
+    fresh copy, which the caller may change.
     """
-    if not 2 <= d <= MAX_LEVEL:
-        raise ArgumentError(f"d must be in 2..{MAX_LEVEL}")
+    if isinstance(d, bool) or not isinstance(d, int) or not 2 <= d <= MAX_LEVEL:
+        raise ArgumentError(f"d must be an int in 2..{MAX_LEVEL}, not {d!r}")
+    return _fresh(_duality_chain(d))
+
+
+@functools.cache
+def _duality_chain(d: int) -> dict:
+    """The report of `duality_chain(d)`, for a d that it has checked."""
     P = TorsionPoint((1, 0, 0, 0), d)
     Q = TorsionPoint((0, 0, 1, 0), d)
     PQ = P + Q
@@ -378,7 +409,16 @@ def example_surj_report() -> dict:
 
     Every quotient of this surface by a half-polarisation-kernel subgroup is
     a polarised product, so the surface carries no smooth genus-3 curve.
+
+    The report is built once (`_example_surj_report`); each call returns a
+    fresh copy, which the caller may change.
     """
+    return _fresh(_example_surj_report())
+
+
+@functools.cache
+def _example_surj_report() -> dict:
+    """The report of `example_surj_report()`."""
     # 2-torsion of one factor, as residues mod 2
     e2 = (1, 1)
     f2 = (1, 0)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from projline_oracle import tuples_equivalent
 from kleinprym.errors import PhiUndefined
 from kleinprym.family import check_domain
 from kleinprym.moduli import (
@@ -18,7 +19,6 @@ from kleinprym.projline import (
     FULLY_ORDERED,
     normalize_tuple,
     tuple_of_params,
-    tuples_equivalent,
 )
 
 domain_params = st.tuples(

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from projline_oracle import tuples_equivalent
 from kleinprym.errors import ArgumentError, DegenerateConfiguration
 from kleinprym.family import check_domain
 from kleinprym.projline import (
@@ -19,7 +20,6 @@ from kleinprym.projline import (
     normal_forms_match,
     normalize_tuple,
     tuple_of_params,
-    tuples_equivalent,
 )
 
 points = st.one_of(

@@ -10,6 +10,8 @@ from kleinprym.errors import ArgumentError, LevelError, NotIsotropic
 from kleinprym.torsion import (
     MAX_LEVEL,
     TorsionPoint,
+    _duality_chain,
+    _example_surj_report,
     _pairing_residue,
     duality_chain,
     example_surj_report,
@@ -295,6 +297,43 @@ def test_duality_chain_fully_verified(d):
     assert report["all_ok"], report["checks"]
     assert len(report["ker_phi_H"]) == d * d
     assert len(report["G"]) == d
+
+
+@pytest.mark.parametrize("d", [1, 13, 2.0, "3", True])
+def test_duality_chain_refuses_anything_but_an_int_in_range_before_the_cache(d):
+    cached = _duality_chain.cache_info().currsize
+    with pytest.raises(ArgumentError):
+        duality_chain(d)
+    assert _duality_chain.cache_info().currsize == cached
+
+
+def test_cached_reports_equal_an_uncached_build():
+    for d in range(2, MAX_LEVEL + 1):
+        assert duality_chain(d) == _duality_chain.__wrapped__(d)
+    assert example_surj_report() == _example_surj_report.__wrapped__()
+
+
+@pytest.mark.parametrize("build, uncached, nested", [
+    (lambda: duality_chain(3), lambda: _duality_chain.__wrapped__(3), "ker_phi_H"),
+    (example_surj_report, _example_surj_report.__wrapped__, "ker_phi_A"),
+])
+def test_changing_a_returned_report_leaves_the_next_call_unchanged(build, uncached, nested):
+    report = build()
+    report[nested][0][0] = "changed"
+    report[nested].append(["x"])
+    report["checks"]["all"] = False
+    report["checks"].clear()
+    report["all_ok"] = "changed"
+    report["added"] = 1
+    assert build() == uncached()
+
+
+def test_coordinate_texts_are_the_fractions_in_lowest_terms():
+    for level in range(2, MAX_LEVEL + 1):
+        for c in range(level):
+            p = TorsionPoint((c, 0, level - c - 1, 0), level)
+            assert p.to_strings() == [str(Fraction(c, level)), "0",
+                                      str(Fraction(level - c - 1, level)), "0"]
 
 
 def test_duality_chain_generator():
