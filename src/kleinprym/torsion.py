@@ -95,7 +95,11 @@ class TorsionPoint:
 
 @functools.cache
 def _residue_texts(level: int) -> tuple:
-    """The texts of c/N in lowest terms for c in range(N), read by `to_strings`."""
+    """The texts of c/N in lowest terms for c in range(N), read by `to_strings`.
+    A point made directly may carry any level; the check keeps the cache at
+    the levels that `TorsionPoint.make` accepts."""
+    if not 2 <= level <= MAX_LEVEL:
+        raise ArgumentError(f"level must be in 2..{MAX_LEVEL}")
     return tuple([f"{c // math.gcd(c, level)}/{level // math.gcd(c, level)}" if c else "0"
                   for c in range(level)])
 

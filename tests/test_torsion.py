@@ -13,6 +13,7 @@ from kleinprym.torsion import (
     _duality_chain,
     _example_surj_report,
     _pairing_residue,
+    _residue_texts,
     duality_chain,
     example_surj_report,
     factor_intersection,
@@ -334,6 +335,10 @@ def test_coordinate_texts_are_the_fractions_in_lowest_terms():
             p = TorsionPoint((c, 0, level - c - 1, 0), level)
             assert p.to_strings() == [str(Fraction(c, level)), "0",
                                       str(Fraction(level - c - 1, level)), "0"]
+    cached = _residue_texts.cache_info().currsize
+    with pytest.raises(ArgumentError):
+        TorsionPoint((1, 0, 0, 0), MAX_LEVEL + 1).to_strings()
+    assert _residue_texts.cache_info().currsize == cached
 
 
 def test_duality_chain_generator():
