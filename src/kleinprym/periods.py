@@ -12,15 +12,19 @@ Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
 * the normal form has lattice basis (2 K(lambda), 2 i K(1 - lambda)) with
   K(m) = pi / (2 M(1, sqrt(1 - m))) computed from the complement 1 - m,
   taken as (e2 - e3)/(e2 - e1) and lambda, so a tiny lambda keeps its bits;
-* the exact rational path, for models whose factors are all linear (the
-  AGM partners E_is_t, E_is_it and E_s_it of a report): the roots -c0/c1,
-  the pivot (a cubic's point at infinity, a quartic's root r3), the e's,
-  lambda, 1 - lambda and c (e2 - e1) are `Fraction`s, each rounded once.
-  e3 is the middle one of the three real e's and e1, e2 the outer two with
-  lambda <= 1/2, the smaller first at lambda = 1/2, so lambda lies in
+* the exact path, for models whose factors are all linear (the AGM
+  partners E_is_t, E_is_it and E_s_it of a report), runs on Python integers
+  up to the printed numbers (`_legendre_data`, `_partner_lattice`): the
+  roots -c0/c1 are integer numerators over one common denominator, the
+  pivot is a cubic's point at infinity or a quartic's root r3, and lambda
+  and c (e2 - e1) are unreduced integer pairs.  e3 is the middle one of the
+  three real e's and e1, e2 the outer two with lambda <= 1/2, the smaller
+  first at lambda = 1/2, all by exact integer comparisons, so lambda lies in
   (0, 1/2] and both AGMs are of positive reals, M(1, sqrt(x)) for a
-  rational x, run on Python integers at a fixed-point scale wide enough for
-  sqrt(x) (`_real_agm`).  The scale is 1/sqrt(c), or -i/sqrt(|c|) for c < 0;
+  rational x, run at a fixed-point scale wide enough for sqrt(x)
+  (`_fixed_agm`).  With s = 1/sqrt(|c|), s K = s pi/M and s K' are integers
+  at one scale, and the lattice is the rectangle Z R + Z iH with (R, H) =
+  (s K, s K') for c > 0 and (s K', s K) for c < 0;
 * the general path, for everything else (`elliptic_periods_agm`): the
   branch points are the roots of f at the working precision.  Models of the
   family carry the rational factors of f, all of degree <= 2, and each is
@@ -38,7 +42,10 @@ Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
   at tau = i and e^(2 pi i/3) by a unit of the lattice into the sector
   |arg omega1| <= pi/4 or pi/6, so the reported basis depends on the
   lattice alone, not on the root ordering, the square-root branches, the
-  path or the precision.
+  path or the precision.  The general path reduces by `_reduce_basis`; the
+  exact path writes the normal forms of its rectangles and rhombi down in
+  closed form (`_rectangle_form`, `_rhombus_form`), with `_reduce_basis`'s
+  boundaries, each taken up to 2^(-bits/2), and its units.
 
 A periods report runs the AGM for three of the six elliptic quotients only.
 The family's equations give three 2-isogenies onto them,
@@ -57,15 +64,15 @@ found by root identity, not by a numeric comparison: with the roots
 numbered r0, r1, r2, r3 = -a, -b, then +-2 in factor order and infinity for
 a cubic, the exact path always sends r3 to infinity (a quartic's pivot of
 x = r3 + 1/u, a cubic's own point at infinity), so the kernel point is
-P(r2) - P(r3).  With (e1, e2, e3) sent to (0, 1, lambda) the half-periods are
-
-    r2 = e1:  omega2/2,     basis of L + Z t: (omega1, omega2/2)
-    r2 = e2:  omega1/2,                       (omega1/2, omega2)
-    r2 = e3:  (omega1 + omega2)/2,            (omega1, (omega1 + omega2)/2)
-
-and the result goes through the same reduction to the normal form.  No j
-comparison could choose among the three lattices: at (a, b) = (0, 1) two of
-them have E_t's j = 287496 and differ by the unit i.
+P(r2) - P(r3).  With (e1, e2, e3) sent to (0, 1, lambda) the half-period
+is omega2/2, omega1/2 or (omega1 + omega2)/2 for r2 = e1, e2 or e3, in the
+first basis (omega1, omega2) = (R, iH) for c > 0 and (-iH, R) for c < 0.
+So t is R/2, iH/2 or (R + iH)/2, and L + Z t is the rectangle Z R/2 + Z iH,
+the rectangle Z R + Z iH/2 or the rhombus Z R + Z iH + Z (R + iH)/2.  A
+rhombus has the normal form (R, -conj u), (iH, -u), (conj u, u) or
+(u, -conj u) for u = (R + iH)/2, split at H^2 = 3 R^2, R^2 = 3 H^2 and
+H = R.  No j comparison could choose among the three lattices: at
+(a, b) = (0, 1) two of them have E_t's j = 287496 and differ by the unit i.
 
 The j-value of tau is 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 in the theta
 constants at the nome q = e^(i pi tau), with tau first moved to the same
@@ -76,16 +83,16 @@ and exp.  A periods report runs three q-series, one at the tau of each
 partner.  Each of those taus has real part 0, so its nome is real, and the
 series runs on Python integers at a fixed-point scale, with q^n held only to
 the bits the remaining terms need (`_real_theta_squares`); the complex series
-serves `analytic_j` at a general tau.  The reduction carries the kernel's
-half-period along as a class (m, n) in (Z/2)^2, t = (m w1 + n w2)/2 in the
-current basis, starting from slot 1, 2, 3 = (0, 1), (1, 0), (1, 1) and
-updated exactly at every step: the shift w2 -= s w1 sends m to m + s n, the
-swap (w2, -w1) and the unit i send (m, n) to (n, m), -1 changes nothing, and
-the unit e^(i pi/3) and its inverse send (m, n) to (n, m + n) and
-(m + n, m).  In the partner's reduced basis the
-quotient's tau' is then tau/2, 2 tau or (tau + 1)/2, and with A, B, C = t2^2,
-t3^2, t4^2 at tau and odd, even the sums of q^(n^2) over odd and even n >= 1,
-the duplication formulas give the theta constants at tau':
+serves `analytic_j` at a general tau.  The kernel's half-period is read as
+a class (m, n) in (Z/2)^2, t = (m w1 + n w2)/2, off the partner's normal
+form (w1, w2): (R, iH) keeps t's class in (R, iH), and (iH, -R) swaps it.
+`_reduce_basis` carries such a class through each of its steps instead: the
+shift w2 -= s w1 sends m to m + s n, the swap (w2, -w1) and the unit i send
+(m, n) to (n, m), -1 changes nothing, and the unit e^(i pi/3) and its
+inverse send (m, n) to (n, m + n) and (m + n, m).  In the partner's reduced
+basis the quotient's tau' is then tau/2, 2 tau or (tau + 1)/2, and with
+A, B, C = t2^2, t3^2, t4^2 at tau and odd, even the sums of q^(n^2) over odd
+and even n >= 1, the duplication formulas give the theta constants at tau':
 
     (0, 1)  tau/2:        t2'^4 = 4 A B,              t3'^2 = B + A,      t4'^2 = B - A
     (1, 0)  2 tau:        t2'^2 = 4 odd (1 + 2 even), t3'^2 = (B + C)/2,  t4'^4 = B C
@@ -103,9 +110,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import mpmath
+from mpmath.libmp import pi_fixed
 
 from .errors import ArgumentError, DomainError, PrecisionError
 from .algebra import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
@@ -331,80 +339,9 @@ def _legendre_basis(model: HyperellipticModel, precision_bits: int):
     return omega1, omega2
 
 
-def _rounded(x: Fraction) -> mpmath.mpf:
-    """x rounded once to the working precision."""
-    return mpmath.fdiv(x.numerator, x.denominator)
-
-
-def _from_fixed(v: int, wp: int) -> mpmath.mpf:
-    """v 2^-wp rounded once to the working precision."""
-    return mpmath.ldexp(mpmath.mpf(v), -wp)
-
-
-def _real_agm(x: Fraction) -> mpmath.mpf:
-    """M(1, sqrt(x)) for a rational 0 < x < 1 at the working precision, on
-    integers at the scale 2^wp: wp is the working precision plus
-    _FIXED_GUARD_BITS plus ceil(log2(1/x)/2), so sqrt(x), the smallest value
-    the AGM meets, keeps every bit, and sqrt(x) is the isqrt of x at the scale
-    2^(2 wp), taken straight from the fraction.  Every step takes one
-    `math.isqrt` of a product.  The loop stops, as mpmath's `agm_fixed` does,
-    once a and b are within 16 units of 2^-wp, and returns their mean; like
-    `optimal_agm` it gives up with PrecisionError after 8 wp steps."""
-    num, den = x.numerator, x.denominator
-    wp = (mpmath.mp.prec + _FIXED_GUARD_BITS
-          + (den.bit_length() - num.bit_length() + 2) // 2)
-    a, b = 1 << wp, isqrt((num << 2 * wp) // den)
-    for _ in range(8 * wp):
-        if abs(a - b) < 16:
-            return _from_fixed((a + b) >> 1, wp)
-        a, b = (a + b) >> 1, isqrt(a * b)
-    raise PrecisionError("real AGM did not converge within the iteration budget")
-
-
-def _rational_legendre_basis(model: HyperellipticModel):
-    """(omega1, omega2, order): `_legendre_basis` for a model whose factors
-    are all linear, on the exact rational path of the module docstring: the
-    roots -c0/c1, the ordering, lambda, 1 - lambda and c (e2 - e1) are
-    `Fraction`s, each rounded once, and both AGMs are of positive reals.
-    order = (3, i1, i2, i3) numbers the roots sent to infinity, 0, 1 and
-    lambda, r0 to r3 in factor order and r3 a cubic's point at infinity: the
-    pivot is always r3.  Runs at the caller's precision."""
-    e = [-f[0] / f[1] for f in model.factors]
-    lead = model.rhs.leading
-    if len(e) == 4:
-        # x = r3 + 1/u: e_j = 1/(r_j - r3), and the lead gains prod (r3 - r_j)
-        r3 = e.pop()
-        for r in e:
-            lead *= r3 - r
-        e = [1 / (r - r3) for r in e]
-    # e3 is the middle e; e1 and e2 the outer two, with lambda <= 1/2 and the
-    # smaller first at lambda = 1/2
-    i1, i3, i2 = sorted(range(3), key=e.__getitem__)
-    if 2 * (e[i3] - e[i1]) > e[i2] - e[i1]:
-        i1, i2 = i2, i1
-    d = e[i2] - e[i1]
-    lam = (e[i3] - e[i1]) / d
-    c = lead * d
-    # 2 K(lambda) and 2 K(1 - lambda), each from its complement
-    k = mpmath.pi / _real_agm(1 - lam)
-    k_c = mpmath.pi / _real_agm(lam)
-    # the scale 1/sqrt(c) on the principal branch: -i/sqrt(|c|) for c < 0
-    s = 1 / mpmath.sqrt(_rounded(abs(c)))
-    if c > 0:
-        omega1, omega2 = mpmath.mpc(s * k), mpmath.mpc(0, s * k_c)
-    else:
-        omega1, omega2 = mpmath.mpc(0, -s * k), mpmath.mpc(s * k_c)
-    return omega1, omega2, (3, i1, i2, i3)
-
-
-def _period_pair(omega1, omega2, tau, precision_bits: int) -> PeriodPair:
-    return PeriodPair(_cap(omega1, precision_bits),
-                      _cap(omega2, precision_bits),
-                      _cap(tau, precision_bits))
-
-
 def _normal_pair(omega1, omega2, precision_bits: int) -> PeriodPair:
-    return _period_pair(*_reduce_basis(omega1, omega2, precision_bits)[:3], precision_bits)
+    return PeriodPair(*(_cap(z, precision_bits)
+                        for z in _reduce_basis(omega1, omega2, precision_bits)[:3]))
 
 
 def elliptic_periods_agm(model: HyperellipticModel,
@@ -422,6 +359,164 @@ def elliptic_periods_agm(model: HyperellipticModel,
         return _normal_pair(*_legendre_basis(model, precision_bits), precision_bits)
 
 
+def _from_fixed(v: int, wp: int) -> mpmath.mpf:
+    """v 2^-wp rounded once to the working precision."""
+    return mpmath.mpf((v, -wp))
+
+
+def _fixed_agm(num: int, den: int, wp: int) -> int:
+    """M(1, sqrt(x)) for a rational x = num/den in (0, 1), at the scale 2^wp.
+    It runs on integers at the scale 2^w, w = wp + ceil(log2(1/x)/2), so
+    sqrt(x), the smallest value the AGM meets, keeps every bit, and sqrt(x) is
+    the isqrt of x at the scale 2^(2 w), taken straight from the fraction.
+    Every step takes one `math.isqrt` of a product.  Since M(a, b) =
+    (a + b)/2 - (a - b)^2/(8 (a + b)) + O((a - b)^4/(a + b)^3), (a + b)/2 is
+    within one unit of 2^-w of M(a, b) once (a - b)^2 < 8 (a + b) in those
+    units, so the loop stops there, one square root before a and b meet; like
+    `optimal_agm` it gives up with PrecisionError after 8 w steps."""
+    extra = (den.bit_length() - num.bit_length() + 2) // 2
+    w = wp + extra
+    a, b = 1 << w, isqrt((num << 2 * w) // den)
+    for _ in range(8 * w):
+        d = a - b
+        # 8 (a + b) < 2^(w + 5): square d only once it has about half those bits
+        if d.bit_length() <= (w >> 1) + 3 and d * d < 8 * (a + b):
+            return (a + b) >> (extra + 1)
+        a, b = (a + b) >> 1, isqrt(a * b)
+    raise PrecisionError("real AGM did not converge within the iteration budget")
+
+
+def _real_agm(x: Fraction) -> mpmath.mpf:
+    """M(1, sqrt(x)) for a rational 0 < x < 1 by `_fixed_agm`, rounded once to
+    the working precision."""
+    wp = mpmath.mp.prec + _FIXED_GUARD_BITS
+    return _from_fixed(_fixed_agm(x.numerator, x.denominator, wp), wp)
+
+
+def _legendre_data(model: HyperellipticModel):
+    """(lam, c, order): the exact Legendre data of a model whose factors are
+    all linear: lambda and c = lead (e2 - e1) as unreduced integer pairs
+    (numerator, positive denominator), and order = (3, i1, i2, i3), the roots
+    sent to infinity, 0, 1 and lambda, numbered r0 to r3 in factor order with
+    r3 a cubic's point at infinity: the pivot is always r3.  With the roots
+    -c0/c1 as N_j/D over one common denominator, a cubic's e_j are N_j/D.  A
+    quartic's x = r3 + 1/u gives e_j = 1/(r_j - r3) = D/d_j, d_j = N_j - N3,
+    that is D E_j/|P| for P = d0 d1 d2 and E_j = sgn(P) P/d_j, and the lead
+    gains prod (r3 - r_j) = -P/D^3, so c = -sgn(P) lead (E2 - E1)/D^2."""
+    roots = []
+    for f in model.factors:
+        n0, n1 = f.nums
+        roots.append((-n0, n1) if n1 > 0 else (n0, -n1))
+    d = lcm(*(den for _, den in roots))
+    e = [num * (d // den) for num, den in roots]
+    lead_n, lead_d = model.rhs.nums[-1], model.rhs.den
+    if len(e) == 4:
+        pivot = e.pop()
+        d0, d1, d2 = (n - pivot for n in e)
+        sign = 1 if d0 * d1 * d2 > 0 else -1
+        e = [sign * d1 * d2, sign * d0 * d2, sign * d0 * d1]
+        lead_n, lead_d = -sign * lead_n, lead_d * d * d
+    else:
+        lead_d *= d
+    # e3 is the middle e; e1 and e2 the outer two, with lambda <= 1/2 and the
+    # smaller first at lambda = 1/2
+    i1, i3, i2 = sorted(range(3), key=e.__getitem__)
+    if 2 * (e[i3] - e[i1]) > e[i2] - e[i1]:
+        i1, i2 = i2, i1
+    span = e[i2] - e[i1]
+    lam = (e[i3] - e[i1], span) if span > 0 else (e[i1] - e[i3], -span)
+    return lam, (lead_n * span, lead_d), (3, i1, i2, i3)
+
+
+def _partner_lattice(lam, c, wp: int):
+    """(R, H, e): the period lattice Z R + Z iH of the first basis
+    (2 K(lambda), 2 i K(1 - lambda))/sqrt(c) of `_legendre_data`'s (lam, c),
+    as integers R, H at the scale 2^e.  With 2 K = pi/M and s = 1/sqrt(|c|)
+    held at the scale 2^e with about wp bits, P = s 2 K(lambda) and
+    Q = s 2 K(1 - lambda) keep wp bits at any size of c.  The basis is
+    (P, iQ) for c > 0 and (-iP, Q) for c < 0, so (R, H) = (P, Q) or (Q, P)."""
+    (lam_n, lam_d), (c_n, c_d) = lam, c
+    e = wp + (abs(c_n).bit_length() - c_d.bit_length() + 1) // 2
+    s = isqrt((c_d << 2 * e) // abs(c_n) if e >= 0 else c_d // (abs(c_n) << -2 * e))
+    s_pi = s * pi_fixed(wp)
+    p = s_pi // _fixed_agm(lam_d - lam_n, lam_d, wp)
+    q = s_pi // _fixed_agm(lam_n, lam_d, wp)
+    return (p, q, e) if c_n > 0 else (q, p, e)
+
+
+# The normal forms of `_reduce_basis` for the lattices a report meets, with
+# its boundary slack eps = 2^-slack.  A basis is given as ((a, b), (c, d)) in
+# halves: w1 = (a x + i b y)/2 and w2 = (c x + i d y)/2.
+
+def _rectangle_form(x: int, y: int, slack: int):
+    """The normal form of the rectangle Z x + Z iy, x, y > 0: (x, iy), tau =
+    iy/x, while y^2 >= (1 - eps) x^2, which keeps w1 = x at the square
+    lattice, and (iy, -x), tau = ix/y, below."""
+    if (x * x - y * y) << slack <= x * x:
+        return (2, 0), (0, 2)
+    return (0, 2), (-2, 0)
+
+
+def _partner_form(r: int, h: int, t, slack: int):
+    """(basis, class): the normal form of the partner's rectangle Z r + Z ih
+    and the class in it of the half-period (m r + n ih)/2 of t = (m, n): t
+    itself in (r, ih), and (n, m) in (ih, -r)."""
+    basis = _rectangle_form(r, h, slack)
+    return basis, (t if basis[0] == (2, 0) else t[::-1])
+
+
+def _rhombus_form(x: int, y: int, slack: int):
+    """The normal form of the rhombus Z x + Z iy + Z u, u = (x + iy)/2,
+    x, y > 0: (x, -conj u), tau = -1/2 + iy/(2x), while |u|^2 >= (1 - eps) x^2,
+    the hexagonal lattice y^2 = 3 x^2 included; (iy, -u), tau = -1/2 +
+    ix/(2y), while y^2 < (1 - eps) |u|^2; between them (conj u, u) where
+    y^2 - x^2 > eps (x^2 + y^2), and (u, -conj u) else, so that the square
+    lattice x = y and the hexagonal x^2 = 3 y^2 get w1 = u, of argument pi/4
+    and pi/6."""
+    xx, yy = x * x, y * y
+    if (3 * xx - yy) << slack <= 4 * xx:
+        return (2, 0), (-1, 1)
+    if (xx - 3 * yy) << slack > xx + yy:
+        return (0, 2), (-1, -1)
+    if (yy - xx) << slack > xx + yy:
+        return (1, -1), (1, 1)
+    return (1, 1), (-1, 1)
+
+
+def _quotient_lattice(r: int, h: int, e: int, t, scale: int):
+    """(form, x, y, e'): the lattice scale (Z r + Z ih + Z t), for r, h at the
+    scale 2^e and the half-period t = (m r + n ih)/2 of the class t = (m, n),
+    as the rectangle Z x + Z iy (form `_rectangle_form`) of (r/2, h) or
+    (r, h/2), or the rhombus of (x + iy)/2 (`_rhombus_form`), with x, y at the
+    scale 2^e'."""
+    if t == (1, 0):
+        return _rectangle_form, scale * r, 2 * scale * h, e + 1
+    if t == (0, 1):
+        return _rectangle_form, 2 * scale * r, scale * h, e + 1
+    return _rhombus_form, scale * r, scale * h, e
+
+
+def _pair(basis, x: int, y: int, e: int, precision_bits: int) -> PeriodPair:
+    """The `PeriodPair` of the basis ((a, b), (c, d)) in halves of x and iy,
+    integers at the scale 2^e, with tau = w2/w1 = (c x + i d y)/(a x + i b y);
+    every number is rounded once from its integer."""
+    (a, b), (c, d) = basis
+    if a and b:  # a^2 = b^2 = 1: multiply by conj(w1)/|w1|^2
+        xx, yy = x * x, y * y
+        re, im, norm = a * c * xx + b * d * yy, (a * d - b * c) * x * y, xx + yy
+    elif b:      # w1 = i b y/2
+        re, im, norm = d * y, -c * x, b * y
+    else:        # w1 = a x/2
+        re, im, norm = c * x, d * y, a * x
+    wp = mpmath.mp.prec + _FIXED_GUARD_BITS
+
+    def approx(re, im, shift):
+        return ComplexApprox(_from_fixed(re, shift), _from_fixed(im, shift), precision_bits)
+
+    return PeriodPair(approx(a * x, b * y, e + 1), approx(c * x, d * y, e + 1),
+                      approx((re << wp) // norm, (im << wp) // norm, wp))
+
+
 # (partner, quotient, scale): the quotient's lattice is scale (L + Z t) for
 # the partner's lattice L and the half-period t of the partner's 2-torsion
 # point P(r0) - P(r1) = P(r2) - P(r3) (module docstring)
@@ -432,47 +527,32 @@ _PARTNERS = (
 )
 
 
-def _kernel_class(order):
-    """The class (m, n) of the half-period t = (m omega1 + n omega2)/2 of
-    P(r2) - P(r3) = P(r0) - P(r1) for the `_rational_legendre_basis` output
-    (omega1, omega2, order), whose pivot r3 goes to infinity.  r2 at 0, 1 or
-    lambda (slot 1, 2 or 3) gives (0, 1), (1, 0) or (1, 1): the slot's two
-    bits."""
-    slot = order.index(2)
-    return slot >> 1, slot & 1
-
-
-def _partner_basis(omega1, omega2, kernel, scale):
-    """A basis of scale (Z omega1 + Z omega2 + Z t), t the half-period
-    (m omega1 + n omega2)/2 of the class kernel = (m, n)."""
-    if kernel == (0, 1):    # t = omega2/2
-        w1, w2 = omega1, omega2 / 2
-    elif kernel == (1, 0):  # t = omega1/2
-        w1, w2 = omega1 / 2, omega2
-    else:                   # t = (omega1 + omega2)/2
-        w1, w2 = omega1, (omega1 + omega2) / 2
-    return scale * w1, scale * w2
-
-
 def quotient_periods(models, precision_bits: int = DEFAULT_PRECISION_BITS):
     """(bases, js): the reduced period basis (`PeriodPair`) and the j-value
     (`ComplexApprox`) of each of the six elliptic quotients, keyed by label,
     from `models`, their built models keyed by label.  E_is_t, E_is_it and
-    E_s_it get their bases by the real AGM of `_rational_legendre_basis` and
-    their j from the theta constants at their tau; E_t, E_st and E_s get
-    theirs from those lattices through the 2-isogenies of `_PARTNERS`, with no
-    AGM, and their j from the same theta constants by the duplication
-    formulas, with no q-series."""
+    E_s_it get their rectangular lattices from their exact Legendre data and
+    the real AGM, and their j from the theta constants at their tau; E_t, E_st
+    and E_s get theirs, rectangles or rhombi, from those lattices through the
+    2-isogenies of `_PARTNERS`, with no AGM, and their j from the same theta
+    constants by the duplication formulas, with no q-series.  Every basis is
+    put in normal form in closed form."""
     _check_precision(precision_bits)
     bases, js = {}, {}
+    slack = (precision_bits + 1) // 2  # _reduce_basis's eps = 2^-slack
     with mpmath.workprec(precision_bits + _GUARD_BITS):
+        wp = mpmath.mp.prec + _FIXED_GUARD_BITS
         for partner, label, scale in _PARTNERS:
-            omega1, omega2, order = _rational_legendre_basis(models[partner])
-            kernel = _kernel_class(order)
-            w1, w2, tau, reduced_kernel = _reduce_basis(omega1, omega2, precision_bits, kernel)
-            bases[partner] = pair = _period_pair(w1, w2, tau, precision_bits)
-            bases[label] = _normal_pair(*_partner_basis(omega1, omega2, kernel, scale),
-                                        precision_bits)
+            lam, c, order = _legendre_data(models[partner])
+            r, h, e = _partner_lattice(lam, c, wp)
+            # the class of t in (omega1, omega2) is the two bits of r2's slot,
+            # and (omega1, omega2) is (r, ih) for c > 0 and (-ih, r) for c < 0
+            slot = order.index(2)
+            t = (slot >> 1, slot & 1) if c[0] > 0 else (slot & 1, slot >> 1)
+            basis, reduced_kernel = _partner_form(r, h, t, slack)
+            bases[partner] = pair = _pair(basis, r, h, e, precision_bits)
+            form, x, y, e = _quotient_lattice(r, h, e, t, scale)
+            bases[label] = _pair(form(x, y, slack), x, y, e, precision_bits)
             # the printed tau, so the partner's j is analytic_j(pair.tau) exactly
             thetas = _theta_squares(pair.tau.to_mpc(), precision_bits)
             js[partner] = _cap(_j_from_eighths(*map(_fourth, thetas[:3])), precision_bits)

@@ -150,6 +150,14 @@ PINNED_PERIODS_DIGESTS = {
         "c6d22c7ebf1f44516364987cf078065c9ec86d28a30298851d9b319cdb53d47b",
     ("7/5", "14000000001/10000000000", "1024"):
         "eccf8d5c90361da2876cce056fd6c57c3a5672577356354b05fc4b832add07ed",
+    # 4096 bits; lambda = 1/2, so E_is_t's lattice is square; 10^-40 from a = b
+    ("7/5", "-13/4", "4096"):
+        "321b975a72f8f3fee447777326bf0ef7f306ebafdd5d7efde4bb37a10f4d796d",
+    ("3", "1", "256"):
+        "8df0bc6b80755726676c762fb5dccdcb9d2e564831bc25ae74df9c21186e0e3f",
+    ("7/5", "14000000000000000000000000000000000000001/"
+            "10000000000000000000000000000000000000000", "1024"):
+        "b57851141d41e6dd0378d2c0a7d22aa31291926060ef0bfbafa25eae4ee2e8ba",
 }
 
 

@@ -516,13 +516,13 @@ def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
     # At (0, 1) two of E_is_t's three 2-isogenous lattices have E_t's j and
     # differ by the unit i, so only the right kernel gives E_t's omega1
     kernels = set()
-    partner_basis = periods._partner_basis
+    quotient_lattice = periods._quotient_lattice
 
-    def record(omega1, omega2, kernel, scale):
-        kernels.add(kernel)
-        return partner_basis(omega1, omega2, kernel, scale)
+    def record(r, h, e, t, scale):
+        kernels.add(t)
+        return quotient_lattice(r, h, e, t, scale)
 
-    monkeypatch.setattr(periods, "_partner_basis", record)
+    monkeypatch.setattr(periods, "_quotient_lattice", record)
     for params in PARTNER_POINTS:
         models = _models(params)
         bases, _ = quotient_periods(models, bits)
@@ -538,8 +538,8 @@ def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
 
 def _exact_legendre_data(model, order):
     """(lambda, c, e1 < e2) of the ordering (pivot, i1, i2, i3) that
-    `_rational_legendre_basis` reports, recomputed from the model's rational
-    roots: the pivot is a cubic's point at infinity (3) or a quartic's root."""
+    `_legendre_data` reports, recomputed from the model's rational roots:
+    the pivot is a cubic's point at infinity (3) or a quartic's root."""
     roots = [-f[0] / f[1] for f in model.factors]
     lead = model.rhs.leading
     pivot = order[0]
@@ -555,25 +555,36 @@ def _exact_legendre_data(model, order):
     return (e3 - e1) / (e2 - e1), lead * (e2 - e1), e1 < e2
 
 
+def _rounded(x):
+    return mpmath.fdiv(x.numerator, x.denominator)
+
+
 @pytest.mark.parametrize("bits", [128, 1024])
 def test_exact_legendre_step_matches_the_general_formula(bits):
-    # the first basis of each AGM partner is (2 K(lambda), 2 i K(1 - lambda))
-    # / sqrt(c) on the principal branch, for the exact lambda in (0, 1/2] and
-    # c = lead (e2 - e1) of the reported ordering, the quartic's pivot r3;
-    # both signs of c occur
+    # the integer Legendre data of each AGM partner are its exact lambda in
+    # (0, 1/2] and c = lead (e2 - e1) of the reported ordering, the quartic's
+    # pivot r3; its first basis (2 K(lambda), 2 i K(1 - lambda))/sqrt(c) on
+    # the principal branch is (R, iH) for c > 0 and (-iH, R) for c < 0, with
+    # R, H from the integer periods; both signs of c occur
     signs = set()
     for params in PARTNER_POINTS:
         for partner, _, _ in periods._PARTNERS:
             model = curve_equation(partner, params)
             with mpmath.workprec(bits + _GUARD_BITS):
-                omega1, omega2, order = periods._rational_legendre_basis(model)
+                lam, c, order = periods._legendre_data(model)
                 assert order[0] == 3
-                lam, c, ascending = _exact_legendre_data(model, order)
-                assert 0 < lam < Fraction(1, 2) or (lam == Fraction(1, 2) and ascending)
-                signs.add(c > 0)
-                scale = 1 / mpmath.sqrt(mpmath.mpc(periods._rounded(c)))
-                want1 = scale * 2 * periods._complete_K(periods._rounded(1 - lam), bits)
-                want2 = scale * 2j * periods._complete_K(periods._rounded(lam), bits)
+                assert lam[1] > 0 and c[1] > 0
+                exact_lam, exact_c, ascending = _exact_legendre_data(model, order)
+                assert Fraction(*lam) == exact_lam and Fraction(*c) == exact_c
+                assert (0 < exact_lam < Fraction(1, 2)
+                        or (exact_lam == Fraction(1, 2) and ascending))
+                signs.add(exact_c > 0)
+                r, h, e = periods._partner_lattice(lam, c, mpmath.mp.prec + 20)
+                r, h = mpmath.mpf((r, -e)), mpmath.mpf((h, -e))
+                omega1, omega2 = (r, 1j * h) if exact_c > 0 else (-1j * h, r)
+                scale = 1 / mpmath.sqrt(mpmath.mpc(_rounded(exact_c)))
+                want1 = scale * 2 * periods._complete_K(_rounded(1 - exact_lam), bits)
+                want2 = scale * 2j * periods._complete_K(_rounded(exact_lam), bits)
                 for got, want in ((omega1, want1), (omega2, want2)):
                     assert (mpmath.fabs(got - want)
                             <= mpmath.ldexp(1, 8 - bits) * mpmath.fabs(want)), (params, partner)
@@ -585,9 +596,104 @@ def test_a_lambda_tie_puts_the_smaller_root_first(a, b, order):
     # E_is_t has the roots -a, -b, -2: -2 is the midpoint of -3 and -1, so
     # both orderings of the outer roots give lambda = 1/2, and -3 comes first
     model = curve_equation(CurveLabel.E_is_t, check_domain(a, b))
-    with mpmath.workprec(BITS + _GUARD_BITS):
-        assert periods._rational_legendre_basis(model)[2] == order
-    assert _exact_legendre_data(model, order)[0] == Fraction(1, 2)
+    lam, _, got = periods._legendre_data(model)
+    assert got == order
+    assert Fraction(*lam) == _exact_legendre_data(model, order)[0] == Fraction(1, 2)
+
+
+def _closed_form_lattices(rng, bits):
+    """(R, H, e): partner rectangles Z R + Z iH as integers at the scale 2^e,
+    drawn at random and at the square and the two hexagonal ties, each tie
+    also moved by a relative +-2^(-bits/2 +- 4), inside and outside the
+    2^(-bits/2) band of _reduce_basis."""
+    e = bits + _GUARD_BITS + 20
+    lattices = []
+    for _ in range(6):
+        r = rng.randrange(1 << e, 8 << e)
+        lattices.append((r, rng.randrange(r >> 4, r << 4), e))
+    for _ in range(2):
+        r = rng.randrange(1 << e, 8 << e)
+        # the rectangle r by h and the rhombus of r and h are square at h = r,
+        # the rhombus hexagonal at h^2 = 3 r^2 and r^2 = 3 h^2, and the
+        # rectangles r/2 by h and r by h/2 square at h = r/2 and h = 2 r
+        for h in (r, math.isqrt(3 * r * r), math.isqrt(r * r // 3), r // 2, 2 * r):
+            lattices.append((r, h, e))
+            for k in (bits // 2 - 4, bits // 2 + 4):
+                lattices += [(r, h + (h >> k), e), (r, h - (h >> k), e)]
+    return lattices
+
+
+def _mpc_pair(pair):
+    # the stored values, before to_mpc rounds them to the label
+    return [mpmath.mpc(z.real, z.imag) for z in (pair.omega1, pair.omega2, pair.tau)]
+
+
+def _assert_same_reduction(got, reduced, bits, where):
+    # the basis equals _reduce_basis's, and tau is w2/w1 of that basis;
+    # _reduce_basis's own tau may be that of the basis before a unit turned
+    # it, which differs from w2/w1 only inside its 2^(-bits/2) band
+    w1, w2, tau = got
+    want1, want2, want_tau = reduced
+    tolerance = mpmath.ldexp(1, -bits - 16)
+    assert mpmath.fabs(w1 - want1) <= tolerance * mpmath.fabs(want1), where
+    assert mpmath.fabs(w2 - want2) <= tolerance * mpmath.fabs(want2), where
+    assert mpmath.fabs(tau - want2 / want1) <= tolerance * mpmath.fabs(tau), where
+    assert mpmath.fabs(tau - want_tau) <= mpmath.ldexp(1, -(bits // 2)) * mpmath.fabs(tau), where
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024, 4096])
+def test_closed_normal_forms_match_the_general_reduction(bits):
+    # quotient_periods puts the partner's rectangle and the quotient's
+    # rectangle or rhombus in normal form in closed form; _reduce_basis gives
+    # the same basis and kernel class from the Legendre step's first basis,
+    # (R, iH) for c > 0 and (-iH, R) for c < 0, and from the basis
+    # (omega1, omega2/2), (omega1/2, omega2) or (omega1, (omega1 + omega2)/2)
+    # of scale (L + Z t), for each class of t and scale
+    rng = random.Random(bits)
+    slack = (bits + 1) // 2
+    shapes = set()
+    for r, h, e in _closed_form_lattices(rng, bits):
+        with mpmath.workprec(bits + _GUARD_BITS):
+            big_r, big_h = mpmath.mpf((r, -e)), mpmath.mpf((h, -e))
+            for positive in (True, False):
+                omega1, omega2 = ((mpmath.mpc(big_r), mpmath.mpc(0, big_h)) if positive
+                                  else (mpmath.mpc(0, -big_h), mpmath.mpc(big_r)))
+                for kernel in ((0, 1), (1, 0), (1, 1)):
+                    t = kernel if positive else kernel[::-1]
+                    where = (r, h, positive, kernel)
+                    basis, reduced_kernel = periods._partner_form(r, h, t, slack)
+                    *reduced, want_kernel = _reduce_basis(omega1, omega2, bits, kernel)
+                    _assert_same_reduction(_mpc_pair(periods._pair(basis, r, h, e, bits)),
+                                           reduced, bits, where)
+                    assert reduced_kernel == want_kernel, where
+                    for scale in (1, 2):
+                        w1, w2 = {(0, 1): (omega1, omega2 / 2), (1, 0): (omega1 / 2, omega2),
+                                  (1, 1): (omega1, (omega1 + omega2) / 2)}[kernel]
+                        form, x, y, ex = periods._quotient_lattice(r, h, e, t, scale)
+                        shapes.add(form(x, y, slack))
+                        _assert_same_reduction(
+                            _mpc_pair(periods._pair(form(x, y, slack), x, y, ex, bits)),
+                            _reduce_basis(scale * w1, scale * w2, bits)[:3], bits,
+                            where + (scale,))
+    # both rectangle forms and all four rhombus forms occur
+    assert len(shapes) == 6
+
+
+def test_the_report_path_never_runs_the_general_reduction(monkeypatch):
+    # every report basis is a closed form; elliptic_periods_agm and
+    # analytic_j keep _reduce_basis
+    def general_reduction(*args, **kwargs):
+        raise AssertionError("_reduce_basis called")
+
+    monkeypatch.setattr(periods, "_reduce_basis", general_reduction)
+    points = PARTNER_POINTS + [check_domain(3, 1), check_domain(1, 3)] + NEAR_A_LOCUS
+    for params in points:
+        for bits in (128, 4096):
+            periods.periods_report(params, bits)
+    with pytest.raises(AssertionError, match="_reduce_basis called"):
+        elliptic_periods_agm(curve_equation(CurveLabel.E_t, points[0]), 128)
+    with pytest.raises(AssertionError, match="_reduce_basis called"):
+        analytic_j(mpmath.mpc(0, 1), 128)
 
 
 NEAR_A_LOCUS = [check_domain(2 + Fraction(1, 10**100), Fraction(1, 3)),
