@@ -7,7 +7,11 @@ denominator, the content/primitive-part form of von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 6: a product is one integer convolution and
 one gcd pass, not one Fraction reduction per term, and a rational
 substitution is a sum of such convolutions over one denominator.  Degrees
-in this project never exceed 16, so nothing cleverer is attempted.
+in this project never exceed 16, so nothing cleverer is attempted.  The
+family's models and quotient-map identities need none of these products:
+`family` writes its models down in the stored form and decides each
+identity at one integer point (Kronecker substitution), so only
+tests call `substitute_rational_map`.
 """
 
 from __future__ import annotations
@@ -98,6 +102,15 @@ class Polynomial:
         p = object.__new__(cls)
         p.nums = tuple([n // g for n in nums] if g != 1 else nums)
         p.den = den // g
+        return p
+
+    @classmethod
+    def _stored(cls, nums: tuple, den: int) -> "Polynomial":
+        """sum(nums[i] x^i) / den, for a caller that knows it to be in the
+        stored form already: no trailing zero, den > 0, gcd(den, *nums) = 1."""
+        p = object.__new__(cls)
+        p.nums = nums
+        p.den = den
         return p
 
     # -- constructors -------------------------------------------------

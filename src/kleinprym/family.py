@@ -2,9 +2,11 @@
 domain, the three extra involutions, all nine quotient curves with explicit
 quotient maps, fixed-point data, and exact j-invariants of the elliptic quotients.
 
-Quotient-map identities and j-invariants are computed on the integer
+Models, quotient-map identities and j-invariants run on the integer
 numerators of the right-hand sides (`Polynomial.nums`), with one `Fraction`
-per j.
+per j: `curve_equation` builds only the requested label's factors from
+a = p/q and b = r/s, and `verify_quotient_identity` decides each identity by
+one evaluation of its two integer sides past their coefficient bound.
 
 Involution lifts are fixed once and for all as
     sigma:    (x, y) -> (-x, y)
@@ -16,17 +18,11 @@ with iota the hyperelliptic sheet exchange (x, y) -> (x, -y).
 from __future__ import annotations
 
 import enum
-import functools
-import operator
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (
-    Polynomial,
-    format_rational,
-    is_squarefree,
-    substitute_rational_map,
-)
+from .algebra import Polynomial, _convolve, format_rational, is_squarefree
 from .errors import ArgumentError, DomainError, InternalInvariantError
 
 
@@ -125,8 +121,13 @@ class HyperellipticModel:
         return cls(rhs, _genus(rhs), (rhs,))
 
     def to_report(self) -> dict:
+        den = self.rhs.den
+        coefficients = []
+        for n in self.rhs.nums:
+            g = math.gcd(n, den)
+            coefficients.append(str(n // g) if g == den else f"{n // g}/{den // g}")
         report = {
-            "rhs_coefficients": [format_rational(c) for c in self.rhs.coeffs],
+            "rhs_coefficients": coefficients,
             "genus": self.genus,
         }
         if self.genus == 1:
@@ -143,6 +144,27 @@ _DISCRIMINANT_ROOTS = dict.fromkeys(CurveLabel, (2, -2)) | {
 }
 
 
+# Each label's rhs is the product of one factor of a = p/q, the same factor of
+# b = r/s and constant factors, in this order (`periods._legendre_data`
+# numbers the roots in factor order): label -> (the factor of p/q as integer
+# numerators over q, low to high, constant factors before it, constant
+# factors after the factor of b).
+_X2_MINUS_4, _X, _X2_PLUS_4, _X_MINUS_2, _X_PLUS_2 = map(
+    Polynomial, ((-4, 0, 1), (0, 1), (4, 0, 1), (-2, 1), (2, 1)))
+_FACTORS = {
+    CurveLabel.Ctilde: (lambda p, q: (q, 0, p, 0, q), (), ()),
+    CurveLabel.C_it: (lambda p, q: (p - 2 * q, 0, q), (_X2_MINUS_4,), ()),
+    CurveLabel.C_is: (lambda p, q: (q, p, q), (_X,), ()),
+    CurveLabel.C_ist: (lambda p, q: (p + 2 * q, 0, q), (_X2_PLUS_4,), ()),
+    CurveLabel.E_t: (lambda p, q: (p - 2 * q, 0, q), (), ()),
+    CurveLabel.E_s: (lambda p, q: (q, p, q), (), ()),
+    CurveLabel.E_st: (lambda p, q: (p + 2 * q, 0, q), (), ()),
+    CurveLabel.E_is_it: (lambda p, q: (p, q), (), (_X_MINUS_2,)),
+    CurveLabel.E_s_it: (lambda p, q: (p, q), (), (_X_MINUS_2, _X_PLUS_2)),
+    CurveLabel.E_is_t: (lambda p, q: (p, q), (), (_X_PLUS_2,)),
+}
+
+
 def curve_equation(label: CurveLabel, params: FamilyParams) -> HyperellipticModel:
     """The exact defining polynomial of y^2 = rhs(x) for the given quotient.
 
@@ -154,21 +176,17 @@ def curve_equation(label: CurveLabel, params: FamilyParams) -> HyperellipticMode
     if a == b or any(s in (a, b) for s in _DISCRIMINANT_ROOTS[label]):
         raise InternalInvariantError("right-hand side is not squarefree")
 
-    am, ap, bm, bp = a - 2, a + 2, b - 2, b + 2
-    table = {  # the coefficients of each factor, low to high
-        CurveLabel.Ctilde: ((1, 0, a, 0, 1), (1, 0, b, 0, 1)),
-        CurveLabel.C_it: ((-4, 0, 1), (am, 0, 1), (bm, 0, 1)),
-        CurveLabel.C_is: ((0, 1), (1, a, 1), (1, b, 1)),
-        CurveLabel.C_ist: ((4, 0, 1), (ap, 0, 1), (bp, 0, 1)),
-        CurveLabel.E_t: ((am, 0, 1), (bm, 0, 1)),
-        CurveLabel.E_s: ((1, a, 1), (1, b, 1)),
-        CurveLabel.E_st: ((ap, 0, 1), (bp, 0, 1)),
-        CurveLabel.E_is_it: ((a, 1), (b, 1), (-2, 1)),
-        CurveLabel.E_s_it: ((a, 1), (b, 1), (-2, 1), (2, 1)),
-        CurveLabel.E_is_t: ((a, 1), (b, 1), (2, 1)),
-    }
-    factors = tuple(map(Polynomial, table[label]))
-    rhs = functools.reduce(operator.mul, factors)
+    shape, before, after = _FACTORS[label]
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    fa, fb = shape(p, q), shape(r, s)
+    nums = _convolve(fa, fb)
+    for c in before + after:
+        nums = _convolve(nums, c.nums)
+    # gcd(p, q) = gcd(r, s) = 1, so the numerators of every factor are
+    # primitive, and by Gauss's lemma so are those of their product: each
+    # factor and rhs is already in the stored form, over q, s and q s
+    factors = (*before, Polynomial._stored(fa, q), Polynomial._stored(fb, s), *after)
+    rhs = Polynomial._stored(tuple(nums), q * s)
     return HyperellipticModel(rhs, _genus(rhs), factors)
 
 
@@ -216,14 +234,69 @@ def quotient_map(label: CurveLabel) -> QuotientMapData:
     return _QUOTIENT_MAPS[label]
 
 
+def _at(nums, shift: int) -> int:
+    """sum(nums[i] X^i) at X = 2^shift."""
+    acc = 0
+    for c in reversed(nums):
+        acc = (acc << shift) + c
+    return acc
+
+
+def _homogeneous(coeffs, x: int, y: int):
+    """(sum coeffs[i] x^i y^(k - i), y^k) for k = len(coeffs) - 1, by Horner;
+    (0, 1) for no coefficients."""
+    acc, y_pow = 0, 1
+    for i, c in enumerate(reversed(coeffs)):
+        if i:
+            y_pow *= y
+        acc = acc * x + c * y_pow
+    return acc, y_pow
+
+
+def _l1(nums) -> int:
+    return sum(map(abs, nums))
+
+
+def _identity_sides(q: QuotientMapData, ctilde_rhs: Polynomial, quotient_rhs: Polynomial):
+    """(bound, lhs, rhs) for the identity of `verify_quotient_identity`.
+
+    With F/Fd = ctilde_rhs, G/Gd = quotient_rhs of degree k, and U = n/d,
+    W = wn/wd over integer numerators (each pair cleared to one scale, as
+    `substitute_rational_map` clears U), the identity is
+    Gd wn^2 F d^k = Fd wd^2 sum(G_i n^i d^(k - i)) between integer
+    polynomials.  bound is the sum of bounds on their l1 norms (products of
+    the factors' l1 norms), so it bounds every coefficient of their
+    difference; lhs and rhs are the two sides at X = 2^(B + 1), B the bit
+    length of bound."""
+    n = [c * q.U_den.den for c in q.U_num.nums]
+    d = [c * q.U_num.den for c in q.U_den.nums]
+    wn = [c * q.W_den.den for c in q.W_num.nums]
+    wd = [c * q.W_num.den for c in q.W_den.nums]
+    f, g = ctilde_rhs.nums, quotient_rhs.nums
+    g_l1, d_l1 = _homogeneous([abs(c) for c in g], _l1(n), _l1(d))
+    bound = (quotient_rhs.den * _l1(wn) ** 2 * _l1(f) * d_l1
+             + ctilde_rhs.den * _l1(wd) ** 2 * g_l1)
+    shift = bound.bit_length() + 1
+    g_at, d_at = _homogeneous(g, _at(n, shift), _at(d, shift))
+    return (bound,
+            quotient_rhs.den * _at(wn, shift) ** 2 * _at(f, shift) * d_at,
+            ctilde_rhs.den * _at(wd, shift) ** 2 * g_at)
+
+
 def verify_quotient_identity(q: QuotientMapData, ctilde_rhs: Polynomial,
                              quotient_rhs: Polynomial) -> bool:
     """Exact check of W(x)^2 * ctilde_rhs(x) = quotient_rhs(U(x)) after
     clearing denominators, for the right-hand sides of Ctilde and of the
-    quotient that q maps onto."""
-    num, k = substitute_rational_map(quotient_rhs, q.U_num, q.U_den)
-    lhs = q.W_num * q.W_num * ctilde_rhs * (q.U_den ** k)
-    rhs = num * q.W_den * q.W_den
+    quotient that q maps onto.
+
+    Both cleared sides are integer polynomials (`_identity_sides`), and
+    their difference has coefficients below 2^B in absolute value, so
+    below X/2 for X = 2^(B + 1).  A nonzero integer polynomial with such
+    coefficients does not vanish at X: its top term outweighs all the
+    others.  So the sides agree as polynomials exactly when they agree at
+    X, one integer comparison (Kronecker substitution; von zur Gathen &
+    Gerhard, *Modern Computer Algebra*)."""
+    _, lhs, rhs = _identity_sides(q, ctilde_rhs, quotient_rhs)
     return lhs == rhs
 
 

@@ -305,8 +305,10 @@ def _reduce_basis(w1, w2, precision_bits: int, kernel=(0, 0)):
             slack = eps * mpmath.sqrt(w1_norm)
             if down[0].real > w1.real + slack:
                 (w1, w2), (m, n) = down, down_kernel
+                tau = w2 / w1
             elif up[0].real >= w1.real - slack:
                 (w1, w2), (m, n) = up, up_kernel
+                tau = w2 / w1
         return w1, w2, tau, (m, n)
     raise PrecisionError("fundamental-domain reduction did not terminate")
 

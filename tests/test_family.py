@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from family_oracle import oracle_factors, oracle_identity, oracle_identity_sides, oracle_rhs
 from j_oracle import oracle_j
 from kleinprym.acceptance import IDENTITY_GRID
 from kleinprym.algebra import Polynomial, discriminant, format_rational, is_squarefree
@@ -16,6 +17,8 @@ from kleinprym.family import (
     HyperellipticModel,
     InvolutionLabel,
     QUOTIENT_LABELS,
+    QuotientMapData,
+    _identity_sides,
     check_domain,
     curve_equation,
     fixed_point_count,
@@ -29,6 +32,22 @@ domain_params = st.tuples(
     st.fractions(min_value=-20, max_value=20, max_denominator=8),
 ).filter(lambda ab: ab[0] != ab[1] and ab[0] ** 2 != 4 and ab[1] ** 2 != 4
          ).map(lambda ab: check_domain(*ab))
+
+
+
+def fractions_of_height(h):
+    return st.builds(Fraction, st.integers(-h, h), st.integers(1, h))
+
+
+def params_of_height(h):
+    values = fractions_of_height(h)
+    return st.tuples(values, values).filter(
+        lambda ab: ab[0] != ab[1] and ab[0] ** 2 != 4 and ab[1] ** 2 != 4
+    ).map(lambda ab: check_domain(*ab))
+
+
+# points of height 50 and 10^6, the benchmark's two heights
+drawn_params = st.one_of(params_of_height(50), params_of_height(10**6))
 
 
 X, A, B = sympy.symbols("x a b")
@@ -228,6 +247,123 @@ def test_identity_fails_for_any_perturbed_coefficient(label):
     assert not verify_quotient_identity(q, ctilde_rhs, rhs * (1 + TINY))
 
 
+@given(drawn_params)
+def test_factors_are_the_oracle_table_in_order(params):
+    # periods._legendre_data numbers the roots in factor order
+    for label in CurveLabel:
+        model = curve_equation(label, params)
+        assert model.factors == oracle_factors(label, params)
+        rhs = oracle_rhs(label, params)
+        assert (model.rhs.nums, model.rhs.den) == (rhs.nums, rhs.den)
+        assert model.to_report()["rhs_coefficients"] == \
+            [format_rational(c) for c in rhs.coeffs]
+
+
+def shifted_rhs(rhs, data):
+    """rhs with one drawn coefficient moved by a drawn nonzero amount, or
+    with its leading term removed."""
+    i = data.draw(st.integers(0, rhs.degree))
+    shift = data.draw(st.one_of(fractions_of_height(10**6).filter(bool),
+                                st.just(-rhs.leading)))
+    return rhs + Polynomial([0] * i + [shift])
+
+
+@given(drawn_params, st.data())
+@settings(max_examples=60)
+def test_identity_verdict_is_the_oracle_verdict(params, data):
+    ctilde_rhs = curve_equation(CurveLabel.Ctilde, params).rhs
+    for label in QUOTIENT_LABELS:
+        q = quotient_map(label)
+        rhs = curve_equation(label, params).rhs
+        assert verify_quotient_identity(q, ctilde_rhs, rhs)
+        shifted = shifted_rhs(rhs, data)
+        assert verify_quotient_identity(q, ctilde_rhs, shifted) == \
+            oracle_identity(q, ctilde_rhs, shifted)
+
+
+def integer_sides(q, ctilde_rhs, quotient_rhs):
+    """The oracle's two sides scaled to the integer polynomials whose values
+    `_identity_sides` compares: by both right-hand sides' denominators and
+    by the denominators cleared from U and W."""
+    u_scale = q.U_num.den * q.U_den.den
+    w_scale = q.W_num.den * q.W_den.den
+    scale = (ctilde_rhs.den * quotient_rhs.den * w_scale ** 2
+             * u_scale ** max(quotient_rhs.degree, 0))
+    sides = [side * scale for side in oracle_identity_sides(q, ctilde_rhs, quotient_rhs)]
+    assert all(side.den == 1 for side in sides)
+    return [side.nums for side in sides]
+
+
+def assert_bound_covers_the_sides(q, ctilde_rhs, quotient_rhs):
+    bound, lhs, rhs = _identity_sides(q, ctilde_rhs, quotient_rhs)
+    sides = integer_sides(q, ctilde_rhs, quotient_rhs)
+    # every coefficient of the sides' difference is below 2^B, B = bit length
+    assert bound >= sum(max(map(abs, nums), default=0) for nums in sides)
+    x = 2 << bound.bit_length()
+    assert [lhs, rhs] == [sum(c * x**i for i, c in enumerate(nums)) for nums in sides]
+
+
+@given(drawn_params, st.data())
+@settings(max_examples=60)
+def test_bound_covers_both_sides_as_the_oracle_computes_them(params, data):
+    ctilde_rhs = curve_equation(CurveLabel.Ctilde, params).rhs
+    for label in QUOTIENT_LABELS:
+        q = quotient_map(label)
+        rhs = curve_equation(label, params).rhs
+        assert_bound_covers_the_sides(q, ctilde_rhs, rhs)
+        assert_bound_covers_the_sides(q, ctilde_rhs, shifted_rhs(rhs, data))
+
+
+@pytest.mark.parametrize("label", QUOTIENT_LABELS)
+def test_rational_map_data_is_cleared(label):
+    # U_num/U_den and W_num/W_den scaled alike keep U and W, so the identity
+    # holds; scaled apart they change U or W, and the verdict is the oracle's
+    params = check_domain(*GENERIC_POINT)
+    ctilde_rhs = curve_equation(CurveLabel.Ctilde, params).rhs
+    rhs = curve_equation(label, params).rhs
+    q = quotient_map(label)
+    u, w = Fraction(-3, 7), Fraction(5, 2)
+    same = QuotientMapData(q.U_num * u, q.U_den * u, q.W_num * w, q.W_den * w)
+    assert verify_quotient_identity(same, ctilde_rhs, rhs)
+    assert not verify_quotient_identity(same, ctilde_rhs, rhs + Polynomial([TINY]))
+    apart = (QuotientMapData(q.U_num * u, q.U_den, q.W_num, q.W_den),
+             QuotientMapData(q.U_num, q.U_den, q.W_num * w, q.W_den * u))
+    for data in (same, *apart):
+        for quotient_rhs in (rhs, rhs + Polynomial([TINY])):
+            assert verify_quotient_identity(data, ctilde_rhs, quotient_rhs) == \
+                oracle_identity(data, ctilde_rhs, quotient_rhs)
+            assert_bound_covers_the_sides(data, ctilde_rhs, quotient_rhs)
+
+
+@pytest.mark.parametrize("label", QUOTIENT_LABELS)
+def test_a_difference_with_a_small_root_is_rejected(label):
+    # with e(u) = u - U(2), the sides for rhs + e differ by a nonzero
+    # multiple of U_den^k e(U) W_den^2, which vanishes at x = 2: a check at a
+    # point below the coefficient bound could take it for the identity
+    params = check_domain(*GENERIC_POINT)
+    ctilde_rhs = curve_equation(CurveLabel.Ctilde, params).rhs
+    q = quotient_map(label)
+    u2 = q.U_num.evaluate(Fraction(2)) / q.U_den.evaluate(Fraction(2))
+    wrong = curve_equation(label, params).rhs + Polynomial([-u2, 1])
+    assert not verify_quotient_identity(q, ctilde_rhs, wrong)
+    assert not oracle_identity(q, ctilde_rhs, wrong)
+    lhs, rhs = integer_sides(q, ctilde_rhs, wrong)
+    assert sum(c * 2**i for i, c in enumerate(lhs)) == sum(c * 2**i for i, c in enumerate(rhs))
+
+
+def test_models_and_identities_make_no_fraction(fraction_count):
+    params = check_domain(*GENERIC_POINT)
+    fraction_count[0] = 0
+    models = {label: curve_equation(label, params) for label in CurveLabel}
+    ctilde_rhs = models[CurveLabel.Ctilde].rhs
+    verdicts = [verify_quotient_identity(quotient_map(label), ctilde_rhs, models[label].rhs)
+                for label in QUOTIENT_LABELS]
+    assert fraction_count[0] == 0
+    assert all(verdicts)
+    oracle_factors(CurveLabel.E_t, params)
+    assert fraction_count[0] > 0  # the counter does see the oracle's Fractions
+
+
 @given(domain_params)
 def test_fixed_point_profile(params):
     expected = {
@@ -303,10 +439,8 @@ def test_quartic_and_cubic_models_share_j_along_tau_quotients(params):
 # the integer formula of `j_invariant` against the Fraction-based
 # short-Weierstrass oracle of tests/j_oracle.py
 TALL = 10**6
-tall_fractions = st.builds(Fraction, st.integers(-TALL, TALL), st.integers(1, TALL))
-tall_params = st.tuples(tall_fractions, tall_fractions).filter(
-    lambda ab: ab[0] != ab[1] and ab[0] ** 2 != 4 and ab[1] ** 2 != 4
-).map(lambda ab: check_domain(*ab))
+tall_fractions = fractions_of_height(TALL)
+tall_params = params_of_height(TALL)
 
 
 @given(tall_params)

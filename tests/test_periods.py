@@ -629,16 +629,15 @@ def _mpc_pair(pair):
 
 
 def _assert_same_reduction(got, reduced, bits, where):
-    # the basis equals _reduce_basis's, and tau is w2/w1 of that basis;
-    # _reduce_basis's own tau may be that of the basis before a unit turned
-    # it, which differs from w2/w1 only inside its 2^(-bits/2) band
+    # the basis equals _reduce_basis's, and tau is w2/w1 of that basis, as
+    # is _reduce_basis's own tau, also after a unit turned its basis
     w1, w2, tau = got
     want1, want2, want_tau = reduced
     tolerance = mpmath.ldexp(1, -bits - 16)
     assert mpmath.fabs(w1 - want1) <= tolerance * mpmath.fabs(want1), where
     assert mpmath.fabs(w2 - want2) <= tolerance * mpmath.fabs(want2), where
     assert mpmath.fabs(tau - want2 / want1) <= tolerance * mpmath.fabs(tau), where
-    assert mpmath.fabs(tau - want_tau) <= mpmath.ldexp(1, -(bits // 2)) * mpmath.fabs(tau), where
+    assert mpmath.fabs(tau - want_tau) <= tolerance * mpmath.fabs(tau), where
 
 
 @pytest.mark.parametrize("bits", [128, 256, 1024, 4096])

@@ -88,20 +88,6 @@ def test_apply_mobius_matches_the_fraction_map(entries, p):
     assert apply_mobius(MobiusMap(*entries), p) == fraction_image(entries, p)
 
 
-@pytest.fixture
-def fraction_count(monkeypatch):
-    """Counts `Fraction.__new__` calls, wrapped as perfbench's tracer wraps it."""
-    count = [0]
-    new = Fraction.__dict__["__new__"].__func__
-
-    def counting_new(cls, *args, **kwargs):
-        count[0] += 1
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    return count
-
-
 def test_integer_points_make_no_fraction(fraction_count):
     p = ProjectivePoint
     d, t1, t2 = p(Fraction(1, 3)), p(-7), p.infinity()
