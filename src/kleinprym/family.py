@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Polynomial, _convolve, format_rational, is_squarefree
-from .errors import ArgumentError, DomainError, InternalInvariantError
+from .errors import ArgumentError, DegreeError, DomainError, InternalInvariantError
 
 
 @dataclass(frozen=True)
@@ -268,6 +268,8 @@ def _identity_sides(q: QuotientMapData, ctilde_rhs: Polynomial, quotient_rhs: Po
     the factors' l1 norms), so it bounds every coefficient of their
     difference; lhs and rhs are the two sides at X = 2^(B + 1), B the bit
     length of bound."""
+    if q.U_den.is_zero:
+        raise DegreeError("zero denominator in rational substitution")
     n = [c * q.U_den.den for c in q.U_num.nums]
     d = [c * q.U_num.den for c in q.U_den.nums]
     wn = [c * q.W_den.den for c in q.W_num.nums]

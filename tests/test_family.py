@@ -8,7 +8,7 @@ from family_oracle import oracle_factors, oracle_identity, oracle_identity_sides
 from j_oracle import oracle_j
 from kleinprym.acceptance import IDENTITY_GRID
 from kleinprym.algebra import Polynomial, discriminant, format_rational, is_squarefree
-from kleinprym.errors import ArgumentError, DomainError, InternalInvariantError
+from kleinprym.errors import ArgumentError, DegreeError, DomainError, InternalInvariantError
 from kleinprym.family import (
     CurveLabel,
     ELLIPTIC_LABELS,
@@ -349,6 +349,16 @@ def test_a_difference_with_a_small_root_is_rejected(label):
     assert not oracle_identity(q, ctilde_rhs, wrong)
     lhs, rhs = integer_sides(q, ctilde_rhs, wrong)
     assert sum(c * 2**i for i, c in enumerate(lhs)) == sum(c * 2**i for i, c in enumerate(rhs))
+
+
+def test_a_zero_map_denominator_is_a_degree_error():
+    params = check_domain(*GENERIC_POINT)
+    ctilde_rhs = curve_equation(CurveLabel.Ctilde, params).rhs
+    q = quotient_map(CurveLabel.E_t)
+    broken = QuotientMapData(q.U_num, Polynomial.zero(), q.W_num, q.W_den)
+    for check in (verify_quotient_identity, oracle_identity):
+        with pytest.raises(DegreeError):
+            check(broken, ctilde_rhs, curve_equation(CurveLabel.E_t, params).rhs)
 
 
 def test_models_and_identities_make_no_fraction(fraction_count):
