@@ -53,8 +53,10 @@ def parse_rational(text: str) -> Fraction:
     raise ArgumentError(f"{brief(text)} is not a rational p/q")
 
 
-def format_rational(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+def ratio_text(num: int, den: int) -> str:
+    """num/den for den > 0 in lowest terms, as `str(Fraction(num, den))` prints it."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _convolve(xs, ys) -> list:
@@ -145,7 +147,7 @@ class Polynomial:
     def to_string(self) -> str:
         if self.is_zero:
             return "0"
-        return ",".join(format_rational(c) for c in self.coeffs)
+        return ",".join([ratio_text(n, self.den) for n in self.nums])
 
     # -- structure ----------------------------------------------------
     @property

@@ -2,11 +2,11 @@
 domain, the three extra involutions, all nine quotient curves with explicit
 quotient maps, fixed-point data, and exact j-invariants of the elliptic quotients.
 
-Models, quotient-map identities and j-invariants run on the integer
-numerators of the right-hand sides (`Polynomial.nums`), with one `Fraction`
-per j: `curve_equation` builds only the requested label's factors from
-a = p/q and b = r/s, and `verify_quotient_identity` decides each identity by
-one evaluation of its two integer sides past their coefficient bound.
+Models, quotient-map identities, fixed-point fibres and j-invariants run on
+integers, with one `Fraction` per j: `curve_equation` builds only the requested
+label's factors from a = p/q and b = r/s, `verify_quotient_identity` decides
+each identity by one evaluation of its two integer sides past their coefficient
+bound, and `fixed_point_count` reads each fibre's y^2 off an integer closed form.
 
 Involution lifts are fixed once and for all as
     sigma:    (x, y) -> (-x, y)
@@ -18,11 +18,10 @@ with iota the hyperelliptic sheet exchange (x, y) -> (x, -y).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial, _convolve, format_rational, is_squarefree
+from .algebra import Polynomial, _convolve, is_squarefree, ratio_text
 from .errors import ArgumentError, DegreeError, DomainError, InternalInvariantError
 
 
@@ -42,7 +41,7 @@ class FamilyParams:
         return FamilyParams(self.b, self.a)
 
     def __repr__(self):
-        return f"FamilyParams({format_rational(self.a)}, {format_rational(self.b)})"
+        return f"FamilyParams({self.a}, {self.b})"
 
 
 def check_domain(a, b) -> FamilyParams:
@@ -121,17 +120,12 @@ class HyperellipticModel:
         return cls(rhs, _genus(rhs), (rhs,))
 
     def to_report(self) -> dict:
-        den = self.rhs.den
-        coefficients = []
-        for n in self.rhs.nums:
-            g = math.gcd(n, den)
-            coefficients.append(str(n // g) if g == den else f"{n // g}/{den // g}")
         report = {
-            "rhs_coefficients": coefficients,
+            "rhs_coefficients": [ratio_text(n, self.rhs.den) for n in self.rhs.nums],
             "genus": self.genus,
         }
         if self.genus == 1:
-            report["j"] = format_rational(j_invariant(self))
+            report["j"] = str(j_invariant(self))
         return report
 
 
@@ -302,6 +296,19 @@ def verify_quotient_identity(q: QuotientMapData, ctilde_rhs: Polynomial,
     return lhs == rhs
 
 
+# The two x-loci that sigma, tau and sigma*tau fix, and y^2 on both, as an
+# integer numerator over a positive denominator from a = p/q and b = r/s:
+# f(0) = 1 and w^2 = 1 at t = 0; f(+-1) = (2 + a)(2 + b); f(+-i) = (2 - a)(2 - b).
+# Each lift fixes y over its loci (tau and sigma*tau as x^4 = 1 there), so the
+# lifts composed with iota negate it, and y^2 != 0 on the domain: they fix no point.
+_FIXED_FIBRES = {
+    InvolutionLabel.sigma: (("0", "inf"), lambda p, q, r, s: (1, 1)),
+    InvolutionLabel.tau: (("1", "-1"), lambda p, q, r, s: ((2 * q + p) * (2 * s + r), q * s)),
+    InvolutionLabel.sigma_tau: (("x^2=-1 (x=i)", "x^2=-1 (x=-i)"),
+                                lambda p, q, r, s: ((2 * q - p) * (2 * s - r), q * s)),
+}
+
+
 def fixed_point_count(inv: InvolutionLabel, params: FamilyParams):
     """Fixed points of the involution lift on the smooth model.
 
@@ -310,38 +317,17 @@ def fixed_point_count(inv: InvolutionLabel, params: FamilyParams):
     Returns (count, points) where each point record describes the fibre:
     {"x": <location>, "y_squared": <value or condition>, "points": n}.
     """
-    a, b = params.a, params.b
-
-    def fibre(x_desc, ysq: Fraction, sheets_fixed: bool):
-        if not sheets_fixed:
-            return None
-        n = 1 if ysq == 0 else 2
-        return {"x": x_desc, "y_squared": format_rational(ysq), "points": n}
-
-    records = []
     if inv == InvolutionLabel.iota:
         # y -> -y fixes exactly the eight Weierstrass points.
-        records.append({"x": "roots of rhs", "y_squared": "0", "points": 8})
-    elif inv in (InvolutionLabel.sigma, InvolutionLabel.iota_sigma):
-        # x-locus {0, infinity}; sigma fixes y in both charts, iota*sigma negates it.
-        fixes_sheets = inv == InvolutionLabel.sigma
-        records.append(fibre("0", Fraction(1), fixes_sheets))  # f(0) = 1
-        records.append(fibre("inf", Fraction(1), fixes_sheets))  # w^2 = 1 at t = 0
-    elif inv in (InvolutionLabel.tau, InvolutionLabel.iota_tau):
-        # x-locus {1, -1}; y/x^4 = y there, and f(1) = f(-1) = (2+a)(2+b).
-        fixes_sheets = inv == InvolutionLabel.tau
-        ysq = (2 + a) * (2 + b)
-        records.append(fibre("1", ysq, fixes_sheets))
-        records.append(fibre("-1", ysq, fixes_sheets))
-    elif inv in (InvolutionLabel.sigma_tau, InvolutionLabel.iota_sigma_tau):
-        # x-locus x^2 = -1; y^2 = f(i) = f(-i) = (2-a)(2-b).
-        fixes_sheets = inv == InvolutionLabel.sigma_tau
-        ysq = (2 - a) * (2 - b)
-        records.append(fibre("x^2=-1 (x=i)", ysq, fixes_sheets))
-        records.append(fibre("x^2=-1 (x=-i)", ysq, fixes_sheets))
-    records = [r for r in records if r is not None]
-    count = sum(r["points"] for r in records)
-    return count, records
+        return 8, [{"x": "roots of rhs", "y_squared": "0", "points": 8}]
+    if inv not in _FIXED_FIBRES:
+        return 0, []
+    loci, fibre = _FIXED_FIBRES[inv]
+    a, b = params.a, params.b
+    num, den = fibre(a.numerator, a.denominator, b.numerator, b.denominator)
+    n = 1 if num == 0 else 2
+    ysq = ratio_text(num, den)
+    return 2 * n, [{"x": x, "y_squared": ysq, "points": n} for x in loci]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 kernels of order <= 12, and the dual-non-isomorphism certificate for
 (1,d)-polarised quotients of a product of elliptic curves.
 
+A curve is checked for singularity when it is made.  `velu_quotient` walks
+the kernel once, summing Velu's terms over one point of each pair {T, -T}
+(J. Velu, C. R. Acad. Sci. Paris 273, 1971).
+
 Isomorphism over an algebraically closed field is decided by j-invariant
 equality.  Non-isogeny of the two factors is never certified here: it is an
 input assertion, with j(E) != j(F) reported as weak evidence only.
@@ -13,25 +17,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, OrderError, PointError, SingularError
-from .algebra import format_rational, parse_rational
+from .algebra import parse_rational
 
 MAX_KERNEL_ORDER = 12
 
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 = x^3 + p x + q, nonsingular."""
+    """y^2 = x^3 + p x + q, nonsingular: construction refuses 4p^3 + 27q^2 = 0."""
 
     p: Fraction
     q: Fraction
 
+    def __post_init__(self):
+        if 4 * self.p ** 3 + 27 * self.q * self.q == 0:
+            raise SingularError("4p^3 + 27q^2 = 0")
+
     @classmethod
     def make(cls, p, q) -> "WeierstrassCurve":
-        p = Fraction(p)
-        q = Fraction(q)
-        if 4 * p ** 3 + 27 * q * q == 0:
-            raise SingularError("4p^3 + 27q^2 = 0")
-        return cls(p, q)
+        return cls(Fraction(p), Fraction(q))
 
     @classmethod
     def from_string(cls, text: str) -> "WeierstrassCurve":
@@ -44,14 +48,11 @@ class WeierstrassCurve:
         return y * y == x ** 3 + self.p * x + self.q
 
     def to_string(self) -> str:
-        return f"{format_rational(self.p)},{format_rational(self.q)}"
+        return f"{self.p},{self.q}"
 
 
 def j_weierstrass(curve: WeierstrassCurve) -> Fraction:
-    delta = 4 * curve.p ** 3 + 27 * curve.q ** 2
-    if delta == 0:
-        raise SingularError("singular curve has no j-invariant")
-    return 1728 * 4 * curve.p ** 3 / delta
+    return 1728 * 4 * curve.p ** 3 / (4 * curve.p ** 3 + 27 * curve.q ** 2)
 
 
 # Affine points are (x, y) pairs; None is the point at infinity.
@@ -75,13 +76,13 @@ def add_points(curve: WeierstrassCurve, P, Q):
     return (x3, y3)
 
 
-def point_order(curve: WeierstrassCurve, P, bound: int = MAX_KERNEL_ORDER) -> int:
+def point_order(curve: WeierstrassCurve, P) -> int:
     acc = P
-    for k in range(1, bound + 1):
+    for k in range(1, MAX_KERNEL_ORDER + 1):
         if acc is None:
             return k
         acc = add_points(curve, acc, P)
-    raise OrderError(f"point order exceeds {bound}")
+    raise OrderError(f"point order exceeds {MAX_KERNEL_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -122,31 +123,20 @@ def velu_quotient(curve: WeierstrassCurve, P: KernelPoint) -> WeierstrassCurve:
     if not curve.contains(P.x, P.y):
         raise PointError("kernel point is not on the curve")
 
-    # one representative of each {T, -T}, all 2-torsion elements included
-    kernel = []
-    acc = pt
-    while acc is not None:
-        kernel.append(acc)
-        acc = add_points(curve, acc, pt)
-    reps = []
-    seen = set()
-    for (x, y) in kernel:
-        if (x, y) in seen:
-            continue
-        seen.add((x, y))
-        seen.add((x, -y))
-        reps.append((x, y))
-
-    v = Fraction(0)
-    w = Fraction(0)
-    for (x, y) in reps:
+    # T = P, 2P, ... up to the first T = -T (y = 0) or, before it, the first
+    # T = -(T - P) (same x): one representative of each {T, -T}
+    v = w = Fraction(0)
+    T, last_x = pt, None
+    while T[0] != last_x:
+        x, y = T
         gx = 3 * x * x + curve.p
-        gy = -2 * y
         vq = gx if y == 0 else 2 * gx
-        uq = gy * gy
         v += vq
-        w += uq + x * vq
-    return WeierstrassCurve.make(curve.p - 5 * v, curve.q - 7 * w)
+        w += 4 * y * y + x * vq
+        if y == 0:
+            break
+        T, last_x = add_points(curve, T, pt), x
+    return WeierstrassCurve(curve.p - 5 * v, curve.q - 7 * w)
 
 
 def dual_nonisomorphism_check(E: WeierstrassCurve, P: KernelPoint,
@@ -172,10 +162,10 @@ def dual_nonisomorphism_check(E: WeierstrassCurve, P: KernelPoint,
         conclusion = "no conclusion: both quotients preserve j"
     return {
         "d": P.order,
-        "j_E": format_rational(jE),
-        "j_E_mod_P": format_rational(jEP),
-        "j_F": format_rational(jF),
-        "j_F_mod_Q": format_rational(jFQ),
+        "j_E": str(jE),
+        "j_E_mod_P": str(jEP),
+        "j_F": str(jF),
+        "j_F_mod_Q": str(jFQ),
         "premise_holds": premise,
         "nonisogenous_evidence": {
             "j_values_differ": jE != jF,

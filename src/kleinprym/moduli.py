@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgumentError, DegenerateConfiguration, PhiUndefined
-from .algebra import format_rational
 from .family import CurveLabel, FamilyParams, check_domain, curve_equation, j_invariant
 from .projline import (
     CANONICAL_TRIPLE,
@@ -154,7 +153,7 @@ def phi_consistency_report(fiber: PhiFiber,
                 for name, named in CONVENTIONS.items()}
 
     def fmt_params(p):
-        return [format_rational(p.a), format_rational(p.b)]
+        return [str(p.a), str(p.b)]
 
     return {
         "params": fmt_params(params),
@@ -174,8 +173,8 @@ def phi_consistency_report(fiber: PhiFiber,
 def moduli_report(fiber: PhiFiber) -> dict:
     params, image, inv = fiber.params, fiber.image, fiber.invariants
     return {
-        "params": [format_rational(params.a), format_rational(params.b)],
-        "phi_params": [format_rational(image.a), format_rational(image.b)],
-        "j_pair_top": [format_rational(j) for j in inv.j_pair_top],
-        "j_pair_bottom": [format_rational(j) for j in inv.j_pair_bottom],
+        "params": [str(params.a), str(params.b)],
+        "phi_params": [str(image.a), str(image.b)],
+        "j_pair_top": [str(j) for j in inv.j_pair_top],
+        "j_pair_bottom": [str(j) for j in inv.j_pair_bottom],
     }

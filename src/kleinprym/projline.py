@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, DegenerateConfiguration
-from .algebra import parse_rational
+from .algebra import parse_rational, ratio_text
 from .family import FamilyParams, check_domain
 
 
@@ -74,7 +74,7 @@ class ProjectivePoint:
     def to_string(self) -> str:
         if self.is_infinity:
             return "inf"
-        return str(self.x) if self.y == 1 else f"{self.x}/{self.y}"
+        return ratio_text(self.x, self.y)
 
     @classmethod
     def from_string(cls, text: str) -> "ProjectivePoint":

@@ -2,9 +2,10 @@
 
 Torsion is modelled inside Q^4/Z^4 at a fixed level N, coordinates ordered
 (e_E, f_E, e_F, f_F).  A point x is held as the residues N*x mod N, four
-ints in range(N); rationals appear only where points enter (`make`).  The
-Weil pairing surrogate is the standard symplectic form scaled to take values
-in (1/N)Z/Z, held as the residue N <x, y> mod N (`_pairing_residue`):
+ints in range(N), which it checks when it is made; rationals appear only
+where points enter (`make`).  The Weil pairing surrogate is the standard
+symplectic form scaled to take values in (1/N)Z/Z, held as the residue
+N <x, y> mod N (`_pairing_residue`):
 
     <x, y> = N * (x1 y2 - x2 y1 + x3 y4 - x4 y3)  mod 1.
 
@@ -37,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import ratio_text
 from .errors import ArgumentError, LevelError, NotIsotropic
 
 MAX_LEVEL = 12
@@ -49,6 +51,13 @@ class TorsionPoint:
 
     coords: tuple
     level: int
+
+    def __post_init__(self):
+        level, coords = self.level, self.coords
+        if not (type(level) is int and 2 <= level <= MAX_LEVEL and type(coords) is tuple
+                and len(coords) == 4 and all(type(c) is int and 0 <= c < level for c in coords)):
+            raise ArgumentError(f"a point is four int residues mod a level in 2..{MAX_LEVEL}, "
+                                f"not {coords!r} at level {level!r}")
 
     @classmethod
     def make(cls, coords, level: int) -> "TorsionPoint":
@@ -95,13 +104,12 @@ class TorsionPoint:
 
 @functools.cache
 def _residue_texts(level: int) -> tuple:
-    """The texts of c/N in lowest terms for c in range(N), read by `to_strings`.
-    A point made directly may carry any level; the check keeps the cache at
-    the levels that `TorsionPoint.make` accepts."""
+    """The texts of c/N in lowest terms for c in range(N), read by `to_strings`
+    and the reports.  A subgroup made directly may carry any level; the check
+    keeps the cache at the levels that `TorsionPoint` accepts."""
     if not 2 <= level <= MAX_LEVEL:
         raise ArgumentError(f"level must be in 2..{MAX_LEVEL}")
-    return tuple([f"{c // math.gcd(c, level)}/{level // math.gcd(c, level)}" if c else "0"
-                  for c in range(level)])
+    return tuple([ratio_text(c, level) for c in range(level)])
 
 
 def _pairing_residue(a: tuple, b: tuple, level: int) -> int:
@@ -164,14 +172,14 @@ def _howell(rows, level: int, width: int) -> tuple:
 
 
 def _lex_members(echelon, bounds, level: int) -> list:
-    """The points x of the group with basis `echelon` that have
-    x_j < bounds[j] at every j, in lexicographic order; column j reaches the
-    class of x_j mod g_j, so only residues below bounds[j] are built."""
+    """The residues x of the elements of the group with basis `echelon` that
+    have x_j < bounds[j] at every j, in lexicographic order; column j reaches
+    the class of x_j mod g_j, so only residues below bounds[j] are built."""
     members = [(0, 0, 0, 0)]
     for j, (g, r) in enumerate(echelon):
         members = [tuple([(a + (v - x[j]) // g * b) % level for a, b in zip(x, r)])
                    for x in members for v in range(x[j] % g, bounds[j], g)]
-    return [TorsionPoint(x, level) for x in members]
+    return members
 
 
 @dataclass(frozen=True)
@@ -189,7 +197,10 @@ class TorsionSubgroup:
     @functools.cached_property
     def elements(self) -> frozenset:
         """All elements, listed on first use."""
-        return frozenset(_lex_members(self.echelon, (self.level,) * 4, self.level))
+        return frozenset([TorsionPoint(x, self.level) for x in self._members()])
+
+    def _members(self) -> list:
+        return _lex_members(self.echelon, (self.level,) * 4, self.level)
 
     def reduce(self, p: TorsionPoint) -> tuple:
         """The residues of the lexicographically least element of p + K."""
@@ -198,7 +209,8 @@ class TorsionSubgroup:
         return _reduce(p.coords, self.echelon, self.level)
 
     def to_report(self):
-        return [p.to_strings() for p in sorted(self.elements)]
+        texts = _residue_texts(self.level)
+        return [[texts[c] for c in x] for x in self._members()]
 
 
 def span(gens) -> TorsionSubgroup:
@@ -265,14 +277,18 @@ class QuotientSubgroup:
         """The canonical coset representatives in order, listed on first use:
         the x in the preimage with x_j < g_j at every pivot (g_j, r_j) of the
         kernel."""
+        return tuple([TorsionPoint(x, self.kernel.level) for x in self._members()])
+
+    def _members(self) -> list:
         bounds = [g for g, _ in self.kernel.echelon]
-        return tuple(_lex_members(self.group.echelon, bounds, self.kernel.level))
+        return _lex_members(self.group.echelon, bounds, self.kernel.level)
 
     def project(self, p: TorsionPoint) -> TorsionPoint:
         return TorsionPoint(self.kernel.reduce(p), p.level)
 
     def to_report(self):
-        return [p.to_strings() for p in self.representatives]
+        texts = _residue_texts(self.kernel.level)
+        return [[texts[c] for c in x] for x in self._members()]
 
 
 def project_to_quotient(kernel: TorsionSubgroup, points) -> QuotientSubgroup:

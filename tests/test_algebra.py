@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from kleinprym.algebra import (
     Polynomial,
     discriminant,
-    format_rational,
     gcd,
     is_squarefree,
     parse_rational,
+    ratio_text,
     resultant,
     substitute_rational_map,
 )
@@ -139,7 +139,7 @@ def test_the_zero_polynomial_has_degree_minus_one():
 
 def test_parse_format_round_trip():
     for text in ("3", "-5/7", "0", "22/7"):
-        assert format_rational(parse_rational(text)) == text
+        assert str(parse_rational(text)) == text
     assert parse_rational(" +6/4 ") == Fraction(3, 2)
     assert parse_rational("-007/14") == Fraction(-1, 2)
 
@@ -158,6 +158,20 @@ def test_parse_rational_names_the_digit_bound_and_echoes_briefly():
         with pytest.raises(ArgumentError, match=f"more than {limit} digits") as info:
             parse_rational(text)
         assert len(str(info.value)) < 120
+
+
+@given(st.integers(-HEIGHT**2, HEIGHT**2), st.integers(1, HEIGHT**2))
+def test_ratio_text_is_the_fraction_text(num, den):
+    assert ratio_text(num, den) == str(Fraction(num, den))
+    assert ratio_text(0, den) == "0"
+    assert ratio_text(-num * den, den) == str(-num)
+
+
+@given(tall_lists)
+def test_to_string_prints_the_coefficients(cs):
+    text = Polynomial(cs).to_string()
+    assert text == (",".join(str(c) for c in trimmed(cs)) or "0")
+    assert Polynomial.from_string(text) == Polynomial(cs)
 
 
 def test_polynomial_basics():

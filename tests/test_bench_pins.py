@@ -3,6 +3,8 @@ the first round of `exact_reports` at seed 0, `torsion --d 2..8` and
 `example-surj`).  Check those pins here too, so a change that moves them
 fails the test suite and not only a benchmark run."""
 
+import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -13,3 +15,19 @@ import workloads  # noqa: E402
 
 def test_benchmark_pins_match_this_tree():
     assert workloads.pinned_outputs() == workloads.PINS
+
+
+# sha256 over the outputs of the first 25 rounds of `exact_rounds(1)`, each
+# op's argvs in order, each with --format json and then --format text
+EXACT_SWEEP_DIGEST = "027727b93b1d2f770b82f624c1c75b751ab7f4e230618550d43fcb595647ab4c"
+
+
+def test_exact_rounds_sweep_matches_pinned_digest():
+    h = hashlib.sha256()
+    for ops in itertools.islice(workloads.exact_rounds(1), 25):
+        for op in ops:
+            for argv in op.argvs:
+                for fmt in ("json", "text"):
+                    _, out, _ = workloads.call_cli(argv + ["--format", fmt])
+                    h.update(out.encode() + b"\0")
+    assert h.hexdigest() == EXACT_SWEEP_DIGEST

@@ -88,6 +88,22 @@ def test_exact_reports_match_pinned_digests(command, a, b):
     assert hashlib.sha256(output.encode()).hexdigest() == PINNED_DIGESTS[command, a, b]
 
 
+# sha256 of `analyze --format text`, whose fixed-point records print in
+# insertion order, at the two pinned points of height 10^6
+PINNED_TEXT_DIGESTS = {
+    ("765431/999983", "-123457/1000000"):
+        "207b0f1620ef94d27b53259a50869d545506bf5f11fa90e3a13a7860ddb68431",
+    ("-604837/999931", "918273/999961"):
+        "3a1c52de20c7b080b822b90e5004e9325a9c878aa14d2a6978ce900354da370a",
+}
+
+
+@pytest.mark.parametrize("a,b", sorted(PINNED_TEXT_DIGESTS))
+def test_analyze_text_matches_pinned_digests(a, b):
+    output = run("analyze", "--a", a, "--b", b, "--format", "text").output
+    assert hashlib.sha256(output.encode()).hexdigest() == PINNED_TEXT_DIGESTS[a, b]
+
+
 # sha256 of `involution` under each convention and format, at the pinned
 # points above; "ordered" and "pair-unordered" agree, as normalisation does
 # not read the pair's ordering and the verdicts list every convention
@@ -386,6 +402,37 @@ def test_duality_certificate():
     cert = json.loads(result.output)
     assert cert["premise_holds"]
     assert cert["conclusion"] == "A is not isomorphic to its dual"
+
+
+# sha256 of `duality` with E = F and P = Q a point of each kernel order, pinned
+# while the Velu sum still listed the whole kernel and de-duplicated it
+PINNED_DUALITY_DIGESTS = {
+    ("-387,766", "27,100"):
+        "8df147e695828912a71c91b7016c70a16c351674404c21565a49b3f37e20e051",
+    ("-362,-1659", "-10,31"):
+        "4a1fa58500fa57d385af9878c3a7881cb3ea68c00ce008b204abaa1534c13b9b",
+    ("-27,55350", "-21,-216"):
+        "db2ab65510d90219da8f064dbf42002eba11cef8cde8c6e667c7200556f16f98",
+    ("-387,766", "-13,60"):
+        "7e58cba42cdc2417d89386a92ea6ae4cd095a0eb90f658da98bfd0780e4ab2fd",
+    ("-43,166", "-5,16"):
+        "bcb5c17b35e7872606164cd9ba6f20234fb2bc911a8463ebec5a6c5d28b3202a",
+    ("-44091/16,1652427/32", "-141/4,-324"):
+        "a9f94f0681c3e18b4ed203983b5a24ae28236e8fc971143ebdb3a5912eecdf58",
+    ("-219,1654", "-13,48"):
+        "fe677602f5102f907ee2f3ca57c7ef8a29aa06052e6f8b7ad53ab9eecf079af2",
+    ("-58347,3954150", "-213,-2592"):
+        "780308fbc285b35215773c312cb59123a5c0f7d546ec2735f4ee7fbbc9372286",
+    ("-33339627,73697852646", "3027,-22680"):
+        "1d9684f494207a4cdec92ffc087169d172b3b3599c3016e0d48ce108463135ec",
+}
+
+
+@pytest.mark.parametrize("curve,point", sorted(PINNED_DUALITY_DIGESTS))
+def test_duality_matches_pinned_digests(curve, point):
+    output = run("duality", "--curveE", curve, "--pointP", point,
+                 "--curveF", curve, "--pointQ", point, "--assert-nonisogenous").output
+    assert hashlib.sha256(output.encode()).hexdigest() == PINNED_DUALITY_DIGESTS[curve, point]
 
 
 def test_duality_without_assertion_is_gated():

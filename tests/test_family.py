@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from family_oracle import oracle_factors, oracle_identity, oracle_identity_sides, oracle_rhs
 from j_oracle import oracle_j
 from kleinprym.acceptance import IDENTITY_GRID
-from kleinprym.algebra import Polynomial, discriminant, format_rational, is_squarefree
+from kleinprym.algebra import Polynomial, discriminant, is_squarefree
 from kleinprym.errors import ArgumentError, DegreeError, DomainError, InternalInvariantError
 from kleinprym.family import (
     CurveLabel,
@@ -256,7 +256,7 @@ def test_factors_are_the_oracle_table_in_order(params):
         rhs = oracle_rhs(label, params)
         assert (model.rhs.nums, model.rhs.den) == (rhs.nums, rhs.den)
         assert model.to_report()["rhs_coefficients"] == \
-            [format_rational(c) for c in rhs.coeffs]
+            [str(c) for c in rhs.coeffs]
 
 
 def shifted_rhs(rhs, data):
@@ -392,19 +392,37 @@ def test_fixed_point_profile(params):
 
 
 def test_fixed_point_fibres_are_the_closed_forms():
-    # f(0) and f(+-1) have degree <= 1 in a and in b: a 2 x 2 grid proves
-    # f(0) = 1 and f(1) = f(-1) = (2 + a)(2 + b) for all (a, b)
-    for a in (0, 1):
-        for b in (3, 5):
-            params = check_domain(a, b)
-            f = curve_equation(CurveLabel.Ctilde, params).rhs
-            assert f.evaluate(Fraction(0)) == 1
-            assert f.evaluate(Fraction(1)) == f.evaluate(Fraction(-1)) == (2 + a) * (2 + b)
-            _, records = fixed_point_count(InvolutionLabel.sigma, params)
-            assert records[0]["y_squared"] == format_rational(f.evaluate(Fraction(0)))
-            _, records = fixed_point_count(InvolutionLabel.tau, params)
-            assert [r["y_squared"] for r in records] == \
-                [format_rational(f.evaluate(Fraction(x0))) for x0 in (1, -1)]
+    # f(0) = 1, f(+-1) = (2 + a)(2 + b) and f(+-i) = (2 - a)(2 - b) as
+    # polynomials in a and b
+    f = SYMBOLIC_RHS[CurveLabel.Ctilde]
+    assert f.subs(X, 0) == 1
+    for x0, sign in ((1, 1), (-1, 1), (sympy.I, -1), (-sympy.I, -1)):
+        assert sympy.expand(f.subs(X, x0) - (2 + sign * A) * (2 + sign * B)) == 0
+
+
+@given(drawn_params)
+def test_fixed_point_fibres_print_the_fraction_values(params):
+    a, b = params.a, params.b
+    expected = {
+        InvolutionLabel.sigma: [("0", "1"), ("inf", "1")],
+        InvolutionLabel.tau: [("1", str((2 + a) * (2 + b))), ("-1", str((2 + a) * (2 + b)))],
+        InvolutionLabel.sigma_tau: [("x^2=-1 (x=i)", str((2 - a) * (2 - b))),
+                                    ("x^2=-1 (x=-i)", str((2 - a) * (2 - b)))],
+    }
+    for inv, fibres in expected.items():
+        _, records = fixed_point_count(inv, params)
+        assert [list(r) for r in records] == [["x", "y_squared", "points"]] * 2
+        assert [(r["x"], r["y_squared"]) for r in records] == fibres
+
+
+def test_fixed_point_count_makes_no_fraction(fraction_count):
+    params = check_domain(*GENERIC_POINT)
+    fraction_count[0] = 0
+    counts = [fixed_point_count(inv, params)[0] for inv in InvolutionLabel]
+    assert fraction_count[0] == 0
+    assert counts == [8, 4, 4, 4, 0, 0, 0]
+    (2 + params.a) * (2 + params.b)
+    assert fraction_count[0] > 0  # the counter does see the old fibre arithmetic
 
 
 def test_params_from_roots_gives_vanishing_rhs():

@@ -21,6 +21,8 @@ from kleinprym.isogeny import (
 def test_singular_curve_rejected():
     with pytest.raises(SingularError):
         WeierstrassCurve.make(-3, 2)  # 4*(-27) + 27*4 = 0
+    with pytest.raises(SingularError):
+        WeierstrassCurve(Fraction(-3), Fraction(2))
 
 
 def test_from_string_and_contains():
@@ -141,3 +143,63 @@ def test_certificate_rejects_order_mismatch():
     assert (P.order, Q.order) == (2, 3)
     with pytest.raises(OrderError):
         dual_nonisomorphism_check(E, P, F, Q, True)
+
+
+# a curve "p,q" and a rational point "x,y" on it of each order 2..12 but 11
+# (Mazur), as the duality command takes them
+KERNEL_CURVES = {
+    2: ("-7,-6", "3,0"),
+    3: ("-387,766", "27,100"),
+    4: ("-362,-1659", "-10,31"),
+    5: ("-27,55350", "-21,-216"),
+    6: ("-387,766", "-13,60"),
+    7: ("-43,166", "-5,16"),
+    8: ("-44091/16,1652427/32", "-141/4,-324"),
+    9: ("-219,1654", "-13,48"),
+    10: ("-58347,3954150", "-213,-2592"),
+    12: ("-33339627,73697852646", "3027,-22680"),
+}
+
+
+def _count_points(curve, prime):
+    """#E(F_prime) of y^2 = x^3 + p x + q, by Euler's criterion."""
+    p = curve.p.numerator * pow(curve.p.denominator, -1, prime) % prime
+    q = curve.q.numerator * pow(curve.q.denominator, -1, prime) % prime
+    count = 1
+    for x in range(prime):
+        v = (x ** 3 + p * x + q) % prime
+        count += 1 if v == 0 else 1 + (1 if pow(v, (prime - 1) // 2, prime) == 1 else -1)
+    return count
+
+
+def _good_primes(curves, count):
+    """The first `count` primes >= 5 where every curve has good reduction."""
+    found, prime = [], 5
+    while len(found) < count:
+        if all(prime % d for d in range(2, prime)) and all(
+                c.p.denominator % prime and c.q.denominator % prime
+                and (4 * c.p ** 3 + 27 * c.q ** 2).numerator % prime for c in curves):
+            found.append(prime)
+        prime += 1
+    return found
+
+
+@pytest.mark.parametrize("order", sorted(KERNEL_CURVES))
+def test_velu_image_is_isogenous_by_point_counts(order):
+    # isogenous curves have equal point counts at every prime of good
+    # reduction for both, a check independent of the Velu formulas
+    curve_text, point_text = KERNEL_CURVES[order]
+    E = WeierstrassCurve.from_string(curve_text)
+    P = KernelPoint.from_string(E, point_text)
+    assert P.order == order
+    image = velu_quotient(E, P)
+    for prime in _good_primes((E, image), 8):
+        assert _count_points(image, prime) == _count_points(E, prime), prime
+
+
+@pytest.mark.parametrize("claimed", [2, 5, 12])
+def test_velu_follows_the_multiples_not_the_claimed_order(claimed):
+    E = WeierstrassCurve.from_string(KERNEL_CURVES[7][0])
+    P = KernelPoint.from_string(E, KERNEL_CURVES[7][1])
+    wrong = KernelPoint(P.x, P.y, claimed)
+    assert velu_quotient(E, wrong) == velu_quotient(E, P)

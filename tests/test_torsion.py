@@ -54,6 +54,15 @@ def test_make_validates_level_and_denominators():
         TorsionPoint.make((Fraction(1, 3), 0, 0, 0), 4)
 
 
+@pytest.mark.parametrize("coords,level", [
+    ((5, 0, 0, 0), 4), ((-1, 0, 0, 0), 4), ((0, 0, 0, 0), 13), ((0, 0, 0, 0), 1),
+    ((0, 0, 0), 4), ((Fraction(1), 0, 0, 0), 4), ((0, 0, 0, 0), 4.0), ([0, 0, 0, 0], 4),
+])
+def test_points_are_checked_when_constructed(coords, level):
+    with pytest.raises(ArgumentError):
+        TorsionPoint(coords, level)
+
+
 def test_make_reduces_rationals_mod_1():
     p = pt(Fraction(-1, 4), Fraction(5, 4), 0, 0, level=4)
     assert p.coords == (3, 1, 0, 0)
@@ -229,6 +238,16 @@ def test_span_perp_and_ker_phi_H_match_enumeration(level):
             with pytest.raises(NotIsotropic):
                 ker_phi_H(kernel)
     assert kinds.keys() == {("isotropic", False), ("isotropic", True), "not isotropic"}
+
+
+@pytest.mark.parametrize("level", ALL_LEVELS)
+def test_reports_print_the_sorted_points(level):
+    gen_sets = _oracle_generators(level)
+    for gens, others in zip(gen_sets, gen_sets[1:] + gen_sets[:1]):
+        kernel = span(gens)
+        assert kernel.to_report() == [p.to_strings() for p in sorted(kernel.elements)]
+        image = quotient_image(kernel, span(others))
+        assert image.to_report() == [p.to_strings() for p in sorted(image.representatives)]
 
 
 @pytest.mark.parametrize("level", ALL_LEVELS)
