@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Walk through the period computation at one parameter point: the periods of
-the two complementary elliptic quotients, E_t's basis both from its partner
-E_is_t and from the AGM on its own model, the relative error of E_is_t's tau
-at 1024 bits against 4096 bits on the report's exact path and on the general
-path of `elliptic_periods_agm`, the 2x4 Prym period matrix, the
-product-to-Prym reduction trace, and the Riemann-relation residuals.
+the two complementary elliptic quotients, E_t's basis from its partner
+E_is_t, the relative error of E_is_t's tau at 1024 bits against 4096 bits,
+the 2x4 Prym period matrix, the product-to-Prym reduction trace, and the
+Riemann-relation residuals.
 
 Usage: python3 scripts/period_demo.py [--a A --b B] [--bits N]
 """
@@ -15,7 +14,6 @@ import sys
 import mpmath
 
 from kleinprym.algebra import parse_rational
-from kleinprym.errors import PrecisionError
 from kleinprym.family import ELLIPTIC_LABELS, CurveLabel, check_domain, curve_equation, j_invariant
 from kleinprym.periods import (
     analytic_j,
@@ -55,39 +53,22 @@ def main():
         print(f"  analytic j = {mpmath.nstr(approx.to_mpc(), 12)}\n")
 
     # E_t's lattice is L + Z t for E_is_t's lattice L and the half-period t of
-    # its 2-torsion point P(-2) - P(inf); the AGM on E_t's own model agrees
-    rows = [("E_is_t (AGM)       ", bases[CurveLabel.E_is_t]),
-            ("E_t from E_is_t    ", bases[CurveLabel.E_t])]
-    try:
-        rows.append(("E_t by its own AGM ", elliptic_periods_agm(models[CurveLabel.E_t], args.bits)))
-    except PrecisionError as exc:  # the general path, near a discriminant locus
-        rows.append(("E_t by its own AGM ", exc))
-    for how, pair in rows:
-        if isinstance(pair, PrecisionError):
-            print(f"{how}: refused: {pair}")
-            continue
+    # its 2-torsion point P(-2) - P(inf)
+    for how, label in (("E_is_t (AGM)   ", CurveLabel.E_is_t), ("E_t from E_is_t", CurveLabel.E_t)):
+        pair = bases[label]
         cells = ", ".join(f"{name} = {mpmath.nstr(getattr(pair, name).to_mpc(), 15)}"
                           for name in ("omega1", "omega2"))
         print(f"{how}: {cells}")
     print()
 
-    # E_is_t's tau at 1024 bits against 4096 bits: the report's path takes the
-    # Legendre data exactly from -a, -b, -2; the general path rounds those
-    # roots first, which near a = b or a = +-2 costs bits
-    e_is_t = models[CurveLabel.E_is_t]
-    for how, tau_at in (
-            ("report path         ", lambda bits: quotient_periods(models, bits)[0][CurveLabel.E_is_t].tau),
-            ("elliptic_periods_agm", lambda bits: elliptic_periods_agm(e_is_t, bits).tau)):
-        try:
-            got, want = tau_at(1024).to_mpc(), tau_at(4096).to_mpc()
-        except PrecisionError as exc:
-            print(f"{how}: E_is_t refused: {exc}")
-            continue
-        with mpmath.workprec(4096):
-            error = mpmath.fabs(got - want) / mpmath.fabs(want)
-            bits = mpmath.nstr(mpmath.log(error, 2), 5) if error else "-inf"
-        print(f"{how}: E_is_t tau at 1024 bits meets 4096 bits to 2^{bits} relative")
-    print()
+    # E_is_t's tau at 1024 bits against 4096 bits: the Legendre data are
+    # taken exactly from -a, -b, -2, so no bits are lost near a = b or a = +-2
+    got, want = (elliptic_periods_agm(CurveLabel.E_is_t, params, bits).tau.to_mpc()
+                 for bits in (1024, 4096))
+    with mpmath.workprec(4096):
+        error = mpmath.fabs(got - want) / mpmath.fabs(want)
+        bits = mpmath.nstr(mpmath.log(error, 2), 5) if error else "-inf"
+    print(f"E_is_t tau at 1024 bits meets 4096 bits to 2^{bits} relative\n")
 
     z1, z2 = bases[CurveLabel.E_t].tau, bases[CurveLabel.E_st].tau
     trace = product_to_prym_reduction(z1, z2)

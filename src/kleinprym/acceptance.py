@@ -23,6 +23,7 @@ from .family import (
     curve_equation,
     fixed_point_count,
     j_invariant,
+    quartic_invariants,
     quotient_map,
     verify_quotient_identity,
 )
@@ -37,8 +38,8 @@ from .isogeny import (
     velu_quotient,
 )
 from .periods import (
+    _theta_squares,
     analytic_j,
-    elliptic_periods_agm,
     product_to_prym_reduction,
     prym_period_matrix,
     quotient_periods,
@@ -266,6 +267,29 @@ def near_locus_params(a: Fraction):
                                             (a, 2 - d), (a, -2 + d))]
 
 
+def _lattice_closure(pair, model, bits: int):
+    """The first identity, if any, that the basis misses as the period lattice
+    of dx/y on y^2 = f(x), each to 2^(8 - bits) max(1, |right side|):
+    omega2 = tau omega1, omega1^4 I/pi^4 = E4(tau) and omega1^6 J/(2 pi^6) =
+    E6(tau), for the invariants I, J of f (`quartic_invariants`; Whittaker &
+    Watson, A Course of Modern Analysis, 20.6), E4 = (A^4 + B^4 + C^4)/2 and
+    E6 = (A^2 + B^2)(B^2 + C^2)(C^2 - A^2)/2 in the squares A, B, C of the
+    theta constants at tau.  Unlike j, these fix the lattice's scale."""
+    i_num, j_num = quartic_invariants(model.rhs)
+    with mpmath.workprec(bits + 64):
+        w1, w2, tau = (getattr(pair, name).to_mpc() for name in ("omega1", "omega2", "tau"))
+        a2, b2, c2 = (z * z for z in _theta_squares(tau, bits)[:3])
+        u = w1 * w1 / (model.rhs.den * mpmath.pi ** 2)  # I, J are i_num/den^2, j_num/den^3
+        for name, got, want in (
+                ("omega2 = tau omega1", w2, tau * w1),
+                ("omega1^4 I/pi^4 = E4", u * u * i_num, (a2 * a2 + b2 * b2 + c2 * c2) / 2),
+                ("omega1^6 J/(2 pi^6) = E6", u * u * u * j_num / 2,
+                 (a2 + b2) * (b2 + c2) * (c2 - a2) / 2)):
+            if mpmath.fabs(got - want) > mpmath.ldexp(max(1, mpmath.fabs(want)), 8 - bits):
+                return name
+    return None
+
+
 def criterion_8() -> CriterionResult:
     def body():
         bits = 256
@@ -279,30 +303,22 @@ def criterion_8() -> CriterionResult:
             models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
             bases, js = quotient_periods(models, bits)
             for label, model in models.items():
-                pair = bases[label]
-                direct = elliptic_periods_agm(model, bits)
-                approx = analytic_j(pair.tau, bits)
+                pair, exact = bases[label], j_invariant(model)
+                approx = analytic_j(pair.tau, bits).to_mpc()
                 with mpmath.workprec(bits + 64):
-                    for name in ("omega1", "omega2", "tau"):
-                        got = getattr(pair, name).to_mpc()
-                        want = getattr(direct, name).to_mpc()
-                        if mpmath.fabs(got - want) > mpmath.ldexp(mpmath.fabs(want), 8 - bits):
-                            return False, (f"{name} of {label.value} differs from the direct "
-                                           f"AGM at {params}")
                     # the q-series at the printed tau is the oracle for the report's j
-                    want = approx.to_mpc()
-                    if (mpmath.fabs(js[label].to_mpc() - want)
-                            > mpmath.ldexp(max(1, mpmath.fabs(want)), 8 - bits)):
+                    if (mpmath.fabs(js[label].to_mpc() - approx)
+                            > mpmath.ldexp(max(1, mpmath.fabs(approx)), 8 - bits)):
                         return False, (f"the report's j of {label.value} differs from "
                                        f"analytic_j of its tau at {params}")
-                exact = j_invariant(model)
-                with mpmath.workprec(bits):
-                    delta = mpmath.fabs(
-                        approx.to_mpc()
-                        - mpmath.mpf(exact.numerator) / exact.denominator)
+                    delta = mpmath.fabs(approx - mpmath.mpf(exact.numerator) / exact.denominator)
                 if delta >= 1e-8:
                     return False, (f"|analytic_j - exact_j| = {mpmath.nstr(delta, 5)} "
                                    f"for {label.value} at {params}")
+                missed = _lattice_closure(pair, model, bits)
+                if missed:
+                    return False, (f"the basis of {label.value} misses the lattice closure "
+                                   f"{missed} at {params}")
 
         # the CM anchor, where tau is exact, and a generic point
         for params in (check_domain(0, 1), check_domain(Fraction(7, 5), Fraction(-13, 4))):
@@ -332,10 +348,11 @@ def criterion_8() -> CriterionResult:
             if not trace.basis_change_symplectic:
                 return False, "basis change is not symplectic for the (2,2) form"
         return True, ("six quotients x 30 points (heights 50 and 1e6, 1e-10 from each "
-                      "discriminant locus): report bases equal the direct AGM's to "
-                      "2^-248, report j equals the q-series j of each tau to "
-                      "2^-248 max(1, |j|), and j within 1e-8 at 256 bits; Riemann "
-                      "relations and reduction trace verified at (0,1) and (7/5,-13/4)")
+                      "discriminant locus) at 256 bits: report j equals the q-series j of "
+                      "each tau to 2^-248 max(1, |j|) and the exact j within 1e-8, and each "
+                      "basis meets the lattice closure omega1^4 I/pi^4 = E4(tau), omega1^6 "
+                      "J/(2 pi^6) = E6(tau) of the exact curve to 2^-248; Riemann relations "
+                      "and reduction trace verified at (0,1) and (7/5,-13/4)")
 
     return _run(8, "periods", 60.0, body)
 

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial, _convolve, is_squarefree, ratio_text
+from .algebra import Polynomial, _convolve, parse_rational, ratio_text
 from .errors import ArgumentError, DegreeError, DomainError, InternalInvariantError
 
 
@@ -44,9 +44,20 @@ class FamilyParams:
         return f"FamilyParams({self.a}, {self.b})"
 
 
+def _rational(value) -> Fraction:
+    """Text through `parse_rational`, the command line's grammar; ArgumentError
+    for a non-finite float or a value that is not a number."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ArgumentError(f"a parameter must be a finite rational, not {value!r}") from None
+
+
 def check_domain(a, b) -> FamilyParams:
-    a = Fraction(a)
-    b = Fraction(b)
+    a = _rational(a)
+    b = _rational(b)
     if a == b:
         raise DomainError("a = b collapses the two quartic factors", params=(a, b))
     if a * a == 4:
@@ -97,27 +108,16 @@ def _genus(rhs: Polynomial) -> int:
 class HyperellipticModel:
     """y^2 = rhs(x) with rhs squarefree; genus = ceil(deg/2) - 1.
 
-    `from_rhs` checks squarefreeness with a gcd and is the constructor for
-    input from outside the family.  `curve_equation` builds the family's
-    models directly: their discriminants factor into (a - b) and (a -+ 2),
-    (b -+ 2), so squarefreeness is decided from (a, b) alone.
-
-    `factors` are rational polynomials whose product is rhs; the analytic
-    layer solves those of degree <= 2 in closed form.  `curve_equation`
-    stores the family's factors, `from_rhs` stores (rhs,).
+    `curve_equation` builds the family's models: their discriminants factor
+    into (a - b) and (a -+ 2), (b -+ 2), so squarefreeness is decided from
+    (a, b) alone.  `factors` are the rational polynomials, in factor order,
+    whose product is rhs; the analytic layer reads the roots of the linear
+    ones exactly.
     """
 
     rhs: Polynomial
     genus: int
     factors: tuple[Polynomial, ...] = field(compare=False)
-
-    @classmethod
-    def from_rhs(cls, rhs: Polynomial) -> "HyperellipticModel":
-        if rhs.degree < 1:
-            raise ArgumentError("constant right-hand side")
-        if not is_squarefree(rhs):
-            raise InternalInvariantError("right-hand side is not squarefree")
-        return cls(rhs, _genus(rhs), (rhs,))
 
     def to_report(self) -> dict:
         report = {
@@ -335,31 +335,29 @@ def fixed_point_count(inv: InvolutionLabel, params: FamilyParams):
 # ---------------------------------------------------------------------------
 
 
-def j_invariant(m: HyperellipticModel) -> Fraction:
-    """Exact j-invariant of a genus-1 model y^2 = f(x), deg f in {3, 4}.
+def quartic_invariants(f: Polynomial) -> tuple[int, int]:
+    """The classical invariants (I, J) of the integer numerators of f, deg f
+    in {3, 4}, read as a binary quartic e + d x + c x^2 + b x^3 + a x^4 (a
+    cubic with a = 0): I = 12ae - 3bd + c^2 and J = 72ace + 9bcd - 27ad^2 -
+    27eb^2 - 2c^3.  They are homogeneous of degrees 2 and 3 in the
+    coefficients, so f itself has the invariants I/den^2 and J/den^3."""
+    e, d, c, b, *rest = f.nums
+    a = rest[0] if rest else 0
+    return (12 * a * e - 3 * b * d + c * c,
+            72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c ** 3)
 
-    A quartic e + d x + c x^2 + b x^3 + a x^4 has the classical invariants
-    I = 12ae - 3bd + c^2 and J = 72ace + 9bcd - 27ad^2 - 27eb^2 - 2c^3, and
-    j = 6912 I^3 / (4 I^3 - J^2).  A cubic c0 + c1 x + c2 x^2 + c3 x^3 has
-    P = 3 c1 c3 - c2^2 and Q = 27 c0 c3^2 - 9 c1 c2 c3 + 2 c2^3 (the depressed
-    monic model scaled by 3 and 27), and j = 6912 P^3 / (4 P^3 + Q^2).  Both
-    are homogeneous of degree 0 in the coefficients, so they are read from
-    the integer numerators and the common denominator drops out (Cremona,
+
+def j_invariant(m: HyperellipticModel) -> Fraction:
+    """Exact j-invariant of a genus-1 model y^2 = f(x), deg f in {3, 4}:
+    j = 6912 I^3 / (4 I^3 - J^2) in the invariants of `quartic_invariants`.
+    It is homogeneous of degree 0 in the coefficients, so it is read from the
+    integer numerators and the common denominator drops out (Cremona,
     *Algorithms for Modular Elliptic Curves*).
     """
     if m.genus != 1:
         raise ArgumentError("j-invariant is defined for genus-1 models only")
-    # s, t are I, J for a quartic and P, Q for a cubic
-    if m.rhs.degree == 4:
-        e, d, c, b, a = m.rhs.nums
-        s = 12 * a * e - 3 * b * d + c * c
-        t = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c ** 3
-        denominator = 4 * s ** 3 - t * t
-    else:
-        c0, c1, c2, c3 = m.rhs.nums
-        s = 3 * c1 * c3 - c2 * c2
-        t = 27 * c0 * c3 * c3 - 9 * c1 * c2 * c3 + 2 * c2 ** 3
-        denominator = 4 * s ** 3 + t * t
+    s, t = quartic_invariants(m.rhs)
+    denominator = 4 * s ** 3 - t * t
     if denominator == 0:
         raise InternalInvariantError("singular Weierstrass model")
     return Fraction(6912 * s ** 3, denominator)

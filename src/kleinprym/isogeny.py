@@ -4,7 +4,8 @@ kernels of order <= 12, and the dual-non-isomorphism certificate for
 
 A curve is checked for singularity when it is made.  `velu_quotient` walks
 the kernel once, summing Velu's terms over one point of each pair {T, -T}
-(J. Velu, C. R. Acad. Sci. Paris 273, 1971).
+(J. Velu, C. R. Acad. Sci. Paris 273, 1971), and raises OrderError for a
+point whose multiples do not close up within MAX_KERNEL_ORDER steps.
 
 Isomorphism over an algebraically closed field is decided by j-invariant
 equality.  Non-isogeny of the two factors is never certified here: it is an
@@ -124,10 +125,11 @@ def velu_quotient(curve: WeierstrassCurve, P: KernelPoint) -> WeierstrassCurve:
         raise PointError("kernel point is not on the curve")
 
     # T = P, 2P, ... up to the first T = -T (y = 0) or, before it, the first
-    # T = -(T - P) (same x): one representative of each {T, -T}
+    # T = -(T - P) (same x): one representative of each {T, -T}, within
+    # n/2 + 1 steps for a point of order n
     v = w = Fraction(0)
-    T, last_x = pt, None
-    while T[0] != last_x:
+    T = pt
+    for _ in range(MAX_KERNEL_ORDER):
         x, y = T
         gx = 3 * x * x + curve.p
         vq = gx if y == 0 else 2 * gx
@@ -135,7 +137,11 @@ def velu_quotient(curve: WeierstrassCurve, P: KernelPoint) -> WeierstrassCurve:
         w += 4 * y * y + x * vq
         if y == 0:
             break
-        T, last_x = add_points(curve, T, pt), x
+        T = add_points(curve, T, pt)
+        if T[0] == x:
+            break
+    else:
+        raise OrderError(f"kernel point has no order up to {MAX_KERNEL_ORDER}")
     return WeierstrassCurve(curve.p - 5 * v, curve.q - 7 * w)
 
 

@@ -1,8 +1,11 @@
-"""High-precision analytic layer: elliptic periods through the AGM, the
-modular j-value from theta constants, the explicit 2x4 Prym period matrix
-with polarisation type (1,2), and Riemann-relation checks.
+"""High-precision analytic layer: the period lattices of the family's six
+elliptic quotients through the real AGM, the modular j-value from theta
+constants, the explicit 2x4 Prym period matrix with polarisation type (1,2),
+and Riemann-relation checks.
 
-Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
+Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}, whose
+factors are all linear (the AGM partners E_is_t, E_is_it and E_s_it of a
+report):
 
 * a quartic is converted to a cubic with the *same* period lattice by
   x = r + 1/u, w = y u^2 for a root r of f (dx/y = -du/w);
@@ -12,40 +15,27 @@ Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}:
 * the normal form has lattice basis (2 K(lambda), 2 i K(1 - lambda)) with
   K(m) = pi / (2 M(1, sqrt(1 - m))) computed from the complement 1 - m,
   taken as (e2 - e3)/(e2 - e1) and lambda, so a tiny lambda keeps its bits;
-* the exact path, for models whose factors are all linear (the AGM
-  partners E_is_t, E_is_it and E_s_it of a report), runs on Python integers
-  up to the printed numbers (`_legendre_data`, `_partner_lattice`): the
-  roots -c0/c1 are integer numerators over one common denominator, the
-  pivot is a cubic's point at infinity or a quartic's root r3, and lambda
-  and c (e2 - e1) are unreduced integer pairs.  e3 is the middle one of the
-  three real e's and e1, e2 the outer two with lambda <= 1/2, the smaller
-  first at lambda = 1/2, all by exact integer comparisons, so lambda lies in
-  (0, 1/2] and both AGMs are of positive reals, M(1, sqrt(x)) for a
-  rational x, run at a fixed-point scale wide enough for sqrt(x)
-  (`_fixed_agm`).  With s = 1/sqrt(|c|), s K = s pi/M and s K' are integers
-  at one scale, and the lattice is the rectangle Z R + Z iH with (R, H) =
-  (s K, s K') for c > 0 and (s K', s K) for c < 0;
-* the general path, for everything else (`elliptic_periods_agm`): the
-  branch points are the roots of f at the working precision.  Models of the
-  family carry the rational factors of f, all of degree <= 2, and each is
-  solved in closed form; mpmath.polyroots runs only for models built from a
-  bare f.  The quartic's pivot is its last root, as on the exact path, and
-  the root e3 is chosen, by scores at the working precision, so that lambda
-  stays away from the two real cuts (-inf, 0] and [1, +inf),
-  where the basis above is the analytic continuation of the real-root case
-  and hence remains a genuine lattice basis.  Its AGM is the optimal
-  complex AGM, which stops one square root before full convergence: once
-  |a - b|^2 <= 2^(-bits-64) |a|^2, (a + b)/2 is within 2^(-bits-67) |a| of
-  M(a, b);
-* that basis is then reduced to one normal form, tau = omega2/omega1 in the
-  fundamental domain of SL2(Z) and omega1 in the right half-plane, turned
-  at tau = i and e^(2 pi i/3) by a unit of the lattice into the sector
-  |arg omega1| <= pi/4 or pi/6, so the reported basis depends on the
-  lattice alone, not on the root ordering, the square-root branches, the
-  path or the precision.  The general path reduces by `_reduce_basis`; the
-  exact path writes the normal forms of its rectangles and rhombi down in
-  closed form (`_rectangle_form`, `_rhombus_form`), with `_reduce_basis`'s
-  boundaries, each taken up to 2^(-bits/2), and its units.
+* all of it runs on Python integers up to the printed numbers
+  (`_legendre_data`, `_partner_lattice`): the roots -c0/c1 are integer
+  numerators over one common denominator, the pivot is a cubic's point at
+  infinity or a quartic's root r3, and lambda and c (e2 - e1) are unreduced
+  integer pairs.  e3 is the middle one of the three real e's and e1, e2 the
+  outer two with lambda <= 1/2, the smaller first at lambda = 1/2, all by
+  exact integer comparisons, so lambda lies in (0, 1/2] and both AGMs are of
+  positive reals, M(1, sqrt(x)) for a rational x, run at a fixed-point scale
+  wide enough for sqrt(x) (`_fixed_agm`).  With s = 1/sqrt(|c|), s K = s
+  pi/M and s K' are integers at one scale, and the lattice is the rectangle
+  Z R + Z iH with (R, H) = (s K, s K') for c > 0 and (s K', s K) for c < 0;
+* every basis is reported in one normal form: tau = omega2/omega1 in the
+  fundamental domain of SL2(Z) (-1/2 <= Re tau < 1/2, |tau| >= 1 with
+  Re tau <= 0 where |tau| = 1), Re omega1 > 0 or Re omega1 = 0 < Im omega1,
+  and at tau = i and e^(2 pi i/3) omega1 turned by a unit of the lattice
+  into -pi/4 < arg omega1 <= pi/4 or -pi/6 < arg omega1 <= pi/6, each
+  boundary taken up to 2^(-bits/2), so the basis depends on the lattice
+  alone.  The normal forms of the rectangles and rhombi a report meets are
+  written down in closed form (`_rectangle_form`, `_rhombus_form`); the
+  tests reach the same form step by step from any basis
+  (tests/periods_oracle.py).
 
 A periods report runs the AGM for three of the six elliptic quotients only.
 The family's equations give three 2-isogenies onto them,
@@ -59,8 +49,8 @@ so the lattices of E_t, E_st and E_s are scale (L + Z t), with scale
 partner on the right and t the half-period of the partner's 2-torsion
 point P(-a) - P(-b), which is P(-2) - P(inf) on E_is_t, P(2) - P(inf) on
 E_is_it and P(2) - P(-2) on E_s_it.  The partners' branch points -a, -b
-and +-2 are rational, so they take the exact path.  The kernel point is
-found by root identity, not by a numeric comparison: with the roots
+and +-2 are rational, so they take the integer path above.  The kernel
+point is found by root identity, not by a numeric comparison: with the roots
 numbered r0, r1, r2, r3 = -a, -b, then +-2 in factor order and infinity for
 a cubic, the exact path always sends r3 to infinity (a quartic's pivot of
 x = r3 + 1/u, a cubic's own point at infinity), so the kernel point is
@@ -73,6 +63,8 @@ rhombus has the normal form (R, -conj u), (iH, -u), (conj u, u) or
 (u, -conj u) for u = (R + iH)/2, split at H^2 = 3 R^2, R^2 = 3 H^2 and
 H = R.  No j comparison could choose among the three lattices: at
 (a, b) = (0, 1) two of them have E_t's j = 287496 and differ by the unit i.
+`quotient_periods` returns all six bases, and `elliptic_periods_agm` one of
+them by label.
 
 The j-value of tau is 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 in the theta
 constants at the nome q = e^(i pi tau), with tau first moved to the same
@@ -86,13 +78,10 @@ the bits the remaining terms need (`_real_theta_squares`); the complex series
 serves `analytic_j` at a general tau.  The kernel's half-period is read as
 a class (m, n) in (Z/2)^2, t = (m w1 + n w2)/2, off the partner's normal
 form (w1, w2): (R, iH) keeps t's class in (R, iH), and (iH, -R) swaps it.
-`_reduce_basis` carries such a class through each of its steps instead: the
-shift w2 -= s w1 sends m to m + s n, the swap (w2, -w1) and the unit i send
-(m, n) to (n, m), -1 changes nothing, and the unit e^(i pi/3) and its
-inverse send (m, n) to (n, m + n) and (m + n, m).  In the partner's reduced
-basis the quotient's tau' is then tau/2, 2 tau or (tau + 1)/2, and with
-A, B, C = t2^2, t3^2, t4^2 at tau and odd, even the sums of q^(n^2) over odd
-and even n >= 1, the duplication formulas give the theta constants at tau':
+In the partner's reduced basis the quotient's tau' is then tau/2, 2 tau or
+(tau + 1)/2, and with A, B, C = t2^2, t3^2, t4^2 at tau and odd, even the
+sums of q^(n^2) over odd and even n >= 1, the duplication formulas give the
+theta constants at tau':
 
     (0, 1)  tau/2:        t2'^4 = 4 A B,              t3'^2 = B + A,      t4'^2 = B - A
     (1, 0)  2 tau:        t2'^2 = 4 odd (1 + 2 even), t3'^2 = (B + C)/2,  t4'^4 = B C
@@ -117,7 +106,8 @@ from mpmath.libmp import pi_fixed
 
 from .errors import ArgumentError, DomainError, PrecisionError
 from .algebra import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
-from .family import ELLIPTIC_LABELS, CurveLabel, HyperellipticModel, curve_equation, j_invariant
+from .family import (ELLIPTIC_LABELS, CurveLabel, FamilyParams, HyperellipticModel,
+                     curve_equation, j_invariant)
 
 _GUARD_BITS = 64
 # the bits the fixed-point kernels carry beyond the working precision, as
@@ -126,8 +116,15 @@ _FIXED_GUARD_BITS = 20
 
 
 def _check_precision(precision_bits: int) -> None:
+    if isinstance(precision_bits, bool) or not isinstance(precision_bits, int):
+        raise ArgumentError(f"precision_bits must be an int, not {type(precision_bits).__name__}")
     if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
         raise DomainError(f"precision_bits must be in {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}")
+
+
+def _check_params(params) -> None:
+    if not isinstance(params, FamilyParams):
+        raise ArgumentError(f"params must be FamilyParams (check_domain), not {type(params).__name__}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,8 @@ def optimal_agm(a, b, precision_bits: int) -> mpmath.mpc:
     root.  The loop stops once |a - b|^2 <= 2^(-bits-64) |a|^2 and returns
     (a + b)/2: convergence is quadratic, so that differs from M(a, b) by
     about |a - b|^2/(8 |a|) <= 2^(-bits-67) |a|, and one more step would
-    only buy bits below the guard."""
+    only buy bits below the guard.  The library runs `_fixed_agm`; this one
+    serves the general-model oracle of the tests (tests/periods_oracle.py)."""
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         a = mpmath.mpc(a)
         b = mpmath.mpc(b)
@@ -191,14 +189,6 @@ def optimal_agm(a, b, precision_bits: int) -> mpmath.mpc:
         raise PrecisionError("AGM did not converge within the iteration budget")
 
 
-def _complete_K(m_c, precision_bits: int) -> mpmath.mpc:
-    """K(m) = pi / (2 M(1, sqrt(m_c))) for the complement m_c = 1 - m,
-    principal square root.  Taking m_c, not m, keeps every bit of a tiny
-    m_c, which 1 - (1 - m_c) would round away."""
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        return mpmath.pi / (2 * optimal_agm(1, mpmath.sqrt(mpmath.mpc(m_c)), precision_bits))
-
-
 @dataclass(frozen=True)
 class PeriodPair:
     """A lattice basis (omega1, omega2) with tau = omega2/omega1 in the
@@ -207,158 +197,6 @@ class PeriodPair:
     omega1: ComplexApprox
     omega2: ComplexApprox
     tau: ComplexApprox
-
-
-def _roots_of(f, precision_bits: int):
-    coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(f.coeffs)]
-    roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision_bits)
-    return [mpmath.mpc(r) for r in roots]
-
-
-def _factor_roots(f, precision_bits: int):
-    """Roots of a rational polynomial at the working precision: closed forms
-    up to degree 2, polyroots above."""
-    if f.degree > 2:
-        return _roots_of(f, precision_bits)
-    c = [mpmath.mpf(k.numerator) / k.denominator for k in f.coeffs]
-    if f.degree == 1:
-        return [mpmath.mpc(-c[0] / c[1])]
-    c0, c1, c2 = c
-    s = mpmath.sqrt(c1 * c1 - 4 * c2 * c0)
-    if c1 < 0:
-        s = -s
-    q = -(c1 + s) / 2  # c1 and s do not cancel; the roots are q/c2 and c0/q
-    return [mpmath.mpc(q / c2), mpmath.mpc(c0 / q)]
-
-
-def _branch_points(model: HyperellipticModel, precision_bits: int):
-    return [r for f in model.factors for r in _factor_roots(f, precision_bits)]
-
-
-def _cut_distance(e1, e2, e3):
-    """Distance of lambda = (e3 - e1)/(e2 - e1) from the union of the rays
-    (-inf, 0] and [1, +inf)."""
-    lam = (e3 - e1) / (e2 - e1)
-    x, y = lam.real, lam.imag
-    d1 = abs(y) if x <= 0 else abs(lam)
-    d2 = abs(y) if x >= 1 else abs(lam - 1)
-    return min(d1, d2)
-
-
-def _legendre_order(roots, precision_bits: int):
-    """The positions (i, j, k) in `roots`, three roots of a cubic, of the
-    ordering (e1, e2, e3) whose cross-ratio lambda = (e3 - e1)/(e2 - e1) lies
-    farthest from the cuts, scored at the working precision.  lambda and
-    1 - lambda score alike, so only the three choices of e3 are scored, each
-    with e1 before e2 in the given order.  Every ordering off the cuts gives
-    a basis of the same lattice, and `_reduce_basis` makes it canonical."""
-    orders = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-    scores = [_cut_distance(*(roots[i] for i in order)) for order in orders]
-    best = max(scores)
-    if best < mpmath.ldexp(1, -precision_bits // 2):
-        raise PrecisionError("branch-point cross-ratio too close to the cuts")
-    return orders[scores.index(best)]
-
-
-def _reduce_basis(w1, w2, precision_bits: int, kernel=(0, 0)):
-    """(w1, w2, tau = w2/w1, kernel): the basis of the lattice Z w1 + Z w2 in
-    normal form: -1/2 <= Re tau < 1/2, |tau| >= 1 with Re tau <= 0 where
-    |tau| = 1 (the fundamental domain of SL2(Z); Serre, A Course in
-    Arithmetic, VII 1), and Re w1 > 0, or Re w1 = 0 < Im w1.  At tau = i and
-    tau = e^(2 pi i/3) the lattice also has the units i and e^(i pi/3), which
-    fix tau, so there w1 is turned by one of them into -pi/4 < arg w1 <= pi/4,
-    or -pi/6 < arg w1 <= pi/6.  Every boundary is taken up to 2^(-bits/2), so
-    bases that differ by rounding reduce alike.  Im tau > 0 is assumed.
-    kernel = (m, n) names the half-period (m w1 + n w2)/2 modulo the lattice,
-    m, n in {0, 1}; each step carries it to the new basis exactly."""
-    eps = mpmath.ldexp(1, -precision_bits // 2)
-    half = mpmath.mpf(1) / 2
-    m, n = kernel
-    for _ in range(10_000):
-        tau = w2 / w1
-        shift = mpmath.floor(tau.real + half + eps)
-        w2 -= shift * w1
-        tau -= shift
-        m ^= int(shift) & n
-        norm = tau.real ** 2 + tau.imag ** 2
-        if norm < 1 - eps or (norm < 1 + eps and tau.real > eps):
-            w1, w2 = w2, -w1
-            m, n = n, m
-            continue
-        w1_norm = w1.real ** 2 + w1.imag ** 2
-        on_axis = w1.real ** 2 <= eps ** 2 * w1_norm
-        if (w1.imag if on_axis else w1.real) < 0:
-            w1, w2 = -w1, -w2
-        if norm < 1 + eps and (abs(tau.real) <= eps or tau.real < eps - half):
-            # tau = i or e^(2 pi i/3): the unit u = i or e^(i pi/3) maps the
-            # lattice onto itself and (w1, w2) to (u w1, u w2), keeping tau.
-            # Of w1, u w1 and w1/u take the one with -pi/k < arg <= pi/k,
-            # k = 4 or 6: the largest real part, a tie going to u w1.  The
-            # kernel's class goes along: to (n, m) for i, and to (n, m + n) or
-            # (m + n, m) for e^(i pi/3) or its inverse
-            if abs(tau.real) <= eps:
-                up, down = (w2, -w1), (-w2, w1)
-                up_kernel = down_kernel = n, m
-            else:
-                up, down = (w1 + w2, -w1), (-w2, w1 + w2)
-                up_kernel, down_kernel = (n, m ^ n), (m ^ n, m)
-            slack = eps * mpmath.sqrt(w1_norm)
-            if down[0].real > w1.real + slack:
-                (w1, w2), (m, n) = down, down_kernel
-                tau = w2 / w1
-            elif up[0].real >= w1.real - slack:
-                (w1, w2), (m, n) = up, up_kernel
-                tau = w2 / w1
-        return w1, w2, tau, (m, n)
-    raise PrecisionError("fundamental-domain reduction did not terminate")
-
-
-def _legendre_basis(model: HyperellipticModel, precision_bits: int):
-    """(omega1, omega2): a first basis of the period lattice of y^2 = f(x),
-    deg f in {3, 4}, from the optimal AGM.  Runs at the caller's precision."""
-    rhs = model.rhs
-    roots = _branch_points(model, precision_bits)
-    if len(set(roots)) < len(roots):
-        raise PrecisionError("two branch points agree at the working precision")
-    lead = mpmath.mpf(rhs.leading.numerator) / rhs.leading.denominator
-    if rhs.degree == 4:
-        # x = r + 1/u turns the quartic into a cubic with the same lattice and
-        # sends the last root r to the cubic's point at infinity
-        r = roots.pop()
-        for rj in roots:
-            lead *= r - rj
-        roots = [1 / (rj - r) for rj in roots]
-
-    e1, e2, e3 = (roots[i] for i in _legendre_order(roots, precision_bits))
-    # K(lambda) and K(1 - lambda) take the complements 1 - lambda and lambda,
-    # each from the root differences
-    lam = (e3 - e1) / (e2 - e1)
-    scale = 1 / mpmath.sqrt(lead * (e2 - e1))
-    omega1 = scale * 2 * _complete_K((e2 - e3) / (e2 - e1), precision_bits)
-    omega2 = scale * 2 * mpmath.mpc(0, 1) * _complete_K(lam, precision_bits)
-    if (omega2 / omega1).imag < 0:  # defensive; the cut-plane construction keeps Im > 0
-        omega2 = -omega2
-    return omega1, omega2
-
-
-def _normal_pair(omega1, omega2, precision_bits: int) -> PeriodPair:
-    return PeriodPair(*(_cap(z, precision_bits)
-                        for z in _reduce_basis(omega1, omega2, precision_bits)[:3]))
-
-
-def elliptic_periods_agm(model: HyperellipticModel,
-                         precision_bits: int = DEFAULT_PRECISION_BITS) -> PeriodPair:
-    """The period lattice basis of y^2 = f(x) in normal form
-    (`_reduce_basis`): tau = omega2/omega1 in the fundamental domain and
-    omega1 in the right half-plane, from a first basis computed by the
-    optimal AGM.  The basis depends on the lattice alone, so it is the same
-    at every precision and for every root ordering, also at tau = i and
-    tau = e^(2 pi i/3), whose extra units the normal form accounts for."""
-    if model.genus != 1:
-        raise ArgumentError("periods are computed for genus-1 models only")
-    _check_precision(precision_bits)
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        return _normal_pair(*_legendre_basis(model, precision_bits), precision_bits)
 
 
 def _from_fixed(v: int, wp: int) -> mpmath.mpf:
@@ -446,8 +284,8 @@ def _partner_lattice(lam, c, wp: int):
     return (p, q, e) if c_n > 0 else (q, p, e)
 
 
-# The normal forms of `_reduce_basis` for the lattices a report meets, with
-# its boundary slack eps = 2^-slack.  A basis is given as ((a, b), (c, d)) in
+# The normal forms (module docstring) of the lattices a report meets, with
+# the boundary slack eps = 2^-slack.  A basis is given as ((a, b), (c, d)) in
 # halves: w1 = (a x + i b y)/2 and w2 = (c x + i d y)/2.
 
 def _rectangle_form(x: int, y: int, slack: int):
@@ -541,7 +379,7 @@ def quotient_periods(models, precision_bits: int = DEFAULT_PRECISION_BITS):
     put in normal form in closed form."""
     _check_precision(precision_bits)
     bases, js = {}, {}
-    slack = (precision_bits + 1) // 2  # _reduce_basis's eps = 2^-slack
+    slack = (precision_bits + 1) // 2  # the normal form's eps = 2^-slack
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         wp = mpmath.mp.prec + _FIXED_GUARD_BITS
         for partner, label, scale in _PARTNERS:
@@ -561,6 +399,18 @@ def quotient_periods(models, precision_bits: int = DEFAULT_PRECISION_BITS):
             js[label] = _cap(_j_from_eighths(*_isogenous_eighths(reduced_kernel, *thetas)),
                              precision_bits)
     return bases, js
+
+
+def elliptic_periods_agm(label: CurveLabel, params: FamilyParams,
+                         precision_bits: int = DEFAULT_PRECISION_BITS) -> PeriodPair:
+    """The reduced period basis of the elliptic quotient `label` at `params`,
+    as `quotient_periods` gives it to a report; ArgumentError for a label
+    that is not elliptic."""
+    if label not in ELLIPTIC_LABELS:
+        raise ArgumentError(f"periods are computed for the elliptic quotients only, not {label!r}")
+    _check_params(params)
+    models = {each: curve_equation(each, params) for each in ELLIPTIC_LABELS}
+    return quotient_periods(models, precision_bits)[0][label]
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +528,8 @@ def _isogenous_eighths(kernel, A, B, C, odd, even):
 
 def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexApprox:
     """j(tau) = 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 from the theta
-    constants (`_theta_squares`) at tau, first moved to the fundamental domain.
+    constants (`_theta_squares`) at tau, first moved to the fundamental domain
+    by shifts tau - n and inversions -1/tau, under which j is invariant.
     The powers are multiplied out: mpmath 1.3 raises an mpc z to the power n
     through exp(n log z) once n times the mantissa size passes 10000 bits."""
     _check_precision(precision_bits)
@@ -686,7 +537,13 @@ def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexAppr
         tau = _as_mpc(tau)
         if tau.imag <= 0:
             raise DomainError("tau must lie in the upper half-plane")
-        tau = _reduce_basis(mpmath.mpc(1), tau, precision_bits)[2]
+        for _ in range(10_000):  # each inversion raises Im tau
+            tau -= mpmath.floor(tau.real + mpmath.mpf(1) / 2)
+            if tau.real ** 2 + tau.imag ** 2 >= 1:
+                break
+            tau = -1 / tau
+        else:
+            raise PrecisionError("tau did not reach the fundamental domain")
         return _cap(_j_from_eighths(*map(_fourth, _theta_squares(tau, precision_bits)[:3])),
                     precision_bits)
 
@@ -842,7 +699,9 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
     matrix spanned by E_t and E_st, Riemann residuals, and the deltas of the
     analytic j of `quotient_periods` from the exact j for all six.  Each delta
     must be at most j_delta_tolerance * max(1, |j|), or PrecisionError is
-    raised."""
+    raised.  ArgumentError unless params is a `FamilyParams` and
+    precision_bits an int."""
+    _check_params(params)
     _check_precision(precision_bits)
     tol = mpmath.ldexp(1, 4 - precision_bits // 4)
     models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}

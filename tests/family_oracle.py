@@ -2,13 +2,25 @@
 them before both ran on integer numerators, kept apart from the library as
 oracles: each label's factors from a table of `Fraction` coefficients, and
 each identity as two `Polynomial` products, quotient_rhs(U) formed by
-`substitute_rational_map`."""
+`substitute_rational_map`; and a model of any squarefree right-hand side,
+checked by a gcd, for input from outside the family."""
 
 import functools
 import operator
 
-from kleinprym.algebra import Polynomial, substitute_rational_map
-from kleinprym.family import CurveLabel
+from kleinprym.algebra import Polynomial, is_squarefree, substitute_rational_map
+from kleinprym.errors import ArgumentError, InternalInvariantError
+from kleinprym.family import CurveLabel, HyperellipticModel, _genus
+
+
+def model_from_rhs(rhs: Polynomial) -> HyperellipticModel:
+    """The model y^2 = rhs(x) of a bare right-hand side, its one factor rhs
+    itself, after a gcd check of squarefreeness."""
+    if rhs.degree < 1:
+        raise ArgumentError("constant right-hand side")
+    if not is_squarefree(rhs):
+        raise InternalInvariantError("right-hand side is not squarefree")
+    return HyperellipticModel(rhs, _genus(rhs), (rhs,))
 
 
 def oracle_factors(label, params) -> tuple:

@@ -4,8 +4,9 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from family_oracle import oracle_factors, oracle_identity, oracle_identity_sides, oracle_rhs
-from j_oracle import oracle_j
+from family_oracle import (model_from_rhs, oracle_factors, oracle_identity,
+                           oracle_identity_sides, oracle_rhs)
+from j_oracle import binary_quartic_invariants, oracle_j
 from kleinprym.acceptance import IDENTITY_GRID
 from kleinprym.algebra import Polynomial, discriminant, is_squarefree
 from kleinprym.errors import ArgumentError, DegreeError, DomainError, InternalInvariantError
@@ -23,6 +24,7 @@ from kleinprym.family import (
     curve_equation,
     fixed_point_count,
     j_invariant,
+    quartic_invariants,
     quotient_map,
     verify_quotient_identity,
 )
@@ -98,6 +100,21 @@ def sympy_polynomial(p: Polynomial):
                for i, c in enumerate(p.coeffs))
 
 
+@pytest.mark.parametrize("a", ["1e9999", "1.5", " ", float("nan"), float("inf"), None, "x"])
+def test_check_domain_refuses_what_the_command_line_refuses(a):
+    # text goes through the one grammar of parse_rational, so an exponent
+    # never builds a huge numerator; a non-finite float is no rational
+    with pytest.raises(ArgumentError):
+        check_domain(a, 1)
+    with pytest.raises(ArgumentError):
+        check_domain(1, a)
+
+
+def test_check_domain_takes_text_ints_fractions_and_floats():
+    assert check_domain("-13/4", " 7 ") == check_domain(Fraction(-13, 4), 7)
+    assert check_domain(0.5, 3) == check_domain(Fraction(1, 2), 3)
+
+
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 5), (5, -2)])
 def test_domain_rejections(a, b):
     with pytest.raises(DomainError):
@@ -114,7 +131,7 @@ def test_stored_factors_multiply_to_rhs(params):
         assert product == model.rhs
         if model.genus == 1:
             assert all(f.degree <= 2 for f in model.factors)
-        assert model == HyperellipticModel.from_rhs(model.rhs)  # factors do not compare
+        assert model == model_from_rhs(model.rhs)  # factors do not compare
 
 
 def test_genera():
@@ -173,7 +190,7 @@ def test_off_domain_verdict_matches_the_gcd(a, b):
     for label in CurveLabel:
         rhs = polynomial_of(SYMBOLIC_RHS[label], a, b)
         try:
-            expected = HyperellipticModel.from_rhs(rhs)
+            expected = model_from_rhs(rhs)
         except InternalInvariantError:
             with pytest.raises(InternalInvariantError):
                 curve_equation(label, params)
@@ -491,9 +508,37 @@ def test_integer_j_is_the_oracle_j_on_bare_models(coeffs):
     lower, lead = coeffs
     rhs = Polynomial([*lower, lead])
     assume(is_squarefree(rhs))
-    model = HyperellipticModel.from_rhs(rhs)
+    model = model_from_rhs(rhs)
     assert model.genus == 1
     assert j_invariant(model) == oracle_j(model)
+
+
+@given(tall_params)
+@settings(max_examples=30)
+def test_quartic_invariants_serve_cubics_and_quartics(params):
+    # a cubic is the binary quartic with x^4-coefficient 0, so I = -P and
+    # J = -Q for the depressed cubic's P = 3 c1 c3 - c2^2 and
+    # Q = 27 c0 c3^2 - 9 c1 c2 c3 + 2 c2^3; a quartic's numerators have the
+    # invariants of rhs times den^2 and den^3
+    for label in ELLIPTIC_LABELS:
+        rhs = curve_equation(label, params).rhs
+        i, j = quartic_invariants(rhs)
+        if rhs.degree == 3:
+            c0, c1, c2, c3 = rhs.nums
+            assert (i, j) == (c2 * c2 - 3 * c1 * c3,
+                              9 * c1 * c2 * c3 - 27 * c0 * c3 * c3 - 2 * c2 ** 3)
+        else:
+            assert binary_quartic_invariants(rhs) == (Fraction(i, rhs.den ** 2),
+                                                      Fraction(j, rhs.den ** 3))
+
+
+def test_j_invariant_makes_one_fraction(fraction_count):
+    params = check_domain(*GENERIC_POINT)
+    models = [curve_equation(label, params) for label in ELLIPTIC_LABELS]
+    fraction_count[0] = 0
+    for model in models:
+        j_invariant(model)
+    assert fraction_count[0] == len(models)
 
 
 @pytest.mark.parametrize("roots", [(1, 1, -2), (Fraction(1, 3), Fraction(1, 3), 5, 7)],

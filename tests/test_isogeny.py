@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -203,3 +204,14 @@ def test_velu_follows_the_multiples_not_the_claimed_order(claimed):
     P = KernelPoint.from_string(E, KERNEL_CURVES[7][1])
     wrong = KernelPoint(P.x, P.y, claimed)
     assert velu_quotient(E, wrong) == velu_quotient(E, P)
+
+
+@pytest.mark.parametrize("claimed", [2, 5, 12])
+def test_velu_refuses_a_point_of_infinite_order(claimed):
+    # (3, 5) on y^2 = x^3 - 2 has infinite order: its multiples never close
+    # up, and the walk stops after MAX_KERNEL_ORDER of them
+    E = WeierstrassCurve.make(0, -2)
+    start = time.perf_counter()
+    with pytest.raises(OrderError):
+        velu_quotient(E, KernelPoint(Fraction(3), Fraction(5), claimed))
+    assert time.perf_counter() - start < 1

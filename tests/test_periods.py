@@ -9,6 +9,9 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import periods_oracle
+from family_oracle import model_from_rhs
+from periods_oracle import _branch_points, _reduce_basis, _roots_of, oracle_periods
 from kleinprym.acceptance import near_locus_params, random_params
 from kleinprym.algebra import Polynomial
 from kleinprym.errors import ArgumentError, DomainError, PrecisionError
@@ -24,9 +27,6 @@ from kleinprym.periods import (
     _GUARD_BITS,
     ComplexApprox,
     PrymPeriodMatrix,
-    _branch_points,
-    _reduce_basis,
-    _roots_of,
     analytic_j,
     elliptic_periods_agm,
     optimal_agm,
@@ -40,8 +40,7 @@ BITS = 192
 
 
 def model_from_coeffs(*coeffs):
-    from kleinprym.family import HyperellipticModel
-    return HyperellipticModel.from_rhs(Polynomial(coeffs))
+    return model_from_rhs(Polynomial(coeffs))
 
 
 def close(x, y, bits=BITS, slack=24):
@@ -57,7 +56,7 @@ def test_agm_fixed_point_and_classical_value():
 
 def test_lemniscatic_real_period():
     model = model_from_coeffs(0, -1, 0, 1)  # y^2 = x^3 - x
-    pair = elliptic_periods_agm(model, BITS)
+    pair = oracle_periods(model, BITS)
     with mpmath.workprec(BITS + 32):
         expected = mpmath.pi / mpmath.agm(mpmath.sqrt(2), 1)
         assert close(mpmath.fabs(pair.omega1.imag), 0)
@@ -68,20 +67,20 @@ def test_lemniscatic_real_period():
 
 def test_cm_quartic_twin():
     model = model_from_coeffs(0, 1, 0, 1)  # y^2 = x^3 + x, same CM point
-    pair = elliptic_periods_agm(model, BITS)
+    pair = oracle_periods(model, BITS)
     assert close(analytic_j(pair.tau, BITS).to_mpc(), 1728)
 
 
 def test_twist_leaves_tau_unchanged():
-    base = elliptic_periods_agm(model_from_coeffs(0, -1, 0, 1), BITS)
-    twisted = elliptic_periods_agm(model_from_coeffs(0, -16, 0, 1), BITS)
+    base = oracle_periods(model_from_coeffs(0, -1, 0, 1), BITS)
+    twisted = oracle_periods(model_from_coeffs(0, -16, 0, 1), BITS)
     assert close(base.tau.to_mpc(), twisted.tau.to_mpc())
 
 
 def test_precision_stability():
-    model = curve_equation(CurveLabel.E_s, check_domain(1, 3))
-    lo = elliptic_periods_agm(model, 128)
-    hi = elliptic_periods_agm(model, 256)
+    params = check_domain(1, 3)
+    lo = elliptic_periods_agm(CurveLabel.E_s, params, 128)
+    hi = elliptic_periods_agm(CurveLabel.E_s, params, 256)
     assert mpmath.fabs(lo.tau.to_mpc() - hi.tau.to_mpc()) < mpmath.ldexp(1, -120)
 
 
@@ -89,7 +88,7 @@ def test_basis_sign_does_not_depend_on_precision():
     # c (e2 - e1) is a negative real here, so the principal square root of the
     # basis scale takes its sign from rounding noise; the normal form does not
     model = curve_equation(CurveLabel.E_s, check_domain(Fraction(-39, 32), Fraction(-16, 33)))
-    omegas = [elliptic_periods_agm(model, bits).omega1.to_mpc() for bits in (128, 256, 1024)]
+    omegas = [oracle_periods(model, bits).omega1.to_mpc() for bits in (128, 256, 1024)]
     with mpmath.workprec(128):
         expected = mpmath.mpf("1.76752266882896")
     for w in omegas:
@@ -108,23 +107,23 @@ def test_cm_bases_do_not_depend_on_precision(coeffs):
     # e^(2 pi i/3) omega1 may sit on a boundary of the units' sector, which
     # rounding noise must not move it across either
     model = model_from_coeffs(*coeffs)
-    ref = elliptic_periods_agm(model, 1024)
+    ref = oracle_periods(model, 1024)
     for bits in (128, 256):
-        assert same_basis(elliptic_periods_agm(model, bits), ref, bits), bits
+        assert same_basis(oracle_periods(model, bits), ref, bits), bits
 
 
 @pytest.mark.parametrize("bits", [128, 256, 1024])
 def test_cm_models_of_one_lattice_report_one_basis(bits):
     # y^2 = -x^3 + x has the lattice of y^2 = x^3 - x turned by i, the same
     # square lattice
-    plus = elliptic_periods_agm(model_from_coeffs(0, -1, 0, 1), bits)
-    minus = elliptic_periods_agm(model_from_coeffs(0, 1, 0, -1), bits)
+    plus = oracle_periods(model_from_coeffs(0, -1, 0, 1), bits)
+    minus = oracle_periods(model_from_coeffs(0, 1, 0, -1), bits)
     assert same_basis(plus, minus, bits)
 
 
 def test_equianharmonic_real_period():
     # y^2 = x^3 - 1 has tau = e^(2 pi i/3) and a real period of minimal length
-    pair = elliptic_periods_agm(model_from_coeffs(-1, 0, 0, 1), BITS)
+    pair = oracle_periods(model_from_coeffs(-1, 0, 0, 1), BITS)
     w1 = pair.omega1.to_mpc()
     with mpmath.workprec(BITS + _GUARD_BITS):
         assert w1.real > 0 and mpmath.fabs(w1.imag) <= mpmath.ldexp(1, -BITS + 8) * w1.real
@@ -149,8 +148,12 @@ def test_reduce_basis_normal_form():
 
 
 def test_periods_reject_wrong_genus():
+    params = check_domain(0, 1)
+    for label in (CurveLabel.Ctilde, CurveLabel.C_is, "E_t"):
+        with pytest.raises(ArgumentError):
+            elliptic_periods_agm(label, params, BITS)
     with pytest.raises(ArgumentError):
-        elliptic_periods_agm(curve_equation(CurveLabel.Ctilde, check_domain(0, 1)), BITS)
+        oracle_periods(curve_equation(CurveLabel.Ctilde, params), BITS)
 
 
 def test_analytic_j_classical_values():
@@ -169,9 +172,8 @@ def test_analytic_j_rejects_lower_half_plane():
 def test_analytic_j_matches_exact_j_on_family():
     params = check_domain(1, 3)
     for label in (CurveLabel.E_t, CurveLabel.E_is_it):
-        model = curve_equation(label, params)
-        pair = elliptic_periods_agm(model, BITS)
-        exact = j_invariant(model)
+        pair = elliptic_periods_agm(label, params, BITS)
+        exact = j_invariant(curve_equation(label, params))
         with mpmath.workprec(BITS):
             target = mpmath.mpf(exact.numerator) / exact.denominator
         assert close(analytic_j(pair.tau, BITS).to_mpc(), target, slack=48)
@@ -200,10 +202,34 @@ def test_the_library_enforces_the_precision_floor(bits):
     models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
     for compute in (lambda: periods.periods_report(params, bits),
                     lambda: quotient_periods(models, bits),
-                    lambda: elliptic_periods_agm(models[CurveLabel.E_t], bits),
+                    lambda: elliptic_periods_agm(CurveLabel.E_t, params, bits),
                     lambda: analytic_j(_i(), bits)):
         with pytest.raises(DomainError):
             compute()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: periods.periods_report((Fraction(7, 5), Fraction(-13, 4)), 256),
+    lambda: elliptic_periods_agm(CurveLabel.E_t, (0, 1), 256),
+    lambda: periods.periods_report(check_domain(0, 1), 256.0),
+    lambda: periods.periods_report(check_domain(0, 1), True),
+    lambda: elliptic_periods_agm(CurveLabel.E_t, check_domain(0, 1), "256"),
+    lambda: analytic_j(_i(), 256.0),
+    lambda: quotient_periods({}, None),
+], ids=["report-tuple", "agm-tuple", "report-float-bits", "report-bool-bits", "agm-text-bits",
+        "j-float-bits", "quotient-none-bits"])
+def test_the_library_refuses_wrong_types(call):
+    with pytest.raises(ArgumentError):
+        call()
+
+
+def test_elliptic_periods_agm_is_the_report_basis():
+    params = check_domain(Fraction(7, 5), Fraction(-13, 4))
+    bases, _ = quotient_periods(_models(params), 256)
+    for label in ELLIPTIC_LABELS:
+        assert elliptic_periods_agm(label, params, 256) == bases[label]
+    assert elliptic_periods_agm(CurveLabel.E_t, params) == elliptic_periods_agm(
+        CurveLabel.E_t, params, 256)
 
 
 def test_riemann_check_square_lattice():
@@ -298,8 +324,8 @@ def test_to_mpc_keeps_the_labelled_precision():
 def test_prym_matrix_keeps_the_labelled_precision_at_a_generic_point():
     bits = 256
     params = check_domain(Fraction(7, 5), Fraction(-13, 4))
-    z1 = elliptic_periods_agm(curve_equation(CurveLabel.E_t, params), bits).tau
-    z2 = elliptic_periods_agm(curve_equation(CurveLabel.E_st, params), bits).tau
+    z1 = elliptic_periods_agm(CurveLabel.E_t, params, bits).tau
+    z2 = elliptic_periods_agm(CurveLabel.E_st, params, bits).tau
     entry = prym_period_matrix(z1, z2).entries[0][0].to_mpc()
     final = product_to_prym_reduction(z1, z2).final[0][0].to_mpc()
     with mpmath.workprec(bits + _GUARD_BITS):
@@ -308,8 +334,9 @@ def test_prym_matrix_keeps_the_labelled_precision_at_a_generic_point():
 
 
 # ---------------------------------------------------------------------------
-# Oracles for the fast paths: polyroots for the closed-form roots of the stored
-# factors, the Eisenstein q-expansion for the theta-constant j
+# Oracles for the fast paths: the general path of tests/periods_oracle.py
+# (polyroots and the complex AGM) for the closed forms, the Eisenstein
+# q-expansion for the theta-constant j
 # ---------------------------------------------------------------------------
 
 
@@ -353,9 +380,9 @@ def test_stored_factors_leave_tau_unchanged(params):
     # nor on whether the roots come from the factors or from rhs by polyroots
     for label in ELLIPTIC_LABELS:
         model = curve_equation(label, params)
-        fast = elliptic_periods_agm(model, BITS)
+        fast = oracle_periods(model, BITS)
         for factors in [*itertools.permutations(model.factors), (model.rhs,)]:
-            other = elliptic_periods_agm(dataclasses.replace(model, factors=factors), BITS)
+            other = oracle_periods(dataclasses.replace(model, factors=factors), BITS)
             assert same_basis(other, fast, BITS), (label, factors)
 
 
@@ -384,11 +411,11 @@ def test_reduced_basis_is_canonical(params):
     # 1e-10 from a = b the cross-ratio is too close to the cuts for 128 bits
     for label in ELLIPTIC_LABELS:
         model = curve_equation(label, params)
-        ref = elliptic_periods_agm(model, 1024)
+        ref = oracle_periods(model, 1024)
         assert in_normal_form(ref, 1024), label
         for bits in (128, 256):
             try:
-                pair = elliptic_periods_agm(model, bits)
+                pair = oracle_periods(model, bits)
             except PrecisionError:
                 assert bits == 128 and params.b - params.a == Fraction(1, 10**10), label
                 continue
@@ -400,7 +427,7 @@ def test_tied_orderings_give_the_reduced_tau():
     # lambda and 1 - lambda tie and give tau = 0.5729...i and -1/tau; the
     # normal form takes -1/tau, whose modulus is at least 1
     model = curve_equation(CurveLabel.E_s, check_domain(Fraction(23, 42), Fraction(-7, 15)))
-    tau = elliptic_periods_agm(model, BITS).tau.to_mpc()
+    tau = oracle_periods(model, BITS).tau.to_mpc()
     with mpmath.workprec(BITS):
         expected = mpmath.mpc(0, "1.7452550495816463553")
         assert mpmath.fabs(tau - expected) < 1e-18
@@ -431,8 +458,7 @@ def test_theta_j_matches_lambert_series(bits):
         taus = [ComplexApprox.from_value(mpmath.mpc(0, 1), bits),
                 ComplexApprox.from_value(mpmath.mpc(1, mpmath.sqrt(3)) / 2, bits)]
     params = check_domain(Fraction(7, 5), Fraction(-13, 4))
-    taus += [elliptic_periods_agm(curve_equation(label, params), bits).tau
-             for label in ELLIPTIC_LABELS]
+    taus += [elliptic_periods_agm(label, params, bits).tau for label in ELLIPTIC_LABELS]
     for tau in taus:
         got = analytic_j(tau, bits).to_mpc()
         expected = _lambert_j(tau, bits)
@@ -447,7 +473,7 @@ def test_analytic_j_takes_no_complex_log(monkeypatch):
     # At tau = i the theta constants are real; E_st's tau makes them complex
     bits = 4096
     params = check_domain(Fraction(7, 5), Fraction(-13, 4))
-    taus = [_i(bits), elliptic_periods_agm(curve_equation(CurveLabel.E_st, params), bits).tau]
+    taus = [_i(bits), elliptic_periods_agm(CurveLabel.E_st, params, bits).tau]
     expected = [_lambert_j(tau, bits) for tau in taus]
 
     def no_log(*args):
@@ -483,10 +509,10 @@ def test_agm_matches_the_full_stopping_rule(bits, monkeypatch):
         calls.append((a, b))
         return optimal_agm(a, b, precision_bits)
 
-    monkeypatch.setattr(periods, "optimal_agm", record)
+    monkeypatch.setattr(periods_oracle, "optimal_agm", record)
     for params in (ORACLE_POINTS[0], ORACLE_POINTS[3], ORACLE_POINTS[7]):
         for label in ELLIPTIC_LABELS:
-            elliptic_periods_agm(curve_equation(label, params), bits)
+            oracle_periods(curve_equation(label, params), bits)
     assert len(calls) == 36
     for a, b in calls:
         got = optimal_agm(a, b, bits)
@@ -511,7 +537,7 @@ def _models(params):
 def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
     # periods_report takes E_is_t, E_is_it and E_s_it from their exact
     # Legendre data and E_t, E_st and E_s from those lattices; the general
-    # path of elliptic_periods_agm on each own model gives the same reduced
+    # path of the oracle on each own model gives the same reduced
     # basis, with the kernel's half-period in each of the three Legendre slots.
     # At (0, 1) two of E_is_t's three 2-isogenous lattices have E_t's j and
     # differ by the unit i, so only the right kernel gives E_t's omega1
@@ -528,7 +554,7 @@ def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
         bases, _ = quotient_periods(models, bits)
         for label, model in models.items():
             try:
-                direct = elliptic_periods_agm(model, bits)
+                direct = oracle_periods(model, bits)
             except PrecisionError:
                 assert _near_a_locus(params), (params, label)
                 continue
@@ -583,8 +609,8 @@ def test_exact_legendre_step_matches_the_general_formula(bits):
                 r, h = mpmath.mpf((r, -e)), mpmath.mpf((h, -e))
                 omega1, omega2 = (r, 1j * h) if exact_c > 0 else (-1j * h, r)
                 scale = 1 / mpmath.sqrt(mpmath.mpc(_rounded(exact_c)))
-                want1 = scale * 2 * periods._complete_K(_rounded(1 - exact_lam), bits)
-                want2 = scale * 2j * periods._complete_K(_rounded(exact_lam), bits)
+                want1 = scale * 2 * periods_oracle._complete_K(_rounded(1 - exact_lam), bits)
+                want2 = scale * 2j * periods_oracle._complete_K(_rounded(exact_lam), bits)
                 for got, want in ((omega1, want1), (omega2, want2)):
                     assert (mpmath.fabs(got - want)
                             <= mpmath.ldexp(1, 8 - bits) * mpmath.fabs(want)), (params, partner)
@@ -678,21 +704,25 @@ def test_closed_normal_forms_match_the_general_reduction(bits):
     assert len(shapes) == 6
 
 
-def test_the_report_path_never_runs_the_general_reduction(monkeypatch):
-    # every report basis is a closed form; elliptic_periods_agm and
-    # analytic_j keep _reduce_basis
-    def general_reduction(*args, **kwargs):
-        raise AssertionError("_reduce_basis called")
+def test_the_library_never_runs_the_general_path(monkeypatch):
+    # every basis the library gives is a closed form on the exact Legendre
+    # data; polyroots and the complex AGM serve the tests' oracle only
+    def general_path(*args, **kwargs):
+        raise AssertionError("general path called")
 
-    monkeypatch.setattr(periods, "_reduce_basis", general_reduction)
+    monkeypatch.setattr(mpmath, "polyroots", general_path)
+    monkeypatch.setattr(periods, "optimal_agm", general_path)
     points = PARTNER_POINTS + [check_domain(3, 1), check_domain(1, 3)] + NEAR_A_LOCUS
-    for params in points:
+    for params, label in zip(points, itertools.cycle(ELLIPTIC_LABELS)):
         for bits in (128, 4096):
-            periods.periods_report(params, bits)
-    with pytest.raises(AssertionError, match="_reduce_basis called"):
-        elliptic_periods_agm(curve_equation(CurveLabel.E_t, points[0]), 128)
-    with pytest.raises(AssertionError, match="_reduce_basis called"):
-        analytic_j(mpmath.mpc(0, 1), 128)
+            report = periods.periods_report(params, bits)
+            pair = elliptic_periods_agm(label, params, bits)
+            assert periods._cell(pair.tau) == report["periods"][label.value]["tau"]
+            analytic_j(pair.tau, bits)
+    analytic_j(ComplexApprox.from_value(mpmath.mpc("0.3", "0.01"), 128), 128)
+    # the patch does reach the oracle's calls
+    with pytest.raises(AssertionError, match="general path called"):
+        _roots_of(model_from_coeffs(-1, 0, 0, 1).rhs, 128)
 
 
 NEAR_A_LOCUS = [check_domain(2 + Fraction(1, 10**100), Fraction(1, 3)),
@@ -701,8 +731,8 @@ NEAR_A_LOCUS = [check_domain(2 + Fraction(1, 10**100), Fraction(1, 3)),
 
 @pytest.mark.parametrize("params", NEAR_A_LOCUS, ids=repr)
 def test_report_taus_keep_their_bits_near_a_locus(params):
-    # the general path rounds -a and -b before it subtracts them, and meets
-    # the 4096-bit tau only to about 2^-763 and 2^-958 at 1024 bits here;
+    # the oracle's general path rounds -a and -b before it subtracts them,
+    # and meets the 4096-bit tau only to about 2^-763 and 2^-958 at 1024 bits;
     # exact Legendre data keep every bit, and the derived quotients inherit them
     models = _models(params)
     reference, _ = quotient_periods(models, 4096)
@@ -719,8 +749,8 @@ def test_legendre_order_keeps_the_best_score_when_the_slack_rounds_away():
     # E_t's own lambda is about 3e49 here, so best - 2^(-64) rounds to best at
     # 128 bits; the best score must still be chosen
     model = curve_equation(CurveLabel.E_t, NEAR_A_LOCUS[0])
-    got = elliptic_periods_agm(model, 128).tau.to_mpc()
-    want = elliptic_periods_agm(model, 1024).tau.to_mpc()
+    got = oracle_periods(model, 128).tau.to_mpc()
+    want = oracle_periods(model, 1024).tau.to_mpc()
     with mpmath.workprec(1024):
         assert mpmath.fabs(got - want) <= mpmath.ldexp(1, -120) * mpmath.fabs(want)
 
@@ -812,8 +842,8 @@ def test_periods_keep_the_bits_of_a_tiny_lambda():
     params = check_domain(Fraction(-50), Fraction(-499999999999, 10**10))
     for label in (CurveLabel.E_s, CurveLabel.E_t, CurveLabel.E_st):
         model = curve_equation(label, params)
-        got = elliptic_periods_agm(model, 256).tau.to_mpc()
-        want = elliptic_periods_agm(model, 4096).tau.to_mpc()
+        got = oracle_periods(model, 256).tau.to_mpc()
+        want = oracle_periods(model, 4096).tau.to_mpc()
         with mpmath.workprec(4096):
             assert mpmath.fabs(got - want) <= mpmath.ldexp(1, -248) * mpmath.fabs(want), label
 
