@@ -14,7 +14,7 @@ import sys
 import mpmath
 
 from kleinprym.algebra import parse_rational
-from kleinprym.family import ELLIPTIC_LABELS, CurveLabel, check_domain, curve_equation, j_invariant
+from kleinprym.family import CurveLabel, check_domain, curve_equation, j_invariant
 from kleinprym.periods import (
     analytic_j,
     elliptic_periods_agm,
@@ -42,11 +42,10 @@ def main():
     params = check_domain(parse_rational(args.a), parse_rational(args.b))
     print(f"parameters (a, b) = ({params.a}, {params.b}), {args.bits} bits\n")
 
-    models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
-    bases, _ = quotient_periods(models, args.bits)
+    bases, _ = quotient_periods(params, args.bits)
     for label in (CurveLabel.E_t, CurveLabel.E_st):
         tau = bases[label].tau
-        exact = j_invariant(models[label])
+        exact = j_invariant(curve_equation(label, params))
         approx = analytic_j(tau, args.bits)
         print(f"{label.value}: tau = {mpmath.nstr(tau.to_mpc(), 10)}")
         print(f"  exact j    = {exact}")

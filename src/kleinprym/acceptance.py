@@ -300,9 +300,9 @@ def criterion_8() -> CriterionResult:
         for params in samples:
             # the bases and j values periods_report uses, three of each from
             # 2-isogenous partners
-            models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
-            bases, js = quotient_periods(models, bits)
-            for label, model in models.items():
+            bases, js = quotient_periods(params, bits)
+            for label in ELLIPTIC_LABELS:
+                model = curve_equation(label, params)
                 pair, exact = bases[label], j_invariant(model)
                 approx = analytic_j(pair.tau, bits).to_mpc()
                 with mpmath.workprec(bits + 64):
@@ -322,8 +322,7 @@ def criterion_8() -> CriterionResult:
 
         # the CM anchor, where tau is exact, and a generic point
         for params in (check_domain(0, 1), check_domain(Fraction(7, 5), Fraction(-13, 4))):
-            bases, _ = quotient_periods(
-                {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}, bits)
+            bases, _ = quotient_periods(params, bits)
             z1, z2 = bases[CurveLabel.E_t].tau, bases[CurveLabel.E_st].tau
             matrix = prym_period_matrix(z1, z2)
             residual, min_eig = riemann_check(matrix)

@@ -139,11 +139,6 @@ class Polynomial:
             p = p * cls((-Fraction(r), 1))
         return p
 
-    @classmethod
-    def from_string(cls, text: str) -> "Polynomial":
-        """Parse the "c0,c1,...,cn" coefficient-list format."""
-        return cls(parse_rational(t) for t in text.split(","))
-
     def to_string(self) -> str:
         if self.is_zero:
             return "0"

@@ -12,10 +12,6 @@ class DegreeError(KleinPrymError):
 class DomainError(KleinPrymError):
     """Parameters outside the smooth family domain, or a bad numeric domain."""
 
-    def __init__(self, message, params=None):
-        super().__init__(message)
-        self.params = params
-
 
 class DegenerateConfiguration(KleinPrymError):
     """Repeated points where pairwise-distinct points are required."""

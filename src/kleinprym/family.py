@@ -4,7 +4,7 @@ quotient maps, fixed-point data, and exact j-invariants of the elliptic quotient
 
 Models, quotient-map identities, fixed-point fibres and j-invariants run on
 integers, with one `Fraction` per j: `curve_equation` builds only the requested
-label's factors from a = p/q and b = r/s, `verify_quotient_identity` decides
+label's rhs from a = p/q and b = r/s, `verify_quotient_identity` decides
 each identity by one evaluation of its two integer sides past their coefficient
 bound, and `fixed_point_count` reads each fibre's y^2 off an integer closed form.
 
@@ -18,7 +18,7 @@ with iota the hyperelliptic sheet exchange (x, y) -> (x, -y).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Polynomial, _convolve, parse_rational, ratio_text
@@ -59,11 +59,11 @@ def check_domain(a, b) -> FamilyParams:
     a = _rational(a)
     b = _rational(b)
     if a == b:
-        raise DomainError("a = b collapses the two quartic factors", params=(a, b))
+        raise DomainError("a = b collapses the two quartic factors")
     if a * a == 4:
-        raise DomainError("a^2 = 4 gives a repeated Weierstrass root", params=(a, b))
+        raise DomainError("a^2 = 4 gives a repeated Weierstrass root")
     if b * b == 4:
-        raise DomainError("b^2 = 4 gives a repeated Weierstrass root", params=(a, b))
+        raise DomainError("b^2 = 4 gives a repeated Weierstrass root")
     return FamilyParams(a, b)
 
 
@@ -100,24 +100,20 @@ class InvolutionLabel(enum.Enum):
     iota_sigma_tau = "iota_sigma_tau"
 
 
-def _genus(rhs: Polynomial) -> int:
-    return -(-rhs.degree // 2) - 1
-
-
 @dataclass(frozen=True)
 class HyperellipticModel:
     """y^2 = rhs(x) with rhs squarefree; genus = ceil(deg/2) - 1.
 
     `curve_equation` builds the family's models: their discriminants factor
     into (a - b) and (a -+ 2), (b -+ 2), so squarefreeness is decided from
-    (a, b) alone.  `factors` are the rational polynomials, in factor order,
-    whose product is rhs; the analytic layer reads the roots of the linear
-    ones exactly.
+    (a, b) alone.
     """
 
     rhs: Polynomial
-    genus: int
-    factors: tuple[Polynomial, ...] = field(compare=False)
+
+    @property
+    def genus(self) -> int:
+        return -(-self.rhs.degree // 2) - 1
 
     def to_report(self) -> dict:
         report = {
@@ -139,23 +135,19 @@ _DISCRIMINANT_ROOTS = dict.fromkeys(CurveLabel, (2, -2)) | {
 
 
 # Each label's rhs is the product of one factor of a = p/q, the same factor of
-# b = r/s and constant factors, in this order (`periods._legendre_data`
-# numbers the roots in factor order): label -> (the factor of p/q as integer
-# numerators over q, low to high, constant factors before it, constant
-# factors after the factor of b).
-_X2_MINUS_4, _X, _X2_PLUS_4, _X_MINUS_2, _X_PLUS_2 = map(
-    Polynomial, ((-4, 0, 1), (0, 1), (4, 0, 1), (-2, 1), (2, 1)))
+# b = r/s and constant factors: label -> (the factor of p/q as integer
+# numerators over q, low to high, the constant factors' integer coefficients).
 _FACTORS = {
-    CurveLabel.Ctilde: (lambda p, q: (q, 0, p, 0, q), (), ()),
-    CurveLabel.C_it: (lambda p, q: (p - 2 * q, 0, q), (_X2_MINUS_4,), ()),
-    CurveLabel.C_is: (lambda p, q: (q, p, q), (_X,), ()),
-    CurveLabel.C_ist: (lambda p, q: (p + 2 * q, 0, q), (_X2_PLUS_4,), ()),
-    CurveLabel.E_t: (lambda p, q: (p - 2 * q, 0, q), (), ()),
-    CurveLabel.E_s: (lambda p, q: (q, p, q), (), ()),
-    CurveLabel.E_st: (lambda p, q: (p + 2 * q, 0, q), (), ()),
-    CurveLabel.E_is_it: (lambda p, q: (p, q), (), (_X_MINUS_2,)),
-    CurveLabel.E_s_it: (lambda p, q: (p, q), (), (_X_MINUS_2, _X_PLUS_2)),
-    CurveLabel.E_is_t: (lambda p, q: (p, q), (), (_X_PLUS_2,)),
+    CurveLabel.Ctilde: (lambda p, q: (q, 0, p, 0, q), ()),
+    CurveLabel.C_it: (lambda p, q: (p - 2 * q, 0, q), ((-4, 0, 1),)),
+    CurveLabel.C_is: (lambda p, q: (q, p, q), ((0, 1),)),
+    CurveLabel.C_ist: (lambda p, q: (p + 2 * q, 0, q), ((4, 0, 1),)),
+    CurveLabel.E_t: (lambda p, q: (p - 2 * q, 0, q), ()),
+    CurveLabel.E_s: (lambda p, q: (q, p, q), ()),
+    CurveLabel.E_st: (lambda p, q: (p + 2 * q, 0, q), ()),
+    CurveLabel.E_is_it: (lambda p, q: (p, q), ((-2, 1),)),
+    CurveLabel.E_s_it: (lambda p, q: (p, q), ((-2, 1), (2, 1))),
+    CurveLabel.E_is_t: (lambda p, q: (p, q), ((2, 1),)),
 }
 
 
@@ -170,18 +162,15 @@ def curve_equation(label: CurveLabel, params: FamilyParams) -> HyperellipticMode
     if a == b or any(s in (a, b) for s in _DISCRIMINANT_ROOTS[label]):
         raise InternalInvariantError("right-hand side is not squarefree")
 
-    shape, before, after = _FACTORS[label]
+    shape, constants = _FACTORS[label]
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
-    fa, fb = shape(p, q), shape(r, s)
-    nums = _convolve(fa, fb)
-    for c in before + after:
-        nums = _convolve(nums, c.nums)
+    nums = _convolve(shape(p, q), shape(r, s))
+    for c in constants:
+        nums = _convolve(nums, c)
     # gcd(p, q) = gcd(r, s) = 1, so the numerators of every factor are
-    # primitive, and by Gauss's lemma so are those of their product: each
-    # factor and rhs is already in the stored form, over q, s and q s
-    factors = (*before, Polynomial._stored(fa, q), Polynomial._stored(fb, s), *after)
-    rhs = Polynomial._stored(tuple(nums), q * s)
-    return HyperellipticModel(rhs, _genus(rhs), factors)
+    # primitive, and by Gauss's lemma so are those of their product: rhs is
+    # already in the stored form, over q s
+    return HyperellipticModel(Polynomial._stored(tuple(nums), q * s))
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,6 @@ class WeierstrassCurve:
     def contains(self, x: Fraction, y: Fraction) -> bool:
         return y * y == x ** 3 + self.p * x + self.q
 
-    def to_string(self) -> str:
-        return f"{self.p},{self.q}"
-
 
 def j_weierstrass(curve: WeierstrassCurve) -> Fraction:
     return 1728 * 4 * curve.p ** 3 / (4 * curve.p ** 3 + 27 * curve.q ** 2)
@@ -95,15 +92,12 @@ class KernelPoint:
     order: int
 
     @classmethod
-    def on_curve(cls, curve: WeierstrassCurve, x, y, order=None) -> "KernelPoint":
+    def on_curve(cls, curve: WeierstrassCurve, x, y) -> "KernelPoint":
         x = Fraction(x)
         y = Fraction(y)
         if not curve.contains(x, y):
             raise PointError(f"({x}, {y}) is not on y^2 = x^3 + {curve.p} x + {curve.q}")
-        true_order = point_order(curve, (x, y))
-        if order is not None and order != true_order:
-            raise OrderError(f"claimed order {order}, actual order {true_order}")
-        return cls(x, y, true_order)
+        return cls(x, y, point_order(curve, (x, y)))
 
     @classmethod
     def from_string(cls, curve: WeierstrassCurve, text: str) -> "KernelPoint":

@@ -64,11 +64,11 @@ def phi_tuple_raw(t: MarkedTuple) -> MarkedTuple:
     if a + b == 0:
         raise DegenerateConfiguration("image triple degenerates: -2-a-b = -2")
     return MarkedTuple(
-        (ProjectivePoint.affine(-b), ProjectivePoint.affine(-a)),
+        (ProjectivePoint(-b), ProjectivePoint(-a)),
         (
             ProjectivePoint.infinity(),
-            ProjectivePoint.affine(-2 - a - b),
-            ProjectivePoint.affine(-2),
+            ProjectivePoint(-2 - a - b),
+            ProjectivePoint(-2),
         ),
         0,
     )

@@ -4,8 +4,8 @@ constants, the explicit 2x4 Prym period matrix with polarisation type (1,2),
 and Riemann-relation checks.
 
 Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}, whose
-factors are all linear (the AGM partners E_is_t, E_is_it and E_s_it of a
-report):
+roots are rational (the AGM partners E_is_t, E_is_it and E_s_it of a report,
+branched at -a, -b and two points of the triple (inf, 2, -2)):
 
 * a quartic is converted to a cubic with the *same* period lattice by
   x = r + 1/u, w = y u^2 for a root r of f (dx/y = -du/w);
@@ -16,9 +16,9 @@ report):
   K(m) = pi / (2 M(1, sqrt(1 - m))) computed from the complement 1 - m,
   taken as (e2 - e3)/(e2 - e1) and lambda, so a tiny lambda keeps its bits;
 * all of it runs on Python integers up to the printed numbers
-  (`_legendre_data`, `_partner_lattice`): the roots -c0/c1 are integer
-  numerators over one common denominator, the pivot is a cubic's point at
-  infinity or a quartic's root r3, and lambda and c (e2 - e1) are unreduced
+  (`_legendre_data`, `_partner_lattice`): the roots are integer numerators
+  over one common denominator, the pivot is a cubic's point at infinity or
+  the quartic's root r3, and lambda and c (e2 - e1) are unreduced
   integer pairs.  e3 is the middle one of the three real e's and e1, e2 the
   outer two with lambda <= 1/2, the smaller first at lambda = 1/2, all by
   exact integer comparisons, so lambda lies in (0, 1/2] and both AGMs are of
@@ -48,12 +48,10 @@ so the lattices of E_t, E_st and E_s are scale (L + Z t), with scale
 2/c = 1, 1 and 2 for the factor c in dX/Y = c dx/y, L the lattice of the
 partner on the right and t the half-period of the partner's 2-torsion
 point P(-a) - P(-b), which is P(-2) - P(inf) on E_is_t, P(2) - P(inf) on
-E_is_it and P(2) - P(-2) on E_s_it.  The partners' branch points -a, -b
-and +-2 are rational, so they take the integer path above.  The kernel
-point is found by root identity, not by a numeric comparison: with the roots
-numbered r0, r1, r2, r3 = -a, -b, then +-2 in factor order and infinity for
-a cubic, the exact path always sends r3 to infinity (a quartic's pivot of
-x = r3 + 1/u, a cubic's own point at infinity), so the kernel point is
+E_is_it and P(2) - P(-2) on E_s_it.  The kernel point is found by root
+identity, not by a numeric comparison: with the roots numbered as at
+`_PARTNERS`, the exact path always sends r3 to infinity (a quartic's pivot
+of x = r3 + 1/u, a cubic's own point at infinity), so the kernel point is
 P(r2) - P(r3).  With (e1, e2, e3) sent to (0, 1, lambda) the half-period
 is omega2/2, omega1/2 or (omega1 + omega2)/2 for r2 = e1, e2 or e3, in the
 first basis (omega1, omega2) = (R, iH) for c > 0 and (-iH, R) for c < 0.
@@ -98,7 +96,6 @@ All tolerances are powers of two relative to the requested precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt, lcm
 
 import mpmath
@@ -106,8 +103,7 @@ from mpmath.libmp import pi_fixed
 
 from .errors import ArgumentError, DomainError, PrecisionError
 from .algebra import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
-from .family import (ELLIPTIC_LABELS, CurveLabel, FamilyParams, HyperellipticModel,
-                     curve_equation, j_invariant)
+from .family import ELLIPTIC_LABELS, CurveLabel, FamilyParams, curve_equation, j_invariant
 
 _GUARD_BITS = 64
 # the bits the fixed-point kernels carry beyond the working precision, as
@@ -134,13 +130,6 @@ class ComplexApprox:
     real: mpmath.mpf
     imag: mpmath.mpf
     precision_bits: int
-
-    @classmethod
-    def from_value(cls, value, precision_bits=DEFAULT_PRECISION_BITS) -> "ComplexApprox":
-        _check_precision(precision_bits)
-        with mpmath.workprec(precision_bits):
-            z = mpmath.mpc(value)
-            return cls(z.real, z.imag, precision_bits)
 
     def to_mpc(self) -> mpmath.mpc:
         """The value at its labelled precision, whatever the ambient one."""
@@ -226,38 +215,27 @@ def _fixed_agm(num: int, den: int, wp: int) -> int:
     raise PrecisionError("real AGM did not converge within the iteration budget")
 
 
-def _real_agm(x: Fraction) -> mpmath.mpf:
-    """M(1, sqrt(x)) for a rational 0 < x < 1 by `_fixed_agm`, rounded once to
-    the working precision."""
-    wp = mpmath.mp.prec + _FIXED_GUARD_BITS
-    return _from_fixed(_fixed_agm(x.numerator, x.denominator, wp), wp)
-
-
-def _legendre_data(model: HyperellipticModel):
-    """(lam, c, order): the exact Legendre data of a model whose factors are
-    all linear: lambda and c = lead (e2 - e1) as unreduced integer pairs
-    (numerator, positive denominator), and order = (3, i1, i2, i3), the roots
-    sent to infinity, 0, 1 and lambda, numbered r0 to r3 in factor order with
-    r3 a cubic's point at infinity: the pivot is always r3.  With the roots
-    -c0/c1 as N_j/D over one common denominator, a cubic's e_j are N_j/D.  A
-    quartic's x = r3 + 1/u gives e_j = 1/(r_j - r3) = D/d_j, d_j = N_j - N3,
-    that is D E_j/|P| for P = d0 d1 d2 and E_j = sgn(P) P/d_j, and the lead
-    gains prod (r3 - r_j) = -P/D^3, so c = -sgn(P) lead (E2 - E1)/D^2."""
-    roots = []
-    for f in model.factors:
-        n0, n1 = f.nums
-        roots.append((-n0, n1) if n1 > 0 else (n0, -n1))
-    d = lcm(*(den for _, den in roots))
-    e = [num * (d // den) for num, den in roots]
-    lead_n, lead_d = model.rhs.nums[-1], model.rhs.den
-    if len(e) == 4:
-        pivot = e.pop()
-        d0, d1, d2 = (n - pivot for n in e)
+def _legendre_data(params: FamilyParams, points):
+    """(lam, c, slot): the exact Legendre data of the monic partner branched at
+    r0, r1 = -a, -b and at its two triple points (r2, r3) = points of
+    `_PARTNERS`: lambda and c = lead (e2 - e1) as unreduced integer pairs
+    (numerator, positive denominator), and the slot 1, 2 or 3 of r2 among
+    the roots (e1, e2, e3) sent to 0, 1 and lambda; the pivot r3 goes to
+    infinity.  With the roots as
+    N_j/D over one common denominator, a cubic's e_j are N_j/D.  A quartic's
+    x = r3 + 1/u gives e_j = 1/(r_j - r3) = D/d_j, d_j = N_j - N3, that is
+    D E_j/|P| for P = d0 d1 d2 and E_j = sgn(P) P/d_j, and the lead 1 becomes
+    prod (r3 - r_j) = -P/D^3, so c = -sgn(P) (E2 - E1)/D^2."""
+    a, b = params.a, params.b
+    d = lcm(a.denominator, b.denominator)
+    r2, r3 = points
+    e = [-a.numerator * (d // a.denominator), -b.numerator * (d // b.denominator), r2 * d]
+    lead_n, lead_d = 1, d
+    if r3 is not None:
+        d0, d1, d2 = (n - r3 * d for n in e)
         sign = 1 if d0 * d1 * d2 > 0 else -1
         e = [sign * d1 * d2, sign * d0 * d2, sign * d0 * d1]
-        lead_n, lead_d = -sign * lead_n, lead_d * d * d
-    else:
-        lead_d *= d
+        lead_n, lead_d = -sign, d * d
     # e3 is the middle e; e1 and e2 the outer two, with lambda <= 1/2 and the
     # smaller first at lambda = 1/2
     i1, i3, i2 = sorted(range(3), key=e.__getitem__)
@@ -265,7 +243,7 @@ def _legendre_data(model: HyperellipticModel):
         i1, i2 = i2, i1
     span = e[i2] - e[i1]
     lam = (e[i3] - e[i1], span) if span > 0 else (e[i1] - e[i3], -span)
-    return lam, (lead_n * span, lead_d), (3, i1, i2, i3)
+    return lam, (lead_n * span, lead_d), 1 + (i1, i2, i3).index(2)
 
 
 def _partner_lattice(lam, c, wp: int):
@@ -357,20 +335,22 @@ def _pair(basis, x: int, y: int, e: int, precision_bits: int) -> PeriodPair:
                       approx((re << wp) // norm, (im << wp) // norm, wp))
 
 
-# (partner, quotient, scale): the quotient's lattice is scale (L + Z t) for
-# the partner's lattice L and the half-period t of the partner's 2-torsion
-# point P(r0) - P(r1) = P(r2) - P(r3) (module docstring)
+# (partner, quotient, scale, (r2, r3)): the partner is the monic double cover
+# branched at the roots r0, r1 = -a, -b and the two points r2, r3 of the
+# triple (inf, 2, -2), None for inf; the quotient's lattice is scale (L + Z t)
+# for the partner's lattice L and the half-period t of the partner's
+# 2-torsion point P(r0) - P(r1) = P(r2) - P(r3) (module docstring)
 _PARTNERS = (
-    (CurveLabel.E_is_t, CurveLabel.E_t, 1),
-    (CurveLabel.E_is_it, CurveLabel.E_st, 1),
-    (CurveLabel.E_s_it, CurveLabel.E_s, 2),
+    (CurveLabel.E_is_t, CurveLabel.E_t, 1, (-2, None)),
+    (CurveLabel.E_is_it, CurveLabel.E_st, 1, (2, None)),
+    (CurveLabel.E_s_it, CurveLabel.E_s, 2, (2, -2)),
 )
 
 
-def quotient_periods(models, precision_bits: int = DEFAULT_PRECISION_BITS):
+def quotient_periods(params: FamilyParams, precision_bits: int = DEFAULT_PRECISION_BITS):
     """(bases, js): the reduced period basis (`PeriodPair`) and the j-value
-    (`ComplexApprox`) of each of the six elliptic quotients, keyed by label,
-    from `models`, their built models keyed by label.  E_is_t, E_is_it and
+    (`ComplexApprox`) of each of the six elliptic quotients at `params`, keyed
+    by label.  E_is_t, E_is_it and
     E_s_it get their rectangular lattices from their exact Legendre data and
     the real AGM, and their j from the theta constants at their tau; E_t, E_st
     and E_s get theirs, rectangles or rhombi, from those lattices through the
@@ -382,12 +362,11 @@ def quotient_periods(models, precision_bits: int = DEFAULT_PRECISION_BITS):
     slack = (precision_bits + 1) // 2  # the normal form's eps = 2^-slack
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         wp = mpmath.mp.prec + _FIXED_GUARD_BITS
-        for partner, label, scale in _PARTNERS:
-            lam, c, order = _legendre_data(models[partner])
+        for partner, label, scale, points in _PARTNERS:
+            lam, c, slot = _legendre_data(params, points)
             r, h, e = _partner_lattice(lam, c, wp)
             # the class of t in (omega1, omega2) is the two bits of r2's slot,
             # and (omega1, omega2) is (r, ih) for c > 0 and (-ih, r) for c < 0
-            slot = order.index(2)
             t = (slot >> 1, slot & 1) if c[0] > 0 else (slot & 1, slot >> 1)
             basis, reduced_kernel = _partner_form(r, h, t, slack)
             bases[partner] = pair = _pair(basis, r, h, e, precision_bits)
@@ -409,8 +388,7 @@ def elliptic_periods_agm(label: CurveLabel, params: FamilyParams,
     if label not in ELLIPTIC_LABELS:
         raise ArgumentError(f"periods are computed for the elliptic quotients only, not {label!r}")
     _check_params(params)
-    models = {each: curve_equation(each, params) for each in ELLIPTIC_LABELS}
-    return quotient_periods(models, precision_bits)[0][label]
+    return quotient_periods(params, precision_bits)[0][label]
 
 
 # ---------------------------------------------------------------------------
@@ -704,14 +682,13 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
     _check_params(params)
     _check_precision(precision_bits)
     tol = mpmath.ldexp(1, 4 - precision_bits // 4)
-    models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
-    bases, js = quotient_periods(models, precision_bits)
+    bases, js = quotient_periods(params, precision_bits)
     deltas, pairs = {}, {}
     for label in ELLIPTIC_LABELS:
         pair = bases[label]
         pairs[label.value] = {"omega1": _cell(pair.omega1), "omega2": _cell(pair.omega2),
                               "tau": _cell(pair.tau)}
-        exact = j_invariant(models[label])
+        exact = j_invariant(curve_equation(label, params))
         with mpmath.workprec(precision_bits):
             exact_c = mpmath.mpf(exact.numerator) / exact.denominator
             delta = mpmath.fabs(js[label].to_mpc() - exact_c)

@@ -47,10 +47,6 @@ class ProjectivePoint:
     def infinity(cls) -> "ProjectivePoint":
         return cls(1, 0)
 
-    @classmethod
-    def affine(cls, value) -> "ProjectivePoint":
-        return cls(value)
-
     @property
     def is_infinity(self) -> bool:
         return self.y == 0
@@ -81,7 +77,7 @@ class ProjectivePoint:
         text = text.strip()
         if text in ("inf", "oo"):
             return cls.infinity()
-        return cls.affine(parse_rational(text))
+        return cls(parse_rational(text))
 
 
 class MobiusMap:
@@ -209,15 +205,15 @@ class MarkedTuple:
 
 CANONICAL_TRIPLE = (
     ProjectivePoint.infinity(),
-    ProjectivePoint.affine(2),
-    ProjectivePoint.affine(-2),
+    ProjectivePoint(2),
+    ProjectivePoint(-2),
 )
 
 
 def tuple_of_params(params) -> MarkedTuple:
     """The canonical marked tuple ([-a:1], [-b:1]; [1:0], [2:1], [-2:1])."""
     return MarkedTuple(
-        (ProjectivePoint.affine(-params.a), ProjectivePoint.affine(-params.b)),
+        (ProjectivePoint(-params.a), ProjectivePoint(-params.b)),
         CANONICAL_TRIPLE,
         0,
     )

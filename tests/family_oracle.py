@@ -10,22 +10,22 @@ import operator
 
 from kleinprym.algebra import Polynomial, is_squarefree, substitute_rational_map
 from kleinprym.errors import ArgumentError, InternalInvariantError
-from kleinprym.family import CurveLabel, HyperellipticModel, _genus
+from kleinprym.family import CurveLabel, HyperellipticModel
 
 
 def model_from_rhs(rhs: Polynomial) -> HyperellipticModel:
-    """The model y^2 = rhs(x) of a bare right-hand side, its one factor rhs
-    itself, after a gcd check of squarefreeness."""
+    """The model y^2 = rhs(x) of a bare right-hand side, after a gcd check of
+    squarefreeness."""
     if rhs.degree < 1:
         raise ArgumentError("constant right-hand side")
     if not is_squarefree(rhs):
         raise InternalInvariantError("right-hand side is not squarefree")
-    return HyperellipticModel(rhs, _genus(rhs), (rhs,))
+    return HyperellipticModel(rhs)
 
 
 def oracle_factors(label, params) -> tuple:
-    """The factors of the label's rhs, in the order `curve_equation` stores
-    them."""
+    """The factors of the label's rhs: the factor of a, the same factor of b
+    and the constant factors."""
     a, b = params.a, params.b
     am, ap, bm, bp = a - 2, a + 2, b - 2, b + 2
     table = {  # the coefficients of each factor, low to high

@@ -9,9 +9,10 @@ and a step-by-step reduction of the basis to the library's normal form.
   u = e1 + (e2 - e1) s, which scales the lattice by (c (e2 - e1))^(-1/2); the
   normal form has the basis (2 K(lambda), 2 i K(1 - lambda)), K(m) =
   pi / (2 M(1, sqrt(1 - m))) taken from the complement 1 - m.
-* The family's models carry rational factors of degree <= 2, each solved in
-  closed form; mpmath.polyroots runs only for a model built from a bare f
-  (`family_oracle.model_from_rhs`).  The ordering (e1, e2, e3) is scored at
+* f is given as rational factors whose product it is: a family model's
+  factors of degree <= 2 (`family_oracle.oracle_factors`) are each solved in
+  closed form, and mpmath.polyroots runs only for a bare f given as the one
+  factor (f,).  The ordering (e1, e2, e3) is scored at
   the working precision so that lambda stays away from the cuts (-inf, 0]
   and [1, +inf), where the basis is the analytic continuation of the
   real-root case.
@@ -21,6 +22,9 @@ and a step-by-step reduction of the basis to the library's normal form.
 Near a discriminant locus this path rounds close roots before it subtracts
 them, so it answers there with fewer bits than its label, or refuses.
 """
+
+import functools
+import operator
 
 import mpmath
 
@@ -59,8 +63,8 @@ def _factor_roots(f, precision_bits: int):
     return [mpmath.mpc(q / c2), mpmath.mpc(c0 / q)]
 
 
-def _branch_points(model: HyperellipticModel, precision_bits: int):
-    return [r for f in model.factors for r in _factor_roots(f, precision_bits)]
+def _branch_points(factors, precision_bits: int):
+    return [r for f in factors for r in _factor_roots(f, precision_bits)]
 
 
 def _cut_distance(e1, e2, e3):
@@ -144,11 +148,11 @@ def _reduce_basis(w1, w2, precision_bits: int, kernel=(0, 0)):
     raise PrecisionError("fundamental-domain reduction did not terminate")
 
 
-def _legendre_basis(model: HyperellipticModel, precision_bits: int):
-    """(omega1, omega2): a first basis of the period lattice of y^2 = f(x),
-    deg f in {3, 4}, from the optimal AGM.  Runs at the caller's precision."""
-    rhs = model.rhs
-    roots = _branch_points(model, precision_bits)
+def _legendre_basis(rhs, factors, precision_bits: int):
+    """(omega1, omega2): a first basis of the period lattice of y^2 = rhs(x),
+    deg rhs in {3, 4}, from the optimal AGM on the roots of `factors`.  Runs
+    at the caller's precision."""
+    roots = _branch_points(factors, precision_bits)
     if len(set(roots)) < len(roots):
         raise PrecisionError("two branch points agree at the working precision")
     lead = mpmath.mpf(rhs.leading.numerator) / rhs.leading.denominator
@@ -177,14 +181,15 @@ def _normal_pair(omega1, omega2, precision_bits: int) -> PeriodPair:
                         for z in _reduce_basis(omega1, omega2, precision_bits)[:3]))
 
 
-def oracle_periods(model: HyperellipticModel, precision_bits: int) -> PeriodPair:
-    """The period lattice basis of y^2 = f(x) in normal form
-    (`_reduce_basis`), from a first basis computed by the optimal AGM.  The
-    basis depends on the lattice alone, so it is the same at every precision
-    and for every root ordering, also at tau = i and tau = e^(2 pi i/3),
-    whose extra units the normal form accounts for."""
-    if model.genus != 1:
+def oracle_periods(factors, precision_bits: int) -> PeriodPair:
+    """The period lattice basis of y^2 = f(x), f the product of `factors`, in
+    normal form (`_reduce_basis`), from a first basis computed by the optimal
+    AGM.  The basis depends on the lattice alone, so it is the same at every
+    precision and for every root ordering, also at tau = i and
+    tau = e^(2 pi i/3), whose extra units the normal form accounts for."""
+    rhs = functools.reduce(operator.mul, factors)
+    if HyperellipticModel(rhs).genus != 1:
         raise ArgumentError("periods are computed for genus-1 models only")
     _check_precision(precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
-        return _normal_pair(*_legendre_basis(model, precision_bits), precision_bits)
+        return _normal_pair(*_legendre_basis(rhs, factors, precision_bits), precision_bits)

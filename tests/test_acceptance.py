@@ -17,16 +17,16 @@ def test_criterion(criterion):
 
 
 def _e_s_at_scale_1(monkeypatch):
-    partners = tuple((p, q, 1 if q == periods.CurveLabel.E_s else s)
-                     for p, q, s in periods._PARTNERS)
+    partners = tuple((p, q, 1 if q == periods.CurveLabel.E_s else s, points)
+                     for p, q, s, points in periods._PARTNERS)
     monkeypatch.setattr(periods, "_PARTNERS", partners)
 
 
 def _one_basis_doubled(monkeypatch):
     quotient_periods = acceptance.quotient_periods
 
-    def doubled(models, bits):
-        bases, js = quotient_periods(models, bits)
+    def doubled(params, bits):
+        bases, js = quotient_periods(params, bits)
         pair = bases[periods.CurveLabel.E_st]
         twice = [periods.ComplexApprox(mpmath.ldexp(z.real, 1), mpmath.ldexp(z.imag, 1),
                                        z.precision_bits)

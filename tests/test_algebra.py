@@ -17,8 +17,7 @@ from kleinprym.algebra import (
     resultant,
     substitute_rational_map,
 )
-from kleinprym.errors import ArgumentError, DegreeError, DomainError
-from kleinprym.periods import ComplexApprox
+from kleinprym.errors import ArgumentError, DegreeError
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 small_polys = st.lists(rationals, min_size=1, max_size=6).map(Polynomial)
@@ -171,7 +170,6 @@ def test_ratio_text_is_the_fraction_text(num, den):
 def test_to_string_prints_the_coefficients(cs):
     text = Polynomial(cs).to_string()
     assert text == (",".join(str(c) for c in trimmed(cs)) or "0")
-    assert Polynomial.from_string(text) == Polynomial(cs)
 
 
 def test_polynomial_basics():
@@ -180,7 +178,6 @@ def test_polynomial_basics():
     assert p.degree == 2
     assert p.evaluate(Fraction(3)) == 8
     assert (p * Polynomial.zero()).is_zero
-    assert Polynomial.from_string("-1,0,1") == p
     assert p.to_string() == "-1,0,1"
 
 
@@ -282,8 +279,3 @@ def test_gcd_is_monic_common_divisor():
     h = gcd(f, g)
     assert h == Polynomial.from_roots([2, 3])
     assert h.leading == 1
-
-
-def test_complex_approx_rejects_precision_below_the_minimum():
-    with pytest.raises(DomainError):
-        ComplexApprox.from_value(1, 32)

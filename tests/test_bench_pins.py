@@ -1,7 +1,8 @@
 """The benchmark refuses a run whose pinned outputs move (`perfbench/pins.json`:
 the first round of `exact_reports` at seed 0, `torsion --d 2..8` and
 `example-surj`).  Check those pins here too, so a change that moves them
-fails the test suite and not only a benchmark run."""
+fails the test suite and not only a benchmark run, and pin two sweeps of the
+workloads' default outputs in bulk."""
 
 import hashlib
 import itertools
@@ -31,3 +32,19 @@ def test_exact_rounds_sweep_matches_pinned_digest():
                     _, out, _ = workloads.call_cli(argv + ["--format", fmt])
                     h.update(out.encode() + b"\0")
     assert h.hexdigest() == EXACT_SWEEP_DIGEST
+
+
+# sha256 over the default (JSON) outputs of the first 8 rounds of
+# `periods_rounds(1)`, 112 periods reports at 128, 256, 1024 and 4096 bits,
+# points 1e-10 from a discriminant locus among them
+PERIODS_SWEEP_DIGEST = "bcd14a0220fac5bc947b27ad73b7c144c3522538f58f4702b8db580b5e694da9"
+
+
+def test_periods_rounds_sweep_matches_pinned_digest():
+    h = hashlib.sha256()
+    for ops in itertools.islice(workloads.periods_rounds(1), 8):
+        for op in ops:
+            for argv in op.argvs:
+                _, out, _ = workloads.call_cli(argv)
+                h.update(out.encode() + b"\0")
+    assert h.hexdigest() == PERIODS_SWEEP_DIGEST

@@ -121,19 +121,6 @@ def test_domain_rejections(a, b):
         check_domain(a, b)
 
 
-@given(domain_params)
-def test_stored_factors_multiply_to_rhs(params):
-    for label in CurveLabel:
-        model = curve_equation(label, params)
-        product = model.factors[0]
-        for f in model.factors[1:]:
-            product = product * f
-        assert product == model.rhs
-        if model.genus == 1:
-            assert all(f.degree <= 2 for f in model.factors)
-        assert model == model_from_rhs(model.rhs)  # factors do not compare
-
-
 def test_genera():
     p = check_domain(0, 1)
     assert curve_equation(CurveLabel.Ctilde, p).genus == 3
@@ -264,14 +251,12 @@ def test_identity_fails_for_any_perturbed_coefficient(label):
     assert not verify_quotient_identity(q, ctilde_rhs, rhs * (1 + TINY))
 
 
-@given(drawn_params)
-def test_factors_are_the_oracle_table_in_order(params):
-    # periods._legendre_data numbers the roots in factor order
+@given(st.one_of(domain_params, drawn_params))
+def test_models_are_the_oracle_rhs(params):
     for label in CurveLabel:
         model = curve_equation(label, params)
-        assert model.factors == oracle_factors(label, params)
         rhs = oracle_rhs(label, params)
-        assert (model.rhs.nums, model.rhs.den) == (rhs.nums, rhs.den)
+        assert model == model_from_rhs(rhs)  # the same numerators and denominator
         assert model.to_report()["rhs_coefficients"] == \
             [str(c) for c in rhs.coeffs]
 
@@ -545,7 +530,7 @@ def test_j_invariant_makes_one_fraction(fraction_count):
                          ids=["cubic", "quartic"])
 def test_j_of_a_singular_model_is_an_invariant_error(roots):
     rhs = Polynomial.from_roots(roots, leading=Fraction(-3, 2))
-    model = HyperellipticModel(rhs, 1, (rhs,))
+    model = HyperellipticModel(rhs)
     for j in (j_invariant, oracle_j):
         with pytest.raises(InternalInvariantError):
             j(model)

@@ -30,7 +30,6 @@ def test_from_string_and_contains():
     E = WeierstrassCurve.from_string("1,0")
     assert E.contains(Fraction(0), Fraction(0))
     assert not E.contains(Fraction(1), Fraction(1))
-    assert E.to_string() == "1,0"
 
 
 def test_group_law_basics():
@@ -46,8 +45,6 @@ def test_kernel_point_validation():
     E = WeierstrassCurve.make(1, 0)
     with pytest.raises(PointError):
         KernelPoint.on_curve(E, 1, 1)
-    with pytest.raises(OrderError):
-        KernelPoint.on_curve(E, 0, 0, order=3)
     P = KernelPoint.from_string(E, "0,0")
     assert P.order == 2
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import periods_oracle
-from family_oracle import model_from_rhs
+from family_oracle import model_from_rhs, oracle_factors, oracle_rhs
 from periods_oracle import _branch_points, _reduce_basis, _roots_of, oracle_periods
 from kleinprym.acceptance import near_locus_params, random_params
 from kleinprym.algebra import Polynomial
@@ -27,6 +26,7 @@ from kleinprym.periods import (
     _GUARD_BITS,
     ComplexApprox,
     PrymPeriodMatrix,
+    _cap,
     analytic_j,
     elliptic_periods_agm,
     optimal_agm,
@@ -39,8 +39,14 @@ from kleinprym.periods import (
 BITS = 192
 
 
-def model_from_coeffs(*coeffs):
-    return model_from_rhs(Polynomial(coeffs))
+def bare_factors(*coeffs):
+    """The one factor (f,) of a bare squarefree f with these coefficients."""
+    return (model_from_rhs(Polynomial(coeffs)).rhs,)
+
+
+def approx(value, bits=BITS):
+    with mpmath.workprec(bits):
+        return _cap(value, bits)
 
 
 def close(x, y, bits=BITS, slack=24):
@@ -55,8 +61,7 @@ def test_agm_fixed_point_and_classical_value():
 
 
 def test_lemniscatic_real_period():
-    model = model_from_coeffs(0, -1, 0, 1)  # y^2 = x^3 - x
-    pair = oracle_periods(model, BITS)
+    pair = oracle_periods(bare_factors(0, -1, 0, 1), BITS)  # y^2 = x^3 - x
     with mpmath.workprec(BITS + 32):
         expected = mpmath.pi / mpmath.agm(mpmath.sqrt(2), 1)
         assert close(mpmath.fabs(pair.omega1.imag), 0)
@@ -66,14 +71,13 @@ def test_lemniscatic_real_period():
 
 
 def test_cm_quartic_twin():
-    model = model_from_coeffs(0, 1, 0, 1)  # y^2 = x^3 + x, same CM point
-    pair = oracle_periods(model, BITS)
+    pair = oracle_periods(bare_factors(0, 1, 0, 1), BITS)  # y^2 = x^3 + x, same CM point
     assert close(analytic_j(pair.tau, BITS).to_mpc(), 1728)
 
 
 def test_twist_leaves_tau_unchanged():
-    base = oracle_periods(model_from_coeffs(0, -1, 0, 1), BITS)
-    twisted = oracle_periods(model_from_coeffs(0, -16, 0, 1), BITS)
+    base = oracle_periods(bare_factors(0, -1, 0, 1), BITS)
+    twisted = oracle_periods(bare_factors(0, -16, 0, 1), BITS)
     assert close(base.tau.to_mpc(), twisted.tau.to_mpc())
 
 
@@ -87,8 +91,8 @@ def test_precision_stability():
 def test_basis_sign_does_not_depend_on_precision():
     # c (e2 - e1) is a negative real here, so the principal square root of the
     # basis scale takes its sign from rounding noise; the normal form does not
-    model = curve_equation(CurveLabel.E_s, check_domain(Fraction(-39, 32), Fraction(-16, 33)))
-    omegas = [oracle_periods(model, bits).omega1.to_mpc() for bits in (128, 256, 1024)]
+    factors = oracle_factors(CurveLabel.E_s, check_domain(Fraction(-39, 32), Fraction(-16, 33)))
+    omegas = [oracle_periods(factors, bits).omega1.to_mpc() for bits in (128, 256, 1024)]
     with mpmath.workprec(128):
         expected = mpmath.mpf("1.76752266882896")
     for w in omegas:
@@ -106,24 +110,24 @@ def test_cm_bases_do_not_depend_on_precision(coeffs):
     # bits when the exact maximum broke the tie), and at tau = i or
     # e^(2 pi i/3) omega1 may sit on a boundary of the units' sector, which
     # rounding noise must not move it across either
-    model = model_from_coeffs(*coeffs)
-    ref = oracle_periods(model, 1024)
+    factors = bare_factors(*coeffs)
+    ref = oracle_periods(factors, 1024)
     for bits in (128, 256):
-        assert same_basis(oracle_periods(model, bits), ref, bits), bits
+        assert same_basis(oracle_periods(factors, bits), ref, bits), bits
 
 
 @pytest.mark.parametrize("bits", [128, 256, 1024])
 def test_cm_models_of_one_lattice_report_one_basis(bits):
     # y^2 = -x^3 + x has the lattice of y^2 = x^3 - x turned by i, the same
     # square lattice
-    plus = oracle_periods(model_from_coeffs(0, -1, 0, 1), bits)
-    minus = oracle_periods(model_from_coeffs(0, 1, 0, -1), bits)
+    plus = oracle_periods(bare_factors(0, -1, 0, 1), bits)
+    minus = oracle_periods(bare_factors(0, 1, 0, -1), bits)
     assert same_basis(plus, minus, bits)
 
 
 def test_equianharmonic_real_period():
     # y^2 = x^3 - 1 has tau = e^(2 pi i/3) and a real period of minimal length
-    pair = oracle_periods(model_from_coeffs(-1, 0, 0, 1), BITS)
+    pair = oracle_periods(bare_factors(-1, 0, 0, 1), BITS)
     w1 = pair.omega1.to_mpc()
     with mpmath.workprec(BITS + _GUARD_BITS):
         assert w1.real > 0 and mpmath.fabs(w1.imag) <= mpmath.ldexp(1, -BITS + 8) * w1.real
@@ -153,20 +157,20 @@ def test_periods_reject_wrong_genus():
         with pytest.raises(ArgumentError):
             elliptic_periods_agm(label, params, BITS)
     with pytest.raises(ArgumentError):
-        oracle_periods(curve_equation(CurveLabel.Ctilde, params), BITS)
+        oracle_periods(oracle_factors(CurveLabel.Ctilde, params), BITS)
 
 
 def test_analytic_j_classical_values():
-    i = ComplexApprox.from_value(mpmath.mpc(0, 1), BITS)
+    i = approx(mpmath.mpc(0, 1), BITS)
     assert close(analytic_j(i, BITS).to_mpc(), 1728)
     with mpmath.workprec(BITS + 32):
         rho = mpmath.mpc(1, mpmath.sqrt(3)) / 2
-    assert close(analytic_j(ComplexApprox.from_value(rho, BITS), BITS).to_mpc(), 0)
+    assert close(analytic_j(approx(rho, BITS), BITS).to_mpc(), 0)
 
 
 def test_analytic_j_rejects_lower_half_plane():
     with pytest.raises(DomainError):
-        analytic_j(ComplexApprox.from_value(mpmath.mpc(0, -1), BITS), BITS)
+        analytic_j(approx(mpmath.mpc(0, -1), BITS), BITS)
 
 
 def test_analytic_j_matches_exact_j_on_family():
@@ -180,7 +184,7 @@ def test_analytic_j_matches_exact_j_on_family():
 
 
 def _i(bits=BITS):
-    return ComplexApprox.from_value(mpmath.mpc(0, 1), bits)
+    return approx(mpmath.mpc(0, 1), bits)
 
 
 def test_prym_matrix_substitution():
@@ -193,15 +197,14 @@ def test_prym_matrix_substitution():
 
 def test_prym_matrix_rejects_lower_half_plane():
     with pytest.raises(DomainError):
-        prym_period_matrix(_i(), ComplexApprox.from_value(mpmath.mpc(0, -1), BITS))
+        prym_period_matrix(_i(), approx(mpmath.mpc(0, -1), BITS))
 
 
 @pytest.mark.parametrize("bits", [0, 8, 63])
 def test_the_library_enforces_the_precision_floor(bits):
     params = check_domain(Fraction(7, 5), Fraction(-13, 4))
-    models = {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
     for compute in (lambda: periods.periods_report(params, bits),
-                    lambda: quotient_periods(models, bits),
+                    lambda: quotient_periods(params, bits),
                     lambda: elliptic_periods_agm(CurveLabel.E_t, params, bits),
                     lambda: analytic_j(_i(), bits)):
         with pytest.raises(DomainError):
@@ -215,7 +218,7 @@ def test_the_library_enforces_the_precision_floor(bits):
     lambda: periods.periods_report(check_domain(0, 1), True),
     lambda: elliptic_periods_agm(CurveLabel.E_t, check_domain(0, 1), "256"),
     lambda: analytic_j(_i(), 256.0),
-    lambda: quotient_periods({}, None),
+    lambda: quotient_periods(check_domain(0, 1), None),
 ], ids=["report-tuple", "agm-tuple", "report-float-bits", "report-bool-bits", "agm-text-bits",
         "j-float-bits", "quotient-none-bits"])
 def test_the_library_refuses_wrong_types(call):
@@ -225,7 +228,7 @@ def test_the_library_refuses_wrong_types(call):
 
 def test_elliptic_periods_agm_is_the_report_basis():
     params = check_domain(Fraction(7, 5), Fraction(-13, 4))
-    bases, _ = quotient_periods(_models(params), 256)
+    bases, _ = quotient_periods(params, 256)
     for label in ELLIPTIC_LABELS:
         assert elliptic_periods_agm(label, params, 256) == bases[label]
     assert elliptic_periods_agm(CurveLabel.E_t, params) == elliptic_periods_agm(
@@ -244,7 +247,7 @@ def test_riemann_check_flags_indefinite_matrix():
     i = mpmath.mpc(0, 1)
     rows = ((i, i, 1, 0), (i, mpmath.mpc(0), 0, 2))  # z2 = -i breaks positivity
     bad = PrymPeriodMatrix(tuple(
-        tuple(ComplexApprox.from_value(e, BITS) for e in row) for row in rows))
+        tuple(approx(e, BITS) for e in row) for row in rows))
     _, min_eig = riemann_check(bad)
     assert min_eig < 0
 
@@ -260,7 +263,7 @@ def test_riemann_check_matches_the_matrix_products(rows, cancels, bits):
     # matrices, E = ((0, D), (-D, 0)) for D = diag(1, 2); the indefinite
     # matrix's residual cancels exactly, the generic one's does not
     matrix = PrymPeriodMatrix(tuple(
-        tuple(ComplexApprox.from_value(mpmath.mpc(*e), bits) for e in row) for row in rows))
+        tuple(approx(mpmath.mpc(*e), bits) for e in row) for row in rows))
     residual, min_eig = riemann_check(matrix)
     assert (residual == 0) is cancels
     with mpmath.workprec(bits + _GUARD_BITS):
@@ -277,7 +280,7 @@ def test_riemann_check_matches_the_matrix_products(rows, cancels, bits):
 
 def test_embedding_columns_are_lattice_vectors():
     z1 = _i()
-    z2 = ComplexApprox.from_value(mpmath.mpc(0, 2), BITS)
+    z2 = approx(mpmath.mpc(0, 2), BITS)
     rows = prym_period_matrix(z1, z2).to_mpc_rows()
     col = lambda c: mpmath.matrix([rows[0][c], rows[1][c]])
     # z1 * (1,1) is column 1 and 2 * (1,1) equals 2*col3 + col4
@@ -288,7 +291,7 @@ def test_embedding_columns_are_lattice_vectors():
 
 def test_reduction_trace_matches_documented_matrices():
     z1 = _i()
-    z2 = ComplexApprox.from_value(mpmath.mpc("0.5", "1.5"), BITS)
+    z2 = approx(mpmath.mpc("0.5", "1.5"), BITS)
     trace = product_to_prym_reduction(z1, z2)
     w1, w2 = z1.to_mpc(), z2.to_mpc()
     mid = [[e.to_mpc() for e in row] for row in trace.after_quotient]
@@ -355,7 +358,7 @@ def test_factor_roots_match_polyroots(params):
     for label in ELLIPTIC_LABELS:
         model = curve_equation(label, params)
         with mpmath.workprec(BITS + _GUARD_BITS):
-            split = _branch_points(model, BITS)
+            split = _branch_points(oracle_factors(label, params), BITS)
             oracle = _roots_of(model.rhs, BITS)
             assert len(split) == len(oracle) == model.rhs.degree
             for r in split:
@@ -375,14 +378,14 @@ def same_basis(p, q, bits):
 
 @pytest.mark.parametrize("params", ORACLE_POINTS, ids=repr)
 def test_stored_factors_leave_tau_unchanged(params):
-    # the basis depends on the lattice alone: not on the order of the stored
+    # the basis depends on the lattice alone: not on the order of the oracle's
     # factors, which fixes the root sent to infinity and the scored orderings,
     # nor on whether the roots come from the factors or from rhs by polyroots
     for label in ELLIPTIC_LABELS:
-        model = curve_equation(label, params)
-        fast = oracle_periods(model, BITS)
-        for factors in [*itertools.permutations(model.factors), (model.rhs,)]:
-            other = oracle_periods(dataclasses.replace(model, factors=factors), BITS)
+        table = oracle_factors(label, params)
+        fast = oracle_periods(table, BITS)
+        for factors in [*itertools.permutations(table), (oracle_rhs(label, params),)]:
+            other = oracle_periods(factors, BITS)
             assert same_basis(other, fast, BITS), (label, factors)
 
 
@@ -410,12 +413,12 @@ def test_reduced_basis_is_canonical(params):
     # the basis depends on the lattice alone: the same at every precision;
     # 1e-10 from a = b the cross-ratio is too close to the cuts for 128 bits
     for label in ELLIPTIC_LABELS:
-        model = curve_equation(label, params)
-        ref = oracle_periods(model, 1024)
+        factors = oracle_factors(label, params)
+        ref = oracle_periods(factors, 1024)
         assert in_normal_form(ref, 1024), label
         for bits in (128, 256):
             try:
-                pair = oracle_periods(model, bits)
+                pair = oracle_periods(factors, bits)
             except PrecisionError:
                 assert bits == 128 and params.b - params.a == Fraction(1, 10**10), label
                 continue
@@ -426,8 +429,8 @@ def test_reduced_basis_is_canonical(params):
 def test_tied_orderings_give_the_reduced_tau():
     # lambda and 1 - lambda tie and give tau = 0.5729...i and -1/tau; the
     # normal form takes -1/tau, whose modulus is at least 1
-    model = curve_equation(CurveLabel.E_s, check_domain(Fraction(23, 42), Fraction(-7, 15)))
-    tau = oracle_periods(model, BITS).tau.to_mpc()
+    factors = oracle_factors(CurveLabel.E_s, check_domain(Fraction(23, 42), Fraction(-7, 15)))
+    tau = oracle_periods(factors, BITS).tau.to_mpc()
     with mpmath.workprec(BITS):
         expected = mpmath.mpc(0, "1.7452550495816463553")
         assert mpmath.fabs(tau - expected) < 1e-18
@@ -455,8 +458,8 @@ def _lambert_j(tau, bits):
 @pytest.mark.parametrize("bits", [128, 1024, 4096])
 def test_theta_j_matches_lambert_series(bits):
     with mpmath.workprec(bits + _GUARD_BITS):
-        taus = [ComplexApprox.from_value(mpmath.mpc(0, 1), bits),
-                ComplexApprox.from_value(mpmath.mpc(1, mpmath.sqrt(3)) / 2, bits)]
+        taus = [approx(mpmath.mpc(0, 1), bits),
+                approx(mpmath.mpc(1, mpmath.sqrt(3)) / 2, bits)]
     params = check_domain(Fraction(7, 5), Fraction(-13, 4))
     taus += [elliptic_periods_agm(label, params, bits).tau for label in ELLIPTIC_LABELS]
     for tau in taus:
@@ -512,7 +515,7 @@ def test_agm_matches_the_full_stopping_rule(bits, monkeypatch):
     monkeypatch.setattr(periods_oracle, "optimal_agm", record)
     for params in (ORACLE_POINTS[0], ORACLE_POINTS[3], ORACLE_POINTS[7]):
         for label in ELLIPTIC_LABELS:
-            oracle_periods(curve_equation(label, params), bits)
+            oracle_periods(oracle_factors(label, params), bits)
     assert len(calls) == 36
     for a, b in calls:
         got = optimal_agm(a, b, bits)
@@ -527,10 +530,6 @@ def _near_a_locus(params):
 
 
 PARTNER_POINTS = CANONICAL_POINTS + [check_domain(0, 1)] + near_locus_params(Fraction(7, 5))
-
-
-def _models(params):
-    return {label: curve_equation(label, params) for label in ELLIPTIC_LABELS}
 
 
 @pytest.mark.parametrize("bits", [128, 256, 1024])
@@ -550,11 +549,10 @@ def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
 
     monkeypatch.setattr(periods, "_quotient_lattice", record)
     for params in PARTNER_POINTS:
-        models = _models(params)
-        bases, _ = quotient_periods(models, bits)
-        for label, model in models.items():
+        bases, _ = quotient_periods(params, bits)
+        for label in ELLIPTIC_LABELS:
             try:
-                direct = oracle_periods(model, bits)
+                direct = oracle_periods(oracle_factors(label, params), bits)
             except PrecisionError:
                 assert _near_a_locus(params), (params, label)
                 continue
@@ -562,23 +560,49 @@ def test_partner_bases_match_the_direct_agm(bits, monkeypatch):
     assert kernels == {(0, 1), (1, 0), (1, 1)}
 
 
-def _exact_legendre_data(model, order):
-    """(lambda, c, e1 < e2) of the ordering (pivot, i1, i2, i3) that
-    `_legendre_data` reports, recomputed from the model's rational roots:
-    the pivot is a cubic's point at infinity (3) or a quartic's root."""
-    roots = [-f[0] / f[1] for f in model.factors]
-    lead = model.rhs.leading
-    pivot = order[0]
-    if len(roots) == 4:
-        r = roots[pivot]
-        e = {j: 1 / (rj - r) for j, rj in enumerate(roots) if j != pivot}
-        for j in e:
-            lead *= r - roots[j]
-    else:
-        assert pivot == 3
-        e = dict(enumerate(roots))
-    e1, e2, e3 = (e[i] for i in order[1:])
-    return (e3 - e1) / (e2 - e1), lead * (e2 - e1), e1 < e2
+def _exact_legendre_data(params, points):
+    """(lambda, c, (i1, i2, i3)) of the partner branched at r0, r1 = -a, -b and
+    the triple points points = (r2, r3), recomputed from its rational roots:
+    the ordering (e1, e2, e3) of the e_j with 0 < lambda < 1/2, or
+    lambda = 1/2 and e1 < e2, found by search.  A cubic's e_j are its roots;
+    a quartic's x = r3 + 1/u gives e_j = 1/(r_j - r3) and turns the lead 1
+    into prod (r3 - r_j)."""
+    r2, r3 = points
+    e, lead = [-params.a, -params.b, Fraction(r2)], Fraction(1)
+    if r3 is not None:
+        for r in e:
+            lead *= r3 - r
+        e = [1 / (r - r3) for r in e]
+    for order in itertools.permutations(range(3)):
+        e1, e2, e3 = (e[i] for i in order)
+        lam = (e3 - e1) / (e2 - e1)
+        if 0 < lam < Fraction(1, 2) or (lam == Fraction(1, 2) and e1 < e2):
+            return lam, lead * (e2 - e1), order
+
+
+def test_partners_are_the_family_models_branched_at_their_points():
+    # _PARTNERS names each partner's branch points besides -a and -b: the
+    # family's model of the partner is monic, of degree 2 + the number of
+    # finite points listed, and vanishes at -a, -b and each of them
+    rng = random.Random(27)
+    draws = [random_params(rng, height=h) for h in (50, 10**6) for _ in range(20)]
+    for params in draws:
+        for partner, _, _, points in periods._PARTNERS:
+            rhs = curve_equation(partner, params).rhs
+            finite = [Fraction(p) for p in points if p is not None]
+            assert rhs.leading == 1 and rhs.degree == 2 + len(finite), (params, partner)
+            for root in (-params.a, -params.b, *finite):
+                assert rhs.evaluate(root) == 0, (params, partner, root)
+
+
+def test_a_partner_branched_at_the_wrong_points_fails_the_report(monkeypatch):
+    # with the +-2 of E_is_t and E_is_it swapped, each partner's lattice is
+    # another curve's, and the closure against the exact j refuses the report
+    (t, t_label, t_scale, t_points), (it, it_label, it_scale, it_points), s_it = periods._PARTNERS
+    monkeypatch.setattr(periods, "_PARTNERS", ((t, t_label, t_scale, it_points),
+                                               (it, it_label, it_scale, t_points), s_it))
+    with pytest.raises(PrecisionError):
+        periods.periods_report(check_domain(Fraction(7, 5), Fraction(-13, 4)), 256)
 
 
 def _rounded(x):
@@ -588,22 +612,20 @@ def _rounded(x):
 @pytest.mark.parametrize("bits", [128, 1024])
 def test_exact_legendre_step_matches_the_general_formula(bits):
     # the integer Legendre data of each AGM partner are its exact lambda in
-    # (0, 1/2] and c = lead (e2 - e1) of the reported ordering, the quartic's
-    # pivot r3; its first basis (2 K(lambda), 2 i K(1 - lambda))/sqrt(c) on
-    # the principal branch is (R, iH) for c > 0 and (-iH, R) for c < 0, with
-    # R, H from the integer periods; both signs of c occur
+    # (0, 1/2] and c = lead (e2 - e1) of the ordering with r3 sent to
+    # infinity, and r2's slot in it; its first basis
+    # (2 K(lambda), 2 i K(1 - lambda))/sqrt(c) on the principal branch is
+    # (R, iH) for c > 0 and (-iH, R) for c < 0, with R, H from the integer
+    # periods; both signs of c occur
     signs = set()
     for params in PARTNER_POINTS:
-        for partner, _, _ in periods._PARTNERS:
-            model = curve_equation(partner, params)
+        for partner, _, _, points in periods._PARTNERS:
             with mpmath.workprec(bits + _GUARD_BITS):
-                lam, c, order = periods._legendre_data(model)
-                assert order[0] == 3
+                lam, c, slot = periods._legendre_data(params, points)
                 assert lam[1] > 0 and c[1] > 0
-                exact_lam, exact_c, ascending = _exact_legendre_data(model, order)
+                exact_lam, exact_c, order = _exact_legendre_data(params, points)
                 assert Fraction(*lam) == exact_lam and Fraction(*c) == exact_c
-                assert (0 < exact_lam < Fraction(1, 2)
-                        or (exact_lam == Fraction(1, 2) and ascending))
+                assert slot == 1 + order.index(2)
                 signs.add(exact_c > 0)
                 r, h, e = periods._partner_lattice(lam, c, mpmath.mp.prec + 20)
                 r, h = mpmath.mpf((r, -e)), mpmath.mpf((h, -e))
@@ -617,14 +639,17 @@ def test_exact_legendre_step_matches_the_general_formula(bits):
     assert signs == {True, False}
 
 
-@pytest.mark.parametrize("a,b,order", [(3, 1, (3, 0, 1, 2)), (1, 3, (3, 1, 0, 2))])
+@pytest.mark.parametrize("a,b,order", [(3, 1, (0, 1, 2)), (1, 3, (1, 0, 2))])
 def test_a_lambda_tie_puts_the_smaller_root_first(a, b, order):
-    # E_is_t has the roots -a, -b, -2: -2 is the midpoint of -3 and -1, so
-    # both orderings of the outer roots give lambda = 1/2, and -3 comes first
-    model = curve_equation(CurveLabel.E_is_t, check_domain(a, b))
-    lam, _, got = periods._legendre_data(model)
-    assert got == order
-    assert Fraction(*lam) == _exact_legendre_data(model, order)[0] == Fraction(1, 2)
+    # E_is_t has the roots -a, -b, -2 and infinity: -2 is the midpoint of -3
+    # and -1, so both orderings of the outer roots give lambda = 1/2, and -3
+    # comes first, which makes c = e2 - e1 positive
+    params = check_domain(a, b)
+    lam, c, slot = periods._legendre_data(params, (-2, None))
+    exact_lam, exact_c, exact_order = _exact_legendre_data(params, (-2, None))
+    assert exact_order == order and slot == 3
+    assert Fraction(*lam) == exact_lam == Fraction(1, 2)
+    assert Fraction(*c) == exact_c > 0
 
 
 def _closed_form_lattices(rng, bits):
@@ -719,10 +744,10 @@ def test_the_library_never_runs_the_general_path(monkeypatch):
             pair = elliptic_periods_agm(label, params, bits)
             assert periods._cell(pair.tau) == report["periods"][label.value]["tau"]
             analytic_j(pair.tau, bits)
-    analytic_j(ComplexApprox.from_value(mpmath.mpc("0.3", "0.01"), 128), 128)
+    analytic_j(approx(mpmath.mpc("0.3", "0.01"), 128), 128)
     # the patch does reach the oracle's calls
     with pytest.raises(AssertionError, match="general path called"):
-        _roots_of(model_from_coeffs(-1, 0, 0, 1).rhs, 128)
+        _roots_of(Polynomial((-1, 0, 0, 1)), 128)
 
 
 NEAR_A_LOCUS = [check_domain(2 + Fraction(1, 10**100), Fraction(1, 3)),
@@ -734,10 +759,9 @@ def test_report_taus_keep_their_bits_near_a_locus(params):
     # the oracle's general path rounds -a and -b before it subtracts them,
     # and meets the 4096-bit tau only to about 2^-763 and 2^-958 at 1024 bits;
     # exact Legendre data keep every bit, and the derived quotients inherit them
-    models = _models(params)
-    reference, _ = quotient_periods(models, 4096)
+    reference, _ = quotient_periods(params, 4096)
     for bits in (256, 1024):
-        bases, _ = quotient_periods(models, bits)
+        bases, _ = quotient_periods(params, bits)
         for label in ELLIPTIC_LABELS:
             got, want = bases[label].tau.to_mpc(), reference[label].tau.to_mpc()
             with mpmath.workprec(4096):
@@ -748,9 +772,9 @@ def test_report_taus_keep_their_bits_near_a_locus(params):
 def test_legendre_order_keeps_the_best_score_when_the_slack_rounds_away():
     # E_t's own lambda is about 3e49 here, so best - 2^(-64) rounds to best at
     # 128 bits; the best score must still be chosen
-    model = curve_equation(CurveLabel.E_t, NEAR_A_LOCUS[0])
-    got = oracle_periods(model, 128).tau.to_mpc()
-    want = oracle_periods(model, 1024).tau.to_mpc()
+    factors = oracle_factors(CurveLabel.E_t, NEAR_A_LOCUS[0])
+    got = oracle_periods(factors, 128).tau.to_mpc()
+    want = oracle_periods(factors, 1024).tau.to_mpc()
     with mpmath.workprec(1024):
         assert mpmath.fabs(got - want) <= mpmath.ldexp(1, -120) * mpmath.fabs(want)
 
@@ -813,7 +837,7 @@ def test_report_j_matches_the_q_series_of_each_tau(bits, monkeypatch):
 
     monkeypatch.setattr(periods, "_isogenous_eighths", record)
     for params in J_POINTS:
-        bases, js = quotient_periods(_models(params), bits)
+        bases, js = quotient_periods(params, bits)
         for label in ELLIPTIC_LABELS:
             want = analytic_j(bases[label].tau, bits).to_mpc()
             got = js[label].to_mpc()
@@ -841,9 +865,9 @@ def test_periods_keep_the_bits_of_a_tiny_lambda():
     # K(1 - lambda) takes the complement lambda itself, not 1 - (1 - lambda)
     params = check_domain(Fraction(-50), Fraction(-499999999999, 10**10))
     for label in (CurveLabel.E_s, CurveLabel.E_t, CurveLabel.E_st):
-        model = curve_equation(label, params)
-        got = oracle_periods(model, 256).tau.to_mpc()
-        want = oracle_periods(model, 4096).tau.to_mpc()
+        factors = oracle_factors(label, params)
+        got = oracle_periods(factors, 256).tau.to_mpc()
+        want = oracle_periods(factors, 4096).tau.to_mpc()
         with mpmath.workprec(4096):
             assert mpmath.fabs(got - want) <= mpmath.ldexp(1, -248) * mpmath.fabs(want), label
 
@@ -878,7 +902,8 @@ def test_real_agm_matches_mpmath_at_doubled_precision(bits, x):
     # precision of a report, against mpmath's agm at twice that precision;
     # sqrt(x) of a tiny x must keep every bit
     with mpmath.workprec(bits + _GUARD_BITS):
-        got = periods._real_agm(x)
+        wp = mpmath.mp.prec + periods._FIXED_GUARD_BITS
+        got = periods._from_fixed(periods._fixed_agm(x.numerator, x.denominator, wp), wp)
     with mpmath.workprec(2 * (bits + _GUARD_BITS)):
         want = mpmath.agm(1, mpmath.sqrt(mpmath.fdiv(x.numerator, x.denominator)))
         assert mpmath.fabs(got - want) <= _kernel_tolerance(bits) * want
@@ -891,7 +916,7 @@ def test_real_agm_gives_up_after_its_iteration_budget(monkeypatch):
     monkeypatch.setattr(periods, "isqrt", lambda n: 2 * math.isqrt(n))
     with mpmath.workprec(128 + _GUARD_BITS):
         with pytest.raises(PrecisionError, match="iteration budget"):
-            periods._real_agm(Fraction(1, 3))
+            periods._fixed_agm(1, 3, 128 + _GUARD_BITS)
 
 
 def _jtheta_squares(t, bits):

@@ -24,7 +24,7 @@ from kleinprym.projline import (
 
 points = st.one_of(
     st.fractions(min_value=-20, max_value=20, max_denominator=10).map(
-        ProjectivePoint.affine),
+        ProjectivePoint),
     st.just(ProjectivePoint.infinity()),
 )
 
@@ -33,7 +33,7 @@ maps = st.tuples(*[st.integers(-7, 7)] * 4).filter(
 
 
 def test_point_canonical_representation():
-    assert ProjectivePoint(4, 2) == ProjectivePoint.affine(2)
+    assert ProjectivePoint(4, 2) == ProjectivePoint(2)
     assert ProjectivePoint(3, 0) == ProjectivePoint.infinity()
     with pytest.raises(ArgumentError):
         ProjectivePoint(0, 0)
@@ -51,7 +51,7 @@ def test_point_is_held_as_a_primitive_integer_pair():
     assert (p.x, p.y) == (-9, 7) and type(p.x) is type(p.y) is int
     assert repr(p) == "[-9:7]"
     assert repr(ProjectivePoint(-5, 0)) == repr(ProjectivePoint.infinity()) == "[1:0]"
-    assert repr(ProjectivePoint.affine(3)) == "[3:1]"
+    assert repr(ProjectivePoint(3)) == "[3:1]"
     assert p.affine_value() == Fraction(-9, 7)
 
 
@@ -72,11 +72,11 @@ def fraction_image(entries, p: ProjectivePoint) -> ProjectivePoint:
     handled: the oracle of the integer `apply_mobius`."""
     m11, m12, m21, m22 = (Fraction(e) for e in entries)
     if p.is_infinity:
-        return ProjectivePoint.infinity() if m21 == 0 else ProjectivePoint.affine(m11 / m21)
+        return ProjectivePoint.infinity() if m21 == 0 else ProjectivePoint(m11 / m21)
     x = p.affine_value()
     if m21 * x + m22 == 0:
         return ProjectivePoint.infinity()
-    return ProjectivePoint.affine((m11 * x + m12) / (m21 * x + m22))
+    return ProjectivePoint((m11 * x + m12) / (m21 * x + m22))
 
 
 rational_entries = st.tuples(*[rationals] * 4).filter(
@@ -198,7 +198,7 @@ def test_marked_tuple_string_round_trip():
 
 
 def test_marked_tuple_rejects_repeats():
-    p = ProjectivePoint.affine
+    p = ProjectivePoint
     with pytest.raises(DegenerateConfiguration):
         MarkedTuple((p(1), p(1)), (p(2), p(3), p(4)), 0)
 
@@ -236,8 +236,8 @@ def test_pair_order_matters_only_when_ordered():
 
 def test_canonical_triple_is_the_expected_frame():
     assert CANONICAL_TRIPLE[0].is_infinity
-    assert CANONICAL_TRIPLE[1] == ProjectivePoint.affine(2)
-    assert CANONICAL_TRIPLE[2] == ProjectivePoint.affine(-2)
+    assert CANONICAL_TRIPLE[1] == ProjectivePoint(2)
+    assert CANONICAL_TRIPLE[2] == ProjectivePoint(-2)
 
 
 domain_params = st.tuples(
