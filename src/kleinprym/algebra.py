@@ -53,6 +53,18 @@ def parse_rational(text: str) -> Fraction:
     raise ArgumentError(f"{brief(text)} is not a rational p/q")
 
 
+def rational(value) -> Fraction:
+    """A number from outside: text through `parse_rational`, the command
+    line's grammar; ArgumentError for a non-finite float or a value that is
+    not a number."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ArgumentError(f"expected a finite rational, not {value!r}") from None
+
+
 def ratio_text(num: int, den: int) -> str:
     """num/den for den > 0 in lowest terms, as `str(Fraction(num, den))` prints it."""
     g = math.gcd(num, den)

@@ -7,6 +7,7 @@ integers, with one `Fraction` per j: `curve_equation` builds only the requested
 label's rhs from a = p/q and b = r/s, `verify_quotient_identity` decides
 each identity by one evaluation of its two integer sides past their coefficient
 bound, and `fixed_point_count` reads each fibre's y^2 off an integer closed form.
+`FamilyParams` checks the domain when a pair is made, so none of them checks it.
 
 Involution lifts are fixed once and for all as
     sigma:    (x, y) -> (-x, y)
@@ -21,16 +22,29 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Polynomial, _convolve, parse_rational, ratio_text
+from .algebra import Polynomial, _convolve, ratio_text, rational
 from .errors import ArgumentError, DegreeError, DomainError, InternalInvariantError
 
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """A validated parameter pair: a != b, a^2 != 4, b^2 != 4."""
+    """A parameter pair of Fractions with a != b, a^2 != 4, b^2 != 4: the
+    points -a, -b, inf, 2, -2 of P^1 are distinct.  Construction refuses any
+    other pair, so every model that `curve_equation` builds is squarefree."""
 
     a: Fraction
     b: Fraction
+
+    def __post_init__(self):
+        a, b = self.a, self.b
+        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+            raise ArgumentError(f"a and b must be Fractions (check_domain), not {a!r}, {b!r}")
+        if a == b:
+            raise DomainError("a = b collapses the two quartic factors")
+        if a * a == 4:
+            raise DomainError("a^2 = 4 gives a repeated Weierstrass root")
+        if b * b == 4:
+            raise DomainError("b^2 = 4 gives a repeated Weierstrass root")
 
     @property
     def phi_defined(self) -> bool:
@@ -44,27 +58,9 @@ class FamilyParams:
         return f"FamilyParams({self.a}, {self.b})"
 
 
-def _rational(value) -> Fraction:
-    """Text through `parse_rational`, the command line's grammar; ArgumentError
-    for a non-finite float or a value that is not a number."""
-    if isinstance(value, str):
-        return parse_rational(value)
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ArgumentError(f"a parameter must be a finite rational, not {value!r}") from None
-
-
 def check_domain(a, b) -> FamilyParams:
-    a = _rational(a)
-    b = _rational(b)
-    if a == b:
-        raise DomainError("a = b collapses the two quartic factors")
-    if a * a == 4:
-        raise DomainError("a^2 = 4 gives a repeated Weierstrass root")
-    if b * b == 4:
-        raise DomainError("b^2 = 4 gives a repeated Weierstrass root")
-    return FamilyParams(a, b)
+    """The parameter pair of two numbers from outside, read by `rational`."""
+    return FamilyParams(rational(a), rational(b))
 
 
 class CurveLabel(enum.Enum):
@@ -105,8 +101,8 @@ class HyperellipticModel:
     """y^2 = rhs(x) with rhs squarefree; genus = ceil(deg/2) - 1.
 
     `curve_equation` builds the family's models: their discriminants factor
-    into (a - b) and (a -+ 2), (b -+ 2), so squarefreeness is decided from
-    (a, b) alone.
+    into powers of (a - b) and of (a -+ 2), (b -+ 2) (tests/test_family.py
+    pins the ten factorisations), none of which vanishes on `FamilyParams`.
     """
 
     rhs: Polynomial
@@ -123,15 +119,6 @@ class HyperellipticModel:
         if self.genus == 1:
             report["j"] = str(j_invariant(self))
         return report
-
-
-# disc(rhs) of each label is a nonzero constant times powers of (a - b) and
-# of (a - s), (b - s) for the s listed here (tests/test_family.py pins the ten
-# factorisations), so rhs is squarefree exactly where none of them vanishes.
-_DISCRIMINANT_ROOTS = dict.fromkeys(CurveLabel, (2, -2)) | {
-    CurveLabel.E_t: (2,), CurveLabel.E_is_t: (2,),
-    CurveLabel.E_st: (-2,), CurveLabel.E_is_it: (-2,),
-}
 
 
 # Each label's rhs is the product of one factor of a = p/q, the same factor of
@@ -159,9 +146,6 @@ def curve_equation(label: CurveLabel, params: FamilyParams) -> HyperellipticMode
     quotient_map / verify_quotient_identity).
     """
     a, b = params.a, params.b
-    if a == b or any(s in (a, b) for s in _DISCRIMINANT_ROOTS[label]):
-        raise InternalInvariantError("right-hand side is not squarefree")
-
     shape, constants = _FACTORS[label]
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
     nums = _convolve(shape(p, q), shape(r, s))

@@ -4,8 +4,8 @@ kernels of order <= 12, and the dual-non-isomorphism certificate for
 
 A curve is checked for singularity when it is made.  `velu_quotient` walks
 the kernel once, summing Velu's terms over one point of each pair {T, -T}
-(J. Velu, C. R. Acad. Sci. Paris 273, 1971), and raises OrderError for a
-point whose multiples do not close up within MAX_KERNEL_ORDER steps.
+(J. Velu, C. R. Acad. Sci. Paris 273, 1971), and raises OrderError unless
+the multiples close up at the order that the point claims.
 
 Isomorphism over an algebraically closed field is decided by j-invariant
 equality.  Non-isogeny of the two factors is never certified here: it is an
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, OrderError, PointError, SingularError
-from .algebra import parse_rational
+from .algebra import rational
 
 MAX_KERNEL_ORDER = 12
 
@@ -36,14 +36,14 @@ class WeierstrassCurve:
 
     @classmethod
     def make(cls, p, q) -> "WeierstrassCurve":
-        return cls(Fraction(p), Fraction(q))
+        return cls(rational(p), rational(q))
 
     @classmethod
     def from_string(cls, text: str) -> "WeierstrassCurve":
-        parts = text.split(",")
+        parts = text.split(",") if isinstance(text, str) else ()
         if len(parts) != 2:
             raise ArgumentError(f"curve format is 'p,q', got {text!r}")
-        return cls.make(parse_rational(parts[0]), parse_rational(parts[1]))
+        return cls.make(*parts)
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
         return y * y == x ** 3 + self.p * x + self.q
@@ -93,49 +93,50 @@ class KernelPoint:
 
     @classmethod
     def on_curve(cls, curve: WeierstrassCurve, x, y) -> "KernelPoint":
-        x = Fraction(x)
-        y = Fraction(y)
+        x = rational(x)
+        y = rational(y)
         if not curve.contains(x, y):
             raise PointError(f"({x}, {y}) is not on y^2 = x^3 + {curve.p} x + {curve.q}")
         return cls(x, y, point_order(curve, (x, y)))
 
     @classmethod
     def from_string(cls, curve: WeierstrassCurve, text: str) -> "KernelPoint":
-        parts = text.split(",")
+        parts = text.split(",") if isinstance(text, str) else ()
         if len(parts) != 2:
             raise ArgumentError(f"point format is 'x,y', got {text!r}")
-        return cls.on_curve(curve, parse_rational(parts[0]), parse_rational(parts[1]))
+        return cls.on_curve(curve, *parts)
 
 
 def velu_quotient(curve: WeierstrassCurve, P: KernelPoint) -> WeierstrassCurve:
     """The image curve of the degree-n isogeny with kernel <P>, in short
-    Weierstrass form."""
-    if P.order == 1:
-        return curve
-    if P.order > MAX_KERNEL_ORDER:
-        raise OrderError(f"kernel order {P.order} exceeds {MAX_KERNEL_ORDER}")
+    Weierstrass form; OrderError unless the multiples of P close up at n =
+    P.order."""
     pt = (P.x, P.y)
     if not curve.contains(P.x, P.y):
         raise PointError("kernel point is not on the curve")
 
-    # T = P, 2P, ... up to the first T = -T (y = 0) or, before it, the first
-    # T = -(T - P) (same x): one representative of each {T, -T}, within
-    # n/2 + 1 steps for a point of order n
+    # T = kP for k = 1, 2, ... up to the first T = -T (y = 0: n = 2k) or,
+    # before it, the first T = -(T - P) (same x: n = 2k + 1): one
+    # representative of each {T, -T}, within n/2 + 1 steps
     v = w = Fraction(0)
     T = pt
-    for _ in range(MAX_KERNEL_ORDER):
+    for k in range(1, MAX_KERNEL_ORDER // 2 + 1):
         x, y = T
         gx = 3 * x * x + curve.p
         vq = gx if y == 0 else 2 * gx
         v += vq
         w += 4 * y * y + x * vq
         if y == 0:
+            order = 2 * k
             break
         T = add_points(curve, T, pt)
         if T[0] == x:
+            order = 2 * k + 1
             break
     else:
         raise OrderError(f"kernel point has no order up to {MAX_KERNEL_ORDER}")
+    if order != P.order:
+        raise OrderError(f"kernel point has order {order}, not {P.order}")
     return WeierstrassCurve(curve.p - 5 * v, curve.q - 7 * w)
 
 
@@ -147,8 +148,6 @@ def dual_nonisomorphism_check(E: WeierstrassCurve, P: KernelPoint,
     non-isogeny hypothesis is taken on the caller's word."""
     if P.order != Q.order:
         raise OrderError(f"kernel orders differ: {P.order} != {Q.order}")
-    if P.order < 2:
-        raise OrderError("kernel points must have order >= 2")
     jE = j_weierstrass(E)
     jF = j_weierstrass(F)
     jEP = j_weierstrass(velu_quotient(E, P))

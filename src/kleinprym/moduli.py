@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ArgumentError, DegenerateConfiguration, PhiUndefined
-from .family import CurveLabel, FamilyParams, check_domain, curve_equation, j_invariant
+from .errors import ArgumentError, PhiUndefined
+from .family import CurveLabel, FamilyParams, curve_equation, j_invariant
 from .projline import (
     CANONICAL_TRIPLE,
     CONVENTIONS,
@@ -45,7 +45,7 @@ def phi_params(params: FamilyParams) -> FamilyParams:
     s = a + b
     if s == 0:
         raise PhiUndefined("phi undefined: a + b = 0")
-    return check_domain((2 * b - 2 * a - 8) / s, (2 * a - 2 * b - 8) / s)
+    return FamilyParams((2 * b - 2 * a - 8) / s, (2 * a - 2 * b - 8) / s)
 
 
 def _params_of_canonical(t: MarkedTuple) -> FamilyParams:
@@ -53,16 +53,14 @@ def _params_of_canonical(t: MarkedTuple) -> FamilyParams:
         raise ArgumentError("tuple is not in the canonical frame")
     if any(p.is_infinity for p in t.pair):
         raise ArgumentError("tuple is not in the canonical frame")
-    return check_domain(-t.pair[0].affine_value(), -t.pair[1].affine_value())
+    return FamilyParams(-t.pair[0].affine_value(), -t.pair[1].affine_value())
 
 
 def phi_tuple_raw(t: MarkedTuple) -> MarkedTuple:
-    """The literal un-normalised image tuple
-    ([-b:1], [-a:1]; [1:0], [-2-a-b:1], [-2:1])."""
+    """The literal un-normalised image tuple ([-b:1], [-a:1]; [1:0], [-2-a-b:1],
+    [-2:1]); DegenerateConfiguration when a + b = 0 repeats -2."""
     params = _params_of_canonical(t)
     a, b = params.a, params.b
-    if a + b == 0:
-        raise DegenerateConfiguration("image triple degenerates: -2-a-b = -2")
     return MarkedTuple(
         (ProjectivePoint(-b), ProjectivePoint(-a)),
         (

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, DegenerateConfiguration
-from .algebra import parse_rational, ratio_text
-from .family import FamilyParams, check_domain
+from .algebra import ratio_text, rational
+from .family import FamilyParams
 
 
 def _primitive(values) -> list:
-    """The rationals `values` scaled to the primitive integer vector whose
-    first nonzero entry is positive; an all-zero vector stays zero."""
+    """The numbers `values` (read by `rational`) scaled to the primitive integer
+    vector whose first nonzero entry is positive; an all-zero vector stays zero."""
+    values = [v if type(v) in (int, Fraction) else rational(v) for v in values]
     den = math.lcm(*[v.denominator for v in values])
     ints = [v.numerator * (den // v.denominator) for v in values]
     g = math.gcd(*ints) or 1
@@ -77,7 +78,7 @@ class ProjectivePoint:
         text = text.strip()
         if text in ("inf", "oo"):
             return cls.infinity()
-        return cls(parse_rational(text))
+        return cls(text)
 
 
 class MobiusMap:
@@ -241,7 +242,7 @@ def normalize_tuple(t: MarkedTuple, conv: MarkingConvention = MarkingConvention(
         m = _to_frame(t.distinguished, *tl)
         # the pair points differ from the distinguished one, so both images are affine
         a, b = (-apply_mobius(m, p).affine_value() for p in t.pair)
-        results.append(NormalizationResult(check_domain(a, b), m))
+        results.append(NormalizationResult(FamilyParams(a, b), m))
     return results
 
 

@@ -36,9 +36,8 @@ import itertools
 import marshal
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import ratio_text
+from .algebra import ratio_text, rational
 from .errors import ArgumentError, LevelError, NotIsotropic
 
 MAX_LEVEL = 12
@@ -62,9 +61,9 @@ class TorsionPoint:
     @classmethod
     def make(cls, coords, level: int) -> "TorsionPoint":
         """The point with rational coordinates `coords`, reduced mod 1."""
-        if not 2 <= level <= MAX_LEVEL:
-            raise ArgumentError(f"level must be in 2..{MAX_LEVEL}")
-        cs = tuple(Fraction(c) for c in coords)
+        if type(level) is not int or not 2 <= level <= MAX_LEVEL:
+            raise ArgumentError(f"level must be an int in 2..{MAX_LEVEL}")
+        cs = tuple(map(rational, coords))
         if len(cs) != 4:
             raise ArgumentError("torsion points have four coordinates")
         for c in cs:

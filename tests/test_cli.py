@@ -500,6 +500,23 @@ def test_involution_normalizes_the_raw_tuple_once(monkeypatch, convention):
     assert calls == [CONVENTIONS[convention]]
 
 
+# each command refuses a pair off the domain with the first of a = b,
+# a^2 = 4, b^2 = 4 that it breaks, on one stderr line
+COLLAPSE = "a = b collapses the two quartic factors"
+A_ROOT, B_ROOT = (f"{x}^2 = 4 gives a repeated Weierstrass root" for x in "ab")
+DOMAIN_REFUSALS = {
+    ("1/3", "1/3"): COLLAPSE, ("2", "2"): COLLAPSE, ("-2", "-2"): COLLAPSE,
+    ("2", "5"): A_ROOT, ("-2", "5"): A_ROOT, ("2", "-2"): A_ROOT, ("-2", "2/1"): A_ROOT,
+    ("5", "2"): B_ROOT, ("5", "-2"): B_ROOT,
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "involution", "periods"])
+@pytest.mark.parametrize("a,b", sorted(DOMAIN_REFUSALS))
+def test_a_pair_off_the_domain_exits_1_with_its_condition(command, a, b):
+    assert run(command, "--a", a, "--b", b) == (1, "", f"error: {DOMAIN_REFUSALS[a, b]}\n")
+
+
 def test_periods_rejects_tiny_bits():
     assert main(["periods", "--a", "0", "--b", "1", "--bits", "16"]) == 1
 

@@ -158,7 +158,7 @@ def test_discriminant_factorisation_on_a_grid(label):
     # disc(rhs) and the pinned product have degree deg_a in a and deg_b in b,
     # so agreement on a (deg_a + 1) x (deg_b + 1) grid is equality in Q[a, b]:
     # rhs is squarefree exactly where none of the pinned factors vanishes,
-    # which is the rule curve_equation applies in place of a gcd
+    # which holds for every pair that FamilyParams accepts
     _, (e_ab, e_am, e_ap, e_bm, e_bp) = DISCRIMINANTS[label]
     deg_a, deg_b = e_ab + e_am + e_ap, e_ab + e_bm + e_bp
     for a in range(3, 3 + deg_a + 1):
@@ -167,23 +167,54 @@ def test_discriminant_factorisation_on_a_grid(label):
             assert discriminant(rhs) == pinned_discriminant(label, a, b)
 
 
+# the first of the three domain conditions that a pair breaks, in the order
+# FamilyParams checks them; None on the domain
+def domain_refusal(a, b):
+    for broken, message in ((a == b, "a = b collapses the two quartic factors"),
+                            (a * a == 4, "a^2 = 4 gives a repeated Weierstrass root"),
+                            (b * b == 4, "b^2 = 4 gives a repeated Weierstrass root")):
+        if broken:
+            return message
+    return None
+
+
 @pytest.mark.parametrize("a,b", [
-    # at (2, 0) E_st and E_is_it stay squarefree, the other eight do not
     (2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (2, 2), (-2, -2), (2, -2),
     (Fraction(1, 3), Fraction(1, 3)), (Fraction(-2), Fraction(7, 5)),
+    (2, 1), (Fraction(-2), Fraction(1, 3)),
 ])
-def test_off_domain_verdict_matches_the_gcd(a, b):
-    params = FamilyParams(Fraction(a), Fraction(b))
-    for label in CurveLabel:
-        rhs = polynomial_of(SYMBOLIC_RHS[label], a, b)
-        try:
-            expected = model_from_rhs(rhs)
-        except InternalInvariantError:
-            with pytest.raises(InternalInvariantError):
-                curve_equation(label, params)
-        else:
-            model = curve_equation(label, params)
-            assert model == expected
+def test_family_params_refuses_the_off_domain_points(a, b):
+    with pytest.raises(DomainError) as refused:
+        FamilyParams(Fraction(a), Fraction(b))
+    assert str(refused.value) == domain_refusal(a, b)
+
+
+# (a, b) on or next to one of the five loci a = b, a = +-2, b = +-2
+NEAR_LOCI = (lambda c, e: (c, c + e), lambda c, e: (2 + e, c), lambda c, e: (-2 + e, c),
+             lambda c, e: (c, 2 + e), lambda c, e: (c, -2 + e))
+
+
+@given(st.sampled_from(NEAR_LOCI), fractions_of_height(50),
+       st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-3, 3),
+                                                 st.sampled_from([1, 10**6, 10**40]))))
+def test_family_params_refuses_exactly_the_off_domain_points(locus, c, e):
+    a, b = locus(c, e)
+    message = domain_refusal(a, b)
+    if message is None:
+        assert FamilyParams(a, b) == check_domain(a, b)
+    else:
+        for build in (FamilyParams, check_domain):
+            with pytest.raises(DomainError) as refused:
+                build(a, b)
+            assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("a,b", [(1, Fraction(3)), (Fraction(1), 0.5), (1, 3), (0.5, 3.0),
+                                 (2, 2), ("1", Fraction(3)), (None, Fraction(3))])
+def test_family_params_refuses_fields_that_are_not_fractions(a, b):
+    # before the domain: (2, 2) is refused as ints, not as a = b
+    with pytest.raises(ArgumentError):
+        FamilyParams(a, b)
 
 
 @pytest.mark.parametrize("label", QUOTIENT_LABELS)

@@ -197,10 +197,21 @@ def test_velu_image_is_isogenous_by_point_counts(order):
 
 @pytest.mark.parametrize("claimed", [2, 5, 12])
 def test_velu_follows_the_multiples_not_the_claimed_order(claimed):
+    # the walk reads the order off the multiples and refuses a claim they deny
     E = WeierstrassCurve.from_string(KERNEL_CURVES[7][0])
     P = KernelPoint.from_string(E, KERNEL_CURVES[7][1])
-    wrong = KernelPoint(P.x, P.y, claimed)
-    assert velu_quotient(E, wrong) == velu_quotient(E, P)
+    with pytest.raises(OrderError, match=f"order 7, not {claimed}"):
+        velu_quotient(E, KernelPoint(P.x, P.y, claimed))
+
+
+def test_a_point_made_with_a_false_order_certifies_nothing():
+    E = WeierstrassCurve.make(-7, -6)    # (3, 0) has order 2
+    F = WeierstrassCurve.make(-19, -30)  # (5, 0) has order 2
+    P, Q = KernelPoint(Fraction(3), Fraction(0), 5), KernelPoint(Fraction(5), Fraction(0), 5)
+    with pytest.raises(OrderError, match="order 2, not 5"):
+        dual_nonisomorphism_check(E, P, F, Q, True)
+    with pytest.raises(OrderError, match="order 2, not 1"):
+        velu_quotient(E, KernelPoint(Fraction(3), Fraction(0), 1))
 
 
 @pytest.mark.parametrize("claimed", [2, 5, 12])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from projline_oracle import tuples_equivalent
-from kleinprym.errors import PhiUndefined
+from kleinprym.errors import DegenerateConfiguration, PhiUndefined
 from kleinprym.family import check_domain
 from kleinprym.moduli import (
     phi_consistency_report,
@@ -67,6 +67,12 @@ def test_raw_tuple_form_normalizes_back_to_input():
     params = check_domain(1, 3)
     raw = phi_tuple_raw(tuple_of_params(params))
     assert normalize_tuple(raw, FULLY_ORDERED)[0].params == params
+
+
+def test_raw_tuple_form_degenerates_on_the_antidiagonal():
+    # a + b = 0 puts -2-a-b on -2, which MarkedTuple refuses as a repeated point
+    with pytest.raises(DegenerateConfiguration, match="repeated points"):
+        phi_tuple_raw(tuple_of_params(check_domain(Fraction(7, 5), Fraction(-7, 5))))
 
 
 def test_printed_matrix_undoes_raw_tuple_form():
