@@ -20,6 +20,7 @@ import functools
 import math
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ArgumentError, DegreeError
@@ -55,10 +56,15 @@ def parse_rational(text: str) -> Fraction:
 
 def rational(value) -> Fraction:
     """A number from outside: text through `parse_rational`, the command
-    line's grammar; ArgumentError for a non-finite float or a value that is
-    not a number."""
+    line's grammar; ArgumentError for a non-finite float or Decimal, a
+    Decimal of more digits or a larger exponent than that grammar's digit
+    bound, and a value that is not a number."""
     if isinstance(value, str):
         return parse_rational(value)
+    if isinstance(value, Decimal):
+        limit = sys.get_int_max_str_digits() or math.inf  # 0 sets no bound
+        if max(len(value.as_tuple().digits), abs(value.adjusted())) > limit:
+            raise ArgumentError(f"{brief(str(value))} has more than {limit} digits")
     try:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError):

@@ -75,6 +75,8 @@ class ProjectivePoint:
 
     @classmethod
     def from_string(cls, text: str) -> "ProjectivePoint":
+        if not isinstance(text, str):
+            raise ArgumentError(f"expected a point as text, not {text!r}")
         text = text.strip()
         if text in ("inf", "oo"):
             return cls.infinity()
@@ -194,6 +196,8 @@ class MarkedTuple:
 
     @classmethod
     def from_string(cls, text: str) -> "MarkedTuple":
+        if not isinstance(text, str):
+            raise ArgumentError(f"cannot parse marked tuple {text!r}")
         try:
             body, k = text.rsplit("!", 1)
             pair_part, triple_part = body.split(";")

@@ -63,6 +63,10 @@ class TorsionPoint:
         """The point with rational coordinates `coords`, reduced mod 1."""
         if type(level) is not int or not 2 <= level <= MAX_LEVEL:
             raise ArgumentError(f"level must be an int in 2..{MAX_LEVEL}")
+        try:
+            coords = iter(coords)
+        except TypeError:
+            raise ArgumentError(f"coords must be four numbers, not {coords!r}") from None
         cs = tuple(map(rational, coords))
         if len(cs) != 4:
             raise ArgumentError("torsion points have four coordinates")

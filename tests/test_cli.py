@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kleinprym
-from kleinprym import acceptance, periods
+from kleinprym import acceptance, cli, periods
 from kleinprym.algebra import MAX_PRECISION_BITS
 from kleinprym.acceptance import CriterionResult
-from kleinprym.cli import COMMANDS, main
-from kleinprym.errors import DomainError, PrecisionError
+from kleinprym.cli import COMMANDS, _json, main
+from kleinprym.errors import DomainError, InternalInvariantError, PrecisionError
 from kleinprym.family import CurveLabel, check_domain, curve_equation
 from kleinprym.moduli import phi_params
 from kleinprym.periods import periods_report
@@ -778,3 +778,126 @@ def test_any_command_line_exits_0_or_1(argv):
     result = run(*argv)
     assert result.exit_code in (0, 1), (argv, result.stderr)
     assert "unexpected error" not in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer: json.dumps(value, sort_keys=True, indent=2), byte for byte
+# ---------------------------------------------------------------------------
+
+
+def dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def written_or_error(write, value):
+    try:
+        return write(value)
+    except ValueError as exc:  # an int past the interpreter's digit bound
+        return "ValueError", str(exc)
+
+
+# every character, control characters and lone surrogates included
+json_text = st.text(st.characters(exclude_categories=()), max_size=8)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.just(-0.0), json_text,
+    # straddles the 4300-digit bound of int-to-str conversion
+    st.builds(lambda n, sign: sign * (10 ** n - 1), st.integers(4290, 4310),
+              st.sampled_from((1, -1))),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(json_text, max_size=4),
+                            st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_the_writer_equals_json_dumps(value):
+    assert written_or_error(_json, value) == written_or_error(dumps, value)
+
+
+def test_the_writer_equals_json_dumps_on_edge_values():
+    limit = sys.get_int_max_str_digits()
+    values = [{}, [], [[]], {"": {}}, [True, 1, False, 0, 1.0, None], -0.0,
+              [math.nan, math.inf, -math.inf], {"\x00\ud800é": ["\u2028", "\t"]},
+              10 ** limit - 1, -(10 ** limit - 1), {"b": 1, "a": [2, "c"], "B": None}]
+    for value in values:
+        assert _json(value) == dumps(value)
+    past_the_bound = written_or_error(_json, [10 ** limit])
+    assert past_the_bound[0] == "ValueError"
+    assert past_the_bound == written_or_error(dumps, [10 ** limit])
+
+
+class Text(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    (1, 2), Fraction(1, 3), Text("x"), {1: "x"}, {"a": 1, 2: "b"}, ["x", Text("y")],
+    {"a": [Fraction(1, 2)]},
+], ids=["tuple", "Fraction", "str subclass", "int key", "mixed keys", "in a list",
+        "nested"])
+def test_the_writer_refuses_a_value_no_report_holds(value):
+    with pytest.raises(InternalInvariantError):
+        _json(value)
+
+
+def test_a_report_the_writer_refuses_exits_2(monkeypatch):
+    monkeypatch.setattr(cli, "example_surj_report", lambda: {"kernel": (1, 2)})
+    result = run("example-surj")
+    assert result.exit_code == 2 and result.stderr.startswith("internal error: ")
+
+
+NEAR_A_EQUALS_B = str(Fraction(7, 5) + Fraction(1, 10**100))
+DUALITY = ("duality", "--curveE", "-7,-6", "--pointP", "3,0", "--curveF", "-19,-30",
+           "--pointQ", "5,0", "--assert-nonisogenous")
+EVERY_REPORT = [
+    ("analyze", "--a", "7/5", "--b", "-13/4"),
+    ("analyze", "--a", "765431/999983", "--b", "-123457/1000000"),
+    *[("involution", "--a", "765431/999983", "--b", "-123457/1000000", "--convention", c)
+      for c in CONVENTIONS],
+    *[("normalize", "--tuple", "5,7;inf,1,-1!0", "--convention", c) for c in CONVENTIONS],
+    DUALITY,
+    ("periods", "--a", "7/5", "--b", "-13/4", "--bits", "128"),
+    ("periods", "--a", "7/5", "--b", "-13/4", "--bits", "4096"),
+    ("periods", "--a", "7/5", "--b", NEAR_A_EQUALS_B, "--bits", "256"),
+    *[("torsion", "--d", str(d)) for d in range(2, 13)],
+    ("example-surj",),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_REPORT, ids=lambda argv: " ".join(argv).replace(
+    NEAR_A_EQUALS_B, "7/5+10^-100"))
+def test_each_command_prints_its_report_as_json_dumps(argv, monkeypatch):
+    reports = []
+    emit = cli._emit
+
+    def keeping_emit(report, fmt):
+        reports.append(report)
+        emit(report, fmt)
+
+    monkeypatch.setattr(cli, "_emit", keeping_emit)
+    result = run(*argv)
+    assert result.exit_code == 0
+    [report] = reports
+    assert result.output == dumps(report) + "\n"
+    if NEAR_A_EQUALS_B in argv:  # the one report that holds a non-finite float
+        assert "Infinity" in result.output
+
+
+def test_a_json_command_leaves_no_cyclic_garbage():
+    lines = [("analyze", "--a", "7/5", "--b", "-13/4"), ("involution", "--a", "1", "--b", "3"),
+             ("normalize", "--tuple", "5,7;inf,1,-1!0"),
+             ("periods", "--a", "7/5", "--b", "-13/4", "--bits", "128"),
+             ("torsion", "--d", "5"), DUALITY, ("example-surj",)]
+    for argv in lines:  # imports and caches fill here
+        assert run(*argv).exit_code == 0
+    gc.disable()  # so that no automatic pass frees a call's garbage before we count it
+    try:
+        gc.collect()
+        for argv in lines:
+            run(*argv)
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()

@@ -1,14 +1,19 @@
 """Every entry point that takes numbers from outside reads them through
 `algebra.rational`: each call returns a value or raises a KleinPrymError."""
 
+import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kleinprym.errors import KleinPrymError
+from kleinprym.algebra import rational
+from kleinprym.errors import ArgumentError, KleinPrymError
 from kleinprym.family import FamilyParams, check_domain
 from kleinprym.isogeny import KernelPoint, WeierstrassCurve
-from kleinprym.projline import MobiusMap, ProjectivePoint
+from kleinprym.projline import MarkedTuple, MobiusMap, ProjectivePoint
 from kleinprym.torsion import TorsionPoint
 
 E = WeierstrassCurve.make(1, 0)  # y^2 = x^3 + x, with (0, 0) of order 2
@@ -24,13 +29,17 @@ ENTRY_POINTS = {
     "KernelPoint.from_string(u,v)": lambda u, v: KernelPoint.from_string(E, f"{u},{v}"),
     "TorsionPoint.make": lambda u, v: TorsionPoint.make((u, v, 0, 0), 6),
     "TorsionPoint.make(level)": lambda u, v: TorsionPoint.make((Fraction(1, 2), 0, 0, 0), u),
+    "TorsionPoint.make(coords)": lambda u, v: TorsionPoint.make(u, 2),
     "ProjectivePoint": ProjectivePoint,
+    "ProjectivePoint.from_string": lambda u, v: ProjectivePoint.from_string(u),
+    "MarkedTuple.from_string": lambda u, v: MarkedTuple.from_string(u),
     "MobiusMap": lambda u, v: MobiusMap(u, 1, v, 3),
 }
 
 outside = st.one_of(
     st.sampled_from(["1/3", "1e3", "abc", "", " -7 ", "inf", "0,0", float("nan"), float("inf"),
-                     float("-inf"), 0.5, None, 1j, 2 + 0j, object(), True, b"1"]),
+                     float("-inf"), 0.5, None, 1j, 2 + 0j, object(), True, b"1", Decimal("1.5"),
+                     Decimal("NaN"), Decimal("-Infinity"), Decimal("1e10000000")]),
     st.text(max_size=6),
     st.integers(-8, 8),
     st.fractions(max_denominator=12),
@@ -47,9 +56,34 @@ outside = st.one_of(
 @example("TorsionPoint.make", float("nan"), 0)
 @example("ProjectivePoint", 0.5, 1)
 @example("MobiusMap", 0.5, 0)
+@example("ProjectivePoint.from_string", None, 0)
+@example("MarkedTuple.from_string", None, 0)
+@example("TorsionPoint.make(coords)", None, 0)
+@example("check_domain", Decimal("1e10000000"), 1)
 def test_an_outside_value_gives_a_value_or_a_library_error(name, u, v):
     try:
         ENTRY_POINTS[name](u, v)
     except KleinPrymError:
         pass
 
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("value", [
+    Decimal("1e10000000"), Decimal("-1e-10000000"), Decimal(f"1e{LIMIT + 1}"),
+    Decimal("1." + "1" * 10**6), Decimal("NaN"), Decimal("sNaN"), Decimal("-Infinity"),
+], ids=["1e10000000", "-1e-10000000", "1e(limit+1)", "10^6 digits", "NaN", "sNaN",
+        "-Infinity"])
+def test_a_decimal_past_the_digit_bound_is_refused_at_once(value):
+    # Fraction(Decimal("1e10000000")) alone builds a 33-Mbit integer in seconds
+    start = time.perf_counter()
+    with pytest.raises(ArgumentError):
+        rational(value)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_decimal_within_the_digit_bound_is_its_fraction():
+    for value in (Decimal("1.5"), Decimal("-0"), Decimal(f"1e{LIMIT}"), Decimal(f"-7e-{LIMIT}")):
+        assert rational(value) == Fraction(value)
