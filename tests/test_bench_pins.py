@@ -48,3 +48,20 @@ def test_periods_rounds_sweep_matches_pinned_digest():
                 _, out, _ = workloads.call_cli(argv)
                 h.update(out.encode() + b"\0")
     assert h.hexdigest() == PERIODS_SWEEP_DIGEST
+
+
+# sha256 over the outputs of the first 20 rounds of `torsion_rounds(1)`, each
+# op's outputs in order: the `torsion --d N` and `example-surj` JSON and the
+# seeded `ker_phi_H` kernel ops' `library()` reports, 300 outputs
+TORSION_SWEEP_DIGEST = "aae3c9834bdd188acfc0bfc23008c0f13a9b0393f51abb17fc8f531a689a97c3"
+
+
+def test_torsion_rounds_sweep_matches_pinned_digest():
+    h = hashlib.sha256()
+    for ops in itertools.islice(workloads.torsion_rounds(1), 20):
+        for op in ops:
+            outputs, error = op.execute()
+            assert error is None, error
+            for out in outputs:
+                h.update(out.encode() + b"\0")
+    assert h.hexdigest() == TORSION_SWEEP_DIGEST
