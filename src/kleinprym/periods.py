@@ -61,8 +61,8 @@ rhombus has the normal form (R, -conj u), (iH, -u), (conj u, u) or
 (u, -conj u) for u = (R + iH)/2, split at H^2 = 3 R^2, R^2 = 3 H^2 and
 H = R.  No j comparison could choose among the three lattices: at
 (a, b) = (0, 1) two of them have E_t's j = 287496 and differ by the unit i.
-`quotient_periods` returns all six bases, and `elliptic_periods_agm` one of
-them by label.
+`_quotient_bases` computes all six bases; `quotient_periods` adds their
+j-values, and `elliptic_periods_agm` returns one basis by label without them.
 
 The j-value of tau is 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 in the theta
 constants at the nome q = e^(i pi tau), with tau first moved to the same
@@ -350,15 +350,32 @@ _PARTNERS = (
 def quotient_periods(params: FamilyParams, precision_bits: int = DEFAULT_PRECISION_BITS):
     """(bases, js): the reduced period basis (`PeriodPair`) and the j-value
     (`ComplexApprox`) of each of the six elliptic quotients at `params`, keyed
-    by label.  E_is_t, E_is_it and
-    E_s_it get their rectangular lattices from their exact Legendre data and
-    the real AGM, and their j from the theta constants at their tau; E_t, E_st
-    and E_s get theirs, rectangles or rhombi, from those lattices through the
-    2-isogenies of `_PARTNERS`, with no AGM, and their j from the same theta
-    constants by the duplication formulas, with no q-series.  Every basis is
-    put in normal form in closed form."""
+    by label.  The bases come from `_quotient_bases`.  E_is_t, E_is_it and
+    E_s_it get their j from the theta constants at their tau; E_t, E_st and
+    E_s get theirs from the same theta constants by the duplication formulas
+    of the kernels of `_PARTNERS`, with no q-series."""
+    bases, kernels = _quotient_bases(params, precision_bits)
+    js = {}
+    with mpmath.workprec(precision_bits + _GUARD_BITS):
+        for partner, label, _, _ in _PARTNERS:
+            # the printed tau, so the partner's j is analytic_j(pair.tau) exactly
+            thetas = _theta_squares(bases[partner].tau.to_mpc(), precision_bits)
+            js[partner] = _cap(_j_from_eighths(*map(_fourth, thetas[:3])), precision_bits)
+            js[label] = _cap(_j_from_eighths(*_isogenous_eighths(kernels[partner], *thetas)),
+                             precision_bits)
+    return bases, js
+
+
+def _quotient_bases(params: FamilyParams, precision_bits: int):
+    """(bases, kernels): the reduced period basis of each of the six elliptic
+    quotients, keyed by label, and for each partner the class of its kernel's
+    half-period in its reduced basis.  E_is_t, E_is_it and E_s_it get their
+    rectangular lattices from their exact Legendre data and the real AGM;
+    E_t, E_st and E_s get theirs, rectangles or rhombi, from those lattices
+    through the 2-isogenies of `_PARTNERS`, with no AGM.  Every basis is put
+    in normal form in closed form."""
     _check_precision(precision_bits)
-    bases, js = {}, {}
+    bases, kernels = {}, {}
     slack = (precision_bits + 1) // 2  # the normal form's eps = 2^-slack
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         wp = mpmath.mp.prec + _FIXED_GUARD_BITS
@@ -368,27 +385,22 @@ def quotient_periods(params: FamilyParams, precision_bits: int = DEFAULT_PRECISI
             # the class of t in (omega1, omega2) is the two bits of r2's slot,
             # and (omega1, omega2) is (r, ih) for c > 0 and (-ih, r) for c < 0
             t = (slot >> 1, slot & 1) if c[0] > 0 else (slot & 1, slot >> 1)
-            basis, reduced_kernel = _partner_form(r, h, t, slack)
-            bases[partner] = pair = _pair(basis, r, h, e, precision_bits)
+            basis, kernels[partner] = _partner_form(r, h, t, slack)
+            bases[partner] = _pair(basis, r, h, e, precision_bits)
             form, x, y, e = _quotient_lattice(r, h, e, t, scale)
             bases[label] = _pair(form(x, y, slack), x, y, e, precision_bits)
-            # the printed tau, so the partner's j is analytic_j(pair.tau) exactly
-            thetas = _theta_squares(pair.tau.to_mpc(), precision_bits)
-            js[partner] = _cap(_j_from_eighths(*map(_fourth, thetas[:3])), precision_bits)
-            js[label] = _cap(_j_from_eighths(*_isogenous_eighths(reduced_kernel, *thetas)),
-                             precision_bits)
-    return bases, js
+    return bases, kernels
 
 
 def elliptic_periods_agm(label: CurveLabel, params: FamilyParams,
                          precision_bits: int = DEFAULT_PRECISION_BITS) -> PeriodPair:
     """The reduced period basis of the elliptic quotient `label` at `params`,
-    as `quotient_periods` gives it to a report; ArgumentError for a label
-    that is not elliptic."""
+    the one `quotient_periods` gives a report, from `_quotient_bases` alone:
+    no q-series and no j.  ArgumentError for a label that is not elliptic."""
     if label not in ELLIPTIC_LABELS:
         raise ArgumentError(f"periods are computed for the elliptic quotients only, not {label!r}")
     _check_params(params)
-    return quotient_periods(params, precision_bits)[0][label]
+    return _quotient_bases(params, precision_bits)[0][label]
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,14 @@ def _residue_texts(level: int) -> tuple:
     return tuple([ratio_text(c, level) for c in range(level)])
 
 
+def _require(cls, name: str, *values) -> None:
+    """ArgumentError unless every value is a `cls`: the subgroup calls check
+    their arguments once, where they enter."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise ArgumentError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+
+
 def _pairing_residue(a: tuple, b: tuple, level: int) -> int:
     """N <x, y> mod N for the residues a, b of two points of level N."""
     return (a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]) % level
@@ -151,15 +159,20 @@ def _howell(rows, level: int, width: int) -> tuple:
     starting from the row N e_j, which is zero mod N; the first combination
     so leaves behind the annihilator (N/g) x of its row x.  Because the other
     rows keep K_{j+1}, each K_j is spanned by r_j, r_{j+1}, ... (the Howell
-    property), which is what makes `_reduce` and the form canonical."""
+    property), which is what makes `_reduce` and the form canonical.
+
+    Only live rows and columns are worked: zero rows are dropped, and a row
+    that reaches column j is zero before it, so it is held as its tail from
+    column j on, and each pivot is padded with j zeros when it is stored."""
     # tuples are built from lists: tuple() of a generator shrinks its result
     # in place, so freeing it fills CPython's tuple free lists for good
     n = level
     echelon = []
+    rows = [x for x in rows if any(x)]
     for j in range(width):
-        g, pivot, rest = n, (0,) * width, []
+        g, pivot, rest = n, (0,) * (width - j), []
         for x in rows:
-            b = x[j]
+            b = x[0]
             if b:
                 h = math.gcd(g, b)  # h = s g + t b
                 t = pow(b // h, -1, g // h)
@@ -167,21 +180,38 @@ def _howell(rows, level: int, width: int) -> tuple:
                 pivot, x = (tuple([(s * p + t * c) % n for p, c in zip(pivot, x)]),
                             tuple([(g // h * c - b // h * p) % n for p, c in zip(pivot, x)]))
                 g = h
+            x = x[1:]
             if any(x):
                 rest.append(x)
-        echelon.append((g, pivot))
+        echelon.append((g, (0,) * j + pivot))
         rows = rest
     return tuple([(g, _reduce(r, echelon, n, j + 1)) for j, (g, r) in enumerate(echelon)])
 
 
 def _lex_members(echelon, bounds, level: int) -> list:
     """The residues x of the elements of the group with basis `echelon` that
-    have x_j < bounds[j] at every j, in lexicographic order; column j reaches
-    the class of x_j mod g_j, so only residues below bounds[j] are built."""
+    have x_j < bounds[j] at every j, in lexicographic order.  Column j takes
+    each x to the least residue of its class x_j mod g_j and then steps by
+    r_j, so only residues below bounds[j] are built; a column with g_j = N
+    (r_j = 0) keeps the one residue x_j."""
     members = [(0, 0, 0, 0)]
     for j, (g, r) in enumerate(echelon):
-        members = [tuple([(a + (v - x[j]) // g * b) % level for a, b in zip(x, r)])
-                   for x in members for v in range(x[j] % g, bounds[j], g)]
+        bound = bounds[j]
+        if g == level:
+            if bound < level:
+                members = [x for x in members if x[j] < bound]
+            continue
+        stepped = []
+        for x in members:
+            m = x[j] // g
+            if m:
+                x = tuple([(a - m * b) % level for a, b in zip(x, r)])
+            if x[j] < bound:
+                stepped.append(x)
+                for _ in range(x[j] + g, bound, g):
+                    x = tuple([(a + b) % level for a, b in zip(x, r)])
+                    stepped.append(x)
+        members = stepped
     return members
 
 
@@ -207,6 +237,7 @@ class TorsionSubgroup:
 
     def reduce(self, p: TorsionPoint) -> tuple:
         """The residues of the lexicographically least element of p + K."""
+        _require(TorsionPoint, "the point", p)
         if p.level != self.level:
             raise LevelError("level mismatch")
         return _reduce(p.coords, self.echelon, self.level)
@@ -217,7 +248,11 @@ class TorsionSubgroup:
 
 
 def span(gens) -> TorsionSubgroup:
-    gens = tuple(gens)
+    try:
+        gens = tuple(gens)
+    except TypeError:
+        raise ArgumentError(f"gens must be TorsionPoints, not {type(gens).__name__}") from None
+    _require(TorsionPoint, "a generator", *gens)
     if not gens:
         raise ArgumentError("span of nothing; pass at least the zero point")
     level = gens[0].level
@@ -231,6 +266,7 @@ def perp(s: TorsionSubgroup) -> TorsionSubgroup:
     of x -> (<x, r>) over the m basis rows r of s.  In the span of the rows
     (x M, x) of (M | I), M the 4 x m pairing matrix, the elements (0, x) are
     the kernel, and the Howell property gives their basis."""
+    _require(TorsionSubgroup, "the subgroup", s)
     n = s.level
     rows = [r for g, r in s.echelon if g < n]
     m = len(rows)
@@ -243,6 +279,7 @@ def perp(s: TorsionSubgroup) -> TorsionSubgroup:
 def intersection(a: TorsionSubgroup, b: TorsionSubgroup) -> TorsionSubgroup:
     """a & b by the Zassenhaus step over Z/N: the span of the rows (x, x) for
     x in a and (y, 0) for y in b holds (0, z) exactly when z is in both."""
+    _require(TorsionSubgroup, "a subgroup", a, b)
     n = a.level
     if b.level != n:
         raise LevelError("level mismatch")
@@ -258,6 +295,7 @@ def _kernel_past(rows, split: int, level: int) -> TorsionSubgroup:
 
 
 def is_isotropic(s: TorsionSubgroup) -> bool:
+    _require(TorsionSubgroup, "the subgroup", s)
     rows = [r for _, r in s.echelon]
     return all(_pairing_residue(a, b, s.level) == 0 for a in rows for b in rows)
 
@@ -301,6 +339,7 @@ def project_to_quotient(kernel: TorsionSubgroup, points) -> QuotientSubgroup:
 
 def quotient_image(kernel: TorsionSubgroup, group: TorsionSubgroup) -> QuotientSubgroup:
     """The image of `group` in the quotient by `kernel`, held as group + kernel."""
+    _require(TorsionSubgroup, "a subgroup", kernel, group)
     n = kernel.level
     if group.level != n:
         raise LevelError("level mismatch")
@@ -313,7 +352,7 @@ def ker_phi_H(kernel_mu: TorsionSubgroup) -> QuotientSubgroup:
     symplectic complement of ker(mu) in the quotient by ker(mu)."""
     if not is_isotropic(kernel_mu):
         raise NotIsotropic("ker(mu) must be isotropic")
-    return quotient_image(kernel_mu, perp(kernel_mu))
+    return QuotientSubgroup(kernel_mu, perp(kernel_mu))
 
 
 def factor_intersection(kernel_mu: TorsionSubgroup, quotient_group: QuotientSubgroup,
@@ -322,7 +361,9 @@ def factor_intersection(kernel_mu: TorsionSubgroup, quotient_group: QuotientSubg
     quotient by ker(mu).  factor is "E" (first two coordinates) or "F" (last two).
     With K = ker(mu) inside the preimage G, G & (factor + K) = (G & factor) + K
     (the modular law), and G & factor is where the other factor's residues vanish."""
-    other = {"E": slice(2, 4), "F": slice(0, 2)}.get(factor)
+    _require(TorsionSubgroup, "kernel_mu", kernel_mu)
+    _require(QuotientSubgroup, "quotient_group", quotient_group)
+    other = {"E": slice(2, 4), "F": slice(0, 2)}.get(factor) if isinstance(factor, str) else None
     if other is None:
         raise ArgumentError("factor must be 'E' or 'F'")
     if quotient_group.kernel != kernel_mu:

@@ -1,5 +1,7 @@
 """Every entry point that takes numbers from outside reads them through
-`algebra.rational`: each call returns a value or raises a KleinPrymError."""
+`algebra.rational`: each call returns a value or raises a KleinPrymError.
+The torsion subgroup calls, which take points and subgroups, refuse any
+other type the same way."""
 
 import sys
 import time
@@ -14,9 +16,21 @@ from kleinprym.errors import ArgumentError, KleinPrymError
 from kleinprym.family import FamilyParams, check_domain
 from kleinprym.isogeny import KernelPoint, WeierstrassCurve
 from kleinprym.projline import MarkedTuple, MobiusMap, ProjectivePoint
-from kleinprym.torsion import TorsionPoint
+from kleinprym.torsion import (
+    TorsionPoint,
+    factor_intersection,
+    intersection,
+    ker_phi_H,
+    perp,
+    project_to_quotient,
+    quotient_image,
+    span,
+)
 
 E = WeierstrassCurve.make(1, 0)  # y^2 = x^3 + x, with (0, 0) of order 2
+P = TorsionPoint((1, 0, 0, 0), 2)
+K = span([P])
+Q = ker_phi_H(K)
 
 ENTRY_POINTS = {
     "check_domain": check_domain,
@@ -34,6 +48,17 @@ ENTRY_POINTS = {
     "ProjectivePoint.from_string": lambda u, v: ProjectivePoint.from_string(u),
     "MarkedTuple.from_string": lambda u, v: MarkedTuple.from_string(u),
     "MobiusMap": lambda u, v: MobiusMap(u, 1, v, 3),
+    "span": lambda u, v: span([u, v]),
+    "span(p, u)": lambda u, v: span([P, u]),
+    "span(gens)": lambda u, v: span(u),
+    "perp": lambda u, v: perp(u),
+    "ker_phi_H": lambda u, v: ker_phi_H(u),
+    "intersection": lambda u, v: intersection(K, u),
+    "quotient_image": lambda u, v: quotient_image(u, v),
+    "project_to_quotient": lambda u, v: project_to_quotient(u, [P]),
+    "factor_intersection": lambda u, v: factor_intersection(K, u, v),
+    "factor_intersection(factor)": lambda u, v: factor_intersection(K, Q, u),
+    "TorsionSubgroup.reduce": lambda u, v: K.reduce(u),
 }
 
 outside = st.one_of(
@@ -60,12 +85,30 @@ outside = st.one_of(
 @example("MarkedTuple.from_string", None, 0)
 @example("TorsionPoint.make(coords)", None, 0)
 @example("check_domain", Decimal("1e10000000"), 1)
+@example("span", 1, 2)
+@example("span(p, u)", (1, 0, 0, 0), 0)
+@example("span(gens)", None, 0)
+@example("perp", P, 0)
+@example("ker_phi_H", None, 0)
+@example("intersection", P, 0)
+@example("factor_intersection", K, "E")
+@example("TorsionSubgroup.reduce", (1, 0, 0, 0), 0)
 def test_an_outside_value_gives_a_value_or_a_library_error(name, u, v):
     try:
         ENTRY_POINTS[name](u, v)
     except KleinPrymError:
         pass
 
+
+@pytest.mark.parametrize("call", [
+    lambda: span([1, 2]), lambda: span([P, (1, 0, 0, 0)]), lambda: span(None),
+    lambda: perp(P), lambda: ker_phi_H(None), lambda: intersection(K, P),
+    lambda: factor_intersection(K, K, "E"), lambda: K.reduce((1, 0, 0, 0)),
+], ids=["span([1, 2])", "span([p, (1, 0, 0, 0)])", "span(None)", "perp(p)", "ker_phi_H(None)",
+        "intersection(K, p)", "factor_intersection(K, K, 'E')", "K.reduce((1, 0, 0, 0))"])
+def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
+    with pytest.raises(ArgumentError):
+        call()
 
 
 LIMIT = sys.get_int_max_str_digits()

@@ -235,6 +235,19 @@ def test_elliptic_periods_agm_is_the_report_basis():
         CurveLabel.E_t, params, 256)
 
 
+@pytest.mark.parametrize("bits", [256, 4096])
+def test_elliptic_periods_agm_runs_no_j_closure(bits, monkeypatch):
+    params = check_domain(Fraction(7, 5), Fraction(-13, 4))
+    bases, _ = quotient_periods(params, bits)
+
+    def refuse(*args):
+        raise AssertionError("elliptic_periods_agm ran a q-series")
+
+    monkeypatch.setattr(periods, "_theta_squares", refuse)
+    for label in ELLIPTIC_LABELS:
+        assert elliptic_periods_agm(label, params, bits) == bases[label]
+
+
 def test_riemann_check_square_lattice():
     residual, min_eig = riemann_check(prym_period_matrix(_i(), _i()))
     assert residual < mpmath.ldexp(1, -BITS + 16)

@@ -12,6 +12,8 @@ from kleinprym.torsion import (
     TorsionPoint,
     _duality_chain,
     _example_surj_report,
+    _howell,
+    _lex_members,
     _pairing_residue,
     _residue_texts,
     duality_chain,
@@ -238,6 +240,62 @@ def test_span_perp_and_ker_phi_H_match_enumeration(level):
             with pytest.raises(NotIsotropic):
                 ker_phi_H(kernel)
     assert kinds.keys() == {("isotropic", False), ("isotropic", True), "not isotropic"}
+
+
+@pytest.mark.parametrize("level", ALL_LEVELS)
+def test_ker_phi_H_is_the_complement_of_an_isotropic_kernel(level):
+    # K is in its complement, so the preimage K^perp + K is K^perp itself
+    isotropic = 0
+    for gens in _oracle_generators(level):
+        kernel = span(gens)
+        if is_isotropic(kernel):
+            isotropic += 1
+            assert ker_phi_H(kernel).group == perp(kernel)
+            assert ker_phi_H(kernel) == quotient_image(kernel, perp(kernel))
+    assert isotropic >= 2
+
+
+@st.composite
+def row_lists(draw):
+    """A level in 2..12, a width in 4..8, a list of rows, and the same rows
+    permuted with repeats, zero rows and sums of two rows added."""
+    n, width = draw(st.integers(2, MAX_LEVEL)), draw(st.integers(4, 8))
+    row = st.tuples(*[st.integers(0, n - 1)] * width)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    picks = st.sampled_from(rows)
+    extra = draw(st.lists(st.one_of(
+        picks, st.just((0,) * width),
+        st.tuples(picks, picks).map(lambda xy: tuple((a + b) % n for a, b in zip(*xy)))),
+        max_size=6))
+    return n, width, rows, draw(st.permutations(rows + extra))
+
+
+@given(row_lists())
+@settings(max_examples=300, deadline=None)
+def test_howell_basis_depends_on_the_span_alone(case):
+    n, width, rows, others = case
+    echelon = _howell(rows, n, width)
+    assert _howell(others, n, width) == echelon
+    assert _howell([r for g, r in echelon if g < n], n, width) == echelon
+    for j, (g, r) in enumerate(echelon):
+        assert n % g == 0 and r[:j] == (0,) * j and r[j] == g % n
+
+
+@st.composite
+def groups_and_bounds(draw):
+    n = draw(st.integers(2, MAX_LEVEL))
+    gens = draw(st.lists(torsion_points(level=n), min_size=1, max_size=3))
+    return gens, draw(st.tuples(*[st.integers(0, n)] * 4))
+
+
+@given(groups_and_bounds())
+@settings(max_examples=120, deadline=None)
+def test_lex_members_lists_the_elements_under_the_bounds_in_order(case):
+    gens, bounds = case
+    group = span(gens)
+    expected = sorted(x.coords for x in _closure(gens)
+                      if all(c < b for c, b in zip(x.coords, bounds)))
+    assert _lex_members(group.echelon, bounds, group.level) == expected
 
 
 @pytest.mark.parametrize("level", ALL_LEVELS)
