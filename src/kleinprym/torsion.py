@@ -12,14 +12,16 @@ N <x, y> mod N (`_pairing_residue`):
 Since c -> c/N is monotone on range(N), residues order exactly as the
 rationals they stand for.  A subgroup is held as its canonical echelon
 (Howell) basis over Z/N (`_howell`; Storjohann & Mulders, "Fast algorithms
-for linear algebra modulo N", ESA 1998): spans row-reduce their generators,
-symplectic complements and intersections (the Zassenhaus step) are read off
-the basis of an augmented span, and equal subgroups have equal bases.  A
-subgroup of a quotient by K is held as its preimage, so it compares the same
-way.  A coset p + K is named by its lexicographically least element, which
-one pass over the basis of K reaches directly (`TorsionSubgroup.reduce`;
-H. Cohen, GTM 138, section 2.4).  Elements and coset names are listed only
-when a report asks for them; levels stay <= 12.
+for linear algebra modulo N", ESA 1998): spans row-reduce their generators
+on live rows and columns, symplectic complements and intersections (the
+Zassenhaus step) are read off the basis of an augmented span, and equal
+subgroups have equal bases.  A subgroup of a quotient by K is held as its
+preimage, so it compares the same way; ker phi_H's is K^perp, which holds
+an isotropic K.  A coset p + K is named by its lexicographically least
+element, which one pass over the basis of K reaches directly
+(`TorsionSubgroup.reduce`; H. Cohen, GTM 138, section 2.4).  Elements and
+coset names are listed only when a report asks for them, one basis row
+added per step; levels stay <= 12.  Subgroup calls refuse wrong types.
 
 The two fixed reports have a finite domain, so each is built once and
 memoised: `duality_chain(d)` for d in 2..12 and `example_surj_report()`.
@@ -116,8 +118,7 @@ def _residue_texts(level: int) -> tuple:
 
 
 def _require(cls, name: str, *values) -> None:
-    """ArgumentError unless every value is a `cls`: the subgroup calls check
-    their arguments once, where they enter."""
+    """ArgumentError unless every value is a `cls`, checked where a call enters."""
     for value in values:
         if not isinstance(value, cls):
             raise ArgumentError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
@@ -159,11 +160,9 @@ def _howell(rows, level: int, width: int) -> tuple:
     starting from the row N e_j, which is zero mod N; the first combination
     so leaves behind the annihilator (N/g) x of its row x.  Because the other
     rows keep K_{j+1}, each K_j is spanned by r_j, r_{j+1}, ... (the Howell
-    property), which is what makes `_reduce` and the form canonical.
-
-    Only live rows and columns are worked: zero rows are dropped, and a row
-    that reaches column j is zero before it, so it is held as its tail from
-    column j on, and each pivot is padded with j zeros when it is stored."""
+    property), which is what makes `_reduce` and the form canonical.  Zero
+    rows are dropped, and a row that reaches column j is zero before it, so
+    only its tail is combined; each pivot is stored padded with j zeros."""
     # tuples are built from lists: tuple() of a generator shrinks its result
     # in place, so freeing it fills CPython's tuple free lists for good
     n = level
@@ -190,27 +189,22 @@ def _howell(rows, level: int, width: int) -> tuple:
 
 def _lex_members(echelon, bounds, level: int) -> list:
     """The residues x of the elements of the group with basis `echelon` that
-    have x_j < bounds[j] at every j, in lexicographic order.  Column j takes
-    each x to the least residue of its class x_j mod g_j and then steps by
-    r_j, so only residues below bounds[j] are built; a column with g_j = N
-    (r_j = 0) keeps the one residue x_j."""
+    have x_j < bounds[j] at every j (a multiple of g_j: N, or a subgroup's
+    pivot), in lexicographic order; column j takes x to its least residue
+    x_j mod g_j and steps by r_j, and a column with g_j = N (r_j = 0) keeps x."""
     members = [(0, 0, 0, 0)]
     for j, (g, r) in enumerate(echelon):
-        bound = bounds[j]
         if g == level:
-            if bound < level:
-                members = [x for x in members if x[j] < bound]
             continue
         stepped = []
         for x in members:
             m = x[j] // g
             if m:
                 x = tuple([(a - m * b) % level for a, b in zip(x, r)])
-            if x[j] < bound:
+            stepped.append(x)
+            for _ in range(1, bounds[j] // g):
+                x = tuple([(a + b) % level for a, b in zip(x, r)])
                 stepped.append(x)
-                for _ in range(x[j] + g, bound, g):
-                    x = tuple([(a + b) % level for a, b in zip(x, r)])
-                    stepped.append(x)
         members = stepped
     return members
 
@@ -248,10 +242,7 @@ class TorsionSubgroup:
 
 
 def span(gens) -> TorsionSubgroup:
-    try:
-        gens = tuple(gens)
-    except TypeError:
-        raise ArgumentError(f"gens must be TorsionPoints, not {type(gens).__name__}") from None
+    gens = tuple(gens) if hasattr(gens, "__iter__") else (gens,)
     _require(TorsionPoint, "a generator", *gens)
     if not gens:
         raise ArgumentError("span of nothing; pass at least the zero point")
@@ -349,7 +340,8 @@ def quotient_image(kernel: TorsionSubgroup, group: TorsionSubgroup) -> QuotientS
 
 def ker_phi_H(kernel_mu: TorsionSubgroup) -> QuotientSubgroup:
     """The polarisation kernel of the quotient surface: the image of the
-    symplectic complement of ker(mu) in the quotient by ker(mu)."""
+    symplectic complement of ker(mu) in the quotient by ker(mu), held as its
+    preimage K^perp + K, which is K^perp since an isotropic K lies in it."""
     if not is_isotropic(kernel_mu):
         raise NotIsotropic("ker(mu) must be isotropic")
     return QuotientSubgroup(kernel_mu, perp(kernel_mu))
@@ -361,7 +353,6 @@ def factor_intersection(kernel_mu: TorsionSubgroup, quotient_group: QuotientSubg
     quotient by ker(mu).  factor is "E" (first two coordinates) or "F" (last two).
     With K = ker(mu) inside the preimage G, G & (factor + K) = (G & factor) + K
     (the modular law), and G & factor is where the other factor's residues vanish."""
-    _require(TorsionSubgroup, "kernel_mu", kernel_mu)
     _require(QuotientSubgroup, "quotient_group", quotient_group)
     other = {"E": slice(2, 4), "F": slice(0, 2)}.get(factor) if isinstance(factor, str) else None
     if other is None:
@@ -412,8 +403,7 @@ def _duality_chain(d: int) -> dict:
     Q = TorsionPoint((0, 0, 1, 0), d)
     PQ = P + Q
     ker_mu = span([PQ])
-    complement = perp(ker_mu)
-    kphi = quotient_image(ker_mu, complement)  # ker_phi_H; <PQ> is isotropic
+    kphi = ker_phi_H(ker_mu)
 
     e_cap = factor_intersection(ker_mu, kphi, "E")
     f_cap = factor_intersection(ker_mu, kphi, "F")
@@ -421,7 +411,7 @@ def _duality_chain(d: int) -> dict:
     # the quotient of A by the image of P pulls back to E x F as <P, PQ>, and
     # G = ker phi_H / <image of P> is worked with in cosets modulo <P, PQ>
     upstairs = span([P, PQ])
-    g_group = quotient_image(upstairs, complement)
+    g_group = quotient_image(upstairs, kphi.group)
     p_prime_minus_q_prime = TorsionPoint((0, 1, 0, d - 1), d)
     gen_class = g_group.project(p_prime_minus_q_prime)
     cyclic = quotient_image(upstairs, span([p_prime_minus_q_prime]))

@@ -283,9 +283,12 @@ def test_howell_basis_depends_on_the_span_alone(case):
 
 @st.composite
 def groups_and_bounds(draw):
+    """Generators and bounds as a report passes them: each bound a positive
+    multiple of its column's pivot, as N and a subgroup's pivots are."""
     n = draw(st.integers(2, MAX_LEVEL))
     gens = draw(st.lists(torsion_points(level=n), min_size=1, max_size=3))
-    return gens, draw(st.tuples(*[st.integers(0, n)] * 4))
+    pivots = [g for g, _ in span(gens).echelon]
+    return gens, tuple([g * draw(st.integers(1, n // g)) for g in pivots])
 
 
 @given(groups_and_bounds())
