@@ -162,7 +162,8 @@ def _howell(rows, level: int, width: int) -> tuple:
     rows keep K_{j+1}, each K_j is spanned by r_j, r_{j+1}, ... (the Howell
     property), which is what makes `_reduce` and the form canonical.  Zero
     rows are dropped, and a row that reaches column j is zero before it, so
-    only its tail is combined; each pivot is stored padded with j zeros."""
+    only its tail is combined; each pivot is stored padded with j zeros, and
+    only nonzero pivots are reduced."""
     # tuples are built from lists: tuple() of a generator shrinks its result
     # in place, so freeing it fills CPython's tuple free lists for good
     n = level
@@ -175,16 +176,20 @@ def _howell(rows, level: int, width: int) -> tuple:
             if b:
                 h = math.gcd(g, b)  # h = s g + t b
                 t = pow(b // h, -1, g // h)
-                s = (h - t * b) // g
-                pivot, x = (tuple([(s * p + t * c) % n for p, c in zip(pivot, x)]),
-                            tuple([(g // h * c - b // h * p) % n for p, c in zip(pivot, x)]))
+                if g == n:  # the pivot is still zero
+                    pivot, x = tuple([t * c % n for c in x]), tuple([n // h * c % n for c in x])
+                else:
+                    s = (h - t * b) // g
+                    pivot, x = (tuple([(s * p + t * c) % n for p, c in zip(pivot, x)]),
+                                tuple([(g // h * c - b // h * p) % n for p, c in zip(pivot, x)]))
                 g = h
             x = x[1:]
             if any(x):
                 rest.append(x)
         echelon.append((g, (0,) * j + pivot))
         rows = rest
-    return tuple([(g, _reduce(r, echelon, n, j + 1)) for j, (g, r) in enumerate(echelon)])
+    return tuple([(g, _reduce(r, echelon, n, j + 1) if g < n else r)
+                  for j, (g, r) in enumerate(echelon)])
 
 
 def _lex_members(echelon, bounds, level: int) -> list:
