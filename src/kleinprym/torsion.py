@@ -16,12 +16,13 @@ for linear algebra modulo N", ESA 1998): spans row-reduce their generators
 on live rows and columns, symplectic complements and intersections (the
 Zassenhaus step) are read off the basis of an augmented span, and equal
 subgroups have equal bases.  A subgroup of a quotient by K is held as its
-preimage, so it compares the same way; ker phi_H's is K^perp, which holds
-an isotropic K.  A coset p + K is named by its lexicographically least
-element, which one pass over the basis of K reaches directly
-(`TorsionSubgroup.reduce`; H. Cohen, GTM 138, section 2.4).  Elements and
-coset names are listed only when a report asks for them, one basis row
-added per step; levels stay <= 12.  Subgroup calls refuse wrong types.
+preimage, so it compares the same way; the preimage of ker phi_H is K^perp,
+which contains the isotropic K.  A coset p + K is named by its
+lexicographically least element, which one pass over the basis of K reaches
+directly (`TorsionSubgroup.reduce`; H. Cohen, GTM 138, section 2.4).
+Elements and coset names are listed only when a report asks for them, one
+basis row added per step; levels stay <= 12.  Subgroup calls refuse wrong
+types.
 
 The two fixed reports have a finite domain, so each is built once and
 memoised: `duality_chain(d)` for d in 2..12 and `example_surj_report()`.
@@ -247,7 +248,9 @@ class TorsionSubgroup:
 
 
 def span(gens) -> TorsionSubgroup:
-    gens = tuple(gens) if hasattr(gens, "__iter__") else (gens,)
+    if not hasattr(gens, "__iter__"):
+        raise ArgumentError(f"gens must be an iterable of TorsionPoints, not {type(gens).__name__}")
+    gens = tuple(gens)
     _require(TorsionPoint, "a generator", *gens)
     if not gens:
         raise ArgumentError("span of nothing; pass at least the zero point")

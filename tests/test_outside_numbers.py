@@ -101,11 +101,12 @@ def test_an_outside_value_gives_a_value_or_a_library_error(name, u, v):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: span([1, 2]), lambda: span([P, (1, 0, 0, 0)]), lambda: span(None),
+    lambda: span([1, 2]), lambda: span([P, (1, 0, 0, 0)]), lambda: span(None), lambda: span(P),
     lambda: perp(P), lambda: ker_phi_H(None), lambda: intersection(K, P),
     lambda: factor_intersection(K, K, "E"), lambda: K.reduce((1, 0, 0, 0)),
-], ids=["span([1, 2])", "span([p, (1, 0, 0, 0)])", "span(None)", "perp(p)", "ker_phi_H(None)",
-        "intersection(K, p)", "factor_intersection(K, K, 'E')", "K.reduce((1, 0, 0, 0))"])
+], ids=["span([1, 2])", "span([p, (1, 0, 0, 0)])", "span(None)", "span(p)", "perp(p)",
+        "ker_phi_H(None)", "intersection(K, p)", "factor_intersection(K, K, 'E')",
+        "K.reduce((1, 0, 0, 0))"])
 def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
     with pytest.raises(ArgumentError):
         call()
