@@ -1,17 +1,14 @@
-"""Exact scalar and univariate polynomial arithmetic, plus the precision
+"""Exact scalars, a univariate rational polynomial type, and the precision
 constants of the analytic layer.
 
-Rationals are `fractions.Fraction` (always reduced, positive denominator).
-A polynomial is dense and stores integer numerators over one common
-denominator, the content/primitive-part form of von zur Gathen & Gerhard,
-*Modern Computer Algebra*, ch. 6: a product is one integer convolution and
-one gcd pass, not one Fraction reduction per term, and a rational
-substitution is a sum of such convolutions over one denominator.  Degrees
-in this project never exceed 16, so nothing cleverer is attempted.  The
-family's models and quotient-map identities need none of these products:
-`family` writes its models down in the stored form and decides each
-identity at one integer point (Kronecker substitution), so only
-tests call `substitute_rational_map`.
+Rationals are `fractions.Fraction`; outside values enter through `rational`.
+A `Polynomial` stores integer numerators over one common denominator (von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  The program uses it as
+the value type of the family's models and quotient maps, built with `+`, `-`
+and `*`; `family` decides each quotient identity at one integer point.
+`divmod`, `gcd`, `resultant`, `is_squarefree` and `substitute_rational_map`
+run on no program path: the traced benchmark binds them by name, and the
+tests use them as oracles.
 """
 
 from __future__ import annotations
@@ -101,7 +98,10 @@ class Polynomial:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+        try:  # `rational` raises ArgumentError, so a TypeError is a non-iterable
+            cs = [c if type(c) in (int, Fraction) else rational(c) for c in coeffs]
+        except TypeError:
+            raise ArgumentError(f"coefficients must be iterable, not {type(coeffs).__name__}") from None
         den = math.lcm(*[c.denominator for c in cs])
         nums = [c.numerator * (den // c.denominator) for c in cs]
         while nums and not nums[-1]:
@@ -145,17 +145,6 @@ class Polynomial:
     @classmethod
     def x(cls) -> "Polynomial":
         return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
-    def from_roots(cls, roots, leading=1) -> "Polynomial":
-        p = cls.constant(leading)
-        for r in roots:
-            p = p * cls((-Fraction(r), 1))
-        return p
 
     def to_string(self) -> str:
         if self.is_zero:
@@ -214,9 +203,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(other, -1)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._lowest([-n for n in self.nums], self.den)
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return Polynomial._lowest([n * other.numerator for n in self.nums],
@@ -224,16 +210,6 @@ class Polynomial:
         return Polynomial._lowest(_convolve(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        result = Polynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def divmod(self, other: "Polynomial"):
         if other.is_zero:
@@ -255,12 +231,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial._lowest([i * n for i, n in enumerate(self.nums)][1:], self.den)
-
-    def evaluate(self, x):
-        acc = 0
-        for n in reversed(self.nums):
-            acc = acc * x + n
-        return acc / Fraction(self.den)
 
     def monic(self) -> "Polynomial":
         return self * (1 / self.leading)
@@ -287,15 +257,6 @@ def resultant(f: Polynomial, g: Polynomial) -> Fraction:
         return Fraction(0)
     sign = -1 if (f.degree * g.degree) % 2 else 1
     return sign * g.leading ** (f.degree - r.degree) * resultant(g, r)
-
-
-def discriminant(f: Polynomial) -> Fraction:
-    """Resultant-based discriminant; zero iff f has a repeated root."""
-    if f.is_zero or f.degree < 1:
-        raise DegreeError("discriminant needs degree >= 1")
-    n = f.degree
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.leading
 
 
 def is_squarefree(f: Polynomial) -> bool:

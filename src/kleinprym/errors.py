@@ -51,3 +51,13 @@ class PrecisionError(KleinPrymError):
 
 class InternalInvariantError(KleinPrymError):
     """A structural invariant that the library itself guarantees was violated."""
+
+
+def require(cls, name: str, *values) -> None:
+    """ArgumentError unless every value is a `cls`: the library's one type
+    check, made once where a call enters."""
+    for value in values:
+        if not isinstance(value, cls):
+            article = "an" if cls.__name__[0] in "AEIOU" else "a"
+            raise ArgumentError(f"{name} must be {article} {cls.__name__}, "
+                                f"not {type(value).__name__}")

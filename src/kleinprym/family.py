@@ -22,8 +22,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Polynomial, _convolve, ratio_text, rational
-from .errors import ArgumentError, DegreeError, DomainError, InternalInvariantError
+from .algebra import Polynomial, _convolve, brief, ratio_text, rational
+from .errors import ArgumentError, DegreeError, DomainError, InternalInvariantError, require
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,15 @@ def check_domain(a, b) -> FamilyParams:
     return FamilyParams(rational(a), rational(b))
 
 
-class CurveLabel(enum.Enum):
+class _Label(enum.Enum):
+    """An enum whose lookup by value refuses an unknown value."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ArgumentError(f"{brief(str(value))} is not a {cls.__name__}")
+
+
+class CurveLabel(_Label):
     Ctilde = "Ctilde"
     C_is = "C_is"       # quotient by iota*sigma, genus 2
     C_it = "C_it"       # quotient by iota*tau, genus 2
@@ -86,7 +94,7 @@ GENUS2_LABELS = (CurveLabel.C_is, CurveLabel.C_it, CurveLabel.C_ist)
 QUOTIENT_LABELS = GENUS2_LABELS + ELLIPTIC_LABELS
 
 
-class InvolutionLabel(enum.Enum):
+class InvolutionLabel(_Label):
     iota = "iota"
     sigma = "sigma"
     tau = "tau"
@@ -145,6 +153,9 @@ def curve_equation(label: CurveLabel, params: FamilyParams) -> HyperellipticMode
     alternative sign does not satisfy the quotient-map identity (see
     quotient_map / verify_quotient_identity).
     """
+    if not (isinstance(label, CurveLabel) and isinstance(params, FamilyParams)):
+        require(CurveLabel, "label", label)
+        require(FamilyParams, "params", params)
     a, b = params.a, params.b
     shape, constants = _FACTORS[label]
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
@@ -196,6 +207,7 @@ _QUOTIENT_MAPS = _quotient_maps()
 
 
 def quotient_map(label: CurveLabel) -> QuotientMapData:
+    require(CurveLabel, "label", label)
     if label == CurveLabel.Ctilde:
         raise ArgumentError("the identity quotient has no map data")
     return _QUOTIENT_MAPS[label]
@@ -289,7 +301,12 @@ def fixed_point_count(inv: InvolutionLabel, params: FamilyParams):
     w^2 = t^8 f(1/t), which is regular at t = 0 because deg f = 8.
     Returns (count, points) where each point record describes the fibre:
     {"x": <location>, "y_squared": <value or condition>, "points": n}.
+    iota fixes the eight Weierstrass points; sigma, tau and sigma*tau fix the
+    two points over each of their two x-loci, where y^2 is nonzero on the
+    domain (`_FIXED_FIBRES`); the other three fix none.
     """
+    require(InvolutionLabel, "the involution", inv)
+    require(FamilyParams, "params", params)
     if inv == InvolutionLabel.iota:
         # y -> -y fixes exactly the eight Weierstrass points.
         return 8, [{"x": "roots of rhs", "y_squared": "0", "points": 8}]
@@ -297,10 +314,8 @@ def fixed_point_count(inv: InvolutionLabel, params: FamilyParams):
         return 0, []
     loci, fibre = _FIXED_FIBRES[inv]
     a, b = params.a, params.b
-    num, den = fibre(a.numerator, a.denominator, b.numerator, b.denominator)
-    n = 1 if num == 0 else 2
-    ysq = ratio_text(num, den)
-    return 2 * n, [{"x": x, "y_squared": ysq, "points": n} for x in loci]
+    ysq = ratio_text(*fibre(a.numerator, a.denominator, b.numerator, b.denominator))
+    return 4, [{"x": x, "y_squared": ysq, "points": 2} for x in loci]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +342,7 @@ def j_invariant(m: HyperellipticModel) -> Fraction:
     integer numerators and the common denominator drops out (Cremona,
     *Algorithms for Modular Elliptic Curves*).
     """
+    require(HyperellipticModel, "the model", m)
     if m.genus != 1:
         raise ArgumentError("j-invariant is defined for genus-1 models only")
     s, t = quartic_invariants(m.rhs)
@@ -337,6 +353,8 @@ def j_invariant(m: HyperellipticModel) -> Fraction:
 
 
 def curve_report(label: CurveLabel, model: HyperellipticModel) -> dict:
+    require(CurveLabel, "label", label)
+    require(HyperellipticModel, "the model", model)
     report = {"label": label.value}
     report.update(model.to_report())
     return report

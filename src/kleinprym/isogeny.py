@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError, OrderError, PointError, SingularError
+from .errors import ArgumentError, OrderError, PointError, SingularError, require
 from .algebra import rational
 
 MAX_KERNEL_ORDER = 12
@@ -31,6 +31,7 @@ class WeierstrassCurve:
     q: Fraction
 
     def __post_init__(self):
+        require(Fraction, "p and q", self.p, self.q)
         if 4 * self.p ** 3 + 27 * self.q * self.q == 0:
             raise SingularError("4p^3 + 27q^2 = 0")
 
@@ -91,6 +92,10 @@ class KernelPoint:
     y: Fraction
     order: int
 
+    def __post_init__(self):
+        require(Fraction, "x and y", self.x, self.y)
+        require(int, "the order", self.order)
+
     @classmethod
     def on_curve(cls, curve: WeierstrassCurve, x, y) -> "KernelPoint":
         x = rational(x)
@@ -111,6 +116,8 @@ def velu_quotient(curve: WeierstrassCurve, P: KernelPoint) -> WeierstrassCurve:
     """The image curve of the degree-n isogeny with kernel <P>, in short
     Weierstrass form; OrderError unless the multiples of P close up at n =
     P.order."""
+    require(WeierstrassCurve, "the curve", curve)
+    require(KernelPoint, "the kernel point", P)
     pt = (P.x, P.y)
     if not curve.contains(P.x, P.y):
         raise PointError("kernel point is not on the curve")
@@ -146,6 +153,9 @@ def dual_nonisomorphism_check(E: WeierstrassCurve, P: KernelPoint,
     """Certificate that (E x F)/<(P, Q)> is not abstractly isomorphic to its
     dual: the premise is j(E/P) != j(E) or j(F/Q) != j(F), and the
     non-isogeny hypothesis is taken on the caller's word."""
+    require(WeierstrassCurve, "a curve", E, F)
+    require(KernelPoint, "a kernel point", P, Q)
+    require(bool, "nonisogenous_asserted", nonisogenous_asserted)
     if P.order != Q.order:
         raise OrderError(f"kernel orders differ: {P.order} != {Q.order}")
     jE = j_weierstrass(E)

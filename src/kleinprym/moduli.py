@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ArgumentError, PhiUndefined
+from .errors import ArgumentError, PhiUndefined, require
 from .family import CurveLabel, FamilyParams, curve_equation, j_invariant
 from .projline import (
     CANONICAL_TRIPLE,
@@ -41,6 +41,7 @@ def phi_params(params: FamilyParams) -> FamilyParams:
     The image always lies back in the smooth domain, and applying phi twice
     returns the swapped pair (b, a).
     """
+    require(FamilyParams, "params", params)
     a, b = params.a, params.b
     s = a + b
     if s == 0:
@@ -90,6 +91,8 @@ class PrymFiberInvariants:
 
 
 def prym_fiber_invariants(params: FamilyParams) -> PrymFiberInvariants:
+    """The fibre invariants at params; `curve_equation` checks its type."""
+
     def j(label):
         return j_invariant(curve_equation(label, params))
 
@@ -111,7 +114,7 @@ class PhiFiber:
 
 def phi_fiber(params: FamilyParams) -> PhiFiber:
     """phi at params and the fibre invariants at both points; PhiUndefined
-    for a + b = 0."""
+    for a + b = 0; `phi_params` checks the type of params."""
     image = phi_params(params)
     return PhiFiber(params, image, prym_fiber_invariants(params), prym_fiber_invariants(image))
 
@@ -124,6 +127,8 @@ def phi_consistency_report(fiber: PhiFiber,
     normalises back to the input parameters, and the printed matrix undoes
     the raw form instead of reproducing the parameter form.
     """
+    require(PhiFiber, "the fibre", fiber)
+    require(MarkingConvention, "the convention", conv)
     params, image = fiber.params, fiber.image
     t = tuple_of_params(params)
     raw = phi_tuple_raw(t)
@@ -169,6 +174,7 @@ def phi_consistency_report(fiber: PhiFiber,
 
 
 def moduli_report(fiber: PhiFiber) -> dict:
+    require(PhiFiber, "the fibre", fiber)
     params, image, inv = fiber.params, fiber.image, fiber.invariants
     return {
         "params": [str(params.a), str(params.b)],

@@ -101,7 +101,7 @@ from math import isqrt, lcm
 import mpmath
 from mpmath.libmp import pi_fixed
 
-from .errors import ArgumentError, DomainError, PrecisionError
+from .errors import ArgumentError, DomainError, PrecisionError, require
 from .algebra import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
 from .family import ELLIPTIC_LABELS, CurveLabel, FamilyParams, curve_equation, j_invariant
 
@@ -116,11 +116,6 @@ def _check_precision(precision_bits: int) -> None:
         raise ArgumentError(f"precision_bits must be an int, not {type(precision_bits).__name__}")
     if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
         raise DomainError(f"precision_bits must be in {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}")
-
-
-def _check_params(params) -> None:
-    if not isinstance(params, FamilyParams):
-        raise ArgumentError(f"params must be FamilyParams (check_domain), not {type(params).__name__}")
 
 
 @dataclass(frozen=True)
@@ -146,9 +141,15 @@ def _cap(z, bits) -> ComplexApprox:
 
 
 def _as_mpc(z) -> mpmath.mpc:
-    if isinstance(z, ComplexApprox):
-        return z.to_mpc()
-    return mpmath.mpc(z)
+    """z as an mpc at the working precision; ArgumentError for a value that
+    is not a number, DomainError for one that is not finite."""
+    try:
+        w = z.to_mpc() if isinstance(z, ComplexApprox) else mpmath.mpc(z)
+    except (TypeError, ValueError):
+        raise ArgumentError(f"expected a complex number, not {type(z).__name__}") from None
+    if not mpmath.isfinite(w):
+        raise DomainError(f"{mpmath.nstr(w, 5)} is not a finite complex number")
+    return w
 
 
 def optimal_agm(a, b, precision_bits: int) -> mpmath.mpc:
@@ -399,7 +400,7 @@ def elliptic_periods_agm(label: CurveLabel, params: FamilyParams,
     no q-series and no j.  ArgumentError for a label that is not elliptic."""
     if label not in ELLIPTIC_LABELS:
         raise ArgumentError(f"periods are computed for the elliptic quotients only, not {label!r}")
-    _check_params(params)
+    require(FamilyParams, "params", params)
     return _quotient_bases(params, precision_bits)[0][label]
 
 
@@ -661,6 +662,7 @@ def riemann_check(matrix: PrymPeriodMatrix):
     the alternating form E = ((0, D), (-D, 0)), D = diag(1, 2):
     Pi E^-1 Pi^T = 0 and i Pi E^-1 Pi^* > 0.  For Pi = (A | B) and a second
     matrix Pi' = (A' | B'), Pi E^-1 Pi'^T = B D^-1 A'^T - A D^-1 B'^T."""
+    require(PrymPeriodMatrix, "the matrix", matrix)
     bits = matrix.precision_bits
     with mpmath.workprec(bits + _GUARD_BITS):
         rows = matrix.to_mpc_rows()
@@ -691,7 +693,7 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
     must be at most j_delta_tolerance * max(1, |j|), or PrecisionError is
     raised.  ArgumentError unless params is a `FamilyParams` and
     precision_bits an int."""
-    _check_params(params)
+    require(FamilyParams, "params", params)
     _check_precision(precision_bits)
     tol = mpmath.ldexp(1, 4 - precision_bits // 4)
     bases, js = quotient_periods(params, precision_bits)

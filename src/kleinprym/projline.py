@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError, DegenerateConfiguration
+from .errors import ArgumentError, DegenerateConfiguration, require
 from .algebra import ratio_text, rational
 from .family import FamilyParams
 
@@ -168,9 +168,11 @@ class MarkedTuple:
     distinguished_index: int = 0
 
     def __post_init__(self):
+        require(tuple, "the pair and the triple", self.pair, self.triple)
+        require(ProjectivePoint, "a marked point", *self.pair, *self.triple)
         if len(self.pair) != 2 or len(self.triple) != 3:
             raise ArgumentError("marked tuple needs a pair and a triple")
-        if not 0 <= self.distinguished_index <= 2:
+        if type(self.distinguished_index) is not int or not 0 <= self.distinguished_index <= 2:
             raise ArgumentError("distinguished index out of range")
         _require_distinct(self.pair + self.triple, "marked tuple")
 

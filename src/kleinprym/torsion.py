@@ -22,7 +22,9 @@ lexicographically least element, which one pass over the basis of K reaches
 directly (`TorsionSubgroup.reduce`; H. Cohen, GTM 138, section 2.4).
 Elements and coset names are listed only when a report asks for them, one
 basis row added per step; levels stay <= 12.  Subgroup calls refuse wrong
-types.
+types, and a subgroup made directly refuses a basis that is not canonical
+or a preimage without its kernel; the module's own constructions skip that
+check (`_made`).
 
 The two fixed reports have a finite domain, so each is built once and
 memoised: `duality_chain(d)` for d in 2..12 and `example_surj_report()`.
@@ -41,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import ratio_text, rational
-from .errors import ArgumentError, LevelError, NotIsotropic
+from .errors import ArgumentError, LevelError, NotIsotropic, require
 
 MAX_LEVEL = 12
 
@@ -55,11 +57,9 @@ class TorsionPoint:
     level: int
 
     def __post_init__(self):
-        level, coords = self.level, self.coords
-        if not (type(level) is int and 2 <= level <= MAX_LEVEL and type(coords) is tuple
-                and len(coords) == 4 and all(type(c) is int and 0 <= c < level for c in coords)):
+        if not _is_point(self.coords, self.level):
             raise ArgumentError(f"a point is four int residues mod a level in 2..{MAX_LEVEL}, "
-                                f"not {coords!r} at level {level!r}")
+                                f"not {self.coords!r} at level {self.level!r}")
 
     @classmethod
     def make(cls, coords, level: int) -> "TorsionPoint":
@@ -108,21 +108,17 @@ class TorsionPoint:
         return "(" + ", ".join(self.to_strings()) + f")@{self.level}"
 
 
+def _is_point(coords, level) -> bool:
+    """Whether coords are four int residues mod an int level in 2..MAX_LEVEL."""
+    return (type(level) is int and 2 <= level <= MAX_LEVEL and type(coords) is tuple
+            and len(coords) == 4 and all(type(c) is int and 0 <= c < level for c in coords))
+
+
 @functools.cache
 def _residue_texts(level: int) -> tuple:
     """The texts of c/N in lowest terms for c in range(N), read by `to_strings`
-    and the reports.  A subgroup made directly may carry any level; the check
-    keeps the cache at the levels that `TorsionPoint` accepts."""
-    if not 2 <= level <= MAX_LEVEL:
-        raise ArgumentError(f"level must be in 2..{MAX_LEVEL}")
+    and the reports."""
     return tuple([ratio_text(c, level) for c in range(level)])
-
-
-def _require(cls, name: str, *values) -> None:
-    """ArgumentError unless every value is a `cls`, checked where a call enters."""
-    for value in values:
-        if not isinstance(value, cls):
-            raise ArgumentError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 def _pairing_residue(a: tuple, b: tuple, level: int) -> int:
@@ -218,10 +214,21 @@ def _lex_members(echelon, bounds, level: int) -> list:
 @dataclass(frozen=True)
 class TorsionSubgroup:
     """A subgroup of the level-N torsion, held as its canonical echelon basis
-    (see `_howell`); two subgroups are equal exactly when their bases are."""
+    (see `_howell`); two subgroups are equal exactly when their bases are.
+    Made directly, it refuses any other basis; the module's own
+    constructions, whose bases `_howell` made, skip that check (`_made`)."""
 
     level: int
     echelon: tuple
+
+    def __post_init__(self):
+        level, echelon = self.level, self.echelon
+        if not (type(echelon) is tuple and len(echelon) == 4
+                and all(type(e) is tuple and len(e) == 2 and type(e[0]) is int
+                        and _is_point(e[1], level) for e in echelon)
+                and _howell([r for _, r in echelon], level, 4) == echelon):
+            raise ArgumentError(f"a subgroup is the canonical basis of a span at a level "
+                                f"in 2..{MAX_LEVEL} (see `span`)")
 
     @property
     def order(self) -> int:
@@ -237,7 +244,7 @@ class TorsionSubgroup:
 
     def reduce(self, p: TorsionPoint) -> tuple:
         """The residues of the lexicographically least element of p + K."""
-        _require(TorsionPoint, "the point", p)
+        require(TorsionPoint, "the point", p)
         if p.level != self.level:
             raise LevelError("level mismatch")
         return _reduce(p.coords, self.echelon, self.level)
@@ -251,13 +258,13 @@ def span(gens) -> TorsionSubgroup:
     if not hasattr(gens, "__iter__"):
         raise ArgumentError(f"gens must be an iterable of TorsionPoints, not {type(gens).__name__}")
     gens = tuple(gens)
-    _require(TorsionPoint, "a generator", *gens)
+    require(TorsionPoint, "a generator", *gens)
     if not gens:
         raise ArgumentError("span of nothing; pass at least the zero point")
     level = gens[0].level
     if any(g.level != level for g in gens):
         raise LevelError("level mismatch among generators")
-    return TorsionSubgroup(level, _howell([g.coords for g in gens], level, 4))
+    return _made(TorsionSubgroup, level=level, echelon=_howell([g.coords for g in gens], level, 4))
 
 
 def perp(s: TorsionSubgroup) -> TorsionSubgroup:
@@ -265,7 +272,7 @@ def perp(s: TorsionSubgroup) -> TorsionSubgroup:
     of x -> (<x, r>) over the m basis rows r of s.  In the span of the rows
     (x M, x) of (M | I), M the 4 x m pairing matrix, the elements (0, x) are
     the kernel, and the Howell property gives their basis."""
-    _require(TorsionSubgroup, "the subgroup", s)
+    require(TorsionSubgroup, "the subgroup", s)
     n = s.level
     rows = [r for g, r in s.echelon if g < n]
     m = len(rows)
@@ -278,7 +285,7 @@ def perp(s: TorsionSubgroup) -> TorsionSubgroup:
 def intersection(a: TorsionSubgroup, b: TorsionSubgroup) -> TorsionSubgroup:
     """a & b by the Zassenhaus step over Z/N: the span of the rows (x, x) for
     x in a and (y, 0) for y in b holds (0, z) exactly when z is in both."""
-    _require(TorsionSubgroup, "a subgroup", a, b)
+    require(TorsionSubgroup, "a subgroup", a, b)
     n = a.level
     if b.level != n:
         raise LevelError("level mismatch")
@@ -290,11 +297,12 @@ def _kernel_past(rows, split: int, level: int) -> TorsionSubgroup:
     """The x with (0, x) in the span of `rows`, each `split` residues then
     four: by the Howell property, the basis rows past column `split`."""
     echelon = _howell(rows, level, split + 4)
-    return TorsionSubgroup(level, tuple([(g, r[split:]) for g, r in echelon[split:]]))
+    return _made(TorsionSubgroup, level=level,
+                 echelon=tuple([(g, r[split:]) for g, r in echelon[split:]]))
 
 
 def is_isotropic(s: TorsionSubgroup) -> bool:
-    _require(TorsionSubgroup, "the subgroup", s)
+    require(TorsionSubgroup, "the subgroup", s)
     rows = [r for _, r in s.echelon]
     return all(_pairing_residue(a, b, s.level) == 0 for a in rows for b in rows)
 
@@ -303,10 +311,20 @@ def is_isotropic(s: TorsionSubgroup) -> bool:
 class QuotientSubgroup:
     """A subgroup of the quotient of the level-N torsion by `kernel`, held as
     its preimage `group`, which contains the kernel; two are equal exactly
-    when their kernels and preimages are."""
+    when their kernels and preimages are.  Made directly, it refuses a
+    preimage that does not contain the kernel; the module's own constructions
+    skip that check (`_made`)."""
 
     kernel: TorsionSubgroup
     group: TorsionSubgroup
+
+    def __post_init__(self):
+        kernel, group = self.kernel, self.group
+        require(TorsionSubgroup, "a subgroup", kernel, group)
+        if group.level != kernel.level:
+            raise LevelError("level mismatch")
+        if any(any(_reduce(r, group.echelon, group.level)) for _, r in kernel.echelon):
+            raise ArgumentError("the preimage must contain the kernel")
 
     @property
     def order(self) -> int:
@@ -331,6 +349,15 @@ class QuotientSubgroup:
         return [[texts[c] for c in x] for x in self._members()]
 
 
+def _made(cls, **fields):
+    """A `cls` with the given fields, without the check of a direct
+    construction: for the module's own subgroups, whose bases `_howell` made
+    and whose preimages contain their kernels."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def project_to_quotient(kernel: TorsionSubgroup, points) -> QuotientSubgroup:
     """The image of the span of `points` in the quotient by `kernel`."""
     return quotient_image(kernel, span(points))
@@ -338,12 +365,13 @@ def project_to_quotient(kernel: TorsionSubgroup, points) -> QuotientSubgroup:
 
 def quotient_image(kernel: TorsionSubgroup, group: TorsionSubgroup) -> QuotientSubgroup:
     """The image of `group` in the quotient by `kernel`, held as group + kernel."""
-    _require(TorsionSubgroup, "a subgroup", kernel, group)
+    require(TorsionSubgroup, "a subgroup", kernel, group)
     n = kernel.level
     if group.level != n:
         raise LevelError("level mismatch")
     both = _howell([r for _, r in group.echelon + kernel.echelon], n, 4)
-    return QuotientSubgroup(kernel, TorsionSubgroup(n, both))
+    return _made(QuotientSubgroup, kernel=kernel,
+                 group=_made(TorsionSubgroup, level=n, echelon=both))
 
 
 def ker_phi_H(kernel_mu: TorsionSubgroup) -> QuotientSubgroup:
@@ -352,7 +380,7 @@ def ker_phi_H(kernel_mu: TorsionSubgroup) -> QuotientSubgroup:
     preimage K^perp + K, which is K^perp since an isotropic K lies in it."""
     if not is_isotropic(kernel_mu):
         raise NotIsotropic("ker(mu) must be isotropic")
-    return QuotientSubgroup(kernel_mu, perp(kernel_mu))
+    return _made(QuotientSubgroup, kernel=kernel_mu, group=perp(kernel_mu))
 
 
 def factor_intersection(kernel_mu: TorsionSubgroup, quotient_group: QuotientSubgroup,
@@ -361,7 +389,7 @@ def factor_intersection(kernel_mu: TorsionSubgroup, quotient_group: QuotientSubg
     quotient by ker(mu).  factor is "E" (first two coordinates) or "F" (last two).
     With K = ker(mu) inside the preimage G, G & (factor + K) = (G & factor) + K
     (the modular law), and G & factor is where the other factor's residues vanish."""
-    _require(QuotientSubgroup, "quotient_group", quotient_group)
+    require(QuotientSubgroup, "quotient_group", quotient_group)
     other = {"E": slice(2, 4), "F": slice(0, 2)}.get(factor) if isinstance(factor, str) else None
     if other is None:
         raise ArgumentError("factor must be 'E' or 'F'")
@@ -508,9 +536,9 @@ def _example_surj_report() -> dict:
         units = [TorsionPoint(s + transform(s), 4) for s in ((1, 0), (0, 1))]
         return quotient_image(kernel4, span(units)).group
 
-    diag_cap = QuotientSubgroup(kernel4, intersection(
+    diag_cap = _made(QuotientSubgroup, kernel=kernel4, group=intersection(
         graph(lambda s: s), graph(lambda s: (-s[0] % 4, -s[1] % 4))))
-    alpha_cap = QuotientSubgroup(kernel4, intersection(
+    alpha_cap = _made(QuotientSubgroup, kernel=kernel4, group=intersection(
         graph(lambda s: _alpha(s, 4)), graph(lambda s: _alpha((-s[0] % 4, -s[1] % 4), 4))))
 
     # the three order-2 quotients of A: each pulls back to 2-torsion of a

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from kleinprym.algebra import (
     Polynomial,
-    discriminant,
     gcd,
     is_squarefree,
     parse_rational,
@@ -72,10 +72,9 @@ def in_stored_form(p):
             and math.gcd(p.den, *p.nums) == 1)
 
 
-@given(tall_lists, tall_lists, scalars, st.integers(0, 3),
-       st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT)))
+@given(tall_lists, tall_lists, scalars)
 @settings(max_examples=150)
-def test_arithmetic_matches_the_fraction_reference(fs, gs, c, k, x0):
+def test_arithmetic_matches_the_fraction_reference(fs, gs, c):
     f, g = Polynomial(fs), Polynomial(gs)
     fs, gs = trimmed(fs), trimmed(gs)
     assert f.coeffs == fs and all(type(v) is Fraction for v in f.coeffs)
@@ -84,17 +83,14 @@ def test_arithmetic_matches_the_fraction_reference(fs, gs, c, k, x0):
     results = (
         (f + g, ref_add(fs, gs)),
         (f - g, ref_add(fs, gs, -1)),
-        (-f, trimmed(-x for x in fs)),
         (f * g, ref_mul(fs, gs)),
         (f * c, trimmed(x * c for x in fs)),
         (c * f, trimmed(x * c for x in fs)),
-        (f ** k, functools.reduce(ref_mul, [fs] * k, (Fraction(1),))),
         (f.derivative(), trimmed(i * x for i, x in enumerate(fs))[1:]),
     )
     for p, expected in results:
         assert p.coeffs == expected
         assert in_stored_form(p)
-    assert f.evaluate(x0) == sum(x * x0 ** i for i, x in enumerate(fs))
     if gs:
         q, r = f.divmod(g)
         assert (q.coeffs, r.coeffs) == ref_divmod(fs, gs)
@@ -176,16 +172,8 @@ def test_polynomial_basics():
     x = Polynomial.x()
     p = x * x - Polynomial.one()
     assert p.degree == 2
-    assert p.evaluate(Fraction(3)) == 8
     assert (p * Polynomial.zero()).is_zero
     assert p.to_string() == "-1,0,1"
-
-
-def test_from_roots_evaluates_to_zero():
-    p = Polynomial.from_roots([1, -2, Fraction(1, 3)], leading=5)
-    for r in (1, -2, Fraction(1, 3)):
-        assert p.evaluate(Fraction(r)) == 0
-    assert p.leading == 5
 
 
 @given(small_polys, small_polys)
@@ -201,25 +189,26 @@ def test_divmod_identity(f, g):
 
 @given(st.lists(st.integers(-5, 5), min_size=2, max_size=5))
 def test_resultant_vanishes_iff_common_root(roots):
-    f = Polynomial.from_roots(roots[: len(roots) // 2 + 1])
-    g = Polynomial.from_roots(roots[len(roots) // 2 + 1:] or [roots[0] + 100])
-    shared = set(roots[: len(roots) // 2 + 1]) & set(
-        roots[len(roots) // 2 + 1:] or [roots[0] + 100])
-    assert (resultant(f, g) == 0) == bool(shared)
+    f_roots = roots[: len(roots) // 2 + 1]
+    g_roots = roots[len(roots) // 2 + 1:] or [roots[0] + 100]
+    f, g = (Polynomial(functools.reduce(ref_mul, [(-r, 1) for r in rs], (1,)))
+            for rs in (f_roots, g_roots))
+    assert (resultant(f, g) == 0) == bool(set(f_roots) & set(g_roots))
 
 
 @given(st.lists(st.integers(-6, 6), min_size=2, max_size=5))
 def test_discriminant_detects_repeated_roots(roots):
-    f = Polynomial.from_roots(roots, leading=3)
+    # disc(f) = +-Res(f, f')/lc(f), so it vanishes exactly with the resultant
+    f = Polynomial(functools.reduce(ref_mul, [(-r, 1) for r in roots], (3,)))
     repeated = len(set(roots)) < len(roots)
-    assert (discriminant(f) == 0) == repeated
+    assert (resultant(f, f.derivative()) == 0) == repeated
     assert is_squarefree(f) == (not repeated)
 
 
 def test_resultant_product_formula():
     # Res(f, g) = lc(f)^deg g * lc(g)^deg f * prod (ri - sj) for monic-split input
-    f = Polynomial.from_roots([0, 2], leading=2)
-    g = Polynomial.from_roots([1, -1, 3], leading=1)
+    f = Polynomial((0, -4, 2))      # 2 x (x - 2)
+    g = Polynomial((3, -1, -3, 1))  # (x - 1)(x + 1)(x - 3)
     expected = Fraction(2) ** 3
     for ri in (0, 2):
         for sj in (1, -1, 3):
@@ -233,10 +222,13 @@ def test_substitute_rational_map_agrees_pointwise(f, x0):
     num = Polynomial((1, 2))       # 2x + 1
     den = Polynomial((-3, 0, 1))   # x^2 - 3
     g, k = substitute_rational_map(f, num, den)
-    d = den.evaluate(x0)
+    x = sympy.Symbol("x")
+    f_x, g_x, num_x, den_x = (sympy.Poly(p.coeffs[::-1] or [0], x).as_expr()
+                              for p in (f, g, num, den))
+    d = den_x.subs(x, x0)
     if d == 0:
         return
-    assert g.evaluate(x0) == d ** k * f.evaluate(num.evaluate(x0) / d)
+    assert g_x.subs(x, x0) == d ** k * f_x.subs(x, num_x.subs(x, x0) / d)
 
 
 def ref_substitute(fs, ns, ds):
@@ -274,8 +266,8 @@ def test_substitute_rational_map_rejects_a_zero_denominator():
 
 
 def test_gcd_is_monic_common_divisor():
-    f = Polynomial.from_roots([1, 2, 3])
-    g = Polynomial.from_roots([2, 3, 4], leading=7)
+    f = Polynomial((-6, 11, -6, 1))        # (x - 1)(x - 2)(x - 3)
+    g = Polynomial((-168, 182, -63, 7))    # 7 (x - 2)(x - 3)(x - 4)
     h = gcd(f, g)
-    assert h == Polynomial.from_roots([2, 3])
+    assert h == Polynomial((6, -5, 1))     # (x - 2)(x - 3)
     assert h.leading == 1

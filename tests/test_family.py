@@ -8,7 +8,7 @@ from family_oracle import (model_from_rhs, oracle_factors, oracle_identity,
                            oracle_identity_sides, oracle_rhs)
 from j_oracle import binary_quartic_invariants, oracle_j
 from kleinprym.acceptance import IDENTITY_GRID
-from kleinprym.algebra import Polynomial, discriminant, is_squarefree
+from kleinprym.algebra import Polynomial, is_squarefree, resultant
 from kleinprym.errors import ArgumentError, DegreeError, DomainError, InternalInvariantError
 from kleinprym.family import (
     CurveLabel,
@@ -133,7 +133,7 @@ def test_genera():
 @given(domain_params)
 def test_family_rhs_is_squarefree_on_domain(params):
     rhs = curve_equation(CurveLabel.Ctilde, params).rhs
-    assert discriminant(rhs) != 0
+    assert resultant(rhs, rhs.derivative()) != 0
 
 
 @pytest.mark.parametrize("label", list(CurveLabel))
@@ -158,13 +158,16 @@ def test_discriminant_factorisation_on_a_grid(label):
     # disc(rhs) and the pinned product have degree deg_a in a and deg_b in b,
     # so agreement on a (deg_a + 1) x (deg_b + 1) grid is equality in Q[a, b]:
     # rhs is squarefree exactly where none of the pinned factors vanishes,
-    # which holds for every pair that FamilyParams accepts
+    # which holds for every pair that FamilyParams accepts; the
+    # discriminant of rhs of degree n is (-1)^(n(n-1)/2) Res(rhs, rhs')/lc(rhs)
     _, (e_ab, e_am, e_ap, e_bm, e_bp) = DISCRIMINANTS[label]
     deg_a, deg_b = e_ab + e_am + e_ap, e_ab + e_bm + e_bp
     for a in range(3, 3 + deg_a + 1):
         for b in range(-3, -3 - deg_b - 1, -1):
             rhs = curve_equation(label, check_domain(a, b)).rhs
-            assert discriminant(rhs) == pinned_discriminant(label, a, b)
+            sign = (-1) ** (rhs.degree * (rhs.degree - 1) // 2)
+            assert resultant(rhs, rhs.derivative()) == \
+                sign * rhs.leading * pinned_discriminant(label, a, b)
 
 
 # the first of the three domain conditions that a pair breaks, in the order
@@ -376,8 +379,8 @@ def test_a_difference_with_a_small_root_is_rejected(label):
     params = check_domain(*GENERIC_POINT)
     ctilde_rhs = curve_equation(CurveLabel.Ctilde, params).rhs
     q = quotient_map(label)
-    u2 = q.U_num.evaluate(Fraction(2)) / q.U_den.evaluate(Fraction(2))
-    wrong = curve_equation(label, params).rhs + Polynomial([-u2, 1])
+    u2 = (sympy_polynomial(q.U_num) / sympy_polynomial(q.U_den)).subs(X, 2)
+    wrong = curve_equation(label, params).rhs + Polynomial([Fraction(-u2.p, u2.q), 1])
     assert not verify_quotient_identity(q, ctilde_rhs, wrong)
     assert not oracle_identity(q, ctilde_rhs, wrong)
     lhs, rhs = integer_sides(q, ctilde_rhs, wrong)
@@ -465,7 +468,7 @@ def test_params_from_roots_gives_vanishing_rhs():
     params = check_domain(-t1 * t1 - 1 / (t1 * t1), -t2 * t2 - 1 / (t2 * t2))
     rhs = curve_equation(CurveLabel.Ctilde, params).rhs
     for r in (t1, -t1, 1 / t1, t2, -t2, 1 / t2):
-        assert rhs.evaluate(r) == 0
+        assert sympy_polynomial(rhs).subs(X, r) == 0
 
 
 def test_j_invariant_anchors():
@@ -560,7 +563,7 @@ def test_j_invariant_makes_one_fraction(fraction_count):
 @pytest.mark.parametrize("roots", [(1, 1, -2), (Fraction(1, 3), Fraction(1, 3), 5, 7)],
                          ids=["cubic", "quartic"])
 def test_j_of_a_singular_model_is_an_invariant_error(roots):
-    rhs = Polynomial.from_roots(roots, leading=Fraction(-3, 2))
+    rhs = polynomial_of(sympy.Rational(-3, 2) * sympy.prod([X - r for r in roots]), 0, 0)
     model = HyperellipticModel(rhs)
     for j in (j_invariant, oracle_j):
         with pytest.raises(InternalInvariantError):

@@ -1,8 +1,10 @@
 """Every entry point that takes numbers from outside reads them through
 `algebra.rational`: each call returns a value or raises a KleinPrymError.
-The torsion subgroup calls, which take points and subgroups, refuse any
-other type the same way."""
+The calls that take the library's own values (labels, parameters, models,
+points, subgroups, curves, matrices) refuse any other type the same way,
+and so does every name that `kleinprym` exports."""
 
+import math
 import sys
 import time
 from decimal import Decimal
@@ -11,13 +13,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kleinprym.algebra import rational
-from kleinprym.errors import ArgumentError, KleinPrymError
-from kleinprym.family import FamilyParams, check_domain
-from kleinprym.isogeny import KernelPoint, WeierstrassCurve
-from kleinprym.projline import MarkedTuple, MobiusMap, ProjectivePoint
+import kleinprym
+from kleinprym.algebra import Polynomial, rational
+from kleinprym.errors import ArgumentError, DomainError, KleinPrymError
+from kleinprym.family import (CurveLabel, FamilyParams, InvolutionLabel, check_domain,
+                              curve_equation, curve_report, fixed_point_count, j_invariant,
+                              quotient_map)
+from kleinprym.isogeny import (KernelPoint, WeierstrassCurve, dual_nonisomorphism_check,
+                               velu_quotient)
+from kleinprym.moduli import (moduli_report, phi_consistency_report, phi_fiber, phi_params,
+                              prym_fiber_invariants)
+from kleinprym.periods import (ComplexApprox, PeriodPair, PrymPeriodMatrix, analytic_j,
+                               elliptic_periods_agm, periods_report, prym_period_matrix,
+                               riemann_check)
+from kleinprym.projline import MarkedTuple, MarkingConvention, MobiusMap, ProjectivePoint
 from kleinprym.torsion import (
+    QuotientSubgroup,
     TorsionPoint,
+    TorsionSubgroup,
+    duality_chain,
+    example_surj_report,
     factor_intersection,
     intersection,
     ker_phi_H,
@@ -31,6 +46,10 @@ E = WeierstrassCurve.make(1, 0)  # y^2 = x^3 + x, with (0, 0) of order 2
 P = TorsionPoint((1, 0, 0, 0), 2)
 K = span([P])
 Q = ker_phi_H(K)
+PARAMS = check_domain(1, 3)
+FIBER = phi_fiber(PARAMS)
+PAIR = (ProjectivePoint(0), ProjectivePoint(1))
+TRIPLE = (ProjectivePoint.infinity(), ProjectivePoint(2), ProjectivePoint(-2))
 
 ENTRY_POINTS = {
     "check_domain": check_domain,
@@ -59,7 +78,65 @@ ENTRY_POINTS = {
     "factor_intersection": lambda u, v: factor_intersection(K, u, v),
     "factor_intersection(factor)": lambda u, v: factor_intersection(K, Q, u),
     "TorsionSubgroup.reduce": lambda u, v: K.reduce(u),
+    "TorsionSubgroup": TorsionSubgroup,
+    "TorsionSubgroup(level)": lambda u, v: TorsionSubgroup(u, K.echelon),
+    "QuotientSubgroup": QuotientSubgroup,
+    "QuotientSubgroup(K, u)": lambda u, v: QuotientSubgroup(K, u),
+    # the other names that kleinprym exports
+    "KleinPrymError": KleinPrymError,
+    "ComplexApprox": lambda u, v: ComplexApprox(u, v, 128),
+    "Polynomial": lambda u, v: Polynomial(u),
+    "Polynomial([u, v])": lambda u, v: Polynomial([u, v]),
+    "MarkedTuple": MarkedTuple,
+    "MarkedTuple(points)": lambda u, v: MarkedTuple((PAIR[0], u), (TRIPLE[0], TRIPLE[1], v)),
+    "MarkedTuple(index)": lambda u, v: MarkedTuple(PAIR, TRIPLE, u),
+    "MarkingConvention": MarkingConvention,
+    "CurveLabel": lambda u, v: CurveLabel(u),
+    "InvolutionLabel": lambda u, v: InvolutionLabel(u),
+    "phi_params": lambda u, v: phi_params(u),
+    "prym_fiber_invariants": lambda u, v: prym_fiber_invariants(u),
+    "TorsionPoint": TorsionPoint,
+    "duality_chain": lambda u, v: duality_chain(u),
+    "example_surj_report": lambda u, v: example_surj_report(),
+    "KernelPoint": lambda u, v: KernelPoint(u, v, 2),
+    "KernelPoint(order)": lambda u, v: KernelPoint(Fraction(0), Fraction(0), u),
+    "WeierstrassCurve": WeierstrassCurve,
+    "velu_quotient": velu_quotient,
+    "velu_quotient(E, u)": lambda u, v: velu_quotient(E, u),
+    "PeriodPair": lambda u, v: PeriodPair(u, v, u),
+    "PrymPeriodMatrix": lambda u, v: PrymPeriodMatrix(u),
+    "elliptic_periods_agm": elliptic_periods_agm,
+    "elliptic_periods_agm(label, u, v)": lambda u, v: elliptic_periods_agm(CurveLabel.E_t, u, v),
+    "elliptic_periods_agm(bits)":
+        lambda u, v: elliptic_periods_agm(CurveLabel.E_t, PARAMS, u),
+    # the calls that take labels, parameters, models, fibres and matrices
+    "fixed_point_count": lambda u, v: fixed_point_count(u, PARAMS),
+    "fixed_point_count(params)": lambda u, v: fixed_point_count(InvolutionLabel.sigma, u),
+    "quotient_map": lambda u, v: quotient_map(u),
+    "curve_equation": lambda u, v: curve_equation(u, PARAMS),
+    "curve_equation(params)": lambda u, v: curve_equation(CurveLabel.E_t, u),
+    "j_invariant": lambda u, v: j_invariant(u),
+    "curve_report": curve_report,
+    "curve_report(label, u)": lambda u, v: curve_report(CurveLabel.E_t, u),
+    "phi_fiber": lambda u, v: phi_fiber(u),
+    "moduli_report": lambda u, v: moduli_report(u),
+    "phi_consistency_report": lambda u, v: phi_consistency_report(u),
+    "phi_consistency_report(fiber, u)": lambda u, v: phi_consistency_report(FIBER, u),
+    "dual_nonisomorphism_check": lambda u, v: dual_nonisomorphism_check(u, v, u, v, True),
+    "dual_nonisomorphism_check(assertion)":
+        lambda u, v: dual_nonisomorphism_check(E, KernelPoint.on_curve(E, 0, 0), E,
+                                               KernelPoint.on_curve(E, 0, 0), u),
+    "analytic_j": lambda u, v: analytic_j(u, 128),
+    "analytic_j(bits)": lambda u, v: analytic_j(1j, u),
+    "prym_period_matrix": prym_period_matrix,
+    "riemann_check": lambda u, v: riemann_check(u),
+    "periods_report": periods_report,
 }
+
+
+def test_every_exported_callable_is_an_entry_point():
+    exported = {name for name in kleinprym.__all__ if callable(getattr(kleinprym, name))}
+    assert exported <= ENTRY_POINTS.keys()
 
 outside = st.one_of(
     st.sampled_from(["1/3", "1e3", "abc", "", " -7 ", "inf", "0,0", float("nan"), float("inf"),
@@ -109,6 +186,38 @@ def test_an_outside_value_gives_a_value_or_a_library_error(name, u, v):
         "K.reduce((1, 0, 0, 0))"])
 def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
     with pytest.raises(ArgumentError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fixed_point_count("sigma", PARAMS), lambda: quotient_map("E_t"),
+    lambda: curve_equation("E_t", PARAMS), lambda: curve_equation(CurveLabel.E_t, (1, 2)),
+    lambda: phi_params(None), lambda: prym_fiber_invariants(None), lambda: phi_fiber(None),
+    lambda: moduli_report(None), lambda: phi_consistency_report(None),
+    lambda: j_invariant(None), lambda: curve_report("E_t", None), lambda: riemann_check(None),
+    lambda: velu_quotient(None, None),
+    lambda: dual_nonisomorphism_check(None, None, None, None, True),
+    lambda: analytic_j("x"), lambda: prym_period_matrix(1j, "x"), lambda: Polynomial(["x"]),
+    lambda: CurveLabel("x"),
+], ids=["fixed_point_count('sigma', p)", "quotient_map('E_t')", "curve_equation('E_t', p)",
+        "curve_equation(E_t, (1, 2))", "phi_params(None)", "prym_fiber_invariants(None)",
+        "phi_fiber(None)", "moduli_report(None)", "phi_consistency_report(None)",
+        "j_invariant(None)", "curve_report('E_t', None)", "riemann_check(None)",
+        "velu_quotient(None, None)", "dual_nonisomorphism_check(None, ...)", "analytic_j('x')",
+        "prym_period_matrix(1j, 'x')", "Polynomial(['x'])", "CurveLabel('x')"])
+def test_a_library_call_refuses_a_wrong_type(call):
+    with pytest.raises(ArgumentError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: analytic_j(complex(0, math.inf)), lambda: analytic_j(complex(math.nan, 1)),
+    lambda: prym_period_matrix(1j, complex(math.nan, math.nan)),
+    lambda: prym_period_matrix(complex(math.inf, 1), 1j),
+], ids=["analytic_j(inf i)", "analytic_j(nan + i)", "prym_period_matrix(i, nan)",
+        "prym_period_matrix(inf + i, i)"])
+def test_a_non_finite_tau_or_z_is_a_domain_error(call):
+    with pytest.raises(DomainError):
         call()
 
 

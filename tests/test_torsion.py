@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleinprym import torsion
 from kleinprym.errors import ArgumentError, LevelError, NotIsotropic
 from kleinprym.torsion import (
     MAX_LEVEL,
+    QuotientSubgroup,
     TorsionPoint,
+    TorsionSubgroup,
     _duality_chain,
     _example_surj_report,
     _howell,
@@ -444,3 +447,64 @@ def test_example_surj_all_checks_pass():
     assert len(report["ker_phi_A"]) == 4
     assert len(report["mu_E_diag_cap_mu_E_antidiag"]) == 2
     assert len(report["mu_E_alpha_cap_mu_E_minus_alpha"]) == 2
+
+
+def test_a_subgroup_made_directly_must_be_a_canonical_basis():
+    # one pivot row, and its pivot 3 does not divide the level 4
+    with pytest.raises(ArgumentError):
+        TorsionSubgroup(4, ((3, (3, 0, 0, 0)),))
+    s = span([pt(Fraction(1, 2), Fraction(1, 4), 0, 0, level=4),
+              pt(0, Fraction(1, 2), 0, Fraction(1, 2), level=4)])
+    assert TorsionSubgroup(4, s.echelon) == s
+    first, *rest = s.echelon
+    assert first == (2, (2, 1, 0, 0)) and (2, (0, 2, 0, 0)) in rest
+    others = [(2, (2, 3, 0, 0)),  # the same subgroup, but not the least row
+              (1, (2, 1, 0, 0)), (2.0, (2, 1, 0, 0)), (2, (2, 1, 0)), (2, [2, 1, 0, 0])]
+    for echelon in [(other, *rest) for other in others] + [s.echelon[:3], list(s.echelon)]:
+        with pytest.raises(ArgumentError):
+            TorsionSubgroup(4, echelon)
+    for level in (2, 8, 13, 4.0):
+        with pytest.raises(ArgumentError):
+            TorsionSubgroup(level, s.echelon)
+
+
+def test_a_quotient_subgroup_made_directly_must_contain_its_kernel():
+    # <(0, 1/4, 0, 0)> does not contain <(1/2, 0, 0, 0)>
+    kernel = span([pt(Fraction(1, 2), 0, 0, 0, level=4)])
+    group = span([pt(0, Fraction(1, 4), 0, 0, level=4)])
+    with pytest.raises(ArgumentError):
+        QuotientSubgroup(kernel, group)
+    image = quotient_image(kernel, group)
+    assert QuotientSubgroup(kernel, image.group) == image and image.order == 4
+    with pytest.raises(LevelError):
+        QuotientSubgroup(span([pt(0, 0, 0, 0, level=2)]), group)
+    with pytest.raises(ArgumentError):
+        QuotientSubgroup(kernel, group.echelon)
+
+
+@pytest.mark.parametrize("level", ALL_LEVELS)
+def test_every_subgroup_the_module_builds_passes_the_direct_check(level, monkeypatch):
+    # with the unchecked constructors swapped for the checked ones, every
+    # subgroup built inside the module is checked as if made directly
+    made = collections.Counter()
+
+    def checked(cls, **fields):
+        made[cls] += 1
+        return cls(**fields)
+
+    monkeypatch.setattr(torsion, "_made", checked)
+    gen_sets = _oracle_generators(level)
+    for gens, others in zip(gen_sets, gen_sets[1:] + gen_sets[:1]):
+        kernel = span(gens)
+        perp(kernel)
+        intersection(kernel, span(others))
+        quotients = [project_to_quotient(kernel, others)]
+        if is_isotropic(kernel):
+            quotients.append(ker_phi_H(kernel))
+        for q in quotients:
+            for factor in "EF":
+                factor_intersection(kernel, q, factor)
+    assert _duality_chain.__wrapped__(level)["all_ok"]
+    if level == 2:
+        assert _example_surj_report.__wrapped__()["all_ok"]
+    assert made[TorsionSubgroup] > 0 and made[QuotientSubgroup] > 0
