@@ -179,31 +179,22 @@ class QuotientMapData:
     W_den: Polynomial
 
 
-def _quotient_maps() -> dict:
-    x = Polynomial.x()
-    one = Polynomial.one()
-    x2 = x * x
-    x3 = x2 * x
-    x4 = x2 * x2
-    sym = x2 + one        # x^2 + 1,  U-numerator for x + 1/x
-    asym = x2 - one       # x^2 - 1,  U-numerator for x - 1/x
-    quartic_sym = x4 + one
-    table = {
-        CurveLabel.E_s: (x2, one, one, one),
-        CurveLabel.E_t: (sym, x, one, x2),
-        CurveLabel.E_st: (asym, x, one, x2),
-        CurveLabel.C_is: (x2, one, x, one),
-        CurveLabel.C_it: (sym, x, asym, x3),
-        CurveLabel.C_ist: (asym, x, sym, x3),
-        CurveLabel.E_is_t: (quartic_sym, x2, sym, x3),
-        CurveLabel.E_s_it: (quartic_sym, x2, x4 - one, x4),
-        CurveLabel.E_is_it: (quartic_sym, x2, asym, x3),
-    }
-    return {label: QuotientMapData(*maps) for label, maps in table.items()}
-
-
-# the maps do not depend on (a, b)
-_QUOTIENT_MAPS = _quotient_maps()
+# The maps do not depend on (a, b).  Each row gives U_num, U_den, W_num and
+# W_den by their integer coefficients, low to high, and U, W in its comment;
+# every polynomial ends in 1, so it is stored over 1.
+_QUOTIENT_MAPS = {label: QuotientMapData(*[Polynomial._stored(c, 1) for c in polynomials])
+                  for label, polynomials in {
+    CurveLabel.E_s: ((0, 0, 1), (1,), (1,), (1,)),                          # x^2, 1
+    CurveLabel.E_t: ((1, 0, 1), (0, 1), (1,), (0, 0, 1)),                   # x + 1/x, 1/x^2
+    CurveLabel.E_st: ((-1, 0, 1), (0, 1), (1,), (0, 0, 1)),                 # x - 1/x, 1/x^2
+    CurveLabel.C_is: ((0, 0, 1), (1,), (0, 1), (1,)),                       # x^2, x
+    CurveLabel.C_it: ((1, 0, 1), (0, 1), (-1, 0, 1), (0, 0, 0, 1)),         # x + 1/x, (x^2 - 1)/x^3
+    CurveLabel.C_ist: ((-1, 0, 1), (0, 1), (1, 0, 1), (0, 0, 0, 1)),        # x - 1/x, (x^2 + 1)/x^3
+    # the next three: x^2 + 1/x^2 and (x^2 + 1)/x^3, (x^4 - 1)/x^4, (x^2 - 1)/x^3
+    CurveLabel.E_is_t: ((1, 0, 0, 0, 1), (0, 0, 1), (1, 0, 1), (0, 0, 0, 1)),
+    CurveLabel.E_s_it: ((1, 0, 0, 0, 1), (0, 0, 1), (-1, 0, 0, 0, 1), (0, 0, 0, 0, 1)),
+    CurveLabel.E_is_it: ((1, 0, 0, 0, 1), (0, 0, 1), (-1, 0, 1), (0, 0, 0, 1)),
+}.items()}
 
 
 def quotient_map(label: CurveLabel) -> QuotientMapData:

@@ -72,9 +72,10 @@ mpmath raises a high-precision mpc to an integer power through a complex log
 and exp.  A periods report runs three q-series, one at the tau of each
 partner.  Each of those taus has real part 0, so its nome is real, and the
 series runs on Python integers at a fixed-point scale, with q^n held only to
-the bits the remaining terms need (`_real_theta_squares`); the complex series
-serves `analytic_j` at a general tau.  The kernel's half-period is read as
-a class (m, n) in (Z/2)^2, t = (m w1 + n w2)/2, off the partner's normal
+the bits the remaining terms need (`_real_theta_squares`); the complex series,
+whose cost does not grow with Im tau, serves `analytic_j` and the lattice
+closure of `acceptance`.  The kernel's half-period is read as a class (m, n)
+in (Z/2)^2, t = (m w1 + n w2)/2, off the partner's normal
 form (w1, w2): (R, iH) keeps t's class in (R, iH), and (iH, -R) swaps it.
 In the partner's reduced basis the quotient's tau' is then tau/2, 2 tau or
 (tau + 1)/2, and with A, B, C = t2^2, t3^2, t4^2 at tau and odd, even the
@@ -125,6 +126,12 @@ class ComplexApprox:
     real: mpmath.mpf
     imag: mpmath.mpf
     precision_bits: int
+
+    def __post_init__(self):
+        if not type(self.real) is type(self.imag) is mpmath.mpf:
+            raise ArgumentError(f"real and imag must be mpf values, not "
+                                f"{type(self.real).__name__} and {type(self.imag).__name__}")
+        _check_precision(self.precision_bits)
 
     def to_mpc(self) -> mpmath.mpc:
         """The value at its labelled precision, whatever the ambient one."""
@@ -187,6 +194,9 @@ class PeriodPair:
     omega1: ComplexApprox
     omega2: ComplexApprox
     tau: ComplexApprox
+
+    def __post_init__(self):
+        require(ComplexApprox, "omega1, omega2 and tau", self.omega1, self.omega2, self.tau)
 
 
 def _from_fixed(v: int, wp: int) -> mpmath.mpf:
@@ -317,16 +327,12 @@ def _quotient_lattice(r: int, h: int, e: int, t, scale: int):
 
 def _pair(basis, x: int, y: int, e: int, precision_bits: int) -> PeriodPair:
     """The `PeriodPair` of the basis ((a, b), (c, d)) in halves of x and iy,
-    integers at the scale 2^e, with tau = w2/w1 = (c x + i d y)/(a x + i b y);
-    every number is rounded once from its integer."""
+    integers at the scale 2^e, with tau = w2/w1 = (c x + i d y)/(a x + i b y)
+    formed as w2 conj(w1)/|w1|^2; every number is rounded once from its
+    integer."""
     (a, b), (c, d) = basis
-    if a and b:  # a^2 = b^2 = 1: multiply by conj(w1)/|w1|^2
-        xx, yy = x * x, y * y
-        re, im, norm = a * c * xx + b * d * yy, (a * d - b * c) * x * y, xx + yy
-    elif b:      # w1 = i b y/2
-        re, im, norm = d * y, -c * x, b * y
-    else:        # w1 = a x/2
-        re, im, norm = c * x, d * y, a * x
+    xx, yy = x * x, y * y
+    re, im, norm = a * c * xx + b * d * yy, (a * d - b * c) * x * y, a * a * xx + b * b * yy
     wp = mpmath.mp.prec + _FIXED_GUARD_BITS
 
     def approx(re, im, shift):
@@ -359,8 +365,9 @@ def quotient_periods(params: FamilyParams, precision_bits: int = DEFAULT_PRECISI
     js = {}
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         for partner, label, _, _ in _PARTNERS:
-            # the printed tau, so the partner's j is analytic_j(pair.tau) exactly
-            thetas = _theta_squares(bases[partner].tau.to_mpc(), precision_bits)
+            # the printed tau of a partner has real part 0, so its nome is real
+            q4 = mpmath.expjpi(bases[partner].tau.to_mpc() / 4).real
+            thetas = _real_theta_squares(q4, precision_bits)
             js[partner] = _cap(_j_from_eighths(*map(_fourth, thetas[:3])), precision_bits)
             js[label] = _cap(_j_from_eighths(*_isogenous_eighths(kernels[partner], *thetas)),
                              precision_bits)
@@ -424,10 +431,8 @@ def _theta_squares(tau, precision_bits: int):
     the even n >= 1, terms added until they drop below 2^(-precision_bits - 16).
     q = (q^(1/4))^4 is multiplied out: mpmath 1.3 raises an mpc z to the power
     n through exp(n log z) once n times the mantissa size passes 10000 bits.
-    Runs at the caller's precision."""
+    Runs at the caller's precision, for `analytic_j` and `acceptance`."""
     q4 = mpmath.expjpi(tau / 4)  # q^(1/4)
-    if not q4.imag:  # Re tau = 0: the series is real, and runs on integers
-        return _real_theta_squares(q4.real, precision_bits)
     q = _square(_square(q4))
     # t2 = 2 q^(1/4) sum_{n>=0} q^(n^2+n), t3 and t4 = 1 + 2 sum_{n>=1} (+-1)^n q^(n^2)
     qn = square = oblong = sum2 = mpmath.mpc(1)  # q^n, q^(n^2), q^(n^2+n) at n = 0
@@ -519,15 +524,24 @@ def _isogenous_eighths(kernel, A, B, C, odd, even):
 
 def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexApprox:
     """j(tau) = 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 from the theta
-    constants (`_theta_squares`) at tau, first moved to the fundamental domain
-    by shifts tau - n and inversions -1/tau, under which j is invariant.
-    The powers are multiplied out: mpmath 1.3 raises an mpc z to the power n
-    through exp(n log z) once n times the mantissa size passes 10000 bits."""
+    constants (`_theta_squares`) at tau, read at precision_bits + 64 bits and
+    first moved to the fundamental domain by shifts tau - n and inversions
+    -1/tau, under which j is invariant.  The moved tau' has Im tau' <=
+    max(Im tau, 1/Im tau), and j is about e^(-2 pi i tau'), so an error e in
+    tau' is one of about 2 pi e in j relative to |j|.  The moves and the
+    series therefore carry the bits of 1/Im tau beyond the guard bits: on the
+    imaginary axis, where one inversion reaches the domain, rounding then
+    moves tau' by less than 2^-(precision_bits + 64), and j keeps its label.
+    Off the axis each inversion also magnifies the rounding error of Re tau,
+    which these bits do not bound.  The powers are multiplied out: mpmath 1.3
+    raises an mpc z to the power n through exp(n log z) once n times the
+    mantissa size passes 10000 bits."""
     _check_precision(precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         tau = _as_mpc(tau)
         if tau.imag <= 0:
             raise DomainError("tau must lie in the upper half-plane")
+    with mpmath.workprec(precision_bits + _GUARD_BITS + max(0, -mpmath.mag(tau.imag))):
         for _ in range(10_000):  # each inversion raises Im tau
             tau -= mpmath.floor(tau.real + mpmath.mpf(1) / 2)
             if tau.real ** 2 + tau.imag ** 2 >= 1:
@@ -554,6 +568,13 @@ class PrymPeriodMatrix:
 
     entries: tuple  # 2x4 of ComplexApprox
     polarization = (1, 2)
+
+    def __post_init__(self):
+        rows = self.entries
+        if not (type(rows) is tuple and len(rows) == 2
+                and all(type(row) is tuple and len(row) == 4 for row in rows)):
+            raise ArgumentError("entries must be a tuple of two rows of four ComplexApprox")
+        require(ComplexApprox, "each entry", *rows[0], *rows[1])
 
     @property
     def precision_bits(self) -> int:

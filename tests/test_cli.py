@@ -554,15 +554,16 @@ CLOSURE_POINT = ["periods", "--a", "7/5", "--b", "-13/4", "--bits", "128"]
 
 
 def test_periods_refuses_a_j_that_misses_the_closure(monkeypatch):
-    # the report's j values all come from the theta constants of the q-series
+    # the report's j values all come from the theta constants of the real
+    # q-series at the partners' taus
     assert main(CLOSURE_POINT) == 0
-    true_thetas = periods._theta_squares
+    true_thetas = periods._real_theta_squares
 
-    def off_thetas(tau, bits):
-        A, *rest = true_thetas(tau, bits)
+    def off_thetas(q4, bits):
+        A, *rest = true_thetas(q4, bits)
         return A * (1 + mpmath.ldexp(1, -bits // 8)), *rest
 
-    monkeypatch.setattr(periods, "_theta_squares", off_thetas)
+    monkeypatch.setattr(periods, "_real_theta_squares", off_thetas)
     assert main(CLOSURE_POINT) == 1
 
 
@@ -636,6 +637,38 @@ assert all(getattr(kleinprym, name) is getattr(periods, name)
 """
     done = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
                           capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_command_does_polynomial_arithmetic():
+    # the models and quotient maps are stored integer numerators, so every
+    # subcommand and selftest succeeds with the Polynomial members that build
+    # or combine polynomials made to raise before kleinprym.family is imported
+    script = """
+import contextlib, importlib.util, io, sys
+spec = importlib.util.find_spec("kleinprym")
+package = sys.modules["kleinprym"] = importlib.util.module_from_spec(spec)
+from kleinprym.algebra import Polynomial
+assert "kleinprym.family" not in sys.modules
+
+def refuse(*args, **kwargs):
+    raise AssertionError("polynomial arithmetic")
+
+for name in ("__init__", "_lowest", "_plus", "__mul__", "__rmul__"):
+    setattr(Polynomial, name, refuse)
+spec.loader.exec_module(package)
+from kleinprym.cli import main
+for argv in (["analyze", "--a", "1/3", "--b", "-5"], ["involution", "--a", "1", "--b", "3"],
+             ["normalize", "--tuple", "-1/3,-5;inf,2,-2!0"],
+             ["periods", "--a", "7/5", "--b", "-13/4"], ["torsion", "--d", "4"],
+             ["example-surj"], ["selftest"],
+             ["duality", "--curveE", "-7,-6", "--pointP", "3,0", "--curveF", "-19,-30",
+              "--pointQ", "5,0", "--assert-nonisogenous"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 

@@ -259,6 +259,15 @@ def test_quotient_map_returns_one_constant_table_entry():
         assert quotient_map(label) is quotient_map(label)
 
 
+def test_quotient_map_table_is_in_the_stored_form():
+    # the table's rows skip the constructor, which brings a polynomial to its
+    # canonical form
+    for label in QUOTIENT_LABELS:
+        q = quotient_map(label)
+        for p in (q.U_num, q.U_den, q.W_num, q.W_den):
+            assert type(p.nums) is tuple and p == Polynomial(p.coeffs), label
+
+
 def test_e_is_it_sign_choice_is_forced():
     # replacing the (x - 2) factor by (x + 2) breaks the identity
     wrong = Polynomial((2, 1)) * Polynomial((0, 1)) * Polynomial((1, 1))  # (x+2)x(x+1)

@@ -10,6 +10,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -50,6 +51,7 @@ PARAMS = check_domain(1, 3)
 FIBER = phi_fiber(PARAMS)
 PAIR = (ProjectivePoint(0), ProjectivePoint(1))
 TRIPLE = (ProjectivePoint.infinity(), ProjectivePoint(2), ProjectivePoint(-2))
+ONE = ComplexApprox(mpmath.mpf(1), mpmath.mpf(0), 128)
 
 ENTRY_POINTS = {
     "check_domain": check_domain,
@@ -170,6 +172,9 @@ outside = st.one_of(
 @example("intersection", P, 0)
 @example("factor_intersection", K, "E")
 @example("TorsionSubgroup.reduce", (1, 0, 0, 0), 0)
+@example("analytic_j", 6.043403753606048e-131j, 0)
+@example("analytic_j", 1e-9j, 0)
+@example("analytic_j", 1e9j, 0)
 def test_an_outside_value_gives_a_value_or_a_library_error(name, u, v):
     try:
         ENTRY_POINTS[name](u, v)
@@ -199,12 +204,20 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
     lambda: dual_nonisomorphism_check(None, None, None, None, True),
     lambda: analytic_j("x"), lambda: prym_period_matrix(1j, "x"), lambda: Polynomial(["x"]),
     lambda: CurveLabel("x"),
+    lambda: riemann_check(PrymPeriodMatrix("x")),
+    lambda: prym_period_matrix(ComplexApprox(1, 2, "x"), 1j),
+    lambda: repr(ComplexApprox("a", "b", 128)), lambda: PeriodPair(1, 2, 3).tau.to_mpc(),
+    lambda: PrymPeriodMatrix(((ONE,) * 4, (ONE,) * 3)),
+    lambda: ComplexApprox(ONE.real, ONE.imag, 128.0),
 ], ids=["fixed_point_count('sigma', p)", "quotient_map('E_t')", "curve_equation('E_t', p)",
         "curve_equation(E_t, (1, 2))", "phi_params(None)", "prym_fiber_invariants(None)",
         "phi_fiber(None)", "moduli_report(None)", "phi_consistency_report(None)",
         "j_invariant(None)", "curve_report('E_t', None)", "riemann_check(None)",
         "velu_quotient(None, None)", "dual_nonisomorphism_check(None, ...)", "analytic_j('x')",
-        "prym_period_matrix(1j, 'x')", "Polynomial(['x'])", "CurveLabel('x')"])
+        "prym_period_matrix(1j, 'x')", "Polynomial(['x'])", "CurveLabel('x')",
+        "riemann_check(PrymPeriodMatrix('x'))", "prym_period_matrix(ComplexApprox(1, 2, 'x'), i)",
+        "repr(ComplexApprox('a', 'b', 128))", "PeriodPair(1, 2, 3).tau",
+        "PrymPeriodMatrix(rows of 4 and 3)", "ComplexApprox(re, im, 128.0)"])
 def test_a_library_call_refuses_a_wrong_type(call):
     with pytest.raises(ArgumentError):
         call()

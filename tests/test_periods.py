@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -174,6 +175,26 @@ def test_analytic_j_rejects_lower_half_plane():
         analytic_j(approx(mpmath.mpc(0, -1), BITS), BITS)
 
 
+@pytest.mark.parametrize("bits", [128, 1024])
+@pytest.mark.parametrize("t", [2.0 ** 30, 2.0 ** -30, 2.0 ** 70, 2.0 ** -70, 1e-300, 1e-20,
+                               6.043403753606048e-131])
+def test_analytic_j_on_the_imaginary_axis_ends_and_keeps_its_label(t, bits):
+    # j is about e^(2 pi Im tau') at the moved tau', which the inversion of a
+    # tiny Im tau rounds: each call ends quickly, with j to its label against
+    # the answer at four times the bits, or with PrecisionError
+    tau = complex(0, t)
+    start = time.perf_counter()
+    try:
+        got = analytic_j(tau, bits).to_mpc()
+    except PrecisionError:
+        return
+    finally:
+        assert time.perf_counter() - start < 1, (t, bits)
+    want = analytic_j(tau, 4 * bits).to_mpc()
+    with mpmath.workprec(4 * bits):
+        assert mpmath.fabs(got - want) <= mpmath.ldexp(mpmath.fabs(want), 8 - bits), (t, bits)
+
+
 def test_analytic_j_matches_exact_j_on_family():
     params = check_domain(1, 3)
     for label in (CurveLabel.E_t, CurveLabel.E_is_it):
@@ -245,8 +266,12 @@ def test_elliptic_periods_agm_runs_no_j_closure(bits, monkeypatch):
         raise AssertionError("elliptic_periods_agm ran a q-series")
 
     monkeypatch.setattr(periods, "_theta_squares", refuse)
+    monkeypatch.setattr(periods, "_real_theta_squares", refuse)
     for label in ELLIPTIC_LABELS:
         assert elliptic_periods_agm(label, params, bits) == bases[label]
+    # the report's own series is refused too
+    with pytest.raises(AssertionError, match="ran a q-series"):
+        quotient_periods(params, bits)
 
 
 def test_riemann_check_square_lattice():
@@ -304,6 +329,21 @@ def test_embedding_columns_are_lattice_vectors():
 
 
 def test_reduction_trace_matches_documented_matrices():
+    # the reduction for symbolic z1, z2: the basis change, the quotient that
+    # halves the third lattice column and the shear ((1, 0), (1, 1)) give the
+    # documented intermediate and final matrices, and the basis change keeps
+    # the (2, 2) form
+    s1, s2 = sympy.symbols("z1 z2")
+    basis_change = sympy.Matrix(periods._BASIS_CHANGE)
+    form = sympy.Matrix(periods._SYM_FORM_22)
+    assert basis_change.T * form * basis_change == form
+    mid = sympy.Matrix([[s1, 0, 2, 0], [0, s2, 0, 2]]) * basis_change
+    mid[:, 2] /= 2
+    assert mid == sympy.Matrix([[s1, s1, 1, 0], [0, s2, -1, 2]])
+    assert sympy.Matrix([[1, 0], [1, 1]]) * mid == sympy.Matrix(
+        [[s1, s1, 1, 0], [s1, s1 + s2, 0, 2]])
+
+    # the function computes that trace, and its final matrix is the Prym matrix
     z1 = _i()
     z2 = approx(mpmath.mpc("0.5", "1.5"), BITS)
     trace = product_to_prym_reduction(z1, z2)
@@ -744,6 +784,49 @@ def test_closed_normal_forms_match_the_general_reduction(bits):
     assert len(shapes) == 6
 
 
+# every basis that `_rectangle_form` and `_rhombus_form` return
+FORM_BASES = (((2, 0), (0, 2)), ((0, 2), (-2, 0)), ((2, 0), (-1, 1)), ((0, 2), (-1, -1)),
+              ((1, -1), (1, 1)), ((1, 1), (-1, 1)))
+
+
+def _three_branch_tau(basis, x, y, wp):
+    """tau = w2/w1 of `_pair` as integers at the scale 2^wp, by a branch on
+    the shape of w1 = (a x + i b y)/2: the oracle for `_pair`'s one formula."""
+    (a, b), (c, d) = basis
+    if a and b:  # a^2 = b^2 = 1: multiply by conj(w1)/|w1|^2
+        xx, yy = x * x, y * y
+        re, im, norm = a * c * xx + b * d * yy, (a * d - b * c) * x * y, xx + yy
+    elif b:      # w1 = i b y/2
+        re, im, norm = d * y, -c * x, b * y
+    else:        # w1 = a x/2
+        re, im, norm = c * x, d * y, a * x
+    return (re << wp) // norm, (im << wp) // norm
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(1, 2 ** 300), y=st.integers(1, 2 ** 300), e=st.integers(-600, 600),
+       wp=st.integers(64 + periods._FIXED_GUARD_BITS, 4096), slack=st.integers(1, 64))
+@example(x=3, y=5, e=0, wp=148, slack=8)
+def test_pair_tau_is_the_three_branch_formula(x, y, e, wp, slack):
+    # `_pair` rounds each of its integers once through `_from_fixed`, tau's
+    # last: record them
+    assert {periods._rectangle_form(x, y, slack), periods._rhombus_form(x, y, slack)} <= set(
+        FORM_BASES)
+    from_fixed, fixed = periods._from_fixed, []
+
+    def record(v, shift):
+        fixed.append((v, shift))
+        return from_fixed(v, shift)
+
+    with pytest.MonkeyPatch.context() as patch, mpmath.workprec(wp - periods._FIXED_GUARD_BITS):
+        patch.setattr(periods, "_from_fixed", record)
+        for basis in FORM_BASES:
+            fixed.clear()
+            periods._pair(basis, x, y, e, 128)
+            re, im = _three_branch_tau(basis, x, y, wp)
+            assert fixed[-2:] == [(re, wp), (im, wp)], basis
+
+
 def test_the_library_never_runs_the_general_path(monkeypatch):
     # every basis the library gives is a closed form on the exact Legendre
     # data; polyroots and the complex AGM serve the tests' oracle only
@@ -869,7 +952,7 @@ def test_doubled_tau_keeps_its_precision_far_up_the_axis():
     bits = 1024
     with mpmath.workprec(bits + _GUARD_BITS):
         tau = mpmath.mpc(0, 30)
-        thetas = periods._theta_squares(tau, bits)
+        thetas = periods._real_theta_squares(mpmath.expjpi(tau / 4).real, bits)
         got = periods._j_from_eighths(*periods._isogenous_eighths((1, 0), *thetas))
         want = analytic_j(2 * tau, bits).to_mpc()
         assert mpmath.fabs(got - want) <= mpmath.ldexp(1, 8 - bits) * mpmath.fabs(want)
@@ -952,10 +1035,11 @@ def _jtheta_squares(t, bits):
 @example(t=math.sqrt(3) / 2)
 @example(t=60.0)
 def test_real_theta_squares_match_jtheta_at_doubled_precision(bits, t):
-    # the fixed-point real q-series: A, B, C and odd to a relative error, even
-    # to an absolute one, also where q is far below 1 and odd is about q
+    # the fixed-point real q-series of a report: A, B, C and odd to a relative
+    # error, even to an absolute one, also where q is far below 1 and odd is
+    # about q
     with mpmath.workprec(bits + _GUARD_BITS):
-        got = periods._theta_squares(mpmath.mpc(0, t), bits)
+        got = periods._real_theta_squares(mpmath.expjpi(mpmath.mpc(0, t) / 4).real, bits)
     want = _jtheta_squares(t, bits)
     tolerance = _kernel_tolerance(bits)
     with mpmath.workprec(2 * (bits + _GUARD_BITS)):
