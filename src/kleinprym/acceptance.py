@@ -37,13 +37,7 @@ from .isogeny import (
     j_weierstrass,
     velu_quotient,
 )
-from .periods import (
-    _theta_squares,
-    analytic_j,
-    prym_period_matrix,
-    quotient_periods,
-    riemann_check,
-)
+from .periods import _theta_squares, analytic_j, periods_report, quotient_periods
 
 
 @dataclass(frozen=True)
@@ -277,7 +271,7 @@ def _lattice_closure(pair, model, bits: int):
     i_num, j_num = quartic_invariants(model.rhs)
     with mpmath.workprec(bits + 64):
         w1, w2, tau = (getattr(pair, name).to_mpc() for name in ("omega1", "omega2", "tau"))
-        a2, b2, c2 = (z * z for z in _theta_squares(tau, bits)[:3])
+        a2, b2, c2 = (z * z for z in _theta_squares(tau, bits))
         u = w1 * w1 / (model.rhs.den * mpmath.pi ** 2)  # I, J are i_num/den^2, j_num/den^3
         for name, got, want in (
                 ("omega2 = tau omega1", w2, tau * w1),
@@ -320,11 +314,12 @@ def criterion_8() -> CriterionResult:
                     return False, (f"the basis of {label.value} misses the lattice closure "
                                    f"{missed} at {params}")
 
-        # the CM anchor, where tau is exact, and a generic point
+        # the Riemann values that the report prints, at the CM anchor, where
+        # tau is exact, and at a generic point
         for params in (check_domain(0, 1), check_domain(Fraction(7, 5), Fraction(-13, 4))):
-            bases, _ = quotient_periods(params, bits)
-            matrix = prym_period_matrix(bases[CurveLabel.E_t].tau, bases[CurveLabel.E_st].tau)
-            residual, min_eig = riemann_check(matrix)
+            report = periods_report(params, bits)
+            residual = report["riemann_residual_symmetry"]
+            min_eig = report["riemann_min_eigenvalue"]
             if residual >= mpmath.ldexp(1, -bits + 16):
                 return False, f"Riemann symmetry residual {mpmath.nstr(residual, 5)} at {params}"
             if min_eig <= 0:

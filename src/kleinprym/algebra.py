@@ -22,7 +22,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import ArgumentError, DegreeError
+from .errors import ArgumentError, DegreeError, require
 
 
 _RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
@@ -31,6 +31,8 @@ _RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 def brief(text: str, limit: int = 40) -> str:
     """repr(text) for an error message; past `limit` characters, the repr of
     the first `limit` and the length."""
+    require(str, "the text", text)
+    require(int, "the limit", limit)
     if len(text) <= limit:
         return repr(text)
     return f"{text[:limit]!r}... ({len(text)} characters)"
@@ -41,6 +43,7 @@ def parse_rational(text: str) -> Fraction:
     "/digits", surrounded by whitespace or not; ArgumentError for any other
     text, "1/0", "1.5" and "1e3" included, and for p or q longer than the
     interpreter's bound on int() digits (sys.get_int_max_str_digits())."""
+    require(str, "the text", text)
     match = _RATIONAL.fullmatch(text.strip())
     if match:
         try:
@@ -72,6 +75,10 @@ def rational(value) -> Fraction:
 
 def ratio_text(num: int, den: int) -> str:
     """num/den for den > 0 in lowest terms, as `str(Fraction(num, den))` prints it."""
+    if not (type(num) is int and type(den) is int and den > 0):
+        require(int, "num and den", num, den)
+        if den <= 0:
+            raise ArgumentError(f"the denominator must be positive, not {den}")
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
@@ -214,6 +221,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def divmod(self, other: "Polynomial"):
+        require(Polynomial, "the divisor", other)
         if other.is_zero:
             raise DegreeError("division by the zero polynomial")
         q = Polynomial.zero()
@@ -240,6 +248,7 @@ class Polynomial:
 
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd over the rationals."""
+    require(Polynomial, "f and g", f, g)
     while not g.is_zero:
         f, g = g, f % g
     if f.is_zero:
@@ -248,6 +257,7 @@ def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def resultant(f: Polynomial, g: Polynomial) -> Fraction:
+    require(Polynomial, "f and g", f, g)
     if f.is_zero or g.is_zero:
         return Fraction(0)
     if g.degree == 0:
@@ -262,6 +272,7 @@ def resultant(f: Polynomial, g: Polynomial) -> Fraction:
 
 
 def is_squarefree(f: Polynomial) -> bool:
+    require(Polynomial, "f", f)
     if f.is_zero:
         raise DegreeError("zero polynomial")
     if f.degree == 0:
@@ -276,6 +287,7 @@ def substitute_rational_map(f: Polynomial, num: Polynomial, den: Polynomial):
     den = D/dd over integer numerators, g = sum F_i (N dd)^i (D nd)^(k-i) over
     fd (nd dd)^k: integer convolutions and one reduction at the end.
     """
+    require(Polynomial, "f, num and den", f, num, den)
     if den.is_zero:
         raise DegreeError("zero denominator in rational substitution")
     k = max(f.degree, 0)

@@ -119,15 +119,6 @@ class HyperellipticModel:
     def genus(self) -> int:
         return -(-self.rhs.degree // 2) - 1
 
-    def to_report(self) -> dict:
-        report = {
-            "rhs_coefficients": [ratio_text(n, self.rhs.den) for n in self.rhs.nums],
-            "genus": self.genus,
-        }
-        if self.genus == 1:
-            report["j"] = str(j_invariant(self))
-        return report
-
 
 # Each label's rhs is the product of one factor of a = p/q, the same factor of
 # b = r/s and constant factors: label -> (the factor of p/q as integer
@@ -268,6 +259,8 @@ def verify_quotient_identity(q: QuotientMapData, ctilde_rhs: Polynomial,
     others.  So the sides agree as polynomials exactly when they agree at
     X, one integer comparison (Kronecker substitution; von zur Gathen &
     Gerhard, *Modern Computer Algebra*)."""
+    require(QuotientMapData, "the map", q)
+    require(Polynomial, "a right-hand side", ctilde_rhs, quotient_rhs)
     _, lhs, rhs = _identity_sides(q, ctilde_rhs, quotient_rhs)
     return lhs == rhs
 
@@ -320,6 +313,9 @@ def quartic_invariants(f: Polynomial) -> tuple[int, int]:
     cubic with a = 0): I = 12ae - 3bd + c^2 and J = 72ace + 9bcd - 27ad^2 -
     27eb^2 - 2c^3.  They are homogeneous of degrees 2 and 3 in the
     coefficients, so f itself has the invariants I/den^2 and J/den^3."""
+    require(Polynomial, "f", f)
+    if f.degree not in (3, 4):
+        raise DegreeError(f"binary quartic invariants need degree 3 or 4, not {f.degree}")
     e, d, c, b, *rest = f.nums
     a = rest[0] if rest else 0
     return (12 * a * e - 3 * b * d + c * c,
@@ -344,8 +340,13 @@ def j_invariant(m: HyperellipticModel) -> Fraction:
 
 
 def curve_report(label: CurveLabel, model: HyperellipticModel) -> dict:
+    """A model's report: its label, rhs coefficients, genus and, at genus 1, j."""
     require(CurveLabel, "label", label)
     require(HyperellipticModel, "the model", model)
-    report = {"label": label.value}
-    report.update(model.to_report())
+    rhs, genus = model.rhs, model.genus
+    report = {"label": label.value,
+              "rhs_coefficients": [ratio_text(n, rhs.den) for n in rhs.nums],
+              "genus": genus}
+    if genus == 1:
+        report["j"] = str(j_invariant(model))
     return report

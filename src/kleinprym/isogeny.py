@@ -2,10 +2,11 @@
 kernels of order <= 12, and the dual-non-isomorphism certificate for
 (1,d)-polarised quotients of a product of elliptic curves.
 
-A curve is checked for singularity when it is made.  `velu_quotient` walks
-the kernel once, summing Velu's terms over one point of each pair {T, -T}
-(J. Velu, C. R. Acad. Sci. Paris 273, 1971), and raises OrderError unless
-the multiples close up at the order that the point claims.
+A curve is checked for singularity when it is made.  One walk of the
+multiples of a point (`_half_kernel`) gives both its order, which
+`KernelPoint.on_curve` records, and one point of each pair {T, -T} of the
+kernel, over which `velu_quotient` sums Velu's terms (J. Velu, C. R. Acad.
+Sci. Paris 273, 1971) after checking the order that the point claims.
 
 Isomorphism over an algebraically closed field is decided by j-invariant
 equality.  Non-isogeny of the two factors is never certified here: it is an
@@ -51,6 +52,7 @@ class WeierstrassCurve:
 
 
 def j_weierstrass(curve: WeierstrassCurve) -> Fraction:
+    require(WeierstrassCurve, "the curve", curve)
     return 1728 * 4 * curve.p ** 3 / (4 * curve.p ** 3 + 27 * curve.q ** 2)
 
 
@@ -58,6 +60,21 @@ def j_weierstrass(curve: WeierstrassCurve) -> Fraction:
 
 
 def add_points(curve: WeierstrassCurve, P, Q):
+    """P + Q on the curve; PointError unless each is None or an (x, y) pair
+    of Fractions on it."""
+    require(WeierstrassCurve, "the curve", curve)
+    for point in (P, Q):
+        if point is not None:
+            if type(point) is not tuple or len(point) != 2:
+                raise ArgumentError(f"a point is None or an (x, y) pair, not {point!r}")
+            require(Fraction, "x and y", *point)
+            if not curve.contains(*point):
+                raise PointError(f"{point} is not on the curve")
+    return _add_points(curve, P, Q)
+
+
+def _add_points(curve: WeierstrassCurve, P, Q):
+    """The group law on points that the caller knows to lie on the curve."""
     if P is None:
         return Q
     if Q is None:
@@ -75,12 +92,22 @@ def add_points(curve: WeierstrassCurve, P, Q):
     return (x3, y3)
 
 
-def point_order(curve: WeierstrassCurve, P) -> int:
-    acc = P
-    for k in range(1, MAX_KERNEL_ORDER + 1):
-        if acc is None:
-            return k
-        acc = add_points(curve, acc, P)
+def _half_kernel(curve: WeierstrassCurve, P):
+    """(n, points): the order n of a rational point P on the curve and its
+    multiples T = kP for k = 1, ..., n // 2, one of each pair {T, -T} of
+    nonzero multiples.  The walk stops at the first T = -T (y = 0: n = 2k)
+    or, before it, the first T + P = -T (same x: n = 2k + 1), so it makes at
+    most n // 2 additions; OrderError past n = MAX_KERNEL_ORDER, since no
+    rational point has order 11 or 13 (Mazur)."""
+    points = [P]
+    for k in range(1, MAX_KERNEL_ORDER // 2 + 1):
+        x, y = points[-1]
+        if y == 0:
+            return 2 * k, points
+        T = _add_points(curve, points[-1], P)
+        if T[0] == x:
+            return 2 * k + 1, points
+        points.append(T)
     raise OrderError(f"point order exceeds {MAX_KERNEL_ORDER}")
 
 
@@ -102,7 +129,7 @@ class KernelPoint:
         y = rational(y)
         if not curve.contains(x, y):
             raise PointError(f"({x}, {y}) is not on y^2 = x^3 + {curve.p} x + {curve.q}")
-        return cls(x, y, point_order(curve, (x, y)))
+        return cls(x, y, _half_kernel(curve, (x, y))[0])
 
     @classmethod
     def from_string(cls, curve: WeierstrassCurve, text: str) -> "KernelPoint":
@@ -118,32 +145,17 @@ def velu_quotient(curve: WeierstrassCurve, P: KernelPoint) -> WeierstrassCurve:
     P.order."""
     require(WeierstrassCurve, "the curve", curve)
     require(KernelPoint, "the kernel point", P)
-    pt = (P.x, P.y)
     if not curve.contains(P.x, P.y):
         raise PointError("kernel point is not on the curve")
-
-    # T = kP for k = 1, 2, ... up to the first T = -T (y = 0: n = 2k) or,
-    # before it, the first T = -(T - P) (same x: n = 2k + 1): one
-    # representative of each {T, -T}, within n/2 + 1 steps
+    order, points = _half_kernel(curve, (P.x, P.y))
+    if order != P.order:
+        raise OrderError(f"kernel point has order {order}, not {P.order}")
     v = w = Fraction(0)
-    T = pt
-    for k in range(1, MAX_KERNEL_ORDER // 2 + 1):
-        x, y = T
+    for x, y in points:
         gx = 3 * x * x + curve.p
         vq = gx if y == 0 else 2 * gx
         v += vq
         w += 4 * y * y + x * vq
-        if y == 0:
-            order = 2 * k
-            break
-        T = add_points(curve, T, pt)
-        if T[0] == x:
-            order = 2 * k + 1
-            break
-    else:
-        raise OrderError(f"kernel point has no order up to {MAX_KERNEL_ORDER}")
-    if order != P.order:
-        raise OrderError(f"kernel point has order {order}, not {P.order}")
     return WeierstrassCurve(curve.p - 5 * v, curve.q - 7 * w)
 
 

@@ -10,9 +10,10 @@ report: under order-preserving normalisation the raw tuple form is the
 identity on parameters, and the matrix undoes it rather than producing the
 parameter form.
 
-The report normalises the raw tuple once.  Its equivalence verdicts need no
-normalisation: a canonical tuple `tuple_of_params(p)` normalises by
-construction to p, and to (-a, -b) as well when the triple tail is unordered.
+The report writes the raw tuple down from (a, b) and normalises it once.
+Its equivalence verdicts need no normalisation: a canonical tuple
+`tuple_of_params(p)` normalises by construction to p, and to (-a, -b) as well
+when the triple tail is unordered.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .projline import (
     canonical_normal_forms,
     normal_forms_match,
     normalize_tuple,
-    tuple_of_params,
 )
 
 
@@ -57,10 +57,10 @@ def _params_of_canonical(t: MarkedTuple) -> FamilyParams:
     return FamilyParams(-t.pair[0].affine_value(), -t.pair[1].affine_value())
 
 
-def phi_tuple_raw(t: MarkedTuple) -> MarkedTuple:
+def phi_tuple_raw(params: FamilyParams) -> MarkedTuple:
     """The literal un-normalised image tuple ([-b:1], [-a:1]; [1:0], [-2-a-b:1],
     [-2:1]); DegenerateConfiguration when a + b = 0 repeats -2."""
-    params = _params_of_canonical(t)
+    require(FamilyParams, "params", params)
     a, b = params.a, params.b
     return MarkedTuple(
         (ProjectivePoint(-b), ProjectivePoint(-a)),
@@ -75,6 +75,7 @@ def phi_tuple_raw(t: MarkedTuple) -> MarkedTuple:
 
 def printed_matrix(params: FamilyParams) -> MobiusMap:
     """The alternative 2x2 matrix presentation ((4, 8+2a+2b), (0, -a-b))."""
+    require(FamilyParams, "params", params)
     a, b = params.a, params.b
     if a + b == 0:
         raise PhiUndefined("phi undefined: a + b = 0")
@@ -130,8 +131,7 @@ def phi_consistency_report(fiber: PhiFiber,
     require(PhiFiber, "the fibre", fiber)
     require(MarkingConvention, "the convention", conv)
     params, image = fiber.params, fiber.image
-    t = tuple_of_params(params)
-    raw = phi_tuple_raw(t)
+    raw = phi_tuple_raw(params)
 
     raw_normalized_conv = [r.params for r in normalize_tuple(raw, conv)]
     # the tail as given comes first, and the pair's ordering does not enter

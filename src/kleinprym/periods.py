@@ -168,10 +168,13 @@ def optimal_agm(a, b, precision_bits: int) -> mpmath.mpc:
     (a + b)/2: convergence is quadratic, so that differs from M(a, b) by
     about |a - b|^2/(8 |a|) <= 2^(-bits-67) |a|, and one more step would
     only buy bits below the guard.  The library runs `_fixed_agm`; this one
-    serves the general-model oracle of the tests (tests/periods_oracle.py)."""
+    serves the general-model oracle of the tests (tests/periods_oracle.py).
+    DomainError unless a, b and a + b are finite and nonzero."""
+    _check_precision(precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
-        a = mpmath.mpc(a)
-        b = mpmath.mpc(b)
+        a, b = _as_mpc(a), _as_mpc(b)
+        if not (a and b and a + b):
+            raise DomainError("the AGM needs a, b and a + b nonzero")
         eps2 = mpmath.ldexp(1, -precision_bits - _GUARD_BITS)
         for _ in range(8 * precision_bits):
             d = a - b
@@ -382,6 +385,7 @@ def _quotient_bases(params: FamilyParams, precision_bits: int):
     E_t, E_st and E_s get theirs, rectangles or rhombi, from those lattices
     through the 2-isogenies of `_PARTNERS`, with no AGM.  Every basis is put
     in normal form in closed form."""
+    require(FamilyParams, "params", params)
     _check_precision(precision_bits)
     bases, kernels = {}, {}
     slack = (precision_bits + 1) // 2  # the normal form's eps = 2^-slack
@@ -407,7 +411,6 @@ def elliptic_periods_agm(label: CurveLabel, params: FamilyParams,
     no q-series and no j.  ArgumentError for a label that is not elliptic."""
     if label not in ELLIPTIC_LABELS:
         raise ArgumentError(f"periods are computed for the elliptic quotients only, not {label!r}")
-    require(FamilyParams, "params", params)
     return _quotient_bases(params, precision_bits)[0][label]
 
 
@@ -425,10 +428,10 @@ def _fourth(z):
 
 
 def _theta_squares(tau, precision_bits: int):
-    """(A, B, C, odd, even): the squares A = t2^2, B = t3^2 and C = t4^2 of
-    the theta constants at the nome q = e^(i pi tau) of a tau in the
-    fundamental domain, and the sums odd and even of q^(n^2) over the odd and
-    the even n >= 1, terms added until they drop below 2^(-precision_bits - 16).
+    """(A, B, C): the squares A = t2^2, B = t3^2 and C = t4^2 of the theta
+    constants at the nome q = e^(i pi tau) of a tau in the fundamental domain,
+    from the sums of q^(n^2) over the odd and the even n >= 1, terms added
+    until they drop below 2^(-precision_bits - 16).
     q = (q^(1/4))^4 is multiplied out: mpmath 1.3 raises an mpc z to the power
     n through exp(n log z) once n times the mantissa size passes 10000 bits.
     Runs at the caller's precision, for `analytic_j` and `acceptance`."""
@@ -454,18 +457,19 @@ def _theta_squares(tau, precision_bits: int):
     t2 = 2 * q4 * sum2
     t3 = 1 + 2 * (even + odd)
     t4 = 1 + 2 * (even - odd)
-    return t2 * t2, t3 * t3, t4 * t4, odd, even
+    return t2 * t2, t3 * t3, t4 * t4
 
 
 def _real_theta_squares(q4, precision_bits: int):
-    """`_theta_squares` for a real nome 0 < q < 1, given q^(1/4), on integers
-    at the scale 2^wp: wp is the working precision plus _FIXED_GUARD_BITS
-    plus the bits that q sits below 1, so that odd, about q, keeps its
-    relative precision for the (1, 0) duplication formula far up the axis.
-    With q < 2^-L, q^n is held only to the absolute precision
-    2^-(wp - L (n^2 - n)) that its products with q^(n^2 - n) and q^(n^2) need,
-    so the operands shrink term by term.  Same stopping rule as the complex
-    series."""
+    """(A, B, C, odd, even): `_theta_squares` and its sums odd and even of
+    q^(n^2) over the odd and the even n >= 1, for a real nome 0 < q < 1,
+    given q^(1/4), on integers at the scale 2^wp: wp is the working precision
+    plus _FIXED_GUARD_BITS plus the bits that q sits below 1, so that odd,
+    about q, keeps its relative precision for the (1, 0) duplication formula
+    far up the axis.  With q < 2^-L, q^n is held only to the absolute
+    precision 2^-(wp - L (n^2 - n)) that its products with q^(n^2 - n) and
+    q^(n^2) need, so the operands shrink term by term.  Same stopping rule as
+    the complex series."""
     q = _square(_square(q4))
     bits_below = -mpmath.mag(q)  # L: 2^-(L + 1) <= q < 2^-L
     wp = mpmath.mp.prec + _FIXED_GUARD_BITS + bits_below + 1
@@ -505,7 +509,7 @@ def _j_from_eighths(a, b, c):
 
 def _isogenous_eighths(kernel, A, B, C, odd, even):
     """The eighth powers of t2, t3, t4 at the tau' of the lattice L + Z t,
-    from the `_theta_squares` output at the tau of the reduced basis
+    from the `_real_theta_squares` output at the tau of the reduced basis
     (w1, w2) of L, for the half-period t = (m w1 + n w2)/2 of kernel = (m, n),
     by the duplication (Landen) formulas of the module docstring (Borwein &
     Borwein, Pi and the AGM, ch. 2).  At 2 tau, t2'^2 = (B - C)/2 too, but B
@@ -549,7 +553,7 @@ def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexAppr
             tau = -1 / tau
         else:
             raise PrecisionError("tau did not reach the fundamental domain")
-        return _cap(_j_from_eighths(*map(_fourth, _theta_squares(tau, precision_bits)[:3])),
+        return _cap(_j_from_eighths(*map(_fourth, _theta_squares(tau, precision_bits))),
                     precision_bits)
 
 
@@ -627,7 +631,6 @@ class ReductionTrace:
     basis_changed: tuple
     after_quotient: tuple     # the documented intermediate matrix
     final: tuple
-    basis_change: tuple       # 4x4 integer matrix on lattice columns
     basis_change_symplectic: bool
 
 
@@ -673,7 +676,6 @@ def product_to_prym_reduction(z1, z2) -> ReductionTrace:
             basis_changed=freeze(basis_changed),
             after_quotient=freeze(after_quotient),
             final=freeze(final),
-            basis_change=S,
             basis_change_symplectic=_BASIS_CHANGE_SYMPLECTIC,
         )
 

@@ -110,6 +110,9 @@ class MobiusMap:
 
 
 def apply_mobius(m: MobiusMap, p: ProjectivePoint) -> ProjectivePoint:
+    if not (isinstance(m, MobiusMap) and isinstance(p, ProjectivePoint)):
+        require(MobiusMap, "the map", m)
+        require(ProjectivePoint, "the point", p)
     return ProjectivePoint(m.m11 * p.x + m.m12 * p.y, m.m21 * p.x + m.m22 * p.y)
 
 
@@ -219,6 +222,7 @@ CANONICAL_TRIPLE = (
 
 def tuple_of_params(params) -> MarkedTuple:
     """The canonical marked tuple ([-a:1], [-b:1]; [1:0], [2:1], [-2:1])."""
+    require(FamilyParams, "params", params)
     return MarkedTuple(
         (ProjectivePoint(-params.a), ProjectivePoint(-params.b)),
         CANONICAL_TRIPLE,
@@ -241,6 +245,8 @@ def normalize_tuple(t: MarkedTuple, conv: MarkingConvention = MarkingConvention(
     not enter: the convention's `pair_ordered` matters only when results
     are compared.
     """
+    require(MarkedTuple, "the tuple", t)
+    require(MarkingConvention, "the convention", conv)
     tail = t.triple_tail
     assignments = [tail] if conv.triple_tail_ordered else [tail, (tail[1], tail[0])]
     results = []
@@ -257,6 +263,8 @@ def canonical_normal_forms(params, conv: MarkingConvention) -> list:
     found without normalising: the frame map of a canonical tuple is the
     identity, and the swapped tail (inf, -2, 2) goes to the frame by p -> -p.
     (-a, -b) lies in the domain whenever (a, b) does."""
+    require(FamilyParams, "params", params)
+    require(MarkingConvention, "the convention", conv)
     if conv.triple_tail_ordered:
         return [params]
     return [params, FamilyParams(-params.a, -params.b)]
@@ -271,5 +279,9 @@ def _params_match(p1, p2, conv: MarkingConvention) -> bool:
 
 
 def normal_forms_match(n1, n2, conv: MarkingConvention) -> bool:
-    """True iff a parameter pair of n1 matches one of n2 under the convention."""
+    """True iff a parameter pair of n1 matches one of n2 under the convention;
+    n1 and n2 are lists of `FamilyParams`, as `canonical_normal_forms` gives."""
+    require(list, "the normal forms", n1, n2)
+    require(FamilyParams, "a normal form", *n1, *n2)
+    require(MarkingConvention, "the convention", conv)
     return any(_params_match(p1, p2, conv) for p1 in n1 for p2 in n2)

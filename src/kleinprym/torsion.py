@@ -64,8 +64,7 @@ class TorsionPoint:
     @classmethod
     def make(cls, coords, level: int) -> "TorsionPoint":
         """The point with rational coordinates `coords`, reduced mod 1."""
-        if type(level) is not int or not 2 <= level <= MAX_LEVEL:
-            raise ArgumentError(f"level must be an int in 2..{MAX_LEVEL}")
+        _require_level(level)
         try:
             coords = iter(coords)
         except TypeError:
@@ -108,6 +107,11 @@ class TorsionPoint:
         return "(" + ", ".join(self.to_strings()) + f")@{self.level}"
 
 
+def _require_level(level) -> None:
+    if type(level) is not int or not 2 <= level <= MAX_LEVEL:
+        raise ArgumentError(f"level must be an int in 2..{MAX_LEVEL}")
+
+
 def _is_point(coords, level) -> bool:
     """Whether coords are four int residues mod an int level in 2..MAX_LEVEL."""
     return (type(level) is int and 2 <= level <= MAX_LEVEL and type(coords) is tuple
@@ -128,6 +132,7 @@ def _pairing_residue(a: tuple, b: tuple, level: int) -> int:
 
 def full_group(level: int):
     """All level-N points of Q^4/Z^4 (N^4 of them), lexicographically ordered."""
+    _require_level(level)
     return [TorsionPoint(c, level) for c in itertools.product(range(level), repeat=4)]
 
 

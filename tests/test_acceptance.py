@@ -60,3 +60,18 @@ def test_criterion_8_fails_on_a_wrong_lattice(mutant, closure_only, monkeypatch)
     result = acceptance.criterion_8()
     assert not result.passed
     assert ("lattice closure" in result.detail) or not closure_only, result.detail
+
+
+def test_criterion_8_certifies_the_riemann_values_that_the_report_prints(monkeypatch):
+    # criterion 8 reads the Riemann keys of periods_report, so a defect in
+    # the report's one check reaches it
+    riemann_check = periods.riemann_check
+
+    def indefinite(matrix):
+        residual, _ = riemann_check(matrix)
+        return residual, mpmath.mpf(-1)
+
+    monkeypatch.setattr(periods, "riemann_check", indefinite)
+    result = acceptance.criterion_8()
+    assert not result.passed
+    assert "not positive definite" in result.detail, result.detail

@@ -22,6 +22,7 @@ from kleinprym.family import (
     _identity_sides,
     check_domain,
     curve_equation,
+    curve_report,
     fixed_point_count,
     j_invariant,
     quartic_invariants,
@@ -300,7 +301,7 @@ def test_models_are_the_oracle_rhs(params):
         model = curve_equation(label, params)
         rhs = oracle_rhs(label, params)
         assert model == model_from_rhs(rhs)  # the same numerators and denominator
-        assert model.to_report()["rhs_coefficients"] == \
+        assert curve_report(label, model)["rhs_coefficients"] == \
             [str(c) for c in rhs.coeffs]
 
 

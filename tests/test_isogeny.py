@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from j_oracle import short_weierstrass_coefficients
+from kleinprym import isogeny
 from kleinprym.errors import OrderError, PointError, SingularError
 from kleinprym.family import CurveLabel, ELLIPTIC_LABELS, check_domain, \
     curve_equation, j_invariant
@@ -14,7 +15,6 @@ from kleinprym.isogeny import (
     add_points,
     dual_nonisomorphism_check,
     j_weierstrass,
-    point_order,
     velu_quotient,
 )
 
@@ -37,7 +37,7 @@ def test_group_law_basics():
     T = (Fraction(3), Fraction(0))
     assert add_points(E, T, T) is None
     assert add_points(E, None, T) == T
-    assert point_order(E, T) == 2
+    assert KernelPoint.on_curve(E, *T).order == 2
     assert add_points(E, add_points(E, T, T), T) == T
 
 
@@ -223,3 +223,47 @@ def test_velu_refuses_a_point_of_infinite_order(claimed):
     with pytest.raises(OrderError):
         velu_quotient(E, KernelPoint(Fraction(3), Fraction(5), claimed))
     assert time.perf_counter() - start < 1
+
+
+def _full_walk_order(curve, P):
+    """The order of P by adding P to itself until the sum is infinity: n - 1
+    additions for order n, independent of the library's half walk."""
+    acc = P
+    for k in range(1, isogeny.MAX_KERNEL_ORDER + 1):
+        if acc is None:
+            return k
+        acc = add_points(curve, acc, P)
+    return None
+
+
+@pytest.mark.parametrize("order", sorted(KERNEL_CURVES))
+def test_one_half_walk_gives_the_order(order, monkeypatch):
+    # the order that on_curve records is the full walk's, found within
+    # order // 2 additions, and velu_quotient refuses every other claim
+    curve_text, point_text = KERNEL_CURVES[order]
+    E = WeierstrassCurve.from_string(curve_text)
+    x, y = (Fraction(t) for t in point_text.split(","))
+    assert _full_walk_order(E, (x, y)) == order
+    calls, add = [], isogeny._add_points
+
+    def counted(*args):
+        calls.append(args)
+        return add(*args)
+
+    monkeypatch.setattr(isogeny, "_add_points", counted)
+    P = KernelPoint.on_curve(E, x, y)
+    assert P.order == order
+    assert len(calls) <= order // 2
+    monkeypatch.undo()
+    for claimed in range(1, isogeny.MAX_KERNEL_ORDER + 1):
+        if claimed != order:
+            with pytest.raises(OrderError, match=f"order {order}, not {claimed}"):
+                velu_quotient(E, KernelPoint(x, y, claimed))
+
+
+def test_a_point_of_infinite_order_has_no_kernel_point():
+    # (3, 5) on y^2 = x^3 - 2 has infinite order
+    E = WeierstrassCurve.make(0, -2)
+    assert _full_walk_order(E, (Fraction(3), Fraction(5))) is None
+    with pytest.raises(OrderError, match="point order exceeds 12"):
+        KernelPoint.on_curve(E, 3, 5)

@@ -65,19 +65,19 @@ def test_fiber_invariant_anchor():
 
 def test_raw_tuple_form_normalizes_back_to_input():
     params = check_domain(1, 3)
-    raw = phi_tuple_raw(tuple_of_params(params))
+    raw = phi_tuple_raw(params)
     assert normalize_tuple(raw, FULLY_ORDERED)[0].params == params
 
 
 def test_raw_tuple_form_degenerates_on_the_antidiagonal():
     # a + b = 0 puts -2-a-b on -2, which MarkedTuple refuses as a repeated point
     with pytest.raises(DegenerateConfiguration, match="repeated points"):
-        phi_tuple_raw(tuple_of_params(check_domain(Fraction(7, 5), Fraction(-7, 5))))
+        phi_tuple_raw(check_domain(Fraction(7, 5), Fraction(-7, 5)))
 
 
 def test_printed_matrix_undoes_raw_tuple_form():
     params = check_domain(1, 3)
-    raw = phi_tuple_raw(tuple_of_params(params))
+    raw = phi_tuple_raw(params)
     moved = raw.apply(printed_matrix(params))
     # the matrix carries the raw image back to the canonical frame at (1,3)
     assert normalize_tuple(moved, FULLY_ORDERED)[0].params == params

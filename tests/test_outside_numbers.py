@@ -2,8 +2,11 @@
 `algebra.rational`: each call returns a value or raises a KleinPrymError.
 The calls that take the library's own values (labels, parameters, models,
 points, subgroups, curves, matrices) refuse any other type the same way,
-and so does every name that `kleinprym` exports."""
+and so does every name that `kleinprym` exports and every public function
+of its library modules."""
 
+import importlib
+import inspect
 import math
 import sys
 import time
@@ -15,19 +18,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kleinprym
-from kleinprym.algebra import Polynomial, rational
-from kleinprym.errors import ArgumentError, DomainError, KleinPrymError
+from kleinprym.algebra import (Polynomial, brief, gcd, is_squarefree, parse_rational,
+                               ratio_text, rational, resultant, substitute_rational_map)
+from kleinprym.errors import (ArgumentError, DegreeError, DomainError, KleinPrymError,
+                              PointError)
 from kleinprym.family import (CurveLabel, FamilyParams, InvolutionLabel, check_domain,
                               curve_equation, curve_report, fixed_point_count, j_invariant,
-                              quotient_map)
-from kleinprym.isogeny import (KernelPoint, WeierstrassCurve, dual_nonisomorphism_check,
-                               velu_quotient)
+                              quartic_invariants, quotient_map, verify_quotient_identity)
+from kleinprym.isogeny import (KernelPoint, WeierstrassCurve, add_points,
+                               dual_nonisomorphism_check, j_weierstrass, velu_quotient)
 from kleinprym.moduli import (moduli_report, phi_consistency_report, phi_fiber, phi_params,
-                              prym_fiber_invariants)
+                              phi_tuple_raw, printed_matrix, prym_fiber_invariants)
 from kleinprym.periods import (ComplexApprox, PeriodPair, PrymPeriodMatrix, analytic_j,
-                               elliptic_periods_agm, periods_report, prym_period_matrix,
+                               elliptic_periods_agm, optimal_agm, periods_report,
+                               product_to_prym_reduction, prym_period_matrix, quotient_periods,
                                riemann_check)
-from kleinprym.projline import MarkedTuple, MarkingConvention, MobiusMap, ProjectivePoint
+from kleinprym.projline import (FULLY_ORDERED, MarkedTuple, MarkingConvention, MobiusMap,
+                                ProjectivePoint, apply_mobius, canonical_normal_forms,
+                                normal_forms_match, normalize_tuple, tuple_of_params)
 from kleinprym.torsion import (
     QuotientSubgroup,
     TorsionPoint,
@@ -35,7 +43,9 @@ from kleinprym.torsion import (
     duality_chain,
     example_surj_report,
     factor_intersection,
+    full_group,
     intersection,
+    is_isotropic,
     ker_phi_H,
     perp,
     project_to_quotient,
@@ -52,6 +62,9 @@ FIBER = phi_fiber(PARAMS)
 PAIR = (ProjectivePoint(0), ProjectivePoint(1))
 TRIPLE = (ProjectivePoint.infinity(), ProjectivePoint(2), ProjectivePoint(-2))
 ONE = ComplexApprox(mpmath.mpf(1), mpmath.mpf(0), 128)
+TUPLE = tuple_of_params(PARAMS)
+X = Polynomial([0, 1])
+MAP = quotient_map(CurveLabel.E_t)
 
 ENTRY_POINTS = {
     "check_domain": check_domain,
@@ -133,12 +146,62 @@ ENTRY_POINTS = {
     "prym_period_matrix": prym_period_matrix,
     "riemann_check": lambda u, v: riemann_check(u),
     "periods_report": periods_report,
+    # the other public functions of the library modules
+    "rational": lambda u, v: rational(u),
+    "brief": lambda u, v: brief(u),
+    "brief(text, limit)": lambda u, v: brief("abc", u),
+    "parse_rational": lambda u, v: parse_rational(u),
+    "ratio_text": ratio_text,
+    "gcd": gcd,
+    "gcd(x, u)": lambda u, v: gcd(X, u),
+    "resultant": resultant,
+    "resultant(x, u)": lambda u, v: resultant(X, u),
+    "is_squarefree": lambda u, v: is_squarefree(u),
+    "substitute_rational_map": lambda u, v: substitute_rational_map(X, u, v),
+    "Polynomial.divmod": lambda u, v: X.divmod(u),
+    "apply_mobius": apply_mobius,
+    "apply_mobius(m, u)": lambda u, v: apply_mobius(MobiusMap(1, 0, 0, 1), u),
+    "MarkedTuple.apply": lambda u, v: TUPLE.apply(u),
+    "tuple_of_params": lambda u, v: tuple_of_params(u),
+    "normalize_tuple": normalize_tuple,
+    "normalize_tuple(t, u)": lambda u, v: normalize_tuple(TUPLE, u),
+    "canonical_normal_forms": canonical_normal_forms,
+    "canonical_normal_forms(p, u)": lambda u, v: canonical_normal_forms(PARAMS, u),
+    "normal_forms_match": lambda u, v: normal_forms_match(u, v, FULLY_ORDERED),
+    "normal_forms_match(n, n, u)": lambda u, v: normal_forms_match([PARAMS], [PARAMS], u),
+    "verify_quotient_identity": lambda u, v: verify_quotient_identity(u, v, v),
+    "verify_quotient_identity(q, u, v)": lambda u, v: verify_quotient_identity(MAP, u, v),
+    "quartic_invariants": lambda u, v: quartic_invariants(u),
+    "phi_tuple_raw": lambda u, v: phi_tuple_raw(u),
+    "printed_matrix": lambda u, v: printed_matrix(u),
+    "j_weierstrass": lambda u, v: j_weierstrass(u),
+    "add_points": lambda u, v: add_points(E, u, v),
+    "add_points(u, p, q)": lambda u, v: add_points(u, None, None),
+    "optimal_agm": lambda u, v: optimal_agm(u, v, 128),
+    "optimal_agm(bits)": lambda u, v: optimal_agm(1, 2, u),
+    "quotient_periods": lambda u, v: quotient_periods(u, 128),
+    "quotient_periods(bits)": lambda u, v: quotient_periods(PARAMS, u),
+    "product_to_prym_reduction": product_to_prym_reduction,
+    "full_group": lambda u, v: full_group(u),
+    "is_isotropic": lambda u, v: is_isotropic(u),
 }
+
+LIBRARY_MODULES = ("algebra", "projline", "family", "moduli", "isogeny", "periods", "torsion")
 
 
 def test_every_exported_callable_is_an_entry_point():
     exported = {name for name in kleinprym.__all__ if callable(getattr(kleinprym, name))}
     assert exported <= ENTRY_POINTS.keys()
+
+
+def test_every_public_library_function_is_an_entry_point():
+    public = set()
+    for name in LIBRARY_MODULES:
+        module = importlib.import_module(f"kleinprym.{name}")
+        public |= {key for key, value in vars(module).items()
+                   if not key.startswith("_") and inspect.isfunction(value)
+                   and value.__module__ == module.__name__}
+    assert public <= ENTRY_POINTS.keys()
 
 outside = st.one_of(
     st.sampled_from(["1/3", "1e3", "abc", "", " -7 ", "inf", "0,0", float("nan"), float("inf"),
@@ -209,6 +272,16 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
     lambda: repr(ComplexApprox("a", "b", 128)), lambda: PeriodPair(1, 2, 3).tau.to_mpc(),
     lambda: PrymPeriodMatrix(((ONE,) * 4, (ONE,) * 3)),
     lambda: ComplexApprox(ONE.real, ONE.imag, 128.0),
+    lambda: normalize_tuple(None), lambda: normalize_tuple(TUPLE, None),
+    lambda: normalize_tuple(TUPLE, "ordered"), lambda: tuple_of_params(None),
+    lambda: apply_mobius(None, PAIR[0]), lambda: TUPLE.apply(None), lambda: printed_matrix(None),
+    lambda: quotient_periods(None), lambda: quartic_invariants(None),
+    lambda: verify_quotient_identity(None, None, None), lambda: add_points(None, (0, 0), (0, 0)),
+    lambda: j_weierstrass(None), lambda: parse_rational(None), lambda: gcd(None, None),
+    lambda: Polynomial([1]).divmod(None), lambda: optimal_agm("x", 1, 128),
+    lambda: optimal_agm(1, 1, "x"), lambda: full_group("x"),
+    lambda: canonical_normal_forms(None, FULLY_ORDERED),
+    lambda: normal_forms_match([PARAMS], [PARAMS], None), lambda: phi_tuple_raw(TUPLE),
 ], ids=["fixed_point_count('sigma', p)", "quotient_map('E_t')", "curve_equation('E_t', p)",
         "curve_equation(E_t, (1, 2))", "phi_params(None)", "prym_fiber_invariants(None)",
         "phi_fiber(None)", "moduli_report(None)", "phi_consistency_report(None)",
@@ -217,7 +290,15 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
         "prym_period_matrix(1j, 'x')", "Polynomial(['x'])", "CurveLabel('x')",
         "riemann_check(PrymPeriodMatrix('x'))", "prym_period_matrix(ComplexApprox(1, 2, 'x'), i)",
         "repr(ComplexApprox('a', 'b', 128))", "PeriodPair(1, 2, 3).tau",
-        "PrymPeriodMatrix(rows of 4 and 3)", "ComplexApprox(re, im, 128.0)"])
+        "PrymPeriodMatrix(rows of 4 and 3)", "ComplexApprox(re, im, 128.0)",
+        "normalize_tuple(None)", "normalize_tuple(t, None)", "normalize_tuple(t, 'ordered')",
+        "tuple_of_params(None)", "apply_mobius(None, p)", "MarkedTuple.apply(None)",
+        "printed_matrix(None)", "quotient_periods(None)", "quartic_invariants(None)",
+        "verify_quotient_identity(None, None, None)", "add_points(None, P, P)",
+        "j_weierstrass(None)", "parse_rational(None)", "gcd(None, None)",
+        "Polynomial([1]).divmod(None)", "optimal_agm('x', 1, 128)", "optimal_agm(1, 1, 'x')",
+        "full_group('x')", "canonical_normal_forms(None, conv)",
+        "normal_forms_match([p], [p], None)", "phi_tuple_raw(t)"])
 def test_a_library_call_refuses_a_wrong_type(call):
     with pytest.raises(ArgumentError):
         call()
@@ -232,6 +313,27 @@ def test_a_library_call_refuses_a_wrong_type(call):
 def test_a_non_finite_tau_or_z_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: optimal_agm(1, 2, 10**9), lambda: optimal_agm(1, -1, 128),
+    lambda: optimal_agm(0, 1, 128), lambda: optimal_agm(math.inf, 1, 128),
+], ids=["optimal_agm(1, 2, 10**9)", "optimal_agm(1, -1, 128)", "optimal_agm(0, 1, 128)",
+        "optimal_agm(inf, 1, 128)"])
+def test_an_agm_out_of_its_domain_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_wrong_shapes_are_refused_not_misread():
+    # a degree outside 3..4 and points off the curve, where a type check alone
+    # would pass
+    with pytest.raises(DegreeError):
+        quartic_invariants(Polynomial([1, 0, 1]))
+    with pytest.raises(PointError):
+        add_points(E, (Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)))
+    with pytest.raises(ArgumentError):
+        ratio_text(1, 0)
 
 
 LIMIT = sys.get_int_max_str_digits()

@@ -1018,7 +1018,7 @@ def test_real_agm_gives_up_after_its_iteration_budget(monkeypatch):
 
 
 def _jtheta_squares(t, bits):
-    """(A, B, C, odd, even) of `_theta_squares` at tau = i t from mpmath's
+    """(A, B, C, odd, even) of `_real_theta_squares` at tau = i t from mpmath's
     jtheta at twice the precision: odd = t2(q^4)/2 and even = (t3(q^4) - 1)/2,
     so that neither is a difference of nearby values."""
     with mpmath.workprec(2 * (bits + _GUARD_BITS)):
