@@ -120,9 +120,9 @@ def criterion_2() -> CriterionResult:
         grid = [check_domain(a, b) for a in IDENTITY_GRID[0] for b in IDENTITY_GRID[1]]
         rng = random.Random(102)
         for params in grid + [random_params(rng) for _ in range(25)]:
-            ctilde_rhs = curve_equation(CurveLabel.Ctilde, params).rhs
+            ctilde_rhs = curve_equation(CurveLabel.Ctilde, params)
             for label in QUOTIENT_LABELS:
-                quotient_rhs = curve_equation(label, params).rhs
+                quotient_rhs = curve_equation(label, params)
                 if not verify_quotient_identity(quotient_map(label), ctilde_rhs, quotient_rhs):
                     return False, f"identity failed for {label.value} at {params}"
         return True, ("9 quotient-map identities proven on a 2x2 grid (degree <= 1 "
@@ -260,7 +260,7 @@ def near_locus_params(a: Fraction):
                                             (a, 2 - d), (a, -2 + d))]
 
 
-def _lattice_closure(pair, model, bits: int):
+def _lattice_closure(pair, f, bits: int):
     """The first identity, if any, that the basis misses as the period lattice
     of dx/y on y^2 = f(x), each to 2^(8 - bits) max(1, |right side|):
     omega2 = tau omega1, omega1^4 I/pi^4 = E4(tau) and omega1^6 J/(2 pi^6) =
@@ -268,11 +268,11 @@ def _lattice_closure(pair, model, bits: int):
     Watson, A Course of Modern Analysis, 20.6), E4 = (A^4 + B^4 + C^4)/2 and
     E6 = (A^2 + B^2)(B^2 + C^2)(C^2 - A^2)/2 in the squares A, B, C of the
     theta constants at tau.  Unlike j, these fix the lattice's scale."""
-    i_num, j_num = quartic_invariants(model.rhs)
+    i_num, j_num = quartic_invariants(f)
     with mpmath.workprec(bits + 64):
         w1, w2, tau = (getattr(pair, name).to_mpc() for name in ("omega1", "omega2", "tau"))
         a2, b2, c2 = (z * z for z in _theta_squares(tau, bits))
-        u = w1 * w1 / (model.rhs.den * mpmath.pi ** 2)  # I, J are i_num/den^2, j_num/den^3
+        u = w1 * w1 / (f.den * mpmath.pi ** 2)  # I, J are i_num/den^2, j_num/den^3
         for name, got, want in (
                 ("omega2 = tau omega1", w2, tau * w1),
                 ("omega1^4 I/pi^4 = E4", u * u * i_num, (a2 * a2 + b2 * b2 + c2 * c2) / 2),
@@ -295,8 +295,8 @@ def criterion_8() -> CriterionResult:
             # 2-isogenous partners
             bases, js = quotient_periods(params, bits)
             for label in ELLIPTIC_LABELS:
-                model = curve_equation(label, params)
-                pair, exact = bases[label], j_invariant(model)
+                rhs = curve_equation(label, params)
+                pair, exact = bases[label], j_invariant(rhs)
                 approx = analytic_j(pair.tau, bits).to_mpc()
                 with mpmath.workprec(bits + 64):
                     # analytic_j's complex q-series at the printed tau is the oracle for
@@ -309,7 +309,7 @@ def criterion_8() -> CriterionResult:
                 if delta >= 1e-8:
                     return False, (f"|analytic_j - exact_j| = {mpmath.nstr(delta, 5)} "
                                    f"for {label.value} at {params}")
-                missed = _lattice_closure(pair, model, bits)
+                missed = _lattice_closure(pair, rhs, bits)
                 if missed:
                     return False, (f"the basis of {label.value} misses the lattice closure "
                                    f"{missed} at {params}")

@@ -3,14 +3,15 @@ constants of the analytic layer.
 
 Rationals are `fractions.Fraction`; outside values enter through `rational`.
 A `Polynomial` stores integer numerators over one common denominator (von zur
-Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  The program uses it as
-the value type of the family's models and quotient maps, which `family` stores
-as they are (`Polynomial._stored`): the models' numerators written down from
-(a, b), the maps a literal table.  `family` decides each quotient identity at
-one integer point, so no program path does polynomial arithmetic.  The
-constructor, `+`, `-`, `*`, `divmod`, `gcd`, `resultant`, `is_squarefree` and
-`substitute_rational_map` run on no program path: the traced benchmark binds
-some of them by name, and the tests use them as oracles.
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  The program holds the
+family's quotient maps in it, and its models: a model y^2 = f(x) is its
+right-hand side f.  `family` stores both as they are (`Polynomial._stored`):
+the models' numerators written down from (a, b), the maps a literal table.
+`family` decides each quotient identity at one integer point, so no program
+path does polynomial arithmetic.  The constructor, `+`, `-`, `*`, `divmod`,
+`gcd`, `resultant`, `is_squarefree` and `substitute_rational_map` run on no
+program path: the traced benchmark binds some of them by name, and the tests
+use them as oracles.
 """
 
 from __future__ import annotations

@@ -114,10 +114,9 @@ def analyze(a, b, fmt):
     """All nine quotient curves, fixed-point profile, and identity checks."""
     params = check_domain(a, b)
     models = {label: curve_equation(label, params) for label in CurveLabel}
-    ctilde_rhs = models[CurveLabel.Ctilde].rhs
-    curves = [curve_report(label, model) for label, model in models.items()]
-    verdicts = {label.value: verify_quotient_identity(quotient_map(label), ctilde_rhs,
-                                                      models[label].rhs)
+    curves = [curve_report(label, rhs) for label, rhs in models.items()]
+    verdicts = {label.value: verify_quotient_identity(quotient_map(label),
+                                                      models[CurveLabel.Ctilde], models[label])
                 for label in QUOTIENT_LABELS}
     profile = {}
     for inv in InvolutionLabel:

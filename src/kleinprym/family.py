@@ -1,6 +1,7 @@
 """The genus-3 family y^2 = (x^4 + a x^2 + 1)(x^4 + b x^2 + 1): parameter
 domain, the three extra involutions, all nine quotient curves with explicit
 quotient maps, fixed-point data, and exact j-invariants of the elliptic quotients.
+A model y^2 = rhs(x) is held as its right-hand side, a `Polynomial`.
 
 Models, quotient-map identities, fixed-point fibres and j-invariants run on
 integers, with one `Fraction` per j: `curve_equation` builds only the requested
@@ -104,22 +105,6 @@ class InvolutionLabel(_Label):
     iota_sigma_tau = "iota_sigma_tau"
 
 
-@dataclass(frozen=True)
-class HyperellipticModel:
-    """y^2 = rhs(x) with rhs squarefree; genus = ceil(deg/2) - 1.
-
-    `curve_equation` builds the family's models: their discriminants factor
-    into powers of (a - b) and of (a -+ 2), (b -+ 2) (tests/test_family.py
-    pins the ten factorisations), none of which vanishes on `FamilyParams`.
-    """
-
-    rhs: Polynomial
-
-    @property
-    def genus(self) -> int:
-        return -(-self.rhs.degree // 2) - 1
-
-
 # Each label's rhs is the product of one factor of a = p/q, the same factor of
 # b = r/s and constant factors: label -> (the factor of p/q as integer
 # numerators over q, low to high, the constant factors' integer coefficients).
@@ -137,12 +122,16 @@ _FACTORS = {
 }
 
 
-def curve_equation(label: CurveLabel, params: FamilyParams) -> HyperellipticModel:
-    """The exact defining polynomial of y^2 = rhs(x) for the given quotient.
+def curve_equation(label: CurveLabel, params: FamilyParams) -> Polynomial:
+    """The right-hand side rhs of the model y^2 = rhs(x) of the given quotient,
+    which is the model: its genus is ceil(deg/2) - 1.
 
-    The quotient by <iota*sigma, iota*tau> uses the factor (x - 2); the
-    alternative sign does not satisfy the quotient-map identity (see
-    quotient_map / verify_quotient_identity).
+    rhs is squarefree: its discriminant factors into powers of (a - b) and of
+    (a -+ 2), (b -+ 2) (tests/test_family.py pins the ten factorisations),
+    none of which vanishes on `FamilyParams`.  The quotient by
+    <iota*sigma, iota*tau> uses the factor (x - 2); the alternative sign does
+    not satisfy the quotient-map identity (see quotient_map /
+    verify_quotient_identity).
     """
     if not (isinstance(label, CurveLabel) and isinstance(params, FamilyParams)):
         require(CurveLabel, "label", label)
@@ -156,7 +145,7 @@ def curve_equation(label: CurveLabel, params: FamilyParams) -> HyperellipticMode
     # gcd(p, q) = gcd(r, s) = 1, so the numerators of every factor are
     # primitive, and by Gauss's lemma so are those of their product: rhs is
     # already in the stored form, over q s
-    return HyperellipticModel(Polynomial._stored(tuple(nums), q * s))
+    return Polynomial._stored(tuple(nums), q * s)
 
 
 @dataclass(frozen=True)
@@ -322,31 +311,29 @@ def quartic_invariants(f: Polynomial) -> tuple[int, int]:
             72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c ** 3)
 
 
-def j_invariant(m: HyperellipticModel) -> Fraction:
-    """Exact j-invariant of a genus-1 model y^2 = f(x), deg f in {3, 4}:
-    j = 6912 I^3 / (4 I^3 - J^2) in the invariants of `quartic_invariants`.
-    It is homogeneous of degree 0 in the coefficients, so it is read from the
-    integer numerators and the common denominator drops out (Cremona,
-    *Algorithms for Modular Elliptic Curves*).
+def j_invariant(f: Polynomial) -> Fraction:
+    """Exact j-invariant of the genus-1 model y^2 = f(x), deg f in {3, 4}
+    (DegreeError otherwise): j = 6912 I^3 / (4 I^3 - J^2) in the invariants
+    of `quartic_invariants`.  It is homogeneous of degree 0 in the
+    coefficients, so it is read from the integer numerators and the common
+    denominator drops out (Cremona, *Algorithms for Modular Elliptic Curves*).
     """
-    require(HyperellipticModel, "the model", m)
-    if m.genus != 1:
-        raise ArgumentError("j-invariant is defined for genus-1 models only")
-    s, t = quartic_invariants(m.rhs)
+    s, t = quartic_invariants(f)
     denominator = 4 * s ** 3 - t * t
     if denominator == 0:
         raise InternalInvariantError("singular Weierstrass model")
     return Fraction(6912 * s ** 3, denominator)
 
 
-def curve_report(label: CurveLabel, model: HyperellipticModel) -> dict:
-    """A model's report: its label, rhs coefficients, genus and, at genus 1, j."""
+def curve_report(label: CurveLabel, rhs: Polynomial) -> dict:
+    """The report of y^2 = rhs(x): its label, rhs coefficients, genus
+    ceil(deg/2) - 1 and, at genus 1, j."""
     require(CurveLabel, "label", label)
-    require(HyperellipticModel, "the model", model)
-    rhs, genus = model.rhs, model.genus
+    require(Polynomial, "the right-hand side", rhs)
+    genus = -(-rhs.degree // 2) - 1
     report = {"label": label.value,
               "rhs_coefficients": [ratio_text(n, rhs.den) for n in rhs.nums],
               "genus": genus}
     if genus == 1:
-        report["j"] = str(j_invariant(model))
+        report["j"] = str(j_invariant(rhs))
     return report

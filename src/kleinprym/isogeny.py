@@ -56,25 +56,9 @@ def j_weierstrass(curve: WeierstrassCurve) -> Fraction:
     return 1728 * 4 * curve.p ** 3 / (4 * curve.p ** 3 + 27 * curve.q ** 2)
 
 
-# Affine points are (x, y) pairs; None is the point at infinity.
-
-
-def add_points(curve: WeierstrassCurve, P, Q):
-    """P + Q on the curve; PointError unless each is None or an (x, y) pair
-    of Fractions on it."""
-    require(WeierstrassCurve, "the curve", curve)
-    for point in (P, Q):
-        if point is not None:
-            if type(point) is not tuple or len(point) != 2:
-                raise ArgumentError(f"a point is None or an (x, y) pair, not {point!r}")
-            require(Fraction, "x and y", *point)
-            if not curve.contains(*point):
-                raise PointError(f"{point} is not on the curve")
-    return _add_points(curve, P, Q)
-
-
 def _add_points(curve: WeierstrassCurve, P, Q):
-    """The group law on points that the caller knows to lie on the curve."""
+    """The group law on points that the caller knows to lie on the curve:
+    affine points are (x, y) pairs, and None is the point at infinity."""
     if P is None:
         return Q
     if Q is None:

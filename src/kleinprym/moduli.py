@@ -11,9 +11,9 @@ identity on parameters, and the matrix undoes it rather than producing the
 parameter form.
 
 The report writes the raw tuple down from (a, b) and normalises it once.
-Its equivalence verdicts need no normalisation: a canonical tuple
-`tuple_of_params(p)` normalises by construction to p, and to (-a, -b) as well
-when the triple tail is unordered.
+Its equivalence verdicts (`canonical_tuples_equivalent`) need no
+normalisation: a canonical tuple `tuple_of_params(p)` normalises by
+construction to p, and to (-a, -b) as well when the triple tail is unordered.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .projline import (
     MarkingConvention,
     MobiusMap,
     ProjectivePoint,
-    canonical_normal_forms,
-    normal_forms_match,
+    canonical_tuples_equivalent,
     normalize_tuple,
 )
 
@@ -151,8 +150,7 @@ def phi_consistency_report(fiber: PhiFiber,
     if not matrix_matches_eq2:
         flags.append("printed-matrix-disagrees-with-parameter-form")
 
-    verdicts = {name: normal_forms_match(canonical_normal_forms(params, named),
-                                         canonical_normal_forms(image, named), named)
+    verdicts = {name: canonical_tuples_equivalent(params, image, named)
                 for name, named in CONVENTIONS.items()}
 
     def fmt_params(p):

@@ -526,33 +526,57 @@ def _isogenous_eighths(kernel, A, B, C, odd, even):
     return _square(t2_4), _fourth(t3_2), _fourth(t4_2)
 
 
+def _scaled(x: mpmath.mpf, k: int) -> int:
+    """The integer x 2^k of a dyadic x whose exponent is at least -k."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man) << (exp + k)
+
+
+def _moved(tau) -> mpmath.mpc:
+    """gamma tau at the working precision, rounded once, for a gamma in SL2(Z)
+    that moves a tau with |Re tau| <= 1/2 and |tau| < 1 into the fundamental
+    domain.  The moves tau - n and -1/tau run on exact integers: with tau =
+    (X + iY)/2^k, gamma tau = (P + iR)/(U + iV) for P + iR = 2^k (a tau + b)
+    and U + iV = 2^k (c tau + d), and each inversion lowers the integer
+    |U + iV|^2 = 4^k Im tau/Im gamma tau, so the loop ends (Cohen, *A Course
+    in Computational Algebraic Number Theory*, 7.4).  PrecisionError when
+    the parts of tau carry more than MAX_PRECISION_BITS bits below the
+    binary point."""
+    k = max(-tau.real._mpf_[2], -tau.imag._mpf_[2])
+    if k > MAX_PRECISION_BITS:
+        raise PrecisionError(f"tau has {k} bits below the binary point, over {MAX_PRECISION_BITS}")
+    P, R, U, V = _scaled(tau.real, k), _scaled(tau.imag, k), 1 << k, 0
+    while P * P + R * R < U * U + V * V:  # |gamma tau| < 1
+        P, R, U, V = -U, -V, P, R
+        D = U * U + V * V
+        n = (2 * (P * U + R * V) + D) // (2 * D)  # floor(Re gamma tau + 1/2)
+        P, R = P - n * U, R - n * V
+    D = U * U + V * V
+    return mpmath.mpc(mpmath.fdiv(P * U + R * V, D), mpmath.fdiv(R * U - P * V, D))
+
+
 def analytic_j(tau, precision_bits: int = DEFAULT_PRECISION_BITS) -> ComplexApprox:
     """j(tau) = 32 (t2^8 + t3^8 + t4^8)^3 / (t2 t3 t4)^8 from the theta
     constants (`_theta_squares`) at tau, read at precision_bits + 64 bits and
-    first moved to the fundamental domain by shifts tau - n and inversions
-    -1/tau, under which j is invariant.  The moved tau' has Im tau' <=
-    max(Im tau, 1/Im tau), and j is about e^(-2 pi i tau'), so an error e in
-    tau' is one of about 2 pi e in j relative to |j|.  The moves and the
-    series therefore carry the bits of 1/Im tau beyond the guard bits: on the
-    imaginary axis, where one inversion reaches the domain, rounding then
-    moves tau' by less than 2^-(precision_bits + 64), and j keeps its label.
-    Off the axis each inversion also magnifies the rounding error of Re tau,
-    which these bits do not bound.  The powers are multiplied out: mpmath 1.3
-    raises an mpc z to the power n through exp(n log z) once n times the
-    mantissa size passes 10000 bits."""
+    first moved to the fundamental domain by a gamma in SL2(Z), under which j
+    is invariant.  j is about e^(-2 pi i tau'), so an absolute error e in the
+    moved tau' is one of about 2 pi e in j relative to |j|.  A shift tau - n
+    is exact.  Past it, a tau in the domain is read as it is, and any other
+    is moved by `_moved`, which forms tau' once from tau's exact parts, with
+    Im tau' <= 1/Im tau.  So the moves and the series carry the bits of
+    1/Im tau beyond the guard bits, rounding moves tau' by less than
+    2^-(precision_bits + 63), and j keeps its label.  The powers are
+    multiplied out: mpmath 1.3 raises an mpc z to the power n through
+    exp(n log z) once n times the mantissa size passes 10000 bits."""
     _check_precision(precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         tau = _as_mpc(tau)
         if tau.imag <= 0:
             raise DomainError("tau must lie in the upper half-plane")
     with mpmath.workprec(precision_bits + _GUARD_BITS + max(0, -mpmath.mag(tau.imag))):
-        for _ in range(10_000):  # each inversion raises Im tau
-            tau -= mpmath.floor(tau.real + mpmath.mpf(1) / 2)
-            if tau.real ** 2 + tau.imag ** 2 >= 1:
-                break
-            tau = -1 / tau
-        else:
-            raise PrecisionError("tau did not reach the fundamental domain")
+        tau -= mpmath.floor(tau.real + mpmath.mpf(1) / 2)
+        if tau.real ** 2 + tau.imag ** 2 < 1:
+            tau = _moved(tau)
         return _cap(_j_from_eighths(*map(_fourth, _theta_squares(tau, precision_bits))),
                     precision_bits)
 
@@ -582,7 +606,8 @@ class PrymPeriodMatrix:
 
     @property
     def precision_bits(self) -> int:
-        return max(e.precision_bits for row in self.entries for e in row)
+        """The smallest label of an entry: every entry has at least its bits."""
+        return min(e.precision_bits for row in self.entries for e in row)
 
     def to_mpc_rows(self):
         return [[e.to_mpc() for e in row] for row in self.entries]
@@ -596,9 +621,9 @@ class PrymPeriodMatrix:
 
 
 def _upper_pair(z1, z2):
-    """(w1, w2, bits): z1 and z2 as mpc values at bits, the larger of their
+    """(w1, w2, bits): z1 and z2 as mpc values at bits, the smaller of their
     labelled precisions; DomainError unless both lie in the upper half-plane."""
-    bits = max(getattr(z, "precision_bits", DEFAULT_PRECISION_BITS) for z in (z1, z2))
+    bits = min(getattr(z, "precision_bits", DEFAULT_PRECISION_BITS) for z in (z1, z2))
     with mpmath.workprec(bits + _GUARD_BITS):
         w1, w2 = _as_mpc(z1), _as_mpc(z2)
     for name, w in (("z1", w1), ("z2", w2)):
@@ -631,7 +656,6 @@ class ReductionTrace:
     basis_changed: tuple
     after_quotient: tuple     # the documented intermediate matrix
     final: tuple
-    basis_change_symplectic: bool
 
 
 # columns: f1' = f1, f2' = f1 + f2, e1' = e1 - e2, e2' = e2
@@ -676,7 +700,6 @@ def product_to_prym_reduction(z1, z2) -> ReductionTrace:
             basis_changed=freeze(basis_changed),
             after_quotient=freeze(after_quotient),
             final=freeze(final),
-            basis_change_symplectic=_BASIS_CHANGE_SYMPLECTIC,
         )
 
 

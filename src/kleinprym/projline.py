@@ -5,9 +5,10 @@ The canonical frame for the distinguished triple is ([1:0], [2:1], [-2:1]);
 every equivalence decision compares normal forms in that frame.  A tuple is
 normalised by the one cross-ratio map that sends its marked triple there; a
 canonical tuple `tuple_of_params` is already there, so its normal forms are
-written down (`canonical_normal_forms`).  Points ([x:y] as (y, x)) and Moebius
-maps are held as the primitive integer vectors of `_primitive`, so the calculus
-runs on integers; `Fraction`s appear only in parsing and in `affine_value`.
+written down, and `canonical_tuples_equivalent` compares them.  Points ([x:y]
+as (y, x)) and Moebius maps are held as the primitive integer vectors of
+`_primitive`, so the calculus runs on integers; `Fraction`s appear only in
+parsing and in `affine_value`.
 """
 
 from __future__ import annotations
@@ -258,30 +259,14 @@ def normalize_tuple(t: MarkedTuple, conv: MarkingConvention = MarkingConvention(
     return results
 
 
-def canonical_normal_forms(params, conv: MarkingConvention) -> list:
-    """The parameters that `normalize_tuple` reads off `tuple_of_params(params)`,
-    found without normalising: the frame map of a canonical tuple is the
-    identity, and the swapped tail (inf, -2, 2) goes to the frame by p -> -p.
-    (-a, -b) lies in the domain whenever (a, b) does."""
-    require(FamilyParams, "params", params)
+def canonical_tuples_equivalent(p, q, conv: MarkingConvention) -> bool:
+    """Whether a Moebius map matches `tuple_of_params(p)` to
+    `tuple_of_params(q)` under the convention, found without normalising:
+    the frame map of a canonical tuple is the identity, and the swapped tail
+    (inf, -2, 2) goes to the frame by x -> -x.  So p's normal forms are (a, b)
+    and, for an unordered tail, (-a, -b); each matches q when equal to it, or
+    when equal to its swap for an unordered pair."""
+    require(FamilyParams, "params", p, q)
     require(MarkingConvention, "the convention", conv)
-    if conv.triple_tail_ordered:
-        return [params]
-    return [params, FamilyParams(-params.a, -params.b)]
-
-
-def _params_match(p1, p2, conv: MarkingConvention) -> bool:
-    if (p1.a, p1.b) == (p2.a, p2.b):
-        return True
-    if not conv.pair_ordered and (p1.a, p1.b) == (p2.b, p2.a):
-        return True
-    return False
-
-
-def normal_forms_match(n1, n2, conv: MarkingConvention) -> bool:
-    """True iff a parameter pair of n1 matches one of n2 under the convention;
-    n1 and n2 are lists of `FamilyParams`, as `canonical_normal_forms` gives."""
-    require(list, "the normal forms", n1, n2)
-    require(FamilyParams, "a normal form", *n1, *n2)
-    require(MarkingConvention, "the convention", conv)
-    return any(_params_match(p1, p2, conv) for p1 in n1 for p2 in n2)
+    forms = [(p.a, p.b)] if conv.triple_tail_ordered else [(p.a, p.b), (-p.a, -p.b)]
+    return any(f == (q.a, q.b) or (not conv.pair_ordered and f == (q.b, q.a)) for f in forms)

@@ -432,8 +432,7 @@ def duality_chain(d: int) -> dict:
     The report is built once per d (`_duality_chain`); each call returns a
     fresh copy, which the caller may change.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or not 2 <= d <= MAX_LEVEL:
-        raise ArgumentError(f"d must be an int in 2..{MAX_LEVEL}, not {d!r}")
+    _require_level(d)
     return _fresh(_duality_chain(d))
 
 

@@ -2,25 +2,25 @@
 them before both ran on integer numerators, kept apart from the library as
 oracles: each label's factors from a table of `Fraction` coefficients, and
 each identity as two `Polynomial` products, quotient_rhs(U) formed by
-`substitute_rational_map`; and a model of any squarefree right-hand side,
-checked by a gcd, for input from outside the family."""
+`substitute_rational_map`; and a check by a gcd that a right-hand side from
+outside the family is squarefree, so that it is a model."""
 
 import functools
 import operator
 
 from kleinprym.algebra import Polynomial, is_squarefree, substitute_rational_map
 from kleinprym.errors import ArgumentError, InternalInvariantError
-from kleinprym.family import CurveLabel, HyperellipticModel
+from kleinprym.family import CurveLabel
 
 
-def model_from_rhs(rhs: Polynomial) -> HyperellipticModel:
-    """The model y^2 = rhs(x) of a bare right-hand side, after a gcd check of
+def model_from_rhs(rhs: Polynomial) -> Polynomial:
+    """rhs, which is the model y^2 = rhs(x), after a gcd check of
     squarefreeness."""
     if rhs.degree < 1:
         raise ArgumentError("constant right-hand side")
     if not is_squarefree(rhs):
         raise InternalInvariantError("right-hand side is not squarefree")
-    return HyperellipticModel(rhs)
+    return rhs
 
 
 def oracle_factors(label, params) -> tuple:

@@ -17,12 +17,11 @@ def binary_quartic_invariants(f):
     return I, J
 
 
-def short_weierstrass_coefficients(m):
+def short_weierstrass_coefficients(f):
     """(p, q) of a short Weierstrass curve y^2 = x^3 + p x + q with the same
-    j-invariant as the genus-1 model m."""
-    if m.genus != 1:
+    j-invariant as the genus-1 model y^2 = f(x)."""
+    if f.degree not in (3, 4):
         raise ArgumentError("j-invariant is defined for genus-1 models only")
-    f = m.rhs
     if f.degree == 4:
         I, J = binary_quartic_invariants(f)
         return -27 * I, -27 * J
@@ -41,5 +40,5 @@ def j_of_short_weierstrass(p, q):
     return 1728 * 4 * p ** 3 / delta
 
 
-def oracle_j(m):
-    return j_of_short_weierstrass(*short_weierstrass_coefficients(m))
+def oracle_j(f):
+    return j_of_short_weierstrass(*short_weierstrass_coefficients(f))

@@ -29,7 +29,6 @@ import operator
 import mpmath
 
 from kleinprym.errors import ArgumentError, PrecisionError
-from kleinprym.family import HyperellipticModel
 from kleinprym.periods import _GUARD_BITS, PeriodPair, _cap, _check_precision, optimal_agm
 
 
@@ -188,7 +187,7 @@ def oracle_periods(factors, precision_bits: int) -> PeriodPair:
     precision and for every root ordering, also at tau = i and
     tau = e^(2 pi i/3), whose extra units the normal form accounts for."""
     rhs = functools.reduce(operator.mul, factors)
-    if HyperellipticModel(rhs).genus != 1:
+    if rhs.degree not in (3, 4):
         raise ArgumentError("periods are computed for genus-1 models only")
     _check_precision(precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):

@@ -1,11 +1,14 @@
 """Equivalence of marked tuples by normalising both, kept apart from the
 library, which decides equivalence of canonical tuples from their known
-normal forms (`projline.canonical_normal_forms`)."""
+normal forms (`projline.canonical_tuples_equivalent`)."""
 
-from kleinprym.projline import MarkingConvention, normal_forms_match, normalize_tuple
+from kleinprym.projline import MarkingConvention, normalize_tuple
 
 
 def tuples_equivalent(t1, t2, conv=MarkingConvention()) -> bool:
-    """True iff a Moebius map matches t1 to t2 respecting the convention."""
-    return normal_forms_match([r.params for r in normalize_tuple(t1, conv)],
-                              [r.params for r in normalize_tuple(t2, conv)], conv)
+    """True iff a Moebius map matches t1 to t2 respecting the convention: a
+    normal form of t1 equals one of t2, or its swap when the pair is
+    unordered."""
+    forms1, forms2 = ([(r.params.a, r.params.b) for r in normalize_tuple(t, conv)]
+                      for t in (t1, t2))
+    return any(f in forms2 or (not conv.pair_ordered and f[::-1] in forms2) for f in forms1)

@@ -5,6 +5,7 @@ points, subgroups, curves, matrices) refuse any other type the same way,
 and so does every name that `kleinprym` exports and every public function
 of its library modules."""
 
+import ast
 import importlib
 import inspect
 import math
@@ -12,6 +13,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -25,8 +27,8 @@ from kleinprym.errors import (ArgumentError, DegreeError, DomainError, KleinPrym
 from kleinprym.family import (CurveLabel, FamilyParams, InvolutionLabel, check_domain,
                               curve_equation, curve_report, fixed_point_count, j_invariant,
                               quartic_invariants, quotient_map, verify_quotient_identity)
-from kleinprym.isogeny import (KernelPoint, WeierstrassCurve, add_points,
-                               dual_nonisomorphism_check, j_weierstrass, velu_quotient)
+from kleinprym.isogeny import (KernelPoint, WeierstrassCurve, dual_nonisomorphism_check,
+                               j_weierstrass, velu_quotient)
 from kleinprym.moduli import (moduli_report, phi_consistency_report, phi_fiber, phi_params,
                               phi_tuple_raw, printed_matrix, prym_fiber_invariants)
 from kleinprym.periods import (ComplexApprox, PeriodPair, PrymPeriodMatrix, analytic_j,
@@ -34,8 +36,8 @@ from kleinprym.periods import (ComplexApprox, PeriodPair, PrymPeriodMatrix, anal
                                product_to_prym_reduction, prym_period_matrix, quotient_periods,
                                riemann_check)
 from kleinprym.projline import (FULLY_ORDERED, MarkedTuple, MarkingConvention, MobiusMap,
-                                ProjectivePoint, apply_mobius, canonical_normal_forms,
-                                normal_forms_match, normalize_tuple, tuple_of_params)
+                                ProjectivePoint, apply_mobius, canonical_tuples_equivalent,
+                                normalize_tuple, tuple_of_params)
 from kleinprym.torsion import (
     QuotientSubgroup,
     TorsionPoint,
@@ -165,18 +167,15 @@ ENTRY_POINTS = {
     "tuple_of_params": lambda u, v: tuple_of_params(u),
     "normalize_tuple": normalize_tuple,
     "normalize_tuple(t, u)": lambda u, v: normalize_tuple(TUPLE, u),
-    "canonical_normal_forms": canonical_normal_forms,
-    "canonical_normal_forms(p, u)": lambda u, v: canonical_normal_forms(PARAMS, u),
-    "normal_forms_match": lambda u, v: normal_forms_match(u, v, FULLY_ORDERED),
-    "normal_forms_match(n, n, u)": lambda u, v: normal_forms_match([PARAMS], [PARAMS], u),
+    "canonical_tuples_equivalent": lambda u, v: canonical_tuples_equivalent(u, v, FULLY_ORDERED),
+    "canonical_tuples_equivalent(p, p, u)":
+        lambda u, v: canonical_tuples_equivalent(PARAMS, PARAMS, u),
     "verify_quotient_identity": lambda u, v: verify_quotient_identity(u, v, v),
     "verify_quotient_identity(q, u, v)": lambda u, v: verify_quotient_identity(MAP, u, v),
     "quartic_invariants": lambda u, v: quartic_invariants(u),
     "phi_tuple_raw": lambda u, v: phi_tuple_raw(u),
     "printed_matrix": lambda u, v: printed_matrix(u),
     "j_weierstrass": lambda u, v: j_weierstrass(u),
-    "add_points": lambda u, v: add_points(E, u, v),
-    "add_points(u, p, q)": lambda u, v: add_points(u, None, None),
     "optimal_agm": lambda u, v: optimal_agm(u, v, 128),
     "optimal_agm(bits)": lambda u, v: optimal_agm(1, 2, u),
     "quotient_periods": lambda u, v: quotient_periods(u, 128),
@@ -202,6 +201,49 @@ def test_every_public_library_function_is_an_entry_point():
                    if not key.startswith("_") and inspect.isfunction(value)
                    and value.__module__ == module.__name__}
     assert public <= ENTRY_POINTS.keys()
+
+
+REPO = Path(__file__).resolve().parent.parent
+# the program and the benchmark, whose references keep a public function
+PROGRAM_PATHS = ("src/kleinprym", "scripts", "perfbench")
+
+
+def _program_references() -> set:
+    """Every name that a program or benchmark file reads as an ast `Name`,
+    `Attribute` or import alias, and every attribute that the traced
+    benchmark binds by a string (the third entry of `tracing.SPANS` and
+    `tracing.COUNTERS` rows).  Docstrings and comments do not count, and
+    neither do the benchmark's own tests."""
+    names = set()
+    for root in PROGRAM_PATHS:
+        for path in (REPO / root).rglob("*.py"):
+            if "tests" in path.relative_to(REPO / root).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+                elif (isinstance(node, ast.Assign) and path.name == "tracing.py"
+                      and any(getattr(t, "id", None) in ("SPANS", "COUNTERS")
+                              for t in node.targets)):
+                    names |= {row.elts[2].value for row in node.value.elts}
+    return names
+
+
+def test_every_public_library_function_has_a_program_caller():
+    # a public function that only the tests call belongs in the tests
+    referenced = _program_references()
+    unreferenced = set()
+    for name in LIBRARY_MODULES:
+        module = importlib.import_module(f"kleinprym.{name}")
+        unreferenced |= {f"{name}.{key}" for key, value in vars(module).items()
+                         if not key.startswith("_") and inspect.isfunction(value)
+                         and value.__module__ == module.__name__ and key not in referenced}
+    assert not unreferenced
+
 
 outside = st.one_of(
     st.sampled_from(["1/3", "1e3", "abc", "", " -7 ", "inf", "0,0", float("nan"), float("inf"),
@@ -276,12 +318,12 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
     lambda: normalize_tuple(TUPLE, "ordered"), lambda: tuple_of_params(None),
     lambda: apply_mobius(None, PAIR[0]), lambda: TUPLE.apply(None), lambda: printed_matrix(None),
     lambda: quotient_periods(None), lambda: quartic_invariants(None),
-    lambda: verify_quotient_identity(None, None, None), lambda: add_points(None, (0, 0), (0, 0)),
+    lambda: verify_quotient_identity(None, None, None),
     lambda: j_weierstrass(None), lambda: parse_rational(None), lambda: gcd(None, None),
     lambda: Polynomial([1]).divmod(None), lambda: optimal_agm("x", 1, 128),
     lambda: optimal_agm(1, 1, "x"), lambda: full_group("x"),
-    lambda: canonical_normal_forms(None, FULLY_ORDERED),
-    lambda: normal_forms_match([PARAMS], [PARAMS], None), lambda: phi_tuple_raw(TUPLE),
+    lambda: canonical_tuples_equivalent(None, PARAMS, FULLY_ORDERED),
+    lambda: canonical_tuples_equivalent(PARAMS, PARAMS, None), lambda: phi_tuple_raw(TUPLE),
 ], ids=["fixed_point_count('sigma', p)", "quotient_map('E_t')", "curve_equation('E_t', p)",
         "curve_equation(E_t, (1, 2))", "phi_params(None)", "prym_fiber_invariants(None)",
         "phi_fiber(None)", "moduli_report(None)", "phi_consistency_report(None)",
@@ -294,11 +336,11 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
         "normalize_tuple(None)", "normalize_tuple(t, None)", "normalize_tuple(t, 'ordered')",
         "tuple_of_params(None)", "apply_mobius(None, p)", "MarkedTuple.apply(None)",
         "printed_matrix(None)", "quotient_periods(None)", "quartic_invariants(None)",
-        "verify_quotient_identity(None, None, None)", "add_points(None, P, P)",
+        "verify_quotient_identity(None, None, None)",
         "j_weierstrass(None)", "parse_rational(None)", "gcd(None, None)",
         "Polynomial([1]).divmod(None)", "optimal_agm('x', 1, 128)", "optimal_agm(1, 1, 'x')",
-        "full_group('x')", "canonical_normal_forms(None, conv)",
-        "normal_forms_match([p], [p], None)", "phi_tuple_raw(t)"])
+        "full_group('x')", "canonical_tuples_equivalent(None, p, conv)",
+        "canonical_tuples_equivalent(p, p, None)", "phi_tuple_raw(t)"])
 def test_a_library_call_refuses_a_wrong_type(call):
     with pytest.raises(ArgumentError):
         call()
@@ -331,7 +373,7 @@ def test_wrong_shapes_are_refused_not_misread():
     with pytest.raises(DegreeError):
         quartic_invariants(Polynomial([1, 0, 1]))
     with pytest.raises(PointError):
-        add_points(E, (Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)))
+        KernelPoint.on_curve(E, 0, 1)
     with pytest.raises(ArgumentError):
         ratio_text(1, 0)
 
