@@ -195,6 +195,15 @@ def test_analytic_j_on_the_imaginary_axis_ends_and_keeps_its_label(t, bits):
         assert mpmath.fabs(got - want) <= mpmath.ldexp(mpmath.fabs(want), 8 - bits), (t, bits)
 
 
+def test_analytic_j_refuses_a_tau_past_the_cap_at_once():
+    # 2^-40000 i needs 40000 bits below the binary point; the unbounded
+    # moves ran for over a minute on it
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match="below the binary point"):
+        analytic_j(mpmath.mpc(0, mpmath.ldexp(1, -40000)), 128)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("bits", [128, 1024])
 @given(st.integers(-2 ** 60, 2 ** 60), st.integers(0, 64), st.floats(1, 10),
        st.integers(11, 300))
