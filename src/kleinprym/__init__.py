@@ -6,7 +6,7 @@ calculus, Velu isogenies, and Prym period matrices.
 
 from .errors import KleinPrymError
 from .algebra import Polynomial
-from .projline import MarkedTuple, MarkingConvention, MobiusMap, ProjectivePoint
+from .projline import MarkedTuple, MobiusMap, ProjectivePoint
 from .family import CurveLabel, FamilyParams, InvolutionLabel, check_domain
 from .moduli import phi_params, prym_fiber_invariants
 from .torsion import TorsionPoint, duality_chain, example_surj_report
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "KleinPrymError",
     "ComplexApprox", "Polynomial",
-    "MarkedTuple", "MarkingConvention", "MobiusMap", "ProjectivePoint",
+    "MarkedTuple", "MobiusMap", "ProjectivePoint",
     "CurveLabel", "FamilyParams", "InvolutionLabel", "check_domain",
     "phi_params", "prym_fiber_invariants",
     "TorsionPoint", "duality_chain", "example_surj_report",

@@ -27,8 +27,8 @@ from .family import (
     quotient_map,
     verify_quotient_identity,
 )
-from .projline import FULLY_ORDERED, MobiusMap, normalize_tuple, tuple_of_params
-from .moduli import phi_consistency_report, phi_fiber, phi_params, prym_fiber_invariants
+from .projline import MobiusMap, normalize_tuple, tuple_of_params
+from .moduli import PhiFiber, phi_consistency_report, phi_params, prym_fiber_invariants
 from .torsion import MAX_LEVEL, duality_chain, example_surj_report
 from .isogeny import (
     KernelPoint,
@@ -101,7 +101,7 @@ def criterion_1() -> CriterionResult:
             params = random_params(rng)
             m = _random_mobius(rng)
             pushed = tuple_of_params(params).apply(m)
-            back = normalize_tuple(pushed, FULLY_ORDERED)[0].params
+            back = normalize_tuple(pushed, "ordered")[0].params
             if back != params:
                 return False, f"round-trip failed at sample {i}: {params} -> {back}"
         return True, "200 random round-trips exact under the ordered convention"
@@ -337,7 +337,7 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     def body():
-        report = phi_consistency_report(phi_fiber(check_domain(1, 3)))
+        report = phi_consistency_report(PhiFiber(check_domain(1, 3)))
         if report["raw_tuple_normalized_ordered"] != [["1", "3"]]:
             return False, ("raw tuple form did not normalise to (1,3): "
                            f"{report['raw_tuple_normalized_ordered']}")

@@ -27,16 +27,16 @@ from .errors import ArgumentError, DegreeError, require
 
 
 _RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+_BRIEF_CHARS = 40  # the characters of an outside text that an error message echoes
 
 
-def brief(text: str, limit: int = 40) -> str:
-    """repr(text) for an error message; past `limit` characters, the repr of
-    the first `limit` and the length."""
+def brief(text: str) -> str:
+    """repr(text) for an error message; past `_BRIEF_CHARS` characters, the
+    repr of the first `_BRIEF_CHARS` and the length."""
     require(str, "the text", text)
-    require(int, "the limit", limit)
-    if len(text) <= limit:
+    if len(text) <= _BRIEF_CHARS:
         return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+    return f"{text[:_BRIEF_CHARS]!r}... ({len(text)} characters)"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -37,7 +37,7 @@ from .family import (
     verify_quotient_identity,
 )
 from .projline import CONVENTIONS, MarkedTuple, normalize_tuple
-from .moduli import moduli_report, phi_consistency_report, phi_fiber
+from .moduli import PhiFiber, moduli_report, phi_consistency_report
 from .torsion import MAX_LEVEL, duality_chain, example_surj_report
 from .isogeny import KernelPoint, WeierstrassCurve, dual_nonisomorphism_check
 
@@ -133,9 +133,8 @@ def analyze(a, b, fmt):
 def normalize(tuple_text, convention, fmt):
     """Normalise a marked 5-tuple to the canonical frame."""
     t = MarkedTuple.from_string(tuple_text)
-    conv = CONVENTIONS[convention]
     results = []
-    for r in normalize_tuple(t, conv):
+    for r in normalize_tuple(t, convention):
         results.append({
             "a": str(r.params.a),
             "b": str(r.params.b),
@@ -147,11 +146,9 @@ def normalize(tuple_text, convention, fmt):
 
 def involution(a, b, convention, fmt):
     """The deck involution: image, fibre invariants, consistency report."""
-    params = check_domain(a, b)
-    conv = CONVENTIONS[convention]
-    fiber = phi_fiber(params)
+    fiber = PhiFiber(check_domain(a, b))
     report = moduli_report(fiber)
-    report["consistency"] = phi_consistency_report(fiber, conv)
+    report["consistency"] = phi_consistency_report(fiber, convention)
     _emit(report, fmt)
 
 
@@ -233,7 +230,7 @@ _B = Option("--b", "b", parse_rational, required=True, metavar="RATIONAL")
 _FORMAT = Option("--format", "fmt", default="json", choices=("json", "text"),
                  help="Output encoding; text is a projection of the JSON.")
 _CONVENTION = Option(
-    "--convention", "convention", default="pair-unordered", choices=tuple(CONVENTIONS),
+    "--convention", "convention", default="pair-unordered", choices=CONVENTIONS,
     help="Which parts of the marking carry an ordering. 'ordered' and "
          "'pair-unordered' print the same results: a normal form keeps the pair "
          "as given, and the involution report decides every convention's "

@@ -151,12 +151,18 @@ def curve_equation(label: CurveLabel, params: FamilyParams) -> Polynomial:
 @dataclass(frozen=True)
 class QuotientMapData:
     """The map from the genus-3 curve Ctilde onto one quotient: x-coordinate
-    U = U_num/U_den and y-coordinate factor W = W_num/W_den (image y = W(x) * y)."""
+    U = U_num/U_den and y-coordinate factor W = W_num/W_den (image y = W(x) * y).
+    Construction refuses a zero denominator with DegreeError."""
 
     U_num: Polynomial
     U_den: Polynomial
     W_num: Polynomial
     W_den: Polynomial
+
+    def __post_init__(self):
+        require(Polynomial, "a map polynomial", self.U_num, self.U_den, self.W_num, self.W_den)
+        if self.U_den.is_zero or self.W_den.is_zero:
+            raise DegreeError("zero denominator in rational substitution")
 
 
 # The maps do not depend on (a, b).  Each row gives U_num, U_den, W_num and
@@ -218,8 +224,6 @@ def _identity_sides(q: QuotientMapData, ctilde_rhs: Polynomial, quotient_rhs: Po
     the factors' l1 norms), so it bounds every coefficient of their
     difference; lhs and rhs are the two sides at X = 2^(B + 1), B the bit
     length of bound."""
-    if q.U_den.is_zero:
-        raise DegreeError("zero denominator in rational substitution")
     n = [c * q.U_den.den for c in q.U_num.nums]
     d = [c * q.U_num.den for c in q.U_den.nums]
     wn = [c * q.W_den.den for c in q.W_num.nums]

@@ -10,14 +10,17 @@ report: under order-preserving normalisation the raw tuple form is the
 identity on parameters, and the matrix undoes it rather than producing the
 parameter form.
 
-The report writes the raw tuple down from (a, b) and normalises it once.
-Its equivalence verdicts (`canonical_tuples_equivalent`) need no
-normalisation: a canonical tuple `tuple_of_params(p)` normalises by
-construction to p, and to (-a, -b) as well when the triple tail is unordered.
+A `PhiFiber` is its point (a, b) alone; the image and the fibre invariants
+at both points follow from it and are computed once.  The report writes the
+raw tuple down from (a, b) and normalises it once.  Its equivalence verdicts
+(`canonical_tuples_equivalent`) need no normalisation: a canonical tuple
+`tuple_of_params(p)` normalises by construction to p, and to (-a, -b) as
+well when the triple tail is unordered.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import ArgumentError, PhiUndefined, require
@@ -26,7 +29,6 @@ from .projline import (
     CANONICAL_TRIPLE,
     CONVENTIONS,
     MarkedTuple,
-    MarkingConvention,
     MobiusMap,
     ProjectivePoint,
     canonical_tuples_equivalent,
@@ -103,36 +105,42 @@ def prym_fiber_invariants(params: FamilyParams) -> PrymFiberInvariants:
 
 @dataclass(frozen=True)
 class PhiFiber:
-    """A parameter point, its image under phi, and the fibre invariants at
-    both, computed once for every report that reads them."""
+    """A parameter point at which phi is defined, with its image under phi
+    and the fibre invariants at both, each computed once for every report
+    that reads it.  Construction computes the image, so `phi_params` refuses
+    any other params, and a + b = 0 with PhiUndefined."""
 
     params: FamilyParams
-    image: FamilyParams
-    invariants: PrymFiberInvariants
-    image_invariants: PrymFiberInvariants
+
+    def __post_init__(self):
+        self.image  # computed now, so that no fibre exists where phi is undefined
+
+    @functools.cached_property
+    def image(self) -> FamilyParams:
+        return phi_params(self.params)
+
+    @functools.cached_property
+    def invariants(self) -> PrymFiberInvariants:
+        return prym_fiber_invariants(self.params)
+
+    @functools.cached_property
+    def image_invariants(self) -> PrymFiberInvariants:
+        return prym_fiber_invariants(self.image)
 
 
-def phi_fiber(params: FamilyParams) -> PhiFiber:
-    """phi at params and the fibre invariants at both points; PhiUndefined
-    for a + b = 0; `phi_params` checks the type of params."""
-    image = phi_params(params)
-    return PhiFiber(params, image, prym_fiber_invariants(params), prym_fiber_invariants(image))
-
-
-def phi_consistency_report(fiber: PhiFiber,
-                           conv: MarkingConvention = MarkingConvention()) -> dict:
+def phi_consistency_report(fiber: PhiFiber, convention: str = "pair-unordered") -> dict:
     """Structured comparison of the three presentations of phi.
 
     Flags exactly the two documented inconsistencies: the raw tuple form
     normalises back to the input parameters, and the printed matrix undoes
-    the raw form instead of reproducing the parameter form.
+    the raw form instead of reproducing the parameter form.  `normalize_tuple`
+    checks the convention.
     """
     require(PhiFiber, "the fibre", fiber)
-    require(MarkingConvention, "the convention", conv)
     params, image = fiber.params, fiber.image
     raw = phi_tuple_raw(params)
 
-    raw_normalized_conv = [r.params for r in normalize_tuple(raw, conv)]
+    raw_normalized_conv = [r.params for r in normalize_tuple(raw, convention)]
     # the tail as given comes first, and the pair's ordering does not enter
     # normalisation, so that entry is the fully ordered normalisation
     raw_normalized = raw_normalized_conv[:1]
@@ -150,8 +158,7 @@ def phi_consistency_report(fiber: PhiFiber,
     if not matrix_matches_eq2:
         flags.append("printed-matrix-disagrees-with-parameter-form")
 
-    verdicts = {name: canonical_tuples_equivalent(params, image, named)
-                for name, named in CONVENTIONS.items()}
+    verdicts = {name: canonical_tuples_equivalent(params, image, name) for name in CONVENTIONS}
 
     def fmt_params(p):
         return [str(p.a), str(p.b)]

@@ -289,14 +289,6 @@ def _rectangle_form(x: int, y: int, slack: int):
     return (0, 2), (-2, 0)
 
 
-def _partner_form(r: int, h: int, t, slack: int):
-    """(basis, class): the normal form of the partner's rectangle Z r + Z ih
-    and the class in it of the half-period (m r + n ih)/2 of t = (m, n): t
-    itself in (r, ih), and (n, m) in (ih, -r)."""
-    basis = _rectangle_form(r, h, slack)
-    return basis, (t if basis[0] == (2, 0) else t[::-1])
-
-
 def _rhombus_form(x: int, y: int, slack: int):
     """The normal form of the rhombus Z x + Z iy + Z u, u = (x + iy)/2,
     x, y > 0: (x, -conj u), tau = -1/2 + iy/(2x), while |u|^2 >= (1 - eps) x^2,
@@ -397,7 +389,11 @@ def _quotient_bases(params: FamilyParams, precision_bits: int):
             # the class of t in (omega1, omega2) is the two bits of r2's slot,
             # and (omega1, omega2) is (r, ih) for c > 0 and (-ih, r) for c < 0
             t = (slot >> 1, slot & 1) if c[0] > 0 else (slot & 1, slot >> 1)
-            basis, kernels[partner] = _partner_form(r, h, t, slack)
+            # the normal form of the partner's rectangle Z r + Z ih, and the
+            # class in it of the half-period (m r + n ih)/2 of t = (m, n): t
+            # itself in (r, ih), and (n, m) in (ih, -r)
+            basis = _rectangle_form(r, h, slack)
+            kernels[partner] = t if basis[0] == (2, 0) else t[::-1]
             bases[partner] = _pair(basis, r, h, e, precision_bits)
             form, x, y, e = _quotient_lattice(r, h, e, t, scale)
             bases[label] = _pair(form(x, y, slack), x, y, e, precision_bits)

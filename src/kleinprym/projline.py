@@ -2,13 +2,14 @@
 marked 5-tuple calculus (a pair, a triple, a distinguished triple point).
 
 The canonical frame for the distinguished triple is ([1:0], [2:1], [-2:1]);
-every equivalence decision compares normal forms in that frame.  A tuple is
-normalised by the one cross-ratio map that sends its marked triple there; a
-canonical tuple `tuple_of_params` is already there, so its normal forms are
-written down, and `canonical_tuples_equivalent` compares them.  Points ([x:y]
-as (y, x)) and Moebius maps are held as the primitive integer vectors of
-`_primitive`, so the calculus runs on integers; `Fraction`s appear only in
-parsing and in `affine_value`.
+every equivalence decision compares normal forms in that frame, under one of
+the three marking conventions, each named by its string in `CONVENTIONS`.  A
+tuple is normalised by the one cross-ratio map that sends its marked triple
+there; a canonical tuple `tuple_of_params` is already there, so its normal
+forms are written down, and `canonical_tuples_equivalent` compares them.
+Points ([x:y] as (y, x)) and Moebius maps are held as the primitive integer
+vectors of `_primitive`, so the calculus runs on integers; `Fraction`s appear
+only in parsing and in `affine_value`.
 """
 
 from __future__ import annotations
@@ -141,25 +142,16 @@ def _to_frame(d: ProjectivePoint, t1: ProjectivePoint, t2: ProjectivePoint) -> M
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarkingConvention:
-    """Which parts of the marking carry an ordering.
-
-    pair_ordered: the two non-triple points are individually labelled.
-    triple_tail_ordered: the two non-distinguished triple points are labelled.
-    """
-
-    pair_ordered: bool = False
-    triple_tail_ordered: bool = True
+# The marking conventions, in the order the CLI lists them: which parts of
+# the marking carry an ordering.  "ordered" labels the two pair points and the
+# two non-distinguished triple points (the tail), "pair-unordered" only the
+# tail, and "all-unordered" neither.
+CONVENTIONS = ("ordered", "pair-unordered", "all-unordered")
 
 
-FULLY_ORDERED = MarkingConvention(pair_ordered=True, triple_tail_ordered=True)
-# the named conventions, in the order the CLI lists them
-CONVENTIONS = {
-    "ordered": FULLY_ORDERED,
-    "pair-unordered": MarkingConvention(pair_ordered=False, triple_tail_ordered=True),
-    "all-unordered": MarkingConvention(pair_ordered=False, triple_tail_ordered=False),
-}
+def _require_convention(convention) -> None:
+    if not (isinstance(convention, str) and convention in CONVENTIONS):
+        raise ArgumentError(f"the convention must be one of {', '.join(CONVENTIONS)}")
 
 
 @dataclass(frozen=True)
@@ -237,19 +229,18 @@ class NormalizationResult:
     transform: MobiusMap
 
 
-def normalize_tuple(t: MarkedTuple, conv: MarkingConvention = MarkingConvention()):
+def normalize_tuple(t: MarkedTuple, convention: str = "pair-unordered"):
     """Normalise the triple to the canonical frame and read off the parameters.
 
     Returns a list of NormalizationResult: one entry when the triple tail is
-    ordered, otherwise both tail assignments (parameters related by
-    (a, b) -> (-a, -b)), the tail as given first.  The pair's ordering does
-    not enter: the convention's `pair_ordered` matters only when results
-    are compared.
+    ordered, otherwise ("all-unordered") both tail assignments (parameters
+    related by (a, b) -> (-a, -b)), the tail as given first.  The pair's
+    ordering does not enter: it matters only when results are compared.
     """
     require(MarkedTuple, "the tuple", t)
-    require(MarkingConvention, "the convention", conv)
+    _require_convention(convention)
     tail = t.triple_tail
-    assignments = [tail] if conv.triple_tail_ordered else [tail, (tail[1], tail[0])]
+    assignments = [tail, tail[::-1]] if convention == "all-unordered" else [tail]
     results = []
     for tl in assignments:
         m = _to_frame(t.distinguished, *tl)
@@ -259,7 +250,7 @@ def normalize_tuple(t: MarkedTuple, conv: MarkingConvention = MarkingConvention(
     return results
 
 
-def canonical_tuples_equivalent(p, q, conv: MarkingConvention) -> bool:
+def canonical_tuples_equivalent(p, q, convention: str) -> bool:
     """Whether a Moebius map matches `tuple_of_params(p)` to
     `tuple_of_params(q)` under the convention, found without normalising:
     the frame map of a canonical tuple is the identity, and the swapped tail
@@ -267,6 +258,6 @@ def canonical_tuples_equivalent(p, q, conv: MarkingConvention) -> bool:
     and, for an unordered tail, (-a, -b); each matches q when equal to it, or
     when equal to its swap for an unordered pair."""
     require(FamilyParams, "params", p, q)
-    require(MarkingConvention, "the convention", conv)
-    forms = [(p.a, p.b)] if conv.triple_tail_ordered else [(p.a, p.b), (-p.a, -p.b)]
-    return any(f == (q.a, q.b) or (not conv.pair_ordered and f == (q.b, q.a)) for f in forms)
+    _require_convention(convention)
+    forms = [(p.a, p.b), (-p.a, -p.b)] if convention == "all-unordered" else [(p.a, p.b)]
+    return any(f == (q.a, q.b) or (convention != "ordered" and f == (q.b, q.a)) for f in forms)

@@ -497,7 +497,7 @@ def test_involution_normalizes_the_raw_tuple_once(monkeypatch, convention):
     monkeypatch.setattr("kleinprym.projline.normalize_tuple", counted)
     assert run("involution", "--a", "7/5", "--b", "-13/4",
                "--convention", convention).exit_code == 0
-    assert calls == [CONVENTIONS[convention]]
+    assert calls == [convention]
 
 
 # each command refuses a pair off the domain with the first of a = b,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -401,13 +402,19 @@ def test_a_difference_with_a_small_root_is_rejected(label):
 
 
 def test_a_zero_map_denominator_is_a_degree_error():
+    # the map refuses a zero U_den or W_den when made (W_num = W_den = 0 would
+    # make both sides zero, so every identity would hold), and the oracle
+    # refuses a zero U_den when it substitutes
     params = check_domain(*GENERIC_POINT)
     ctilde_rhs = curve_equation(CurveLabel.Ctilde, params)
     q = quotient_map(CurveLabel.E_t)
-    broken = QuotientMapData(q.U_num, Polynomial.zero(), q.W_num, q.W_den)
-    for check in (verify_quotient_identity, oracle_identity):
+    zero = Polynomial.zero()
+    for fields in ((q.U_num, zero, q.W_num, q.W_den), (q.U_num, q.U_den, zero, zero)):
         with pytest.raises(DegreeError):
-            check(broken, ctilde_rhs, curve_equation(CurveLabel.E_t, params))
+            QuotientMapData(*fields)
+    with pytest.raises(DegreeError):
+        oracle_identity(SimpleNamespace(U_num=q.U_num, U_den=zero, W_num=q.W_num, W_den=q.W_den),
+                        ctilde_rhs, curve_equation(CurveLabel.E_t, params))
 
 
 def test_models_and_identities_make_no_fraction(fraction_count):

@@ -7,19 +7,14 @@ from projline_oracle import tuples_equivalent
 from kleinprym.errors import DegenerateConfiguration, PhiUndefined
 from kleinprym.family import check_domain
 from kleinprym.moduli import (
+    PhiFiber,
     phi_consistency_report,
-    phi_fiber,
     phi_params,
     phi_tuple_raw,
     printed_matrix,
     prym_fiber_invariants,
 )
-from kleinprym.projline import (
-    CONVENTIONS,
-    FULLY_ORDERED,
-    normalize_tuple,
-    tuple_of_params,
-)
+from kleinprym.projline import CONVENTIONS, normalize_tuple, tuple_of_params
 
 domain_params = st.tuples(
     st.fractions(min_value=-15, max_value=15, max_denominator=6),
@@ -66,7 +61,7 @@ def test_fiber_invariant_anchor():
 def test_raw_tuple_form_normalizes_back_to_input():
     params = check_domain(1, 3)
     raw = phi_tuple_raw(params)
-    assert normalize_tuple(raw, FULLY_ORDERED)[0].params == params
+    assert normalize_tuple(raw, "ordered")[0].params == params
 
 
 def test_raw_tuple_form_degenerates_on_the_antidiagonal():
@@ -80,11 +75,11 @@ def test_printed_matrix_undoes_raw_tuple_form():
     raw = phi_tuple_raw(params)
     moved = raw.apply(printed_matrix(params))
     # the matrix carries the raw image back to the canonical frame at (1,3)
-    assert normalize_tuple(moved, FULLY_ORDERED)[0].params == params
+    assert normalize_tuple(moved, "ordered")[0].params == params
 
 
 def test_consistency_report_flags_exactly_two_issues():
-    report = phi_consistency_report(phi_fiber(check_domain(1, 3)))
+    report = phi_consistency_report(PhiFiber(check_domain(1, 3)))
     assert report["raw_tuple_normalized_ordered"] == [["1", "3"]]
     assert report["phi_params"] == ["-1", "-3"]
     assert report["printed_matrix_returns_input"]
@@ -99,23 +94,21 @@ def test_consistency_report_flags_exactly_two_issues():
 @given(domain_params)
 def test_report_verdicts_are_the_canonical_tuples_equivalence(params):
     assume(params.phi_defined)
-    fiber = phi_fiber(params)
+    fiber = PhiFiber(params)
     verdicts = phi_consistency_report(fiber)["equivalence_verdicts"]
     t, phi_t = tuple_of_params(params), tuple_of_params(fiber.image)
-    assert verdicts == {name: tuples_equivalent(t, phi_t, conv)
-                        for name, conv in CONVENTIONS.items()}
+    assert verdicts == {name: tuples_equivalent(t, phi_t, name) for name in CONVENTIONS}
 
 
 def test_verdicts_at_a_point_whose_image_is_its_negation():
     # phi(1, 3) = (-1, -3), the other tail assignment of the same tuple
-    verdicts = phi_consistency_report(phi_fiber(check_domain(1, 3)))["equivalence_verdicts"]
+    verdicts = phi_consistency_report(PhiFiber(check_domain(1, 3)))["equivalence_verdicts"]
     assert verdicts == {"ordered": False, "pair-unordered": False, "all-unordered": True}
 
 
 @pytest.mark.parametrize("name", sorted(CONVENTIONS))
 def test_requested_normalization_extends_the_ordered_one(name):
-    report = phi_consistency_report(phi_fiber(check_domain(Fraction(7, 5), Fraction(-13, 4))),
-                                    CONVENTIONS[name])
+    report = phi_consistency_report(PhiFiber(check_domain(Fraction(7, 5), Fraction(-13, 4))), name)
     ordered = report["raw_tuple_normalized_ordered"]
     requested = report["raw_tuple_normalized_requested"]
     assert len(ordered) == 1 and requested[:1] == ordered
@@ -124,4 +117,4 @@ def test_requested_normalization_extends_the_ordered_one(name):
 
 def test_consistency_report_requires_phi_defined():
     with pytest.raises(PhiUndefined):
-        phi_consistency_report(phi_fiber(check_domain(1, -1)))
+        PhiFiber(check_domain(1, -1))

@@ -6,6 +6,7 @@ and so does every name that `kleinprym` exports and every public function
 of its library modules."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import math
@@ -24,20 +25,20 @@ from kleinprym.algebra import (Polynomial, brief, gcd, is_squarefree, parse_rati
                                ratio_text, rational, resultant, substitute_rational_map)
 from kleinprym.errors import (ArgumentError, DegreeError, DomainError, KleinPrymError,
                               PointError)
-from kleinprym.family import (CurveLabel, FamilyParams, InvolutionLabel, check_domain,
-                              curve_equation, curve_report, fixed_point_count, j_invariant,
-                              quartic_invariants, quotient_map, verify_quotient_identity)
+from kleinprym.family import (CurveLabel, FamilyParams, InvolutionLabel, QuotientMapData,
+                              check_domain, curve_equation, curve_report, fixed_point_count,
+                              j_invariant, quartic_invariants, quotient_map,
+                              verify_quotient_identity)
 from kleinprym.isogeny import (KernelPoint, WeierstrassCurve, dual_nonisomorphism_check,
                                j_weierstrass, velu_quotient)
-from kleinprym.moduli import (moduli_report, phi_consistency_report, phi_fiber, phi_params,
+from kleinprym.moduli import (PhiFiber, moduli_report, phi_consistency_report, phi_params,
                               phi_tuple_raw, printed_matrix, prym_fiber_invariants)
 from kleinprym.periods import (ComplexApprox, PeriodPair, PrymPeriodMatrix, analytic_j,
                                elliptic_periods_agm, optimal_agm, periods_report,
                                product_to_prym_reduction, prym_period_matrix, quotient_periods,
                                riemann_check)
-from kleinprym.projline import (FULLY_ORDERED, MarkedTuple, MarkingConvention, MobiusMap,
-                                ProjectivePoint, apply_mobius, canonical_tuples_equivalent,
-                                normalize_tuple, tuple_of_params)
+from kleinprym.projline import (MarkedTuple, MobiusMap, ProjectivePoint, apply_mobius,
+                                canonical_tuples_equivalent, normalize_tuple, tuple_of_params)
 from kleinprym.torsion import (
     QuotientSubgroup,
     TorsionPoint,
@@ -60,7 +61,7 @@ P = TorsionPoint((1, 0, 0, 0), 2)
 K = span([P])
 Q = ker_phi_H(K)
 PARAMS = check_domain(1, 3)
-FIBER = phi_fiber(PARAMS)
+FIBER = PhiFiber(PARAMS)
 PAIR = (ProjectivePoint(0), ProjectivePoint(1))
 TRIPLE = (ProjectivePoint.infinity(), ProjectivePoint(2), ProjectivePoint(-2))
 ONE = ComplexApprox(mpmath.mpf(1), mpmath.mpf(0), 128)
@@ -107,7 +108,7 @@ ENTRY_POINTS = {
     "MarkedTuple": MarkedTuple,
     "MarkedTuple(points)": lambda u, v: MarkedTuple((PAIR[0], u), (TRIPLE[0], TRIPLE[1], v)),
     "MarkedTuple(index)": lambda u, v: MarkedTuple(PAIR, TRIPLE, u),
-    "MarkingConvention": MarkingConvention,
+    "QuotientMapData": lambda u, v: QuotientMapData(u, v, u, v),
     "CurveLabel": lambda u, v: CurveLabel(u),
     "InvolutionLabel": lambda u, v: InvolutionLabel(u),
     "phi_params": lambda u, v: phi_params(u),
@@ -135,7 +136,7 @@ ENTRY_POINTS = {
     "j_invariant": lambda u, v: j_invariant(u),
     "curve_report": curve_report,
     "curve_report(label, u)": lambda u, v: curve_report(CurveLabel.E_t, u),
-    "phi_fiber": lambda u, v: phi_fiber(u),
+    "PhiFiber": lambda u, v: PhiFiber(u),
     "moduli_report": lambda u, v: moduli_report(u),
     "phi_consistency_report": lambda u, v: phi_consistency_report(u),
     "phi_consistency_report(fiber, u)": lambda u, v: phi_consistency_report(FIBER, u),
@@ -151,7 +152,6 @@ ENTRY_POINTS = {
     # the other public functions of the library modules
     "rational": lambda u, v: rational(u),
     "brief": lambda u, v: brief(u),
-    "brief(text, limit)": lambda u, v: brief("abc", u),
     "parse_rational": lambda u, v: parse_rational(u),
     "ratio_text": ratio_text,
     "gcd": gcd,
@@ -167,7 +167,7 @@ ENTRY_POINTS = {
     "tuple_of_params": lambda u, v: tuple_of_params(u),
     "normalize_tuple": normalize_tuple,
     "normalize_tuple(t, u)": lambda u, v: normalize_tuple(TUPLE, u),
-    "canonical_tuples_equivalent": lambda u, v: canonical_tuples_equivalent(u, v, FULLY_ORDERED),
+    "canonical_tuples_equivalent": lambda u, v: canonical_tuples_equivalent(u, v, "ordered"),
     "canonical_tuples_equivalent(p, p, u)":
         lambda u, v: canonical_tuples_equivalent(PARAMS, PARAMS, u),
     "verify_quotient_identity": lambda u, v: verify_quotient_identity(u, v, v),
@@ -245,6 +245,37 @@ def test_every_public_library_function_has_a_program_caller():
     assert not unreferenced
 
 
+# the records that the library returns and no call takes, which check nothing
+OUTPUT_RECORDS = {"NormalizationResult", "PrymFiberInvariants", "ReductionTrace"}
+
+
+def _public_records() -> dict:
+    records = {}
+    for name in LIBRARY_MODULES:
+        module = importlib.import_module(f"kleinprym.{name}")
+        records |= {key: value for key, value in vars(module).items()
+                    if not key.startswith("_") and inspect.isclass(value)
+                    and dataclasses.is_dataclass(value) and value.__module__ == module.__name__}
+    return records
+
+
+@pytest.mark.parametrize("record", sorted(_public_records().keys() - OUTPUT_RECORDS))
+def test_every_input_record_checks_its_fields(record):
+    cls = _public_records()[record]
+    with pytest.raises(KleinPrymError):
+        cls(*[None for field in dataclasses.fields(cls) if field.init])
+
+
+def test_no_call_takes_an_output_record():
+    # an output record may skip its checks only while no `require` names it
+    assert OUTPUT_RECORDS <= _public_records().keys()
+    for path in (REPO / "src/kleinprym").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require":
+                named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                assert not named & OUTPUT_RECORDS, (path.name, node.lineno)
+
+
 outside = st.one_of(
     st.sampled_from(["1/3", "1e3", "abc", "", " -7 ", "inf", "0,0", float("nan"), float("inf"),
                      float("-inf"), 0.5, None, 1j, 2 + 0j, object(), True, b"1", Decimal("1.5"),
@@ -302,7 +333,7 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
 @pytest.mark.parametrize("call", [
     lambda: fixed_point_count("sigma", PARAMS), lambda: quotient_map("E_t"),
     lambda: curve_equation("E_t", PARAMS), lambda: curve_equation(CurveLabel.E_t, (1, 2)),
-    lambda: phi_params(None), lambda: prym_fiber_invariants(None), lambda: phi_fiber(None),
+    lambda: phi_params(None), lambda: prym_fiber_invariants(None), lambda: PhiFiber(None),
     lambda: moduli_report(None), lambda: phi_consistency_report(None),
     lambda: j_invariant(None), lambda: curve_report("E_t", None), lambda: riemann_check(None),
     lambda: velu_quotient(None, None),
@@ -315,32 +346,35 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
     lambda: PrymPeriodMatrix(((ONE,) * 4, (ONE,) * 3)),
     lambda: ComplexApprox(ONE.real, ONE.imag, 128.0),
     lambda: normalize_tuple(None), lambda: normalize_tuple(TUPLE, None),
-    lambda: normalize_tuple(TUPLE, "ordered"), lambda: tuple_of_params(None),
+    lambda: normalize_tuple(TUPLE, "sorted"), lambda: tuple_of_params(None),
     lambda: apply_mobius(None, PAIR[0]), lambda: TUPLE.apply(None), lambda: printed_matrix(None),
     lambda: quotient_periods(None), lambda: quartic_invariants(None),
     lambda: verify_quotient_identity(None, None, None),
     lambda: j_weierstrass(None), lambda: parse_rational(None), lambda: gcd(None, None),
     lambda: Polynomial([1]).divmod(None), lambda: optimal_agm("x", 1, 128),
     lambda: optimal_agm(1, 1, "x"), lambda: full_group("x"),
-    lambda: canonical_tuples_equivalent(None, PARAMS, FULLY_ORDERED),
-    lambda: canonical_tuples_equivalent(PARAMS, PARAMS, None), lambda: phi_tuple_raw(TUPLE),
+    lambda: canonical_tuples_equivalent(None, PARAMS, "ordered"),
+    lambda: canonical_tuples_equivalent(PARAMS, PARAMS, None),
+    lambda: canonical_tuples_equivalent(PARAMS, PARAMS, True), lambda: phi_tuple_raw(TUPLE),
+    lambda: QuotientMapData(None, None, None, None),
 ], ids=["fixed_point_count('sigma', p)", "quotient_map('E_t')", "curve_equation('E_t', p)",
         "curve_equation(E_t, (1, 2))", "phi_params(None)", "prym_fiber_invariants(None)",
-        "phi_fiber(None)", "moduli_report(None)", "phi_consistency_report(None)",
+        "PhiFiber(None)", "moduli_report(None)", "phi_consistency_report(None)",
         "j_invariant(None)", "curve_report('E_t', None)", "riemann_check(None)",
         "velu_quotient(None, None)", "dual_nonisomorphism_check(None, ...)", "analytic_j('x')",
         "prym_period_matrix(1j, 'x')", "Polynomial(['x'])", "CurveLabel('x')",
         "riemann_check(PrymPeriodMatrix('x'))", "prym_period_matrix(ComplexApprox(1, 2, 'x'), i)",
         "repr(ComplexApprox('a', 'b', 128))", "PeriodPair(1, 2, 3).tau",
         "PrymPeriodMatrix(rows of 4 and 3)", "ComplexApprox(re, im, 128.0)",
-        "normalize_tuple(None)", "normalize_tuple(t, None)", "normalize_tuple(t, 'ordered')",
+        "normalize_tuple(None)", "normalize_tuple(t, None)", "normalize_tuple(t, 'sorted')",
         "tuple_of_params(None)", "apply_mobius(None, p)", "MarkedTuple.apply(None)",
         "printed_matrix(None)", "quotient_periods(None)", "quartic_invariants(None)",
         "verify_quotient_identity(None, None, None)",
         "j_weierstrass(None)", "parse_rational(None)", "gcd(None, None)",
         "Polynomial([1]).divmod(None)", "optimal_agm('x', 1, 128)", "optimal_agm(1, 1, 'x')",
         "full_group('x')", "canonical_tuples_equivalent(None, p, conv)",
-        "canonical_tuples_equivalent(p, p, None)", "phi_tuple_raw(t)"])
+        "canonical_tuples_equivalent(p, p, None)", "canonical_tuples_equivalent(p, p, True)",
+        "phi_tuple_raw(t)", "QuotientMapData(None, None, None, None)"])
 def test_a_library_call_refuses_a_wrong_type(call):
     with pytest.raises(ArgumentError):
         call()

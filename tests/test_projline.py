@@ -9,9 +9,7 @@ from kleinprym.family import check_domain
 from kleinprym.projline import (
     CANONICAL_TRIPLE,
     CONVENTIONS,
-    FULLY_ORDERED,
     MarkedTuple,
-    MarkingConvention,
     MobiusMap,
     ProjectivePoint,
     _to_frame,
@@ -180,7 +178,7 @@ def test_mobius_through_hits_targets(pts):
 def test_normalize_transform_is_the_three_point_map(pts, k):
     t = MarkedTuple(tuple(pts[:2]), tuple(pts[2:]), k)
     t1, t2 = t.triple_tail
-    results = normalize_tuple(t, CONVENTIONS["all-unordered"])
+    results = normalize_tuple(t, "all-unordered")
     assert len(results) == 2
     for r, src in zip(results, [(t.distinguished, t1, t2), (t.distinguished, t2, t1)]):
         assert r.transform == mobius_through(src, CANONICAL_TRIPLE)
@@ -204,7 +202,7 @@ def test_marked_tuple_rejects_repeats():
 
 def test_canonical_tuple_normalizes_to_itself():
     params = check_domain(Fraction(1, 3), 5)
-    results = normalize_tuple(tuple_of_params(params), FULLY_ORDERED)
+    results = normalize_tuple(tuple_of_params(params), "ordered")
     assert len(results) == 1
     assert results[0].params == params
     assert results[0].transform == MobiusMap(1, 0, 0, 1)
@@ -212,8 +210,7 @@ def test_canonical_tuple_normalizes_to_itself():
 
 def test_unordered_tail_gives_negated_parameters():
     params = check_domain(3, 7)
-    conv = MarkingConvention(pair_ordered=False, triple_tail_ordered=False)
-    results = normalize_tuple(tuple_of_params(params), conv)
+    results = normalize_tuple(tuple_of_params(params), "all-unordered")
     got = {(r.params.a, r.params.b) for r in results}
     assert got == {(3, 7), (-3, -7)}
 
@@ -222,15 +219,15 @@ def test_unordered_tail_gives_negated_parameters():
 def test_push_then_normalize_round_trips(m):
     params = check_domain(Fraction(-2, 5), 4)
     pushed = tuple_of_params(params).apply(m)
-    assert normalize_tuple(pushed, FULLY_ORDERED)[0].params == params
-    assert tuples_equivalent(pushed, tuple_of_params(params), FULLY_ORDERED)
+    assert normalize_tuple(pushed, "ordered")[0].params == params
+    assert tuples_equivalent(pushed, tuple_of_params(params), "ordered")
 
 
 def test_pair_order_matters_only_when_ordered():
     t1 = tuple_of_params(check_domain(1, 5))
     t2 = tuple_of_params(check_domain(5, 1))
-    assert not tuples_equivalent(t1, t2, FULLY_ORDERED)
-    assert tuples_equivalent(t1, t2, MarkingConvention(pair_ordered=False))
+    assert not tuples_equivalent(t1, t2, "ordered")
+    assert tuples_equivalent(t1, t2, "pair-unordered")
 
 
 def test_canonical_triple_is_the_expected_frame():
@@ -254,9 +251,10 @@ def test_canonical_normal_forms_decide_equivalence(p, other, relation):
          "negated": check_domain(-p.a, -p.b),
          "negated-swapped": check_domain(-p.b, -p.a)}[relation]
     # the normal forms that canonical_tuples_equivalent writes down
-    forms = {True: [p], False: [p, check_domain(-p.a, -p.b)]}
-    for conv in CONVENTIONS.values():
-        assert forms[conv.triple_tail_ordered] == \
+    forms = {"ordered": [p], "pair-unordered": [p],
+             "all-unordered": [p, check_domain(-p.a, -p.b)]}
+    for conv in CONVENTIONS:
+        assert forms[conv] == \
             [r.params for r in normalize_tuple(tuple_of_params(p), conv)]
         assert canonical_tuples_equivalent(p, q, conv) == \
             tuples_equivalent(tuple_of_params(p), tuple_of_params(q), conv)
