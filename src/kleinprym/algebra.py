@@ -148,14 +148,6 @@ class Polynomial:
     def zero(cls) -> "Polynomial":
         return cls(())
 
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
-
     def to_string(self) -> str:
         if self.is_zero:
             return "0"

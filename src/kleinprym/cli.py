@@ -8,8 +8,9 @@ and `_parse` walks it once per call.  Options come in any order, as
 the last of a repeated option wins.
 
 JSON is written by `_json`, byte-identical to `json.dumps(report,
-sort_keys=True, indent=2)`: an indent sends json to its pure-Python encoder,
-1.3 to 2 times slower and leaving a reference cycle per call.
+sort_keys=True, indent=2, allow_nan=False)`: an indent sends json to its
+pure-Python encoder, 1.3 to 2 times slower and leaving a reference cycle per
+call.
 
 Exit codes: 0 success, 1 usage/domain/argument error, 2 internal invariant
 violation or unexpected failure.
@@ -53,23 +54,27 @@ def _emit(report: dict, fmt: str) -> None:
         print(line)
 
 
-# JSON's spelling of the scalars whose repr reads otherwise
-_SPELLING = {"None": "null", "True": "true", "False": "false",
-             "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# JSON's spelling of the scalars whose repr reads otherwise; the repr of a
+# non-finite float has no spelling in strict JSON
+_SPELLING = {"None": "null", "True": "true", "False": "false"}
+_NON_FINITE = {"nan", "inf", "-inf"}
 _SCALARS = (int, float, bool, type(None))
 _STR = {str}
 
 
 def _json(value, pad="\n"):
-    """`json.dumps(value, sort_keys=True, indent=2)` for dicts with str keys,
-    lists, str, int, float, bool and None, with `pad` the newline and
-    indentation of `value`'s own line; InternalInvariantError for any other
-    type, a subclass of these included."""
+    """`json.dumps(value, sort_keys=True, indent=2, allow_nan=False)` for dicts
+    with str keys, lists, str, int, finite float, bool and None, with `pad`
+    the newline and indentation of `value`'s own line; InternalInvariantError
+    for a non-finite float and for any other type, a subclass of these
+    included."""
     kind = type(value)
     if kind is str:
         return _quote(value)
     if kind in _SCALARS:
         text = kind.__repr__(value)
+        if text in _NON_FINITE:
+            raise InternalInvariantError(f"a report holds the float {text}, which JSON cannot write")
         return _SPELLING.get(text, text)
     if kind is list:
         if not value:

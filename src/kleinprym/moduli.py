@@ -5,17 +5,22 @@ The operative definition is the parameter form
     phi(a, b) = ((2b - 2a - 8)/(a + b), (2a - 2b - 8)/(a + b)),
 which is an involution on unordered pairs and preserves both unordered
 j-invariant pairs attached to a fibre.  The raw 5-tuple form and the 2x2
-matrix that allegedly connects the two survive only inside the consistency
-report: under order-preserving normalisation the raw tuple form is the
-identity on parameters, and the matrix undoes it rather than producing the
-parameter form.
+matrix printed beside it survive only inside the consistency report, and
+both give the closed form
+    n = -phi(a, b) = ((2a - 2b + 8)/(a + b), (2b - 2a + 8)/(a + b)).
+The matrix M = ((4, 8 + 2a + 2b), (0, -a - b)) sends the raw triple
+(inf, -2 - a - b, -2) to the frame (inf, 2, -2), so it is the raw tuple's
+frame map, and it sends the raw pair (-b, -a) to -n; the swapped tail
+reaches the frame by -M, which gives phi(a, b).  So the raw tuple form
+returns the input exactly on the line a + b = 4, and the matrix never
+reproduces the parameter form, which would need phi(a, b) = (0, 0).
 
 A `PhiFiber` is its point (a, b) alone; the image and the fibre invariants
-at both points follow from it and are computed once.  The report writes the
-raw tuple down from (a, b) and normalises it once.  Its equivalence verdicts
-(`canonical_tuples_equivalent`) need no normalisation: a canonical tuple
-`tuple_of_params(p)` normalises by construction to p, and to (-a, -b) as
-well when the triple tail is unordered.
+at both points follow from it and are computed once.  The report reads both
+alternatives off n and normalises nothing.  Its equivalence verdicts
+(`canonical_tuples_equivalent`) need no normalisation either: a canonical
+tuple `tuple_of_params(p)` normalises by construction to p, and to (-a, -b)
+as well when the triple tail is unordered.
 """
 
 from __future__ import annotations
@@ -23,16 +28,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import ArgumentError, PhiUndefined, require
+from .errors import PhiUndefined, require
 from .family import CurveLabel, FamilyParams, curve_equation, j_invariant
 from .projline import (
-    CANONICAL_TRIPLE,
     CONVENTIONS,
     MarkedTuple,
-    MobiusMap,
     ProjectivePoint,
+    _require_convention,
     canonical_tuples_equivalent,
-    normalize_tuple,
 )
 
 
@@ -50,14 +53,6 @@ def phi_params(params: FamilyParams) -> FamilyParams:
     return FamilyParams((2 * b - 2 * a - 8) / s, (2 * a - 2 * b - 8) / s)
 
 
-def _params_of_canonical(t: MarkedTuple) -> FamilyParams:
-    if t.triple != CANONICAL_TRIPLE or t.distinguished_index != 0:
-        raise ArgumentError("tuple is not in the canonical frame")
-    if any(p.is_infinity for p in t.pair):
-        raise ArgumentError("tuple is not in the canonical frame")
-    return FamilyParams(-t.pair[0].affine_value(), -t.pair[1].affine_value())
-
-
 def phi_tuple_raw(params: FamilyParams) -> MarkedTuple:
     """The literal un-normalised image tuple ([-b:1], [-a:1]; [1:0], [-2-a-b:1],
     [-2:1]); DegenerateConfiguration when a + b = 0 repeats -2."""
@@ -72,15 +67,6 @@ def phi_tuple_raw(params: FamilyParams) -> MarkedTuple:
         ),
         0,
     )
-
-
-def printed_matrix(params: FamilyParams) -> MobiusMap:
-    """The alternative 2x2 matrix presentation ((4, 8+2a+2b), (0, -a-b))."""
-    require(FamilyParams, "params", params)
-    a, b = params.a, params.b
-    if a + b == 0:
-        raise PhiUndefined("phi undefined: a + b = 0")
-    return MobiusMap(4, 8 + 2 * a + 2 * b, 0, -a - b)
 
 
 @dataclass(frozen=True)
@@ -129,33 +115,26 @@ class PhiFiber:
 
 
 def phi_consistency_report(fiber: PhiFiber, convention: str = "pair-unordered") -> dict:
-    """Structured comparison of the three presentations of phi.
+    """Structured comparison of the three presentations of phi, read off the
+    closed form n = -phi(a, b) of the module docstring.
 
-    Flags exactly the two documented inconsistencies: the raw tuple form
-    normalises back to the input parameters, and the printed matrix undoes
-    the raw form instead of reproducing the parameter form.  `normalize_tuple`
-    checks the convention.
+    The raw tuple normalises to n, and under "all-unordered" to phi(a, b) as
+    well; the printed matrix sends it to the frame at n.  Flags exactly the
+    two documented inconsistencies: n is the input (on a + b = 4), and n is
+    not phi(a, b).  ArgumentError for a convention outside CONVENTIONS.
     """
     require(PhiFiber, "the fibre", fiber)
+    _require_convention(convention)
     params, image = fiber.params, fiber.image
-    raw = phi_tuple_raw(params)
-
-    raw_normalized_conv = [r.params for r in normalize_tuple(raw, convention)]
-    # the tail as given comes first, and the pair's ordering does not enter
-    # normalisation, so that entry is the fully ordered normalisation
-    raw_normalized = raw_normalized_conv[:1]
-
-    matrix = printed_matrix(params)
-    matrix_image = _params_of_canonical(raw.apply(matrix))
-
-    eq1_fixes_parameters = raw_normalized[0] == params
-    matrix_matches_eq2 = matrix_image == image
-    matrix_returns_input = matrix_image == params
+    negated = FamilyParams(-image.a, -image.b)
+    requested = [negated, image] if convention == "all-unordered" else [negated]
+    returns_input = negated == params
+    matches_image = negated == image
 
     flags = []
-    if eq1_fixes_parameters:
+    if returns_input:
         flags.append("raw-tuple-form-normalizes-to-input")
-    if not matrix_matches_eq2:
+    if not matches_image:
         flags.append("printed-matrix-disagrees-with-parameter-form")
 
     verdicts = {name: canonical_tuples_equivalent(params, image, name) for name in CONVENTIONS}
@@ -166,12 +145,12 @@ def phi_consistency_report(fiber: PhiFiber, convention: str = "pair-unordered") 
     return {
         "params": fmt_params(params),
         "phi_params": fmt_params(image),
-        "raw_tuple_image": raw.to_string(),
-        "raw_tuple_normalized_ordered": [fmt_params(p) for p in raw_normalized],
-        "raw_tuple_normalized_requested": [fmt_params(p) for p in raw_normalized_conv],
-        "printed_matrix_image": fmt_params(matrix_image),
-        "printed_matrix_returns_input": matrix_returns_input,
-        "printed_matrix_matches_parameter_form": matrix_matches_eq2,
+        "raw_tuple_image": phi_tuple_raw(params).to_string(),
+        "raw_tuple_normalized_ordered": [fmt_params(negated)],
+        "raw_tuple_normalized_requested": [fmt_params(p) for p in requested],
+        "printed_matrix_image": fmt_params(negated),
+        "printed_matrix_returns_input": returns_input,
+        "printed_matrix_matches_parameter_form": matches_image,
         "fiber_invariants_match": fiber.invariants == fiber.image_invariants,
         "equivalence_verdicts": verdicts,
         "inconsistency_flags": flags,

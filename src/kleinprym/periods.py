@@ -100,7 +100,7 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 import mpmath
-from mpmath.libmp import pi_fixed
+from mpmath.libmp import mpf_div, pi_fixed, round_nearest, to_str
 
 from .errors import ArgumentError, DomainError, PrecisionError, require
 from .algebra import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
@@ -585,6 +585,14 @@ def _cell(e: ComplexApprox) -> dict:
     return {"re": mpmath.nstr(e.real, 17), "im": mpmath.nstr(e.imag, 17)}
 
 
+def _ratio_text(x, y) -> str:
+    """x / y to 17 digits, as `nstr` writes it, of the quotient rounded to 64
+    bits: below 10^-1053, nstr writes out about bits * log10(2) digits of a
+    long mantissa, which passes the interpreter's 4300-digit bound from about
+    14300 bits."""
+    return to_str(mpf_div(x._mpf_, y._mpf_, 64, round_nearest), 17)
+
+
 @dataclass(frozen=True)
 class PrymPeriodMatrix:
     """2x4 matrix ((z1, z1, 1, 0), (z1, z1 + z2, 0, 2)) with the alternating
@@ -730,11 +738,12 @@ def riemann_check(matrix: PrymPeriodMatrix):
 
 def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
     """Periods of the six elliptic quotients (`quotient_periods`), the Prym
-    matrix spanned by E_t and E_st, Riemann residuals, and the deltas of the
-    analytic j of `quotient_periods` from the exact j for all six.  Each delta
-    must be at most j_delta_tolerance * max(1, |j|), or PrecisionError is
-    raised.  ArgumentError unless params is a `FamilyParams` and
-    precision_bits an int."""
+    matrix spanned by E_t and E_st, Riemann residuals, and the relative deltas
+    |j_analytic - j| / max(1, |j|) of the analytic j of `quotient_periods` from
+    the exact j for all six.  Each must be at most j_delta_tolerance, or
+    PrecisionError is raised; both print as 17-digit strings, which neither
+    overflow nor underflow as floats would.  ArgumentError unless params is a
+    `FamilyParams` and precision_bits an int."""
     require(FamilyParams, "params", params)
     _check_precision(precision_bits)
     tol = mpmath.ldexp(1, 4 - precision_bits // 4)
@@ -748,11 +757,11 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
         with mpmath.workprec(precision_bits):
             exact_c = mpmath.mpf(exact.numerator) / exact.denominator
             delta = mpmath.fabs(js[label].to_mpc() - exact_c)
-            bound = tol * max(1, mpmath.fabs(exact_c))
-            if delta > bound:
+            scale = max(mpmath.mpf(1), mpmath.fabs(exact_c))
+            if delta > tol * scale:
                 raise PrecisionError(f"analytic j of {label.value} misses the exact j by "
-                                     f"{mpmath.nstr(delta, 3)}, over {mpmath.nstr(bound, 3)}")
-            deltas[label.value] = float(delta)
+                                     f"{mpmath.nstr(delta, 3)}, over {mpmath.nstr(tol * scale, 3)}")
+            deltas[label.value] = _ratio_text(delta, scale)
 
     matrix = prym_period_matrix(bases[CurveLabel.E_t].tau, bases[CurveLabel.E_st].tau)
     residual, min_eig = riemann_check(matrix)
@@ -760,7 +769,7 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
         "precision_bits": precision_bits,
         "periods": {k: pairs[k] for k in sorted(pairs)},
         "analytic_vs_exact_j": {k: v for k, v in sorted(deltas.items())},
-        "j_delta_tolerance": float(tol),
+        "j_delta_tolerance": mpmath.nstr(tol, 17),
         "prym_period_matrix": matrix.to_report(),
         "riemann_residual_symmetry": float(residual),
         "riemann_min_eigenvalue": float(min_eig),

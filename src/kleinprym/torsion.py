@@ -83,12 +83,6 @@ class TorsionPoint:
         n = self.level
         return TorsionPoint(tuple((a + b) % n for a, b in zip(self.coords, other.coords)), n)
 
-    def __neg__(self) -> "TorsionPoint":
-        return TorsionPoint(tuple(-a % self.level for a in self.coords), self.level)
-
-    def __sub__(self, other: "TorsionPoint") -> "TorsionPoint":
-        return self + (-other)
-
     def scale(self, k: int) -> "TorsionPoint":
         return TorsionPoint(tuple(k * a % self.level for a in self.coords), self.level)
 

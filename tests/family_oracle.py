@@ -51,7 +51,7 @@ def oracle_identity_sides(q, ctilde_rhs, quotient_rhs):
     """(W^2 ctilde_rhs U_den^k, U_den^k quotient_rhs(U) W_den^2) as rational
     polynomials, k = deg quotient_rhs, with W = W_num/W_den factored."""
     num, k = substitute_rational_map(quotient_rhs, q.U_num, q.U_den)
-    u_den_k = functools.reduce(operator.mul, [q.U_den] * k, Polynomial.one())
+    u_den_k = functools.reduce(operator.mul, [q.U_den] * k, Polynomial([1]))
     return q.W_num * q.W_num * ctilde_rhs * u_den_k, num * q.W_den * q.W_den
 
 

@@ -114,7 +114,7 @@ def test_equal_values_are_equal_and_hash_alike(fs, m, k):
     for other in others:
         assert other == f and hash(other) == hash(f)
         assert (other.nums, other.den) == (f.nums, f.den)
-    assert (f + Polynomial.one() == f) is False
+    assert (f + Polynomial([1]) == f) is False
     if not f.is_zero:
         assert f * Fraction(m + 1, m) != f  # may keep f's numerators
     assert Polynomial([Fraction(1, 2)]) != Polynomial([Fraction(1, 3)])
@@ -169,8 +169,8 @@ def test_to_string_prints_the_coefficients(cs):
 
 
 def test_polynomial_basics():
-    x = Polynomial.x()
-    p = x * x - Polynomial.one()
+    x = Polynomial([0, 1])
+    p = x * x - Polynomial([1])
     assert p.degree == 2
     assert (p * Polynomial.zero()).is_zero
     assert p.to_string() == "-1,0,1"
@@ -262,7 +262,7 @@ def test_substitute_rational_map_matches_the_fraction_reference(inputs):
 
 def test_substitute_rational_map_rejects_a_zero_denominator():
     with pytest.raises(DegreeError):
-        substitute_rational_map(Polynomial([1, 2]), Polynomial.x(), Polynomial.zero())
+        substitute_rational_map(Polynomial([1, 2]), Polynomial([0, 1]), Polynomial.zero())
 
 
 def test_gcd_is_monic_common_divisor():

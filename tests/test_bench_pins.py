@@ -37,7 +37,7 @@ def test_exact_rounds_sweep_matches_pinned_digest():
 # sha256 over the default (JSON) outputs of the first 8 rounds of
 # `periods_rounds(1)`, 112 periods reports at 128, 256, 1024 and 4096 bits,
 # points 1e-10 from a discriminant locus among them
-PERIODS_SWEEP_DIGEST = "bcd14a0220fac5bc947b27ad73b7c144c3522538f58f4702b8db580b5e694da9"
+PERIODS_SWEEP_DIGEST = "7ab1a6b7b45c404cd2bdf386b61f90ec8c9c756e28a4ad1be430036ee6a32db4"
 
 
 def test_periods_rounds_sweep_matches_pinned_digest():

@@ -14,10 +14,10 @@ from typing import NamedTuple
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kleinprym
-from kleinprym import acceptance, cli, periods
+from kleinprym import acceptance, cli, periods, projline
 from kleinprym.algebra import MAX_PRECISION_BITS
 from kleinprym.acceptance import CriterionResult
 from kleinprym.cli import COMMANDS, _json, main
@@ -25,7 +25,7 @@ from kleinprym.errors import DomainError, InternalInvariantError, PrecisionError
 from kleinprym.family import CurveLabel, check_domain, curve_equation
 from kleinprym.moduli import phi_params
 from kleinprym.periods import periods_report
-from kleinprym.projline import CONVENTIONS, normalize_tuple
+from kleinprym.projline import CONVENTIONS
 
 
 class Result(NamedTuple):
@@ -159,21 +159,21 @@ def test_involution_reports_match_pinned_digests(a, b, convention, fmt):
 # delta, tolerance or Riemann value must re-pin these on purpose
 PINNED_PERIODS_DIGESTS = {
     ("7/5", "-13/4", "128"):
-        "1b4ac8a47b2bfce963b3ec1fffb9beb4b31f3fb27ccc16b797c002ae27349a80",
+        "bce1ab3cbbddb2a46a17dbb07de5428b55b2e9b93cd2c0bcac97337db8080ec3",
     ("7/5", "-13/4", "256"):
-        "02add8afaf8d25756a5b07f29c76de758fb9076c77fd68f4d0b65d836a8e2c90",
+        "3ab7fe78fb61f4c8d9bca1fb5a80b65395371bae397e8b17d25254db781c3fc0",
     ("0", "1", "256"):
-        "c6d22c7ebf1f44516364987cf078065c9ec86d28a30298851d9b319cdb53d47b",
+        "3f0687b91cc12fa78ef512f3162489585e9066b5c3643f1e597a9cb5a086a530",
     ("7/5", "14000000001/10000000000", "1024"):
-        "eccf8d5c90361da2876cce056fd6c57c3a5672577356354b05fc4b832add07ed",
+        "c54fa92345ed81f3928b33736f311b119d3c8899e8631658e4258979906417e0",
     # 4096 bits; lambda = 1/2, so E_is_t's lattice is square; 10^-40 from a = b
     ("7/5", "-13/4", "4096"):
-        "321b975a72f8f3fee447777326bf0ef7f306ebafdd5d7efde4bb37a10f4d796d",
+        "12fee77b7fc778c289ee773e075210ee04d7edfa09749c006bbee161ebd28229",
     ("3", "1", "256"):
-        "8df0bc6b80755726676c762fb5dccdcb9d2e564831bc25ae74df9c21186e0e3f",
+        "fba8440d0bdc0dfc3c9c3e6d219f21e0a588820437878e1feb8bbd44306035de",
     ("7/5", "14000000000000000000000000000000000000001/"
             "10000000000000000000000000000000000000000", "1024"):
-        "b57851141d41e6dd0378d2c0a7d22aa31291926060ef0bfbafa25eae4ee2e8ba",
+        "a8af5f17b388ef5b48bbc7b7300a75f6262dc1725232de00c0e64bb6bc8d64a1",
 }
 
 
@@ -485,19 +485,26 @@ def test_involution_builds_each_model_once(monkeypatch):
 
 
 @pytest.mark.parametrize("convention", ["ordered", "pair-unordered", "all-unordered"])
-def test_involution_normalizes_the_raw_tuple_once(monkeypatch, convention):
-    # the verdicts read the canonical tuples' normal forms without normalising
+def test_involution_normalizes_nothing(monkeypatch, convention):
+    # the report reads the raw tuple's normal forms off -phi(a, b), and the
+    # verdicts read the canonical tuples' normal forms, so no frame map is built
     calls = []
 
-    def counted(t, conv):
-        calls.append(conv)
-        return normalize_tuple(t, conv)
+    def counted(*points):
+        calls.append(points)
+        return to_frame(*points)
 
-    monkeypatch.setattr("kleinprym.moduli.normalize_tuple", counted)
-    monkeypatch.setattr("kleinprym.projline.normalize_tuple", counted)
+    to_frame = projline._to_frame
+    monkeypatch.setattr("kleinprym.projline._to_frame", counted)
+    # the count sees the normalisation of phi(7/5, -13/4)'s raw tuple ...
+    assert run("normalize", "--tuple", "13/4,-7/5;inf,-3/20,-2!0",
+               "--convention", convention).exit_code == 0
+    assert len(calls) == (2 if convention == "all-unordered" else 1)
+    calls.clear()
+    # ... and the report on that point makes none
     assert run("involution", "--a", "7/5", "--b", "-13/4",
                "--convention", convention).exit_code == 0
-    assert calls == [convention]
+    assert calls == []
 
 
 # each command refuses a pair off the domain with the first of a = b,
@@ -545,9 +552,14 @@ def test_j_closure_is_relative_to_the_size_of_j():
 
 
 def test_j_closure_holds_where_a_float_tolerance_underflows():
-    # 2^(4 - bits/4) is below the smallest float64 once bits passes 4300
+    # 2^(4 - bits/4) is below the smallest float64 once bits passes 4300, and
+    # the report prints it and the deltas as strings, which do not underflow
     assert math.ldexp(1.0, 4 - 4400 // 4) == 0.0
-    assert main(["periods", "--a", "7/5", "--b", "-13/4", "--bits", "4400"]) == 0
+    result = run("periods", "--a", "7/5", "--b", "-13/4", "--bits", "4400")
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert Fraction(report["j_delta_tolerance"]) > 0
+    assert any(Fraction(d) > 0 for d in report["analytic_vs_exact_j"].values())
 
 
 CLOSURE_POINT = ["periods", "--a", "7/5", "--b", "-13/4", "--bits", "128"]
@@ -814,19 +826,24 @@ def test_any_command_line_exits_0_or_1(argv):
 
 
 # ---------------------------------------------------------------------------
-# The JSON writer: json.dumps(value, sort_keys=True, indent=2), byte for byte
+# The JSON writer: json.dumps(value, sort_keys=True, indent=2, allow_nan=False),
+# byte for byte
 # ---------------------------------------------------------------------------
 
 
 def dumps(value):
-    return json.dumps(value, sort_keys=True, indent=2)
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
 
 
 def written_or_error(write, value):
     try:
         return write(value)
-    except ValueError as exc:  # an int past the interpreter's digit bound
-        return "ValueError", str(exc)
+    except InternalInvariantError:  # the writer's refusal of a non-finite float
+        return "non-finite"
+    except ValueError as exc:
+        if str(exc).startswith("Out of range float values"):  # json's refusal of one
+            return "non-finite"
+        return "ValueError", str(exc)  # an int past the interpreter's digit bound
 
 
 # every character, control characters and lone surrogates included
@@ -853,10 +870,12 @@ def test_the_writer_equals_json_dumps(value):
 def test_the_writer_equals_json_dumps_on_edge_values():
     limit = sys.get_int_max_str_digits()
     values = [{}, [], [[]], {"": {}}, [True, 1, False, 0, 1.0, None], -0.0,
-              [math.nan, math.inf, -math.inf], {"\x00\ud800é": ["\u2028", "\t"]},
+              {"\x00\ud800é": ["\u2028", "\t"]},
               10 ** limit - 1, -(10 ** limit - 1), {"b": 1, "a": [2, "c"], "B": None}]
     for value in values:
         assert _json(value) == dumps(value)
+    for value in [math.nan, [math.inf], {"a": [1.0, -math.inf]}]:
+        assert written_or_error(_json, value) == written_or_error(dumps, value) == "non-finite"
     past_the_bound = written_or_error(_json, [10 ** limit])
     assert past_the_bound[0] == "ValueError"
     assert past_the_bound == written_or_error(dumps, [10 ** limit])
@@ -868,9 +887,9 @@ class Text(str):
 
 @pytest.mark.parametrize("value", [
     (1, 2), Fraction(1, 3), Text("x"), {1: "x"}, {"a": 1, 2: "b"}, ["x", Text("y")],
-    {"a": [Fraction(1, 2)]},
+    {"a": [Fraction(1, 2)]}, math.nan, {"delta": [math.inf]},
 ], ids=["tuple", "Fraction", "str subclass", "int key", "mixed keys", "in a list",
-        "nested"])
+        "nested", "nan", "nested inf"])
 def test_the_writer_refuses_a_value_no_report_holds(value):
     with pytest.raises(InternalInvariantError):
         _json(value)
@@ -915,8 +934,55 @@ def test_each_command_prints_its_report_as_json_dumps(argv, monkeypatch):
     assert result.exit_code == 0
     [report] = reports
     assert result.output == dumps(report) + "\n"
-    if NEAR_A_EQUALS_B in argv:  # the one report that holds a non-finite float
-        assert "Infinity" in result.output
+
+
+def strict_json(text):
+    """json.loads, refusing the NaN and Infinity constants that strict JSON
+    lacks."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+NEAR = Fraction(1, 10**100)
+rationals = st.fractions(min_value=-15, max_value=15, max_denominator=10**6)
+strict_json_lines = st.one_of(
+    st.builds(lambda a, b: ("analyze", "--a", str(a), "--b", str(b)), rationals, rationals),
+    st.builds(lambda a, b, c: ("involution", "--a", str(a), "--b", str(b), "--convention", c),
+              rationals, rationals, st.sampled_from(CONVENTIONS)),
+    st.builds(lambda a, b, c: ("normalize", "--tuple", f"{a},{b};inf,2,-2!0", "--convention", c),
+              rationals, rationals, st.sampled_from(CONVENTIONS)),
+    st.builds(lambda a, b, bits: ("periods", "--a", str(a), "--b", str(b), "--bits", str(bits)),
+              rationals, rationals, st.sampled_from([64, 128, 256])),
+    st.builds(lambda d: ("torsion", "--d", str(d)), st.integers(2, 5)),
+    st.just(("example-surj",)), st.just(DUALITY),
+)
+
+
+@settings(max_examples=60, deadline=None)
+# 10^-100 from each of a = b, a = 2, a = -2, b = 2 and b = -2, where j grows;
+# next to a = b it passes the largest float, and the absolute deltas printed
+# as floats overflowed to Infinity
+@example(("periods", "--a", str(Fraction(1, 3) + NEAR), "--b", "1/3", "--bits", "128"))
+@example(("periods", "--a", str(2 + NEAR), "--b", "1/3", "--bits", "128"))
+@example(("periods", "--a", str(-2 + NEAR), "--b", "1/3", "--bits", "128"))
+@example(("periods", "--a", "1/3", "--b", str(2 + NEAR), "--bits", "128"))
+@example(("periods", "--a", "1/3", "--b", str(-2 + NEAR), "--bits", "128"))
+# the ceiling, where the tolerance 2^(4 - bits/4) underflowed a float to 0.0
+@example(("periods", "--a", "7/5", "--b", "-13/4", "--bits", str(MAX_PRECISION_BITS)))
+@given(strict_json_lines)
+def test_every_report_is_strict_json(argv):
+    result = run(*argv)
+    assert result.exit_code in (0, 1), (argv, result.stderr)
+    if result.exit_code == 1:
+        assert result.output == ""
+        return
+    report = strict_json(result.output)
+    if argv[0] == "periods":
+        tolerance = Fraction(report["j_delta_tolerance"])
+        assert abs(tolerance / Fraction(2) ** (4 - int(argv[-1]) // 4) - 1) < Fraction(1, 10**16)
+        assert all(Fraction(d) <= tolerance for d in report["analytic_vs_exact_j"].values())
 
 
 def test_a_json_command_leaves_no_cyclic_garbage():

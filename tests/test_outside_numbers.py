@@ -32,7 +32,7 @@ from kleinprym.family import (CurveLabel, FamilyParams, InvolutionLabel, Quotien
 from kleinprym.isogeny import (KernelPoint, WeierstrassCurve, dual_nonisomorphism_check,
                                j_weierstrass, velu_quotient)
 from kleinprym.moduli import (PhiFiber, moduli_report, phi_consistency_report, phi_params,
-                              phi_tuple_raw, printed_matrix, prym_fiber_invariants)
+                              phi_tuple_raw, prym_fiber_invariants)
 from kleinprym.periods import (ComplexApprox, PeriodPair, PrymPeriodMatrix, analytic_j,
                                elliptic_periods_agm, optimal_agm, periods_report,
                                product_to_prym_reduction, prym_period_matrix, quotient_periods,
@@ -174,7 +174,6 @@ ENTRY_POINTS = {
     "verify_quotient_identity(q, u, v)": lambda u, v: verify_quotient_identity(MAP, u, v),
     "quartic_invariants": lambda u, v: quartic_invariants(u),
     "phi_tuple_raw": lambda u, v: phi_tuple_raw(u),
-    "printed_matrix": lambda u, v: printed_matrix(u),
     "j_weierstrass": lambda u, v: j_weierstrass(u),
     "optimal_agm": lambda u, v: optimal_agm(u, v, 128),
     "optimal_agm(bits)": lambda u, v: optimal_agm(1, 2, u),
@@ -347,7 +346,7 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
     lambda: ComplexApprox(ONE.real, ONE.imag, 128.0),
     lambda: normalize_tuple(None), lambda: normalize_tuple(TUPLE, None),
     lambda: normalize_tuple(TUPLE, "sorted"), lambda: tuple_of_params(None),
-    lambda: apply_mobius(None, PAIR[0]), lambda: TUPLE.apply(None), lambda: printed_matrix(None),
+    lambda: apply_mobius(None, PAIR[0]), lambda: TUPLE.apply(None),
     lambda: quotient_periods(None), lambda: quartic_invariants(None),
     lambda: verify_quotient_identity(None, None, None),
     lambda: j_weierstrass(None), lambda: parse_rational(None), lambda: gcd(None, None),
@@ -368,7 +367,7 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
         "PrymPeriodMatrix(rows of 4 and 3)", "ComplexApprox(re, im, 128.0)",
         "normalize_tuple(None)", "normalize_tuple(t, None)", "normalize_tuple(t, 'sorted')",
         "tuple_of_params(None)", "apply_mobius(None, p)", "MarkedTuple.apply(None)",
-        "printed_matrix(None)", "quotient_periods(None)", "quartic_invariants(None)",
+        "quotient_periods(None)", "quartic_invariants(None)",
         "verify_quotient_identity(None, None, None)",
         "j_weierstrass(None)", "parse_rational(None)", "gcd(None, None)",
         "Polynomial([1]).divmod(None)", "optimal_agm('x', 1, 128)", "optimal_agm(1, 1, 'x')",

@@ -392,7 +392,7 @@ def test_report_shape():
                                       (CurveLabel.E_s, CurveLabel.E_t, CurveLabel.E_st,
                                        CurveLabel.E_is_t, CurveLabel.E_s_it,
                                        CurveLabel.E_is_it)}
-    assert all(v < 1e-8 for v in report["analytic_vs_exact_j"].values())
+    assert all(Fraction(v) < Fraction(1, 10**8) for v in report["analytic_vs_exact_j"].values())
     assert report["riemann_min_eigenvalue"] > 0
     assert report["reduction_symplectic"]
 

@@ -77,10 +77,10 @@ def test_make_reduces_rationals_mod_1():
 def test_arithmetic_and_order():
     p = pt(Fraction(1, 4), 0, Fraction(3, 4), 0, level=4)
     assert (p + p).coords == (2, 0, 2, 0)
-    assert (p - p).is_zero()
+    assert (p + p.scale(-1)).is_zero()
     assert p.order() == 4
     assert p.scale(4).is_zero()
-    assert (-p).coords == (3, 0, 1, 0)
+    assert p.scale(-1).coords == (3, 0, 1, 0)
 
 
 @pytest.mark.parametrize("level", range(2, 9))
@@ -318,7 +318,7 @@ def test_reports_print_the_sorted_points(level):
 def test_subgroups_are_equal_exactly_when_their_elements_agree(level):
     gen_sets = _oracle_generators(level)
     # other generators of the same subgroups: -p for p, p + q for p, and a repeat
-    gen_sets += [[-gens[0]] + gens[1:] for gens in gen_sets]
+    gen_sets += [[gens[0].scale(-1)] + gens[1:] for gens in gen_sets]
     gen_sets += [[gens[0] + gens[-1]] + gens[1:] + gens[:1] for gens in gen_sets]
     closures = [frozenset(_closure(gens)) for gens in gen_sets]
     kernels = [span(gens) for gens in gen_sets]
@@ -370,7 +370,7 @@ def test_reduction_lies_in_the_coset_and_is_constant_on_it(case):
     kernel, p = case
     q = project_to_quotient(kernel, [p])
     r = q.project(p)
-    assert r - p in kernel.elements
+    assert r + p.scale(-1) in kernel.elements
     assert q.representatives == tuple(sorted({q.project(p.scale(k)) for k in range(p.level)}))
     assert all(q.project(p + k) == r for k in kernel.elements)
 
