@@ -37,7 +37,8 @@ from .isogeny import (
     j_weierstrass,
     velu_quotient,
 )
-from .periods import _theta_squares, analytic_j, periods_report, quotient_periods
+from .periods import (_theta_squares, analytic_j, elliptic_periods_agm, periods_report,
+                      prym_period_matrix, quotient_periods, riemann_check)
 
 
 @dataclass(frozen=True)
@@ -315,7 +316,9 @@ def criterion_8() -> CriterionResult:
                                    f"{missed} at {params}")
 
         # the Riemann values that the report prints, at the CM anchor, where
-        # tau is exact, and at a generic point
+        # tau is exact, and at a generic point; the report reads them off its
+        # matrix's closed form, and the general relations of the matrix of the
+        # printed E_t and E_st taus give the same values
         for params in (check_domain(0, 1), check_domain(Fraction(7, 5), Fraction(-13, 4))):
             report = periods_report(params, bits)
             residual = report["riemann_residual_symmetry"]
@@ -325,6 +328,14 @@ def criterion_8() -> CriterionResult:
             if min_eig <= 0:
                 return False, (f"Riemann form not positive definite at {params}: "
                                f"{mpmath.nstr(min_eig, 5)}")
+            matrix = prym_period_matrix(*(elliptic_periods_agm(label, params, bits).tau
+                                          for label in (CurveLabel.E_t, CurveLabel.E_st)))
+            if matrix.to_report() != report["prym_period_matrix"]:
+                return False, (f"the printed Prym matrix is not that of the E_t and E_st "
+                               f"taus at {params}")
+            if (residual, min_eig) != tuple(map(float, riemann_check(matrix))):
+                return False, (f"the report's Riemann values differ from riemann_check of its "
+                               f"matrix at {params}")
         return True, ("six quotients x 30 points (heights 50 and 1e6, 1e-10 from each "
                       "discriminant locus) at 256 bits: report j equals analytic_j's complex "
                       "q-series j of each tau to 2^-248 max(1, |j|) and the exact j within 1e-8, and each "

@@ -1,7 +1,7 @@
 """High-precision analytic layer: the period lattices of the family's six
 elliptic quotients through the real AGM, the modular j-value from theta
 constants, the explicit 2x4 Prym period matrix with polarisation type (1,2),
-and Riemann-relation checks.
+and its Riemann relations.
 
 Strategy for periods of a genus-1 model y^2 = f(x), deg f in {3, 4}, whose
 roots are rational (the AGM partners E_is_t, E_is_it and E_s_it of a report,
@@ -90,6 +90,13 @@ so the quotient's j costs a few products.  `periods_report` enforces the
 closure of every j against the exact j-invariant, relative to max(1, |j|),
 and raises PrecisionError where it fails, so each report checks these
 formulas too.
+
+The report's Prym matrix ((z1, z1, 1, 0), (z1, z1 + z2, 0, 2)) is (A | D)
+with A symmetric, so its two Riemann relations take no matrix product:
+Pi E^-1 Pi^T = 0, and i Pi E^-1 Pi^* = 2 Im A, whose smaller eigenvalue the
+report reads off in closed form (`_prym_riemann_values`).  `riemann_check`
+forms both products for any 2x4 matrix of type (1, 2); it is the general
+reference the tests hold the report's values to.
 
 All tolerances are powers of two relative to the requested precision.
 """
@@ -323,11 +330,19 @@ def _quotient_lattice(r: int, h: int, e: int, t, scale: int):
 def _pair(basis, x: int, y: int, e: int, precision_bits: int) -> PeriodPair:
     """The `PeriodPair` of the basis ((a, b), (c, d)) in halves of x and iy,
     integers at the scale 2^e, with tau = w2/w1 = (c x + i d y)/(a x + i b y)
-    formed as w2 conj(w1)/|w1|^2; every number is rounded once from its
-    integer."""
+    divided by the product its w1 needs: tau = (c x + i d y)/(a x) for
+    w1 = a x/2, (d y - i c x)/(b y) for w1 = i b y/2, and w2 conj(w1)/|w1|^2
+    for a rhombus's diagonal w1.  Each is the same rational number, so each
+    floor at the scale 2^wp is the same integer; every number is rounded once
+    from its integer."""
     (a, b), (c, d) = basis
-    xx, yy = x * x, y * y
-    re, im, norm = a * c * xx + b * d * yy, (a * d - b * c) * x * y, a * a * xx + b * b * yy
+    if not b:
+        re, im, norm = c * x, d * y, a * x
+    elif not a:
+        re, im, norm = d * y, -c * x, b * y
+    else:
+        xx, yy = x * x, y * y
+        re, im, norm = a * c * xx + b * d * yy, (a * d - b * c) * x * y, a * a * xx + b * b * yy
     wp = mpmath.mp.prec + _FIXED_GUARD_BITS
 
     def approx(re, im, shift):
@@ -711,7 +726,9 @@ def riemann_check(matrix: PrymPeriodMatrix):
     """(residual_symmetry, min_eigenvalue) of the two Riemann relations for
     the alternating form E = ((0, D), (-D, 0)), D = diag(1, 2):
     Pi E^-1 Pi^T = 0 and i Pi E^-1 Pi^* > 0.  For Pi = (A | B) and a second
-    matrix Pi' = (A' | B'), Pi E^-1 Pi'^T = B D^-1 A'^T - A D^-1 B'^T."""
+    matrix Pi' = (A' | B'), Pi E^-1 Pi'^T = B D^-1 A'^T - A D^-1 B'^T.  The
+    general reference for the closed form a report reads
+    (`_prym_riemann_values`)."""
     require(PrymPeriodMatrix, "the matrix", matrix)
     bits = matrix.precision_bits
     with mpmath.workprec(bits + _GUARD_BITS):
@@ -736,9 +753,28 @@ def riemann_check(matrix: PrymPeriodMatrix):
         return residual, min_eig
 
 
+def _prym_riemann_values(matrix: PrymPeriodMatrix):
+    """`riemann_check` of a matrix of `prym_period_matrix`, read off its
+    closed form.  That matrix is Pi = (A | D) with A = ((z1, z1), (z1, s)),
+    s = z1 + z2, symmetric, so Pi E^-1 Pi^T = A^T - A = 0, and
+    i Pi E^-1 Pi^* = 2 Im A = ((u, u), (u, v)) for u = 2 Im z1 and
+    v = 2 Im s, each read at the matrix's label as `riemann_check` reads it.
+    The trace, determinant and smaller eigenvalue are formed at bits + 64 with
+    `riemann_check`'s roundings, so both values are the same numbers."""
+    bits = matrix.precision_bits
+    (z1, _, _, _), (_, s, _, _) = matrix.entries
+    with mpmath.workprec(bits + _GUARD_BITS):
+        u, v = 2 * z1.to_mpc().imag, 2 * s.to_mpc().imag
+        tr = u + v
+        det = u * v - u * u
+        disc = mpmath.sqrt(max((tr / 2) ** 2 - det, mpmath.mpf(0)))
+        return mpmath.mpf(0), tr / 2 - disc
+
+
 def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
     """Periods of the six elliptic quotients (`quotient_periods`), the Prym
-    matrix spanned by E_t and E_st, Riemann residuals, and the relative deltas
+    matrix spanned by E_t and E_st, its Riemann values read off 2 Im A
+    (`_prym_riemann_values`), and the relative deltas
     |j_analytic - j| / max(1, |j|) of the analytic j of `quotient_periods` from
     the exact j for all six.  Each must be at most j_delta_tolerance, or
     PrecisionError is raised; both print as 17-digit strings, which neither
@@ -764,7 +800,7 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
             deltas[label.value] = _ratio_text(delta, scale)
 
     matrix = prym_period_matrix(bases[CurveLabel.E_t].tau, bases[CurveLabel.E_st].tau)
-    residual, min_eig = riemann_check(matrix)
+    residual, min_eig = _prym_riemann_values(matrix)
     return {
         "precision_bits": precision_bits,
         "periods": {k: pairs[k] for k in sorted(pairs)},

@@ -64,14 +64,29 @@ def test_criterion_8_fails_on_a_wrong_lattice(mutant, closure_only, monkeypatch)
 
 def test_criterion_8_certifies_the_riemann_values_that_the_report_prints(monkeypatch):
     # criterion 8 reads the Riemann keys of periods_report, so a defect in
-    # the report's one check reaches it
-    riemann_check = periods.riemann_check
+    # the report's closed form reaches it
+    riemann_values = periods._prym_riemann_values
 
     def indefinite(matrix):
-        residual, _ = riemann_check(matrix)
+        residual, _ = riemann_values(matrix)
         return residual, mpmath.mpf(-1)
 
-    monkeypatch.setattr(periods, "riemann_check", indefinite)
+    monkeypatch.setattr(periods, "_prym_riemann_values", indefinite)
     result = acceptance.criterion_8()
     assert not result.passed
     assert "not positive definite" in result.detail, result.detail
+
+
+def test_criterion_8_holds_the_report_to_the_general_relations(monkeypatch):
+    # a closed form that drifts from riemann_check while it stays positive
+    # passes the sign checks, and only the comparison sees it
+    riemann_values = periods._prym_riemann_values
+
+    def doubled(matrix):
+        residual, min_eig = riemann_values(matrix)
+        return residual, 2 * min_eig
+
+    monkeypatch.setattr(periods, "_prym_riemann_values", doubled)
+    result = acceptance.criterion_8()
+    assert not result.passed
+    assert "differ from riemann_check" in result.detail, result.detail

@@ -442,6 +442,63 @@ def test_a_prym_matrix_of_mixed_labels_carries_the_smaller(monkeypatch):
     assert precisions[0] == 128 + _GUARD_BITS
 
 
+def _in_domain(ab):
+    try:
+        check_domain(*ab)
+    except DomainError:
+        return False
+    return True
+
+
+def _domain_points(height):
+    """Points of the family domain with numerators and denominators of height
+    at most `height`."""
+    side = st.builds(Fraction, st.integers(-height, height), st.integers(1, height))
+    return st.tuples(side, side).filter(_in_domain).map(lambda ab: check_domain(*ab))
+
+
+# heights 50 and 10^6, and points 1e-10 from each discriminant locus
+RIEMANN_POINTS = st.one_of(
+    _domain_points(50), _domain_points(10**6),
+    st.builds(lambda p, k: near_locus_params(p.a)[k], _domain_points(50), st.integers(0, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=RIEMANN_POINTS, bits=st.sampled_from([128, 256, 1024]))
+@example(params=check_domain(0, 1), bits=4096)
+@example(params=check_domain(Fraction(7, 5), Fraction(-13, 4)), bits=4096)
+@example(params=near_locus_params(Fraction(7, 5))[0], bits=4096)
+@example(params=check_domain(Fraction(-999999, 7), Fraction(3, 1000000)), bits=4096)
+def test_report_riemann_values_are_riemann_check_of_its_matrix(params, bits):
+    # the closed form the report reads gives the same floats as the general
+    # check of the matrix the report prints
+    z1 = elliptic_periods_agm(CurveLabel.E_t, params, bits).tau
+    z2 = elliptic_periods_agm(CurveLabel.E_st, params, bits).tau
+    matrix = prym_period_matrix(z1, z2)
+    report = periods.periods_report(params, bits)
+    assert report["prym_period_matrix"] == matrix.to_report()
+    residual, min_eig = riemann_check(matrix)
+    assert report["riemann_residual_symmetry"] == float(residual) == 0.0
+    assert report["riemann_min_eigenvalue"] == float(min_eig)
+    # and the closed form is riemann_check's own rounding at bits + 64
+    assert periods._prym_riemann_values(matrix) == (residual, min_eig)
+
+
+@pytest.mark.parametrize("bits", [256, 4096])
+def test_periods_report_runs_no_riemann_check(bits, monkeypatch):
+    params = check_domain(Fraction(7, 5), Fraction(-13, 4))
+
+    def refuse(*args):
+        raise AssertionError("periods_report ran riemann_check")
+
+    monkeypatch.setattr(periods, "riemann_check", refuse)
+    report = periods.periods_report(params, bits)
+    assert report["riemann_min_eigenvalue"] > 0
+    # the patch does reach a call through the module
+    with pytest.raises(AssertionError, match="ran riemann_check"):
+        periods.riemann_check(prym_period_matrix(_i(), _i()))
+
+
 # ---------------------------------------------------------------------------
 # Oracles for the fast paths: the general path of tests/periods_oracle.py
 # (polyroots and the complex AGM) for the closed forms, the Eisenstein
@@ -843,17 +900,13 @@ FORM_BASES = (((2, 0), (0, 2)), ((0, 2), (-2, 0)), ((2, 0), (-1, 1)), ((0, 2), (
               ((1, -1), (1, 1)), ((1, 1), (-1, 1)))
 
 
-def _three_branch_tau(basis, x, y, wp):
-    """tau = w2/w1 of `_pair` as integers at the scale 2^wp, by a branch on
-    the shape of w1 = (a x + i b y)/2: the oracle for `_pair`'s one formula."""
+def _conjugate_product_tau(basis, x, y, wp):
+    """tau = w2/w1 of `_pair` as integers at the scale 2^wp, by one formula
+    for every shape of w1 = (a x + i b y)/2: w2 conj(w1)/|w1|^2, the oracle for
+    `_pair`'s quotients by a x, b y or |w1|^2."""
     (a, b), (c, d) = basis
-    if a and b:  # a^2 = b^2 = 1: multiply by conj(w1)/|w1|^2
-        xx, yy = x * x, y * y
-        re, im, norm = a * c * xx + b * d * yy, (a * d - b * c) * x * y, xx + yy
-    elif b:      # w1 = i b y/2
-        re, im, norm = d * y, -c * x, b * y
-    else:        # w1 = a x/2
-        re, im, norm = c * x, d * y, a * x
+    xx, yy = x * x, y * y
+    re, im, norm = a * c * xx + b * d * yy, (a * d - b * c) * x * y, a * a * xx + b * b * yy
     return (re << wp) // norm, (im << wp) // norm
 
 
@@ -861,7 +914,7 @@ def _three_branch_tau(basis, x, y, wp):
 @given(x=st.integers(1, 2 ** 300), y=st.integers(1, 2 ** 300), e=st.integers(-600, 600),
        wp=st.integers(64 + periods._FIXED_GUARD_BITS, 4096), slack=st.integers(1, 64))
 @example(x=3, y=5, e=0, wp=148, slack=8)
-def test_pair_tau_is_the_three_branch_formula(x, y, e, wp, slack):
+def test_pair_tau_is_the_conjugate_product_formula(x, y, e, wp, slack):
     # `_pair` rounds each of its integers once through `_from_fixed`, tau's
     # last: record them
     assert {periods._rectangle_form(x, y, slack), periods._rhombus_form(x, y, slack)} <= set(
@@ -877,7 +930,7 @@ def test_pair_tau_is_the_three_branch_formula(x, y, e, wp, slack):
         for basis in FORM_BASES:
             fixed.clear()
             periods._pair(basis, x, y, e, 128)
-            re, im = _three_branch_tau(basis, x, y, wp)
+            re, im = _conjugate_product_tau(basis, x, y, wp)
             assert fixed[-2:] == [(re, wp), (im, wp)], basis
 
 
