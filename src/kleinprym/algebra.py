@@ -27,6 +27,7 @@ from .errors import ArgumentError, DegreeError, require
 
 
 _RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"[-+]?[0-9]+")
 _BRIEF_CHARS = 40  # the characters of an outside text that an error message echoes
 
 
@@ -47,14 +48,32 @@ def parse_rational(text: str) -> Fraction:
     require(str, "the text", text)
     match = _RATIONAL.fullmatch(text.strip())
     if match:
-        try:
-            p, q = int(match[1]), int(match[2] or 1)
-        except ValueError:  # more digits than int() reads
-            raise ArgumentError(f"{brief(text)} has an integer of more than "
-                                f"{sys.get_int_max_str_digits()} digits") from None
+        p, q = _int(text, match[1]), _int(text, match[2] or "1")
         if q:
             return Fraction(p, q)
     raise ArgumentError(f"{brief(text)} is not a rational p/q")
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer as `parse_rational` reads p: an optional sign and
+    decimal digits, surrounded by whitespace or not; ArgumentError for any
+    other text, "1_0" and non-ASCII digits included, and past the same digit
+    bound."""
+    require(str, "the text", text)
+    match = _INTEGER.fullmatch(text.strip())
+    if match:
+        return _int(text, match[0])
+    raise ArgumentError(f"{brief(text)} is not an integer")
+
+
+def _int(text: str, digits: str) -> int:
+    """The int of digits matched in text; ArgumentError for more digits than
+    int() reads."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ArgumentError(f"{brief(text)} has an integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def rational(value) -> Fraction:
@@ -108,6 +127,8 @@ class Polynomial:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
+        if isinstance(coeffs, (str, bytes, bytearray)):  # iterable, but not of numbers
+            raise ArgumentError(f"coefficients must be numbers, not a {type(coeffs).__name__}")
         try:  # `rational` raises ArgumentError, so a TypeError is a non-iterable
             cs = [c if type(c) in (int, Fraction) else rational(c) for c in coeffs]
         except TypeError:

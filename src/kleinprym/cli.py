@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ArgumentError, InternalInvariantError, KleinPrymError
 from .algebra import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, brief,
-                      parse_rational)
+                      parse_integer, parse_rational)
 from .family import (
     CurveLabel,
     InvolutionLabel,
@@ -201,15 +201,8 @@ def selftest():
 # ---------------------------------------------------------------------------
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ArgumentError(f"{brief(text)} is not an integer") from None
-
-
 def _level(text: str) -> int:
-    d = _integer(text)
+    d = parse_integer(text)
     if not 2 <= d <= MAX_LEVEL:
         raise ArgumentError(f"{d} is not in 2..{MAX_LEVEL}")
     return d
@@ -256,7 +249,7 @@ COMMANDS = {
     "involution": _command(involution, _A, _B, _CONVENTION, _FORMAT),
     "periods": _command(
         periods, _A, _B,
-        Option("--bits", "bits", _integer, default=DEFAULT_PRECISION_BITS,
+        Option("--bits", "bits", parse_integer, default=DEFAULT_PRECISION_BITS,
                help=f"Working precision in bits, {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}.",
                metavar="INTEGER"),
         _FORMAT),

@@ -91,7 +91,10 @@ closure of every j against the exact j-invariant, relative to max(1, |j|),
 and raises PrecisionError where it fails, so each report checks these
 formulas too.
 
-The report's Prym matrix ((z1, z1, 1, 0), (z1, z1 + z2, 0, 2)) is (A | D)
+The report's Prym matrix ((z1, z1, 1, 0), (z1, z1 + z2, 0, 2)) comes from
+the (2,2) product matrix by a basis change, a quotient and a shear, each a
+fixed integer matrix, so `product_to_prym_reduction` writes the four matrices
+down and takes no product; the tests derive them in sympy.  It is (A | D)
 with A symmetric, so its two Riemann relations take no matrix product:
 Pi E^-1 Pi^T = 0, and i Pi E^-1 Pi^* = 2 Im A, whose smaller eigenvalue the
 report reads off in closed form (`_prym_riemann_values`).  `riemann_check`
@@ -651,25 +654,32 @@ def _upper_pair(z1, z2):
     return w1, w2, bits
 
 
+def _prym_rows(w1, w2):
+    """The rows ((w1, w1, 1, 0), (w1, w1 + w2, 0, 2)) of the Prym matrix."""
+    return (w1, w1, 1, 0), (w1, w1 + w2, 0, 2)
+
+
+def _frozen(rows, bits):
+    """rows of ComplexApprox labelled bits, rounded to the working precision."""
+    return tuple(tuple(_cap(e, bits) for e in row) for row in rows)
+
+
 def prym_period_matrix(z1, z2) -> PrymPeriodMatrix:
     w1, w2, bits = _upper_pair(z1, z2)
     with mpmath.workprec(bits + _GUARD_BITS):
-        rows = (
-            (w1, w1, mpmath.mpc(1), mpmath.mpc(0)),
-            (w1, w1 + w2, mpmath.mpc(0), mpmath.mpc(2)),
-        )
-        return PrymPeriodMatrix(tuple(tuple(_cap(e, bits) for e in row) for row in rows))
+        return PrymPeriodMatrix(_frozen(_prym_rows(w1, w2), bits))
 
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Intermediate matrices of the product-to-Prym reduction.
-
-    Starting from the (2,2)-polarised product matrix with columns
-    (f1, f2, e1, e2), the basis change f2' = f1 + f2, e1' = e1 - e2
-    (symplectic for the (2,2) form), the quotient by e1'/2, and a final
-    coordinate shear produce the (1,2) Prym matrix.
-    """
+    """The four matrices of the product-to-Prym reduction, closed forms in z1
+    and z2: the (2,2)-polarised product matrix ((z1, 0, 2, 0), (0, z2, 0, 2))
+    on the columns (f1, f2, e1, e2); after the basis change f2' = f1 + f2,
+    e1' = e1 - e2, symplectic for the (2,2) form, ((z1, z1, 2, 0),
+    (0, z2, -2, 2)); after the quotient by e1'/2 ((z1, z1, 1, 0),
+    (0, z2, -1, 2)); and after the shear ((1, 0), (1, 1)) the (1,2) Prym
+    matrix.  `test_reduction_trace_matches_documented_matrices` derives all
+    four from the basis change in sympy."""
 
     product_matrix: tuple
     basis_changed: tuple
@@ -677,48 +687,16 @@ class ReductionTrace:
     final: tuple
 
 
-# columns: f1' = f1, f2' = f1 + f2, e1' = e1 - e2, e2' = e2
-_BASIS_CHANGE = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1))
-# the (2,2) polarisation on the columns (f1, f2, e1, e2)
-_SYM_FORM_22 = ((0, 0, 2, 0), (0, 0, 0, 2), (-2, 0, 0, 0), (0, -2, 0, 0))
-# S^T J S == J for S = _BASIS_CHANGE and J = _SYM_FORM_22
-_BASIS_CHANGE_SYMPLECTIC = all(
-    sum(_BASIS_CHANGE[k][i] * _SYM_FORM_22[k][l] * _BASIS_CHANGE[l][j]
-        for k in range(4) for l in range(4)) == _SYM_FORM_22[i][j]
-    for i in range(4) for j in range(4))
-
-
 def product_to_prym_reduction(z1, z2) -> ReductionTrace:
+    """`ReductionTrace` written down at bits + 64, labelled with the smaller
+    label bits of z1 and z2; `final` is `prym_period_matrix`'s entries."""
     w1, w2, bits = _upper_pair(z1, z2)
     with mpmath.workprec(bits + _GUARD_BITS):
-        zero = mpmath.mpc(0)
-        two = mpmath.mpc(2)
-
-        product = ((w1, zero, two, zero), (zero, w2, zero, two))
-
-        S = _BASIS_CHANGE
-        basis_changed = tuple(
-            tuple(sum(product[r][k] * S[k][c] for k in range(4)) for c in range(4))
-            for r in range(2)
-        )
-        # quotient by e1'/2 halves the third lattice column
-        after_quotient = tuple(
-            (row[0], row[1], row[2] / 2, row[3]) for row in basis_changed
-        )
-        # coordinate shear ((1, 0), (1, 1)) on C^2
-        final = (
-            after_quotient[0],
-            tuple(after_quotient[0][c] + after_quotient[1][c] for c in range(4)),
-        )
-
-        def freeze(rows):
-            return tuple(tuple(_cap(e, bits) for e in row) for row in rows)
-
         return ReductionTrace(
-            product_matrix=freeze(product),
-            basis_changed=freeze(basis_changed),
-            after_quotient=freeze(after_quotient),
-            final=freeze(final),
+            product_matrix=_frozen(((w1, 0, 2, 0), (0, w2, 0, 2)), bits),
+            basis_changed=_frozen(((w1, w1, 2, 0), (0, w2, -2, 2)), bits),
+            after_quotient=_frozen(((w1, w1, 1, 0), (0, w2, -1, 2)), bits),
+            final=_frozen(_prym_rows(w1, w2), bits),
         )
 
 
@@ -809,5 +787,6 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
         "prym_period_matrix": matrix.to_report(),
         "riemann_residual_symmetry": float(residual),
         "riemann_min_eigenvalue": float(min_eig),
-        "reduction_symplectic": _BASIS_CHANGE_SYMPLECTIC,
+        # S^T J S = J, proven by test_reduction_trace_matches_documented_matrices
+        "reduction_symplectic": True,
     }

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, DegenerateConfiguration, require
-from .algebra import ratio_text, rational
+from .algebra import parse_integer, ratio_text, rational
 from .family import FamilyParams
 
 
@@ -201,7 +201,7 @@ class MarkedTuple:
             pair_part, triple_part = body.split(";")
             pair = tuple(ProjectivePoint.from_string(t) for t in pair_part.split(","))
             triple = tuple(ProjectivePoint.from_string(t) for t in triple_part.split(","))
-            return cls(pair, triple, int(k))
+            return cls(pair, triple, parse_integer(k))
         except (ValueError, IndexError) as exc:
             raise ArgumentError(f"cannot parse marked tuple {text!r}") from exc
 

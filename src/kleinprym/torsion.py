@@ -65,6 +65,8 @@ class TorsionPoint:
     def make(cls, coords, level: int) -> "TorsionPoint":
         """The point with rational coordinates `coords`, reduced mod 1."""
         _require_level(level)
+        if isinstance(coords, (str, bytes, bytearray)):  # iterable, but not of numbers
+            raise ArgumentError(f"coords must be four numbers, not a {type(coords).__name__}")
         try:
             coords = iter(coords)
         except TypeError:

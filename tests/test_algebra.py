@@ -12,6 +12,7 @@ from kleinprym.algebra import (
     Polynomial,
     gcd,
     is_squarefree,
+    parse_integer,
     parse_rational,
     ratio_text,
     resultant,
@@ -144,6 +145,28 @@ def test_parse_format_round_trip():
 def test_parse_rational_accepts_only_p_over_q(text):
     with pytest.raises(ArgumentError, match="is not a rational p/q"):
         parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\u0661\u0662", "1/2", "1.0", "1e3", "--1",
+                                  "+-1", "", " ", "0x10", "inf"])
+def test_parse_integer_accepts_only_a_sign_and_ascii_digits(text):
+    with pytest.raises(ArgumentError, match="is not an integer"):
+        parse_integer(text)
+
+
+def test_parse_integer_reads_p_as_parse_rational_does():
+    for text in ("0", "-0", "+7", " -12 ", "\t3\n", "007"):
+        assert parse_integer(text) == parse_rational(text)
+    limit = sys.get_int_max_str_digits()
+    assert parse_integer("7" * limit) == int("7" * limit)
+    with pytest.raises(ArgumentError, match=f"more than {limit} digits"):
+        parse_integer("7" * (limit + 1))
+
+
+@pytest.mark.parametrize("text", ["123", "", b"12", b"", bytearray(b"12")])
+def test_a_text_is_not_a_list_of_coefficients(text):
+    with pytest.raises(ArgumentError, match="coefficients must be numbers"):
+        Polynomial(text)
 
 
 def test_parse_rational_names_the_digit_bound_and_echoes_briefly():

@@ -772,6 +772,13 @@ def test_the_program_prints_its_help():
     pytest.param(["torsion", "--d", "1"], "'--d'", id="level-below-range"),
     pytest.param(["periods", "--a", "1", "--b", "3", "--bits", "abc"], "'--bits'",
                  id="bits-not-an-integer"),
+    # the grammar of --a and --b: no "_" and no digits outside ASCII
+    pytest.param(["torsion", "--d", "1_0"], "'--d'", id="level-underscore"),
+    pytest.param(["torsion", "--d", "\u0663"], "'--d'", id="level-non-ascii"),
+    pytest.param(["periods", "--a", "1", "--b", "3", "--bits", "1_28"], "'--bits'",
+                 id="bits-underscore"),
+    pytest.param(["periods", "--a", "1", "--b", "3", "--bits", "\u0661\u0662\u0668"], "'--bits'",
+                 id="bits-non-ascii"),
     pytest.param(["duality", "--assert-nonisogenous=yes"], "'--assert-nonisogenous'",
                  id="flag-with-value"),
     pytest.param(["nosuch"], "'nosuch'", id="unknown-command"),
@@ -784,6 +791,13 @@ def test_a_malformed_command_line_exits_1_with_a_usage_line(args, named):
     usage, error = result.stderr.splitlines()
     assert usage.startswith("usage: kleinprym ")
     assert error.startswith("error: ") and named in error
+
+
+@pytest.mark.parametrize("index", ["\u0660", "0_0"], ids=["non-ascii", "underscore"])
+def test_the_tuple_index_is_a_sign_and_ascii_digits(index):
+    result = run("normalize", "--tuple", "0,1;inf,2,-2!" + index)
+    assert result.exit_code == 1 and result.output == ""
+    assert "is not an integer" in result.stderr
 
 
 def test_a_rational_past_the_digit_bound_is_refused_briefly():

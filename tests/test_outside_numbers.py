@@ -21,8 +21,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kleinprym
-from kleinprym.algebra import (Polynomial, brief, gcd, is_squarefree, parse_rational,
-                               ratio_text, rational, resultant, substitute_rational_map)
+from kleinprym.algebra import (Polynomial, brief, gcd, is_squarefree, parse_integer,
+                               parse_rational, ratio_text, rational, resultant,
+                               substitute_rational_map)
 from kleinprym.errors import (ArgumentError, DegreeError, DomainError, KleinPrymError,
                               PointError)
 from kleinprym.family import (CurveLabel, FamilyParams, InvolutionLabel, QuotientMapData,
@@ -153,6 +154,7 @@ ENTRY_POINTS = {
     "rational": lambda u, v: rational(u),
     "brief": lambda u, v: brief(u),
     "parse_rational": lambda u, v: parse_rational(u),
+    "parse_integer": lambda u, v: parse_integer(u),
     "ratio_text": ratio_text,
     "gcd": gcd,
     "gcd(x, u)": lambda u, v: gcd(X, u),

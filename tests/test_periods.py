@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -357,32 +358,68 @@ def test_embedding_columns_are_lattice_vectors():
     assert close(2 - (2 * rows[1][2] + rows[1][3]), 0)
 
 
-def test_reduction_trace_matches_documented_matrices():
-    # the reduction for symbolic z1, z2: the basis change, the quotient that
-    # halves the third lattice column and the shear ((1, 0), (1, 1)) give the
-    # documented intermediate and final matrices, and the basis change keeps
-    # the (2, 2) form
-    s1, s2 = sympy.symbols("z1 z2")
-    basis_change = sympy.Matrix(periods._BASIS_CHANGE)
-    form = sympy.Matrix(periods._SYM_FORM_22)
-    assert basis_change.T * form * basis_change == form
-    mid = sympy.Matrix([[s1, 0, 2, 0], [0, s2, 0, 2]]) * basis_change
-    mid[:, 2] /= 2
-    assert mid == sympy.Matrix([[s1, s1, 1, 0], [0, s2, -1, 2]])
-    assert sympy.Matrix([[1, 0], [1, 1]]) * mid == sympy.Matrix(
-        [[s1, s1, 1, 0], [s1, s1 + s2, 0, 2]])
+# the product-to-Prym reduction on the columns (f1, f2, e1, e2): the basis
+# change f1' = f1, f2' = f1 + f2, e1' = e1 - e2, e2' = e2 and the (2, 2) form
+BASIS_CHANGE = sympy.Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]])
+FORM_22 = sympy.Matrix([[0, 0, 2, 0], [0, 0, 0, 2], [-2, 0, 0, 0], [0, -2, 0, 0]])
+Z1, Z2 = sympy.symbols("z1 z2")
+TRACE_FIELDS = [f.name for f in dataclasses.fields(periods.ReductionTrace)]
 
-    # the function computes that trace, and its final matrix is the Prym matrix
-    z1 = _i()
-    z2 = approx(mpmath.mpc("0.5", "1.5"), BITS)
-    trace = product_to_prym_reduction(z1, z2)
-    w1, w2 = z1.to_mpc(), z2.to_mpc()
-    mid = [[e.to_mpc() for e in row] for row in trace.after_quotient]
-    assert mid[0] == [w1, w1, 1, 0]
-    assert mid[1] == [0, w2, -1, 2]
-    final = [[e.to_mpc() for e in row] for row in trace.final]
-    expected = prym_period_matrix(z1, z2).to_mpc_rows()
-    assert final == expected
+
+def _derived_trace():
+    """The four matrices of the reduction for symbolic z1, z2, in the order
+    of `ReductionTrace`'s fields."""
+    product = sympy.Matrix([[Z1, 0, 2, 0], [0, Z2, 0, 2]])
+    basis_changed = product * BASIS_CHANGE
+    after_quotient = basis_changed.copy()
+    after_quotient[:, 2] /= 2  # the quotient by e1'/2 halves the third lattice column
+    final = sympy.Matrix([[1, 0], [1, 1]]) * after_quotient  # the coordinate shear
+    return product, basis_changed, after_quotient, final
+
+
+def _assert_trace_is_derived(reduce):
+    """Each cell of reduce(z1, z2) at a generic point is the cell of the
+    derived matrix evaluated at bits + 64 and labelled bits, exactly."""
+    with mpmath.workprec(BITS):
+        z1 = approx(mpmath.mpc(mpmath.mpf(1) / 3, mpmath.sqrt(2)))
+        z2 = approx(mpmath.mpc(mpmath.mpf(-2) / 7, mpmath.sqrt(3)))
+    trace = reduce(z1, z2)
+    with mpmath.workprec(BITS + _GUARD_BITS):
+        for field, derived in zip(TRACE_FIELDS, _derived_trace()):
+            values = sympy.lambdify((Z1, Z2), derived.tolist(), "mpmath")(z1.to_mpc(), z2.to_mpc())
+            want = tuple(tuple(_cap(v, BITS) for v in row) for row in values)
+            assert getattr(trace, field) == want, field
+
+
+def test_reduction_trace_matches_documented_matrices():
+    # the basis change keeps the (2, 2) form, and the derivation gives the
+    # documented matrices
+    assert BASIS_CHANGE.T * FORM_22 * BASIS_CHANGE == FORM_22
+    assert list(_derived_trace()) == [
+        sympy.Matrix([[Z1, 0, 2, 0], [0, Z2, 0, 2]]),
+        sympy.Matrix([[Z1, Z1, 2, 0], [0, Z2, -2, 2]]),
+        sympy.Matrix([[Z1, Z1, 1, 0], [0, Z2, -1, 2]]),
+        sympy.Matrix([[Z1, Z1, 1, 0], [Z1, Z1 + Z2, 0, 2]]),
+    ]
+    # the function writes down those four, and its final matrix is the Prym matrix
+    _assert_trace_is_derived(product_to_prym_reduction)
+    z1, z2 = _i(), approx(mpmath.mpc("0.5", "1.5"), BITS)
+    assert product_to_prym_reduction(z1, z2).final == prym_period_matrix(z1, z2).entries
+
+
+@pytest.mark.parametrize("field,row,col", [
+    (field, r, c) for field, derived in zip(TRACE_FIELDS, _derived_trace())
+    for r in range(2) for c in range(4) if derived[r, c] != 0])
+def test_the_trace_proof_refuses_one_flipped_sign(field, row, col):
+    def flipped(z1, z2):
+        trace = product_to_prym_reduction(z1, z2)
+        rows = [list(r) for r in getattr(trace, field)]
+        e = rows[row][col]
+        rows[row][col] = ComplexApprox(-e.real, -e.imag, e.precision_bits)
+        return dataclasses.replace(trace, **{field: tuple(map(tuple, rows))})
+
+    with pytest.raises(AssertionError, match=field):
+        _assert_trace_is_derived(flipped)
 
 
 def test_report_shape():
@@ -394,7 +431,7 @@ def test_report_shape():
                                        CurveLabel.E_is_it)}
     assert all(Fraction(v) < Fraction(1, 10**8) for v in report["analytic_vs_exact_j"].values())
     assert report["riemann_min_eigenvalue"] > 0
-    assert report["reduction_symplectic"]
+    assert report["reduction_symplectic"] is True
 
 
 def test_to_mpc_keeps_the_labelled_precision():

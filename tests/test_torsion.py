@@ -59,6 +59,12 @@ def test_make_validates_level_and_denominators():
         TorsionPoint.make((Fraction(1, 3), 0, 0, 0), 4)
 
 
+@pytest.mark.parametrize("coords", [b"\x01\x00\x00\x00", "1000", "0000", bytearray(4)])
+def test_make_refuses_a_text_for_coords(coords):
+    with pytest.raises(ArgumentError, match="coords must be four numbers"):
+        TorsionPoint.make(coords, 2)
+
+
 @pytest.mark.parametrize("coords,level", [
     ((5, 0, 0, 0), 4), ((-1, 0, 0, 0), 4), ((0, 0, 0, 0), 13), ((0, 0, 0, 0), 1),
     ((0, 0, 0), 4), ((Fraction(1), 0, 0, 0), 4), ((0, 0, 0, 0), 4.0), ([0, 0, 0, 0], 4),
