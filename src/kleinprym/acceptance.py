@@ -231,16 +231,15 @@ def criterion_7() -> CriterionResult:
     def body():
         cm = WeierstrassCurve.make(1, 0)  # y^2 = x^3 + x
         origin = KernelPoint.on_curve(cm, 0, 0)
-        quotient = velu_quotient(cm, origin)
+        quotient = velu_quotient(origin)
         if j_weierstrass(quotient) != 1728:
             return False, f"CM quotient j = {j_weierstrass(quotient)}, expected 1728"
-        cert_cm = dual_nonisomorphism_check(cm, origin, cm, origin, True)
+        cert_cm = dual_nonisomorphism_check(origin, origin, True)
         if cert_cm["premise_holds"]:
             return False, "premise unexpectedly holds at the CM point"
-        E = WeierstrassCurve.make(-7, -6)    # roots -1, -2, 3
-        F = WeierstrassCurve.make(-19, -30)  # roots -3, -2, 5
-        cert = dual_nonisomorphism_check(
-            E, KernelPoint.on_curve(E, 3, 0), F, KernelPoint.on_curve(F, 5, 0), True)
+        P = KernelPoint.on_curve(WeierstrassCurve.make(-7, -6), 3, 0)    # roots -1, -2, 3
+        Q = KernelPoint.on_curve(WeierstrassCurve.make(-19, -30), 5, 0)  # roots -3, -2, 5
+        cert = dual_nonisomorphism_check(P, Q, True)
         if not cert["premise_holds"]:
             return False, "premise fails for the generic 2-torsion pair"
         if cert["conclusion"] != "A is not isomorphic to its dual":

@@ -212,6 +212,7 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------
     def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other over the least common denominator."""
+        require(Polynomial, "the summand", other)
         g = math.gcd(self.den, other.den)
         scale, other_scale = other.den // g, sign * (self.den // g)
         out = [n * scale for n in self.nums]
@@ -230,6 +231,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return Polynomial._lowest([n * other.numerator for n in self.nums],
                                       self.den * other.denominator)
+        require(Polynomial, "the factor", other)
         return Polynomial._lowest(_convolve(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__

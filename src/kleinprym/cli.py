@@ -172,11 +172,9 @@ def torsion(d, fmt):
 
 def duality(curve_e, point_p, curve_f, point_q, assert_nonisogenous, fmt):
     """Dual-non-isomorphism certificate for (E x F)/<(P, Q)>."""
-    E = WeierstrassCurve.from_string(curve_e)
-    F = WeierstrassCurve.from_string(curve_f)
-    P = KernelPoint.from_string(E, point_p)
-    Q = KernelPoint.from_string(F, point_q)
-    _emit(dual_nonisomorphism_check(E, P, F, Q, assert_nonisogenous), fmt)
+    E, F = WeierstrassCurve.from_string(curve_e), WeierstrassCurve.from_string(curve_f)
+    P, Q = KernelPoint.from_string(E, point_p), KernelPoint.from_string(F, point_q)
+    _emit(dual_nonisomorphism_check(P, Q, assert_nonisogenous), fmt)
 
 
 def example_surj(fmt):

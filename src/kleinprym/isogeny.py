@@ -2,11 +2,11 @@
 kernels of order <= 12, and the dual-non-isomorphism certificate for
 (1,d)-polarised quotients of a product of elliptic curves.
 
-A curve is checked for singularity when it is made.  One walk of the
-multiples of a point (`_half_kernel`) gives both its order, which
-`KernelPoint.on_curve` records, and one point of each pair {T, -T} of the
-kernel, over which `velu_quotient` sums Velu's terms (J. Velu, C. R. Acad.
-Sci. Paris 273, 1971) after checking the order that the point claims.
+A curve is checked for singularity when it is made.  A `KernelPoint` is a
+curve and a point on it, whose multiples are walked once when it is made
+(`_half_kernel`): the walk gives its order, refuses infinite order, and
+keeps one point of each pair {T, -T} of the kernel, over which
+`velu_quotient` sums Velu's terms (J. Velu, C. R. Acad. Sci. Paris 273, 1971).
 
 Isomorphism over an algebraically closed field is decided by j-invariant
 equality.  Non-isogeny of the two factors is never certified here: it is an
@@ -15,11 +15,12 @@ input assertion, with j(E) != j(F) reported as weak evidence only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, OrderError, PointError, SingularError, require
-from .algebra import rational
+from .algebra import brief, rational
 
 MAX_KERNEL_ORDER = 12
 
@@ -42,12 +43,14 @@ class WeierstrassCurve:
 
     @classmethod
     def from_string(cls, text: str) -> "WeierstrassCurve":
-        parts = text.split(",") if isinstance(text, str) else ()
+        require(str, "the text", text)
+        parts = text.split(",")
         if len(parts) != 2:
-            raise ArgumentError(f"curve format is 'p,q', got {text!r}")
+            raise ArgumentError(f"curve format is 'p,q', got {brief(text)}")
         return cls.make(*parts)
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
+        require(Fraction, "x and y", x, y)
         return y * y == x ** 3 + self.p * x + self.q
 
 
@@ -97,45 +100,46 @@ def _half_kernel(curve: WeierstrassCurve, P):
 
 @dataclass(frozen=True)
 class KernelPoint:
-    """A rational point of known finite order on a carrying curve."""
+    """A rational point of finite order on its curve, checked when it is made."""
 
+    curve: WeierstrassCurve
     x: Fraction
     y: Fraction
-    order: int
 
     def __post_init__(self):
-        require(Fraction, "x and y", self.x, self.y)
-        require(int, "the order", self.order)
+        require(WeierstrassCurve, "the curve", self.curve)
+        if not self.curve.contains(self.x, self.y):
+            raise PointError(f"({self.x}, {self.y}) is not on "
+                             f"y^2 = x^3 + {self.curve.p} x + {self.curve.q}")
+        self._walk  # computed now, so that no point of infinite order exists
+
+    @functools.cached_property
+    def _walk(self):
+        return _half_kernel(self.curve, (self.x, self.y))
+
+    @property
+    def order(self) -> int:
+        return self._walk[0]
 
     @classmethod
     def on_curve(cls, curve: WeierstrassCurve, x, y) -> "KernelPoint":
-        x = rational(x)
-        y = rational(y)
-        if not curve.contains(x, y):
-            raise PointError(f"({x}, {y}) is not on y^2 = x^3 + {curve.p} x + {curve.q}")
-        return cls(x, y, _half_kernel(curve, (x, y))[0])
+        return cls(curve, rational(x), rational(y))
 
     @classmethod
     def from_string(cls, curve: WeierstrassCurve, text: str) -> "KernelPoint":
-        parts = text.split(",") if isinstance(text, str) else ()
+        require(str, "the text", text)
+        parts = text.split(",")
         if len(parts) != 2:
-            raise ArgumentError(f"point format is 'x,y', got {text!r}")
+            raise ArgumentError(f"point format is 'x,y', got {brief(text)}")
         return cls.on_curve(curve, *parts)
 
 
-def velu_quotient(curve: WeierstrassCurve, P: KernelPoint) -> WeierstrassCurve:
-    """The image curve of the degree-n isogeny with kernel <P>, in short
-    Weierstrass form; OrderError unless the multiples of P close up at n =
-    P.order."""
-    require(WeierstrassCurve, "the curve", curve)
+def velu_quotient(P: KernelPoint) -> WeierstrassCurve:
+    """The short Weierstrass image of the degree-n isogeny with kernel <P>."""
     require(KernelPoint, "the kernel point", P)
-    if not curve.contains(P.x, P.y):
-        raise PointError("kernel point is not on the curve")
-    order, points = _half_kernel(curve, (P.x, P.y))
-    if order != P.order:
-        raise OrderError(f"kernel point has order {order}, not {P.order}")
+    curve = P.curve
     v = w = Fraction(0)
-    for x, y in points:
+    for x, y in P._walk[1]:
         gx = 3 * x * x + curve.p
         vq = gx if y == 0 else 2 * gx
         v += vq
@@ -143,21 +147,17 @@ def velu_quotient(curve: WeierstrassCurve, P: KernelPoint) -> WeierstrassCurve:
     return WeierstrassCurve(curve.p - 5 * v, curve.q - 7 * w)
 
 
-def dual_nonisomorphism_check(E: WeierstrassCurve, P: KernelPoint,
-                              F: WeierstrassCurve, Q: KernelPoint,
+def dual_nonisomorphism_check(P: KernelPoint, Q: KernelPoint,
                               nonisogenous_asserted: bool) -> dict:
     """Certificate that (E x F)/<(P, Q)> is not abstractly isomorphic to its
-    dual: the premise is j(E/P) != j(E) or j(F/Q) != j(F), and the
-    non-isogeny hypothesis is taken on the caller's word."""
-    require(WeierstrassCurve, "a curve", E, F)
+    dual, P on E and Q on F: the premise is j(E/P) != j(E) or j(F/Q) != j(F),
+    and the non-isogeny hypothesis is taken on the caller's word."""
     require(KernelPoint, "a kernel point", P, Q)
     require(bool, "nonisogenous_asserted", nonisogenous_asserted)
     if P.order != Q.order:
         raise OrderError(f"kernel orders differ: {P.order} != {Q.order}")
-    jE = j_weierstrass(E)
-    jF = j_weierstrass(F)
-    jEP = j_weierstrass(velu_quotient(E, P))
-    jFQ = j_weierstrass(velu_quotient(F, Q))
+    jE, jF = j_weierstrass(P.curve), j_weierstrass(Q.curve)
+    jEP, jFQ = j_weierstrass(velu_quotient(P)), j_weierstrass(velu_quotient(Q))
     premise = (jEP != jE) or (jFQ != jF)
     if not nonisogenous_asserted:
         conclusion = "hypothesis unverified: non-isogeny not asserted"

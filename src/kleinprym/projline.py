@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, DegenerateConfiguration, require
-from .algebra import parse_integer, ratio_text, rational
+from .algebra import brief, parse_integer, ratio_text, rational
 from .family import FamilyParams
 
 
@@ -194,8 +194,7 @@ class MarkedTuple:
 
     @classmethod
     def from_string(cls, text: str) -> "MarkedTuple":
-        if not isinstance(text, str):
-            raise ArgumentError(f"cannot parse marked tuple {text!r}")
+        require(str, "the text", text)
         try:
             body, k = text.rsplit("!", 1)
             pair_part, triple_part = body.split(";")
@@ -203,7 +202,7 @@ class MarkedTuple:
             triple = tuple(ProjectivePoint.from_string(t) for t in triple_part.split(","))
             return cls(pair, triple, parse_integer(k))
         except (ValueError, IndexError) as exc:
-            raise ArgumentError(f"cannot parse marked tuple {text!r}") from exc
+            raise ArgumentError(f"cannot parse marked tuple {brief(text)}") from exc
 
 
 CANONICAL_TRIPLE = (

@@ -80,12 +80,14 @@ class TorsionPoint:
         return cls(tuple(int(c * level) % level for c in cs), level)
 
     def __add__(self, other: "TorsionPoint") -> "TorsionPoint":
+        require(TorsionPoint, "the summand", other)
         if self.level != other.level:
             raise LevelError("level mismatch")
         n = self.level
         return TorsionPoint(tuple((a + b) % n for a, b in zip(self.coords, other.coords)), n)
 
     def scale(self, k: int) -> "TorsionPoint":
+        require(int, "the factor", k)
         return TorsionPoint(tuple(k * a % self.level for a in self.coords), self.level)
 
     def is_zero(self) -> bool:

@@ -441,6 +441,32 @@ def test_duality_without_assertion_is_gated():
     assert json.loads(result.output)["conclusion"].startswith("hypothesis unverified")
 
 
+@pytest.mark.parametrize("curve_e,point_p,curve_f,point_q,line", [
+    ("1,0", "1,1", "1,0", "0,0", "error: (1, 1) is not on y^2 = x^3 + 1 x + 0"),
+    ("-7,-6", "3,0", "0,1", "0,1", "error: kernel orders differ: 2 != 3"),
+    ("0,-2", "3,5", "1,0", "0,0", "error: point order exceeds 12"),
+    ("-3,2", "1,0", "1,0", "0,0", "error: 4p^3 + 27q^2 = 0"),
+], ids=["off the curve", "orders 2 and 3", "infinite order", "singular"])
+def test_duality_refusals_print_one_line(curve_e, point_p, curve_f, point_q, line):
+    result = run("duality", "--curveE", curve_e, "--pointP", point_p,
+                 "--curveF", curve_f, "--pointQ", point_q, "--assert-nonisogenous")
+    assert (result.exit_code, result.output, result.stderr) == (1, "", line + "\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["normalize", "--tuple", "1" * 10_000],
+    ["duality", "--curveE", "1" * 10_000, "--pointP", "0,0", "--curveF", "1,0",
+     "--pointQ", "0,0"],
+    ["duality", "--curveE", "1,0", "--pointP", "0,0", "--curveF", "1,0",
+     "--pointQ", "1" * 10_000],
+], ids=["--tuple", "--curveE", "--pointQ"])
+def test_an_error_echoes_a_long_value_briefly(args):
+    result = run(*args)
+    assert result.exit_code == 1
+    assert "(10000 characters)" in result.stderr
+    assert len(result.stderr.encode()) < 200
+
+
 def test_example_surj_lists_kernel():
     report = json.loads(run("example-surj").output)
     assert len(report["ker_phi_A"]) == 4

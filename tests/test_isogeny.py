@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import time
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from j_oracle import short_weierstrass_coefficients
 from kleinprym import isogeny
+from kleinprym.cli import main
 from kleinprym.errors import OrderError, PointError, SingularError
 from kleinprym.family import CurveLabel, ELLIPTIC_LABELS, check_domain, \
     curve_equation, j_invariant
@@ -51,7 +55,7 @@ def test_kernel_point_validation():
 
 def test_velu_reference_two_isogeny():
     E = WeierstrassCurve.make(1, 0)  # y^2 = x^3 + x
-    image = velu_quotient(E, KernelPoint.on_curve(E, 0, 0))
+    image = velu_quotient(KernelPoint.on_curve(E, 0, 0))
     assert (image.p, image.q) == (-4, 0)
     assert j_weierstrass(image) == 1728
 
@@ -100,17 +104,17 @@ def test_dual_two_isogeny_returns_to_j(roots):
     if len({r1, r2, r3}) < 3:
         return
     E = _curve_from_roots(r1, r2, r3)
-    image = velu_quotient(E, KernelPoint.on_curve(E, r1, 0))
+    image = velu_quotient(KernelPoint.on_curve(E, r1, 0))
     # image x-coordinate of the 2-torsion point (r2, 0) under the isogeny
     x_img = r2 + (3 * r1 * r1 + E.p) / (r2 - r1)
     T = KernelPoint.on_curve(image, x_img, 0)
-    assert j_weierstrass(velu_quotient(image, T)) == j_weierstrass(E)
+    assert j_weierstrass(velu_quotient(T)) == j_weierstrass(E)
 
 
 def test_certificate_cm_point_has_no_conclusion():
     E = WeierstrassCurve.make(1, 0)
     P = KernelPoint.on_curve(E, 0, 0)
-    cert = dual_nonisomorphism_check(E, P, E, P, True)
+    cert = dual_nonisomorphism_check(P, P, True)
     assert not cert["premise_holds"]
     assert cert["conclusion"] == "no conclusion: both quotients preserve j"
 
@@ -118,8 +122,8 @@ def test_certificate_cm_point_has_no_conclusion():
 def test_certificate_generic_pair():
     E = WeierstrassCurve.make(-7, -6)
     F = WeierstrassCurve.make(-19, -30)
-    cert = dual_nonisomorphism_check(E, KernelPoint.on_curve(E, 3, 0),
-                                     F, KernelPoint.on_curve(F, 5, 0), True)
+    cert = dual_nonisomorphism_check(KernelPoint.on_curve(E, 3, 0),
+                                     KernelPoint.on_curve(F, 5, 0), True)
     assert cert["premise_holds"]
     assert cert["nonisogenous_evidence"]["j_values_differ"]
     assert cert["conclusion"] == "A is not isomorphic to its dual"
@@ -128,8 +132,8 @@ def test_certificate_generic_pair():
 def test_certificate_gates_on_assertion():
     E = WeierstrassCurve.make(-7, -6)
     F = WeierstrassCurve.make(-19, -30)
-    cert = dual_nonisomorphism_check(E, KernelPoint.on_curve(E, 3, 0),
-                                     F, KernelPoint.on_curve(F, 5, 0), False)
+    cert = dual_nonisomorphism_check(KernelPoint.on_curve(E, 3, 0),
+                                     KernelPoint.on_curve(F, 5, 0), False)
     assert cert["conclusion"] == "hypothesis unverified: non-isogeny not asserted"
 
 
@@ -140,7 +144,7 @@ def test_certificate_rejects_order_mismatch():
     Q = KernelPoint.on_curve(F, 0, 1)   # order 3
     assert (P.order, Q.order) == (2, 3)
     with pytest.raises(OrderError):
-        dual_nonisomorphism_check(E, P, F, Q, True)
+        dual_nonisomorphism_check(P, Q, True)
 
 
 # a curve "p,q" and a rational point "x,y" on it of each order 2..12 but 11
@@ -190,39 +194,9 @@ def test_velu_image_is_isogenous_by_point_counts(order):
     E = WeierstrassCurve.from_string(curve_text)
     P = KernelPoint.from_string(E, point_text)
     assert P.order == order
-    image = velu_quotient(E, P)
+    image = velu_quotient(P)
     for prime in _good_primes((E, image), 8):
         assert _count_points(image, prime) == _count_points(E, prime), prime
-
-
-@pytest.mark.parametrize("claimed", [2, 5, 12])
-def test_velu_follows_the_multiples_not_the_claimed_order(claimed):
-    # the walk reads the order off the multiples and refuses a claim they deny
-    E = WeierstrassCurve.from_string(KERNEL_CURVES[7][0])
-    P = KernelPoint.from_string(E, KERNEL_CURVES[7][1])
-    with pytest.raises(OrderError, match=f"order 7, not {claimed}"):
-        velu_quotient(E, KernelPoint(P.x, P.y, claimed))
-
-
-def test_a_point_made_with_a_false_order_certifies_nothing():
-    E = WeierstrassCurve.make(-7, -6)    # (3, 0) has order 2
-    F = WeierstrassCurve.make(-19, -30)  # (5, 0) has order 2
-    P, Q = KernelPoint(Fraction(3), Fraction(0), 5), KernelPoint(Fraction(5), Fraction(0), 5)
-    with pytest.raises(OrderError, match="order 2, not 5"):
-        dual_nonisomorphism_check(E, P, F, Q, True)
-    with pytest.raises(OrderError, match="order 2, not 1"):
-        velu_quotient(E, KernelPoint(Fraction(3), Fraction(0), 1))
-
-
-@pytest.mark.parametrize("claimed", [2, 5, 12])
-def test_velu_refuses_a_point_of_infinite_order(claimed):
-    # (3, 5) on y^2 = x^3 - 2 has infinite order: its multiples never close
-    # up, and the walk stops after MAX_KERNEL_ORDER of them
-    E = WeierstrassCurve.make(0, -2)
-    start = time.perf_counter()
-    with pytest.raises(OrderError):
-        velu_quotient(E, KernelPoint(Fraction(3), Fraction(5), claimed))
-    assert time.perf_counter() - start < 1
 
 
 def _full_walk_order(curve, P):
@@ -238,8 +212,8 @@ def _full_walk_order(curve, P):
 
 @pytest.mark.parametrize("order", sorted(KERNEL_CURVES))
 def test_one_half_walk_gives_the_order(order, monkeypatch):
-    # the order that on_curve records is the full walk's, found within
-    # order // 2 additions, and velu_quotient refuses every other claim
+    # the order that on_curve reads is the full walk's, found within
+    # order // 2 additions
     curve_text, point_text = KERNEL_CURVES[order]
     E = WeierstrassCurve.from_string(curve_text)
     x, y = (Fraction(t) for t in point_text.split(","))
@@ -254,16 +228,46 @@ def test_one_half_walk_gives_the_order(order, monkeypatch):
     P = KernelPoint.on_curve(E, x, y)
     assert P.order == order
     assert len(calls) <= order // 2
-    monkeypatch.undo()
-    for claimed in range(1, isogeny.MAX_KERNEL_ORDER + 1):
-        if claimed != order:
-            with pytest.raises(OrderError, match=f"order {order}, not {claimed}"):
-                velu_quotient(E, KernelPoint(x, y, claimed))
 
 
 def test_a_point_of_infinite_order_has_no_kernel_point():
-    # (3, 5) on y^2 = x^3 - 2 has infinite order
+    # (3, 5) on y^2 = x^3 - 2 has infinite order: its multiples never close
+    # up, and the walk stops after MAX_KERNEL_ORDER of them
     E = WeierstrassCurve.make(0, -2)
     assert _full_walk_order(E, (Fraction(3), Fraction(5))) is None
+    start = time.perf_counter()
     with pytest.raises(OrderError, match="point order exceeds 12"):
         KernelPoint.on_curve(E, 3, 5)
+    assert time.perf_counter() - start < 1
+
+
+def test_a_kernel_point_is_its_curve_and_coordinates():
+    # no field holds an order, so no caller can claim one
+    E = WeierstrassCurve.make(-7, -6)
+    P = KernelPoint(E, Fraction(3), Fraction(0))
+    assert [f.name for f in dataclasses.fields(KernelPoint)] == ["curve", "x", "y"]
+    assert (P.curve, P.order) == (E, 2)
+    assert P == KernelPoint.on_curve(E, 3, 0) == KernelPoint.from_string(E, "3,0")
+
+
+def test_each_kernel_point_walks_its_multiples_once(monkeypatch):
+    # reading a point, its Velu quotient and the certificate over it walk the
+    # multiples once per point, when the point is made
+    calls, walk = [], isogeny._half_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(isogeny, "_half_kernel", counted)
+    curve, point = KERNEL_CURVES[7]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["duality", "--curveE", curve, "--pointP", point,
+                     "--curveF", curve, "--pointQ", point]) == 0
+    assert len(calls) == 2
+    P, Q = (KernelPoint.from_string(WeierstrassCurve.from_string(c), t)
+            for c, t in (KERNEL_CURVES[7], KERNEL_CURVES[12]))
+    velu_quotient(P), velu_quotient(Q)
+    with pytest.raises(OrderError, match="kernel orders differ: 7 != 12"):
+        dual_nonisomorphism_check(P, Q, True)
+    assert len(calls) == 4

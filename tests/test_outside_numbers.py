@@ -58,6 +58,7 @@ from kleinprym.torsion import (
 )
 
 E = WeierstrassCurve.make(1, 0)  # y^2 = x^3 + x, with (0, 0) of order 2
+ORIGIN = KernelPoint.on_curve(E, 0, 0)
 P = TorsionPoint((1, 0, 0, 0), 2)
 K = span([P])
 Q = ker_phi_H(K)
@@ -117,11 +118,12 @@ ENTRY_POINTS = {
     "TorsionPoint": TorsionPoint,
     "duality_chain": lambda u, v: duality_chain(u),
     "example_surj_report": lambda u, v: example_surj_report(),
-    "KernelPoint": lambda u, v: KernelPoint(u, v, 2),
-    "KernelPoint(order)": lambda u, v: KernelPoint(Fraction(0), Fraction(0), u),
+    "KernelPoint": lambda u, v: KernelPoint(E, u, v),
+    "KernelPoint(curve)": lambda u, v: KernelPoint(u, Fraction(0), Fraction(0)),
     "WeierstrassCurve": WeierstrassCurve,
-    "velu_quotient": velu_quotient,
-    "velu_quotient(E, u)": lambda u, v: velu_quotient(E, u),
+    "velu_quotient": lambda u, v: velu_quotient(u),
+    "velu_quotient(KernelPoint.on_curve(E, u, v))":
+        lambda u, v: velu_quotient(KernelPoint.on_curve(E, u, v)),
     "PeriodPair": lambda u, v: PeriodPair(u, v, u),
     "PrymPeriodMatrix": lambda u, v: PrymPeriodMatrix(u),
     "elliptic_periods_agm": elliptic_periods_agm,
@@ -141,10 +143,9 @@ ENTRY_POINTS = {
     "moduli_report": lambda u, v: moduli_report(u),
     "phi_consistency_report": lambda u, v: phi_consistency_report(u),
     "phi_consistency_report(fiber, u)": lambda u, v: phi_consistency_report(FIBER, u),
-    "dual_nonisomorphism_check": lambda u, v: dual_nonisomorphism_check(u, v, u, v, True),
+    "dual_nonisomorphism_check": lambda u, v: dual_nonisomorphism_check(u, v, True),
     "dual_nonisomorphism_check(assertion)":
-        lambda u, v: dual_nonisomorphism_check(E, KernelPoint.on_curve(E, 0, 0), E,
-                                               KernelPoint.on_curve(E, 0, 0), u),
+        lambda u, v: dual_nonisomorphism_check(ORIGIN, ORIGIN, u),
     "analytic_j": lambda u, v: analytic_j(u, 128),
     "analytic_j(bits)": lambda u, v: analytic_j(1j, u),
     "prym_period_matrix": prym_period_matrix,
@@ -337,8 +338,8 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
     lambda: phi_params(None), lambda: prym_fiber_invariants(None), lambda: PhiFiber(None),
     lambda: moduli_report(None), lambda: phi_consistency_report(None),
     lambda: j_invariant(None), lambda: curve_report("E_t", None), lambda: riemann_check(None),
-    lambda: velu_quotient(None, None),
-    lambda: dual_nonisomorphism_check(None, None, None, None, True),
+    lambda: velu_quotient(None),
+    lambda: dual_nonisomorphism_check(None, None, True),
     lambda: analytic_j("x"), lambda: prym_period_matrix(1j, "x"), lambda: Polynomial(["x"]),
     lambda: CurveLabel("x"),
     lambda: riemann_check(PrymPeriodMatrix("x")),
@@ -358,11 +359,14 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
     lambda: canonical_tuples_equivalent(PARAMS, PARAMS, None),
     lambda: canonical_tuples_equivalent(PARAMS, PARAMS, True), lambda: phi_tuple_raw(TUPLE),
     lambda: QuotientMapData(None, None, None, None),
+    lambda: P + 5, lambda: P.scale("x"), lambda: X + 5, lambda: X * "x",
+    lambda: E.contains(None, None), lambda: KernelPoint.on_curve(None, 0, 0),
+    lambda: KernelPoint.from_string("1,0", "0,0"),
 ], ids=["fixed_point_count('sigma', p)", "quotient_map('E_t')", "curve_equation('E_t', p)",
         "curve_equation(E_t, (1, 2))", "phi_params(None)", "prym_fiber_invariants(None)",
         "PhiFiber(None)", "moduli_report(None)", "phi_consistency_report(None)",
         "j_invariant(None)", "curve_report('E_t', None)", "riemann_check(None)",
-        "velu_quotient(None, None)", "dual_nonisomorphism_check(None, ...)", "analytic_j('x')",
+        "velu_quotient(None)", "dual_nonisomorphism_check(None, ...)", "analytic_j('x')",
         "prym_period_matrix(1j, 'x')", "Polynomial(['x'])", "CurveLabel('x')",
         "riemann_check(PrymPeriodMatrix('x'))", "prym_period_matrix(ComplexApprox(1, 2, 'x'), i)",
         "repr(ComplexApprox('a', 'b', 128))", "PeriodPair(1, 2, 3).tau",
@@ -375,7 +379,10 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
         "Polynomial([1]).divmod(None)", "optimal_agm('x', 1, 128)", "optimal_agm(1, 1, 'x')",
         "full_group('x')", "canonical_tuples_equivalent(None, p, conv)",
         "canonical_tuples_equivalent(p, p, None)", "canonical_tuples_equivalent(p, p, True)",
-        "phi_tuple_raw(t)", "QuotientMapData(None, None, None, None)"])
+        "phi_tuple_raw(t)", "QuotientMapData(None, None, None, None)", "TorsionPoint + 5",
+        "TorsionPoint.scale('x')", "Polynomial + 5", "Polynomial * 'x'",
+        "WeierstrassCurve.contains(None, None)", "KernelPoint.on_curve(None, 0, 0)",
+        "KernelPoint.from_string('1,0', '0,0')"])
 def test_a_library_call_refuses_a_wrong_type(call):
     with pytest.raises(ArgumentError):
         call()
