@@ -196,6 +196,7 @@ class Polynomial:
         return Fraction(self.nums[-1], self.den)
 
     def __getitem__(self, i: int) -> Fraction:
+        require(int, "the index", i)
         return Fraction(self.nums[i], self.den) if 0 <= i <= self.degree else Fraction(0)
 
     def __eq__(self, other) -> bool:
@@ -224,8 +225,14 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(other, 1)
 
+    __radd__ = __add__
+
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(other, -1)
+
+    def __rsub__(self, other: "Polynomial") -> "Polynomial":
+        require(Polynomial, "the minuend", other)
+        return other._plus(self, -1)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):

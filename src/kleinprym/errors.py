@@ -58,6 +58,6 @@ def require(cls, name: str, *values) -> None:
     check, made once where a call enters."""
     for value in values:
         if not isinstance(value, cls):
-            article = "an" if cls.__name__[0] in "AEIOU" else "a"
+            article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
             raise ArgumentError(f"{name} must be {article} {cls.__name__}, "
                                 f"not {type(value).__name__}")

@@ -4,9 +4,9 @@ diagnostics comparing alternative presentations of phi.
 The operative definition is the parameter form
     phi(a, b) = ((2b - 2a - 8)/(a + b), (2a - 2b - 8)/(a + b)),
 which is an involution on unordered pairs and preserves both unordered
-j-invariant pairs attached to a fibre.  The raw 5-tuple form and the 2x2
-matrix printed beside it survive only inside the consistency report, and
-both give the closed form
+j-invariant pairs attached to a fibre.  The raw 5-tuple form
+([-b:1], [-a:1]; [1:0], [-2-a-b:1], [-2:1]) and the 2x2 matrix printed beside
+it are written down in the consistency report, and both give the closed form
     n = -phi(a, b) = ((2a - 2b + 8)/(a + b), (2b - 2a + 8)/(a + b)).
 The matrix M = ((4, 8 + 2a + 2b), (0, -a - b)) sends the raw triple
 (inf, -2 - a - b, -2) to the frame (inf, 2, -2), so it is the raw tuple's
@@ -16,8 +16,8 @@ returns the input exactly on the line a + b = 4, and the matrix never
 reproduces the parameter form, which would need phi(a, b) = (0, 0).
 
 A `PhiFiber` is its point (a, b) alone; the image and the fibre invariants
-at both points follow from it and are computed once.  The report reads both
-alternatives off n and normalises nothing.  Its equivalence verdicts
+at both points follow from it and are computed once.  The report prints the
+raw tuple as text and reads both alternatives off n.  Its equivalence verdicts
 (`canonical_tuples_equivalent`) need no normalisation either: a canonical
 tuple `tuple_of_params(p)` normalises by construction to p, and to (-a, -b)
 as well when the triple tail is unordered.
@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 from .errors import PhiUndefined, require
 from .family import CurveLabel, FamilyParams, curve_equation, j_invariant
-from .projline import (
-    CONVENTIONS,
-    MarkedTuple,
-    ProjectivePoint,
-    _require_convention,
-    canonical_tuples_equivalent,
-)
+from .projline import CONVENTIONS, _require_convention, canonical_tuples_equivalent
 
 
 def phi_params(params: FamilyParams) -> FamilyParams:
@@ -51,22 +45,6 @@ def phi_params(params: FamilyParams) -> FamilyParams:
     if s == 0:
         raise PhiUndefined("phi undefined: a + b = 0")
     return FamilyParams((2 * b - 2 * a - 8) / s, (2 * a - 2 * b - 8) / s)
-
-
-def phi_tuple_raw(params: FamilyParams) -> MarkedTuple:
-    """The literal un-normalised image tuple ([-b:1], [-a:1]; [1:0], [-2-a-b:1],
-    [-2:1]); DegenerateConfiguration when a + b = 0 repeats -2."""
-    require(FamilyParams, "params", params)
-    a, b = params.a, params.b
-    return MarkedTuple(
-        (ProjectivePoint(-b), ProjectivePoint(-a)),
-        (
-            ProjectivePoint.infinity(),
-            ProjectivePoint(-2 - a - b),
-            ProjectivePoint(-2),
-        ),
-        0,
-    )
 
 
 @dataclass(frozen=True)
@@ -114,6 +92,10 @@ class PhiFiber:
         return prym_fiber_invariants(self.image)
 
 
+def _printed(params: FamilyParams) -> list:
+    return [str(params.a), str(params.b)]
+
+
 def phi_consistency_report(fiber: PhiFiber, convention: str = "pair-unordered") -> dict:
     """Structured comparison of the three presentations of phi, read off the
     closed form n = -phi(a, b) of the module docstring.
@@ -138,17 +120,14 @@ def phi_consistency_report(fiber: PhiFiber, convention: str = "pair-unordered") 
         flags.append("printed-matrix-disagrees-with-parameter-form")
 
     verdicts = {name: canonical_tuples_equivalent(params, image, name) for name in CONVENTIONS}
-
-    def fmt_params(p):
-        return [str(p.a), str(p.b)]
-
     return {
-        "params": fmt_params(params),
-        "phi_params": fmt_params(image),
-        "raw_tuple_image": phi_tuple_raw(params).to_string(),
-        "raw_tuple_normalized_ordered": [fmt_params(negated)],
-        "raw_tuple_normalized_requested": [fmt_params(p) for p in requested],
-        "printed_matrix_image": fmt_params(negated),
+        "params": _printed(params),
+        "phi_params": _printed(image),
+        # ProjectivePoint.to_string prints each affine point as its Fraction
+        "raw_tuple_image": f"{-params.b},{-params.a};inf,{-2 - params.a - params.b},-2!0",
+        "raw_tuple_normalized_ordered": [_printed(negated)],
+        "raw_tuple_normalized_requested": [_printed(p) for p in requested],
+        "printed_matrix_image": _printed(negated),
         "printed_matrix_returns_input": returns_input,
         "printed_matrix_matches_parameter_form": matches_image,
         "fiber_invariants_match": fiber.invariants == fiber.image_invariants,
@@ -159,10 +138,9 @@ def phi_consistency_report(fiber: PhiFiber, convention: str = "pair-unordered") 
 
 def moduli_report(fiber: PhiFiber) -> dict:
     require(PhiFiber, "the fibre", fiber)
-    params, image, inv = fiber.params, fiber.image, fiber.invariants
     return {
-        "params": [str(params.a), str(params.b)],
-        "phi_params": [str(image.a), str(image.b)],
-        "j_pair_top": [str(j) for j in inv.j_pair_top],
-        "j_pair_bottom": [str(j) for j in inv.j_pair_bottom],
+        "params": _printed(fiber.params),
+        "phi_params": _printed(fiber.image),
+        "j_pair_top": [str(j) for j in fiber.invariants.j_pair_top],
+        "j_pair_bottom": [str(j) for j in fiber.invariants.j_pair_bottom],
     }

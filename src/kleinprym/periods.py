@@ -96,10 +96,11 @@ the (2,2) product matrix by a basis change, a quotient and a shear, each a
 fixed integer matrix, so `product_to_prym_reduction` writes the four matrices
 down and takes no product; the tests derive them in sympy.  It is (A | D)
 with A symmetric, so its two Riemann relations take no matrix product:
-Pi E^-1 Pi^T = 0, and i Pi E^-1 Pi^* = 2 Im A, whose smaller eigenvalue the
-report reads off in closed form (`_prym_riemann_values`).  `riemann_check`
-forms both products for any 2x4 matrix of type (1, 2); it is the general
-reference the tests hold the report's values to.
+Pi E^-1 Pi^T = 0, a constant in the report, and i Pi E^-1 Pi^* = 2 Im A,
+whose smaller eigenvalue the report reads off in closed form
+(`_prym_min_eigenvalue`).  `riemann_check` forms both products for any 2x4
+matrix of type (1, 2); it is the general reference the tests hold the
+report's values to, and shares the eigenvalue's one expression.
 
 All tolerances are powers of two relative to the requested precision.
 """
@@ -654,11 +655,6 @@ def _upper_pair(z1, z2):
     return w1, w2, bits
 
 
-def _prym_rows(w1, w2):
-    """The rows ((w1, w1, 1, 0), (w1, w1 + w2, 0, 2)) of the Prym matrix."""
-    return (w1, w1, 1, 0), (w1, w1 + w2, 0, 2)
-
-
 def _frozen(rows, bits):
     """rows of ComplexApprox labelled bits, rounded to the working precision."""
     return tuple(tuple(_cap(e, bits) for e in row) for row in rows)
@@ -667,7 +663,7 @@ def _frozen(rows, bits):
 def prym_period_matrix(z1, z2) -> PrymPeriodMatrix:
     w1, w2, bits = _upper_pair(z1, z2)
     with mpmath.workprec(bits + _GUARD_BITS):
-        return PrymPeriodMatrix(_frozen(_prym_rows(w1, w2), bits))
+        return PrymPeriodMatrix(_frozen(((w1, w1, 1, 0), (w1, w1 + w2, 0, 2)), bits))
 
 
 @dataclass(frozen=True)
@@ -696,7 +692,7 @@ def product_to_prym_reduction(z1, z2) -> ReductionTrace:
             product_matrix=_frozen(((w1, 0, 2, 0), (0, w2, 0, 2)), bits),
             basis_changed=_frozen(((w1, w1, 2, 0), (0, w2, -2, 2)), bits),
             after_quotient=_frozen(((w1, w1, 1, 0), (0, w2, -1, 2)), bits),
-            final=_frozen(_prym_rows(w1, w2), bits),
+            final=prym_period_matrix(z1, z2).entries,
         )
 
 
@@ -705,8 +701,8 @@ def riemann_check(matrix: PrymPeriodMatrix):
     the alternating form E = ((0, D), (-D, 0)), D = diag(1, 2):
     Pi E^-1 Pi^T = 0 and i Pi E^-1 Pi^* > 0.  For Pi = (A | B) and a second
     matrix Pi' = (A' | B'), Pi E^-1 Pi'^T = B D^-1 A'^T - A D^-1 B'^T.  The
-    general reference for the closed form a report reads
-    (`_prym_riemann_values`)."""
+    general reference for the report's constant residual and for its closed
+    form eigenvalue (`_prym_min_eigenvalue`)."""
     require(PrymPeriodMatrix, "the matrix", matrix)
     bits = matrix.precision_bits
     with mpmath.workprec(bits + _GUARD_BITS):
@@ -723,36 +719,32 @@ def riemann_check(matrix: PrymPeriodMatrix):
 
         herm = form([[mpmath.conj(e) for e in row] for row in rows])
         h = [[mpmath.mpc(0, 1) * x for x in row] for row in herm]
-        # 2x2 Hermitian closed-form eigenvalues
-        tr = (h[0][0] + h[1][1]).real
-        det = (h[0][0] * h[1][1] - h[0][1] * h[1][0]).real
-        disc = mpmath.sqrt(max((tr / 2) ** 2 - det, mpmath.mpf(0)))
-        min_eig = tr / 2 - disc
-        return residual, min_eig
+        return residual, _smaller_eigenvalue((h[0][0] + h[1][1]).real,
+                                             (h[0][0] * h[1][1] - h[0][1] * h[1][0]).real)
 
 
-def _prym_riemann_values(matrix: PrymPeriodMatrix):
-    """`riemann_check` of a matrix of `prym_period_matrix`, read off its
-    closed form.  That matrix is Pi = (A | D) with A = ((z1, z1), (z1, s)),
-    s = z1 + z2, symmetric, so Pi E^-1 Pi^T = A^T - A = 0, and
-    i Pi E^-1 Pi^* = 2 Im A = ((u, u), (u, v)) for u = 2 Im z1 and
-    v = 2 Im s, each read at the matrix's label as `riemann_check` reads it.
-    The trace, determinant and smaller eigenvalue are formed at bits + 64 with
-    `riemann_check`'s roundings, so both values are the same numbers."""
+def _smaller_eigenvalue(tr, det):
+    """The smaller eigenvalue of a 2x2 Hermitian matrix of trace tr and determinant det."""
+    return tr / 2 - mpmath.sqrt(max((tr / 2) ** 2 - det, mpmath.mpf(0)))
+
+
+def _prym_min_eigenvalue(matrix: PrymPeriodMatrix):
+    """`riemann_check(matrix)[1]` for a matrix of `prym_period_matrix`, read
+    off its closed form: Pi = (A | D) with A = ((z1, z1), (z1, s)), s = z1 + z2,
+    gives i Pi E^-1 Pi^* = 2 Im A = ((u, u), (u, v)), u = 2 Im z1, v = 2 Im s,
+    each read at the matrix's label and combined at bits + 64 with
+    `riemann_check`'s roundings, so both are the same number."""
     bits = matrix.precision_bits
     (z1, _, _, _), (_, s, _, _) = matrix.entries
     with mpmath.workprec(bits + _GUARD_BITS):
         u, v = 2 * z1.to_mpc().imag, 2 * s.to_mpc().imag
-        tr = u + v
-        det = u * v - u * u
-        disc = mpmath.sqrt(max((tr / 2) ** 2 - det, mpmath.mpf(0)))
-        return mpmath.mpf(0), tr / 2 - disc
+        return _smaller_eigenvalue(u + v, u * v - u * u)
 
 
 def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
     """Periods of the six elliptic quotients (`quotient_periods`), the Prym
-    matrix spanned by E_t and E_st, its Riemann values read off 2 Im A
-    (`_prym_riemann_values`), and the relative deltas
+    matrix spanned by E_t and E_st, its Riemann values (0, and the eigenvalue
+    of `_prym_min_eigenvalue`), and the relative deltas
     |j_analytic - j| / max(1, |j|) of the analytic j of `quotient_periods` from
     the exact j for all six.  Each must be at most j_delta_tolerance, or
     PrecisionError is raised; both print as 17-digit strings, which neither
@@ -778,15 +770,15 @@ def periods_report(params, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict
             deltas[label.value] = _ratio_text(delta, scale)
 
     matrix = prym_period_matrix(bases[CurveLabel.E_t].tau, bases[CurveLabel.E_st].tau)
-    residual, min_eig = _prym_riemann_values(matrix)
     return {
         "precision_bits": precision_bits,
         "periods": {k: pairs[k] for k in sorted(pairs)},
         "analytic_vs_exact_j": {k: v for k, v in sorted(deltas.items())},
         "j_delta_tolerance": mpmath.nstr(tol, 17),
         "prym_period_matrix": matrix.to_report(),
-        "riemann_residual_symmetry": float(residual),
-        "riemann_min_eigenvalue": float(min_eig),
+        # Pi E^-1 Pi^T = A^T - A = 0 for the symmetric A of Pi = (A | D)
+        "riemann_residual_symmetry": 0.0,
+        "riemann_min_eigenvalue": float(_prym_min_eigenvalue(matrix)),
         # S^T J S = J, proven by test_reduction_trace_matches_documented_matrices
         "reduction_symplectic": True,
     }

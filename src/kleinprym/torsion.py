@@ -86,6 +86,8 @@ class TorsionPoint:
         n = self.level
         return TorsionPoint(tuple((a + b) % n for a, b in zip(self.coords, other.coords)), n)
 
+    __radd__ = __add__
+
     def scale(self, k: int) -> "TorsionPoint":
         require(int, "the factor", k)
         return TorsionPoint(tuple(k * a % self.level for a in self.coords), self.level)

@@ -1,10 +1,22 @@
-"""The printed 2x2 matrix presentation of phi and the parameters of a tuple in
-the canonical frame, kept apart from the library, whose consistency report
-writes the matrix's image down in closed form (`moduli.phi_consistency_report`)."""
+"""The raw 5-tuple and printed 2x2 matrix presentations of phi and the
+parameters of a tuple in the canonical frame, kept apart from the library,
+whose consistency report writes the raw tuple and the matrix's image down in
+closed form (`moduli.phi_consistency_report`)."""
 
 from kleinprym.errors import ArgumentError, PhiUndefined
 from kleinprym.family import FamilyParams
-from kleinprym.projline import CANONICAL_TRIPLE, MobiusMap
+from kleinprym.projline import CANONICAL_TRIPLE, MarkedTuple, MobiusMap, ProjectivePoint
+
+
+def phi_tuple_raw(params) -> MarkedTuple:
+    """The literal un-normalised image tuple ([-b:1], [-a:1]; [1:0], [-2-a-b:1],
+    [-2:1]); DegenerateConfiguration when a + b = 0 repeats -2."""
+    a, b = params.a, params.b
+    return MarkedTuple(
+        (ProjectivePoint(-b), ProjectivePoint(-a)),
+        (ProjectivePoint.infinity(), ProjectivePoint(-2 - a - b), ProjectivePoint(-2)),
+        0,
+    )
 
 
 def printed_matrix(params) -> MobiusMap:

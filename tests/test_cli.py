@@ -26,6 +26,7 @@ from kleinprym.family import CurveLabel, check_domain, curve_equation
 from kleinprym.moduli import phi_params
 from kleinprym.periods import periods_report
 from kleinprym.projline import CONVENTIONS
+from moduli_oracle import phi_tuple_raw
 
 
 class Result(NamedTuple):
@@ -531,6 +532,45 @@ def test_involution_normalizes_nothing(monkeypatch, convention):
     assert run("involution", "--a", "7/5", "--b", "-13/4",
                "--convention", convention).exit_code == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("convention", sorted(CONVENTIONS))
+def test_involution_makes_no_projective_object(monkeypatch, convention):
+    # the report writes the raw tuple down as text from (a, b)
+    def refuse(*args):
+        raise AssertionError("the involution report made a projective object")
+
+    monkeypatch.setattr(projline.ProjectivePoint, "__init__", refuse)
+    monkeypatch.setattr(projline.MarkedTuple, "__post_init__", refuse)
+    for a, b, fmt in (("7/5", "-13/4", "json"), ("1", "3", "json"), ("1", "3", "text")):
+        assert run("involution", "--a", a, "--b", b, "--convention", convention,
+                   "--format", fmt).exit_code == 0
+
+
+def _phi_defined(ab):
+    try:
+        return check_domain(*ab).phi_defined
+    except DomainError:
+        return False
+
+
+def _sides(height):
+    return st.builds(Fraction, st.integers(-height, height), st.integers(1, height))
+
+
+# heights 50 and 10^6, and the line a + b = 4 on which the raw tuple returns (a, b)
+PHI_POINTS = st.one_of(st.tuples(_sides(50), _sides(50)), st.tuples(_sides(10**6), _sides(10**6)),
+                       _sides(50).map(lambda a: (a, 4 - a))).filter(_phi_defined)
+
+
+@example(ab=(Fraction(1), Fraction(3)))
+@example(ab=(Fraction(5), Fraction(-1)))
+@example(ab=(Fraction(7, 5), Fraction(-13, 4)))
+@given(ab=PHI_POINTS)
+def test_involution_prints_the_raw_tuple_that_the_oracle_builds(ab):
+    result = run("involution", "--a", str(ab[0]), "--b", str(ab[1]))
+    raw = json.loads(result.output)["consistency"]["raw_tuple_image"]
+    assert raw == phi_tuple_raw(check_domain(*ab)).to_string()
 
 
 # each command refuses a pair off the domain with the first of a = b,

@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, strategies as st
 
-from moduli_oracle import params_of_canonical, printed_matrix
+from moduli_oracle import params_of_canonical, phi_tuple_raw, printed_matrix
 from projline_oracle import tuples_equivalent
 from kleinprym.errors import DegenerateConfiguration, PhiUndefined
 from kleinprym.family import check_domain
@@ -12,7 +12,6 @@ from kleinprym.moduli import (
     PhiFiber,
     phi_consistency_report,
     phi_params,
-    phi_tuple_raw,
     prym_fiber_invariants,
 )
 from kleinprym.projline import CONVENTIONS, normalize_tuple, tuple_of_params

@@ -33,7 +33,7 @@ from kleinprym.family import (CurveLabel, FamilyParams, InvolutionLabel, Quotien
 from kleinprym.isogeny import (KernelPoint, WeierstrassCurve, dual_nonisomorphism_check,
                                j_weierstrass, velu_quotient)
 from kleinprym.moduli import (PhiFiber, moduli_report, phi_consistency_report, phi_params,
-                              phi_tuple_raw, prym_fiber_invariants)
+                              prym_fiber_invariants)
 from kleinprym.periods import (ComplexApprox, PeriodPair, PrymPeriodMatrix, analytic_j,
                                elliptic_periods_agm, optimal_agm, periods_report,
                                product_to_prym_reduction, prym_period_matrix, quotient_periods,
@@ -176,7 +176,6 @@ ENTRY_POINTS = {
     "verify_quotient_identity": lambda u, v: verify_quotient_identity(u, v, v),
     "verify_quotient_identity(q, u, v)": lambda u, v: verify_quotient_identity(MAP, u, v),
     "quartic_invariants": lambda u, v: quartic_invariants(u),
-    "phi_tuple_raw": lambda u, v: phi_tuple_raw(u),
     "j_weierstrass": lambda u, v: j_weierstrass(u),
     "optimal_agm": lambda u, v: optimal_agm(u, v, 128),
     "optimal_agm(bits)": lambda u, v: optimal_agm(1, 2, u),
@@ -357,11 +356,12 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
     lambda: optimal_agm(1, 1, "x"), lambda: full_group("x"),
     lambda: canonical_tuples_equivalent(None, PARAMS, "ordered"),
     lambda: canonical_tuples_equivalent(PARAMS, PARAMS, None),
-    lambda: canonical_tuples_equivalent(PARAMS, PARAMS, True), lambda: phi_tuple_raw(TUPLE),
+    lambda: canonical_tuples_equivalent(PARAMS, PARAMS, True),
     lambda: QuotientMapData(None, None, None, None),
     lambda: P + 5, lambda: P.scale("x"), lambda: X + 5, lambda: X * "x",
     lambda: E.contains(None, None), lambda: KernelPoint.on_curve(None, 0, 0),
-    lambda: KernelPoint.from_string("1,0", "0,0"),
+    lambda: KernelPoint.from_string("1,0", "0,0"), lambda: 5 + P, lambda: 5 + X,
+    lambda: 5 - X, lambda: X["x"],
 ], ids=["fixed_point_count('sigma', p)", "quotient_map('E_t')", "curve_equation('E_t', p)",
         "curve_equation(E_t, (1, 2))", "phi_params(None)", "prym_fiber_invariants(None)",
         "PhiFiber(None)", "moduli_report(None)", "phi_consistency_report(None)",
@@ -379,13 +379,21 @@ def test_a_torsion_subgroup_call_refuses_a_wrong_type(call):
         "Polynomial([1]).divmod(None)", "optimal_agm('x', 1, 128)", "optimal_agm(1, 1, 'x')",
         "full_group('x')", "canonical_tuples_equivalent(None, p, conv)",
         "canonical_tuples_equivalent(p, p, None)", "canonical_tuples_equivalent(p, p, True)",
-        "phi_tuple_raw(t)", "QuotientMapData(None, None, None, None)", "TorsionPoint + 5",
+        "QuotientMapData(None, None, None, None)", "TorsionPoint + 5",
         "TorsionPoint.scale('x')", "Polynomial + 5", "Polynomial * 'x'",
         "WeierstrassCurve.contains(None, None)", "KernelPoint.on_curve(None, 0, 0)",
-        "KernelPoint.from_string('1,0', '0,0')"])
+        "KernelPoint.from_string('1,0', '0,0')", "5 + TorsionPoint", "5 + Polynomial",
+        "5 - Polynomial", "Polynomial['x']"])
 def test_a_library_call_refuses_a_wrong_type(call):
     with pytest.raises(ArgumentError):
         call()
+
+
+def test_a_type_refusal_names_the_type_with_its_article():
+    with pytest.raises(ArgumentError, match="^the factor must be an int, not str$"):
+        P.scale("x")
+    with pytest.raises(ArgumentError, match="^the fibre must be a PhiFiber, not NoneType$"):
+        moduli_report(None)
 
 
 @pytest.mark.parametrize("call", [
